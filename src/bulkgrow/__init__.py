@@ -32,16 +32,12 @@ from .mesh import (
 from .assembly import (
     Assembler,
     SystemMatrices,
-    assemble_bulk,
-    assemble_f_H,
-    assemble_f_nu,
     assemble_f_u,
     assemble_L,
-    assemble_surface,
     assemble_system,
 )
 from .oracle import RadialOracle, sphere_oracle_mesh
-from .sparsela import SpdFactor, schur_dirichlet_solve, solve_spd
+from .sparsela import SpdFactor, dirichlet_extension, solve_spd
 from .stepper import (
     History,
     ModelParams,
@@ -53,5 +49,3 @@ from .stepper import (
     evolve,
     initial_state,
 )
-
-__all__ = [name for name in dir() if not name.startswith("_")]

@@ -15,7 +15,7 @@ import scipy.sparse as sp
 
 from .errors import GeometryError, ValidationError
 from .mesh import BulkSurfaceMesh
-from .refelem import geometry_jacobians, reference_element
+from .refelem import adjugate_det, geometry_jacobians, reference_element
 
 
 @dataclass(frozen=True)
@@ -25,6 +25,8 @@ class SystemMatrices:
     The bulk matrices are N x N, the surface matrices N_Gamma x N_Gamma, and
     ``tangrad`` holds the component blocks D_l of the tangential gradient
     matrix, D_l[i, j] = integral of psi_i * (tangential grad psi_j)_l.
+    ``surface`` is the facet geometry the surface matrices were built from,
+    kept for the curvature loads of the same configuration.
     """
 
     mass_bulk: sp.csr_matrix
@@ -33,22 +35,11 @@ class SystemMatrices:
     stiff_surf: sp.csr_matrix
     tangrad: tuple
     n_boundary: int
+    surface: "SurfaceGeometry"
 
     @property
     def n_nodes(self):
         return self.mass_bulk.shape[0]
-
-    @property
-    def tangrad_stacked(self):
-        """D as a single ((m+1) N_Gamma) x N_Gamma matrix, component blocks."""
-        return sp.vstack(self.tangrad, format="csr")
-
-    def stiff_blocks(self):
-        """Boundary/interior partition (A_GG, A_GI, A_IG, A_II) of the bulk
-        stiffness matrix."""
-        ng = self.n_boundary
-        a = self.stiff_bulk
-        return a[:ng, :ng], a[:ng, ng:], a[ng:, :ng], a[ng:, ng:]
 
 
 def embed_boundary_block(surface_matrix, n_nodes):
@@ -104,78 +95,21 @@ class _Pattern:
         return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
 
 
-def _adjugate3(a):
-    adj = np.empty_like(a)
-    adj[..., 0, 0] = a[..., 1, 1] * a[..., 2, 2] - a[..., 1, 2] * a[..., 2, 1]
-    adj[..., 0, 1] = a[..., 0, 2] * a[..., 2, 1] - a[..., 0, 1] * a[..., 2, 2]
-    adj[..., 0, 2] = a[..., 0, 1] * a[..., 1, 2] - a[..., 0, 2] * a[..., 1, 1]
-    adj[..., 1, 0] = a[..., 1, 2] * a[..., 2, 0] - a[..., 1, 0] * a[..., 2, 2]
-    adj[..., 1, 1] = a[..., 0, 0] * a[..., 2, 2] - a[..., 0, 2] * a[..., 2, 0]
-    adj[..., 1, 2] = a[..., 0, 2] * a[..., 1, 0] - a[..., 0, 0] * a[..., 1, 2]
-    adj[..., 2, 0] = a[..., 1, 0] * a[..., 2, 1] - a[..., 1, 1] * a[..., 2, 0]
-    adj[..., 2, 1] = a[..., 0, 1] * a[..., 2, 0] - a[..., 0, 0] * a[..., 2, 1]
-    adj[..., 2, 2] = a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
-    det = (
-        a[..., 0, 0] * adj[..., 0, 0]
-        + a[..., 0, 1] * adj[..., 1, 0]
-        + a[..., 0, 2] * adj[..., 2, 0]
-    )
-    return adj, det
-
-
 def _stiffness_metric(jac):
-    """(J^-1 J^-T) det(J) and det(J), straight from the adjugate."""
+    """(J^-1 J^-T) det(J) = adj(J) adj(J)^T / det(J), and det(J)."""
+    adj, det = adjugate_det(jac)
     d = jac.shape[-1]
-    if d == 2:
-        a, b = jac[..., 0, 0], jac[..., 0, 1]
-        c, e = jac[..., 1, 0], jac[..., 1, 1]
-        det = a * e - b * c
-        out = np.empty_like(jac)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out[..., 0, 0] = (e * e + b * b) / det
-            off = -(c * e + a * b) / det
-            out[..., 0, 1] = off
-            out[..., 1, 0] = off
-            out[..., 1, 1] = (c * c + a * a) / det
-        return out, det
-    adj, det = _adjugate3(jac)
     out = np.empty_like(jac)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for i in range(3):
-            for j in range(i, 3):
-                acc = (
-                    adj[..., i, 0] * adj[..., j, 0]
-                    + adj[..., i, 1] * adj[..., j, 1]
-                    + adj[..., i, 2] * adj[..., j, 2]
-                )
+        for i in range(d):
+            for j in range(i, d):
+                acc = adj[i][0] * adj[j][0]
+                for k in range(1, d):
+                    acc += adj[i][k] * adj[j][k]
                 out[..., i, j] = acc / det
                 if i != j:
                     out[..., j, i] = out[..., i, j]
     return out, det
-
-
-def _inv_det(jac):
-    """Batched inverse and determinant for (..., d, d) with d in {1, 2, 3}."""
-    d = jac.shape[-1]
-    if d == 1:
-        det = jac[..., 0, 0]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inv = 1.0 / det
-        return inv[..., None, None], det
-    if d == 2:
-        a, b = jac[..., 0, 0], jac[..., 0, 1]
-        c, e = jac[..., 1, 0], jac[..., 1, 1]
-        det = a * e - b * c
-        inv = np.empty_like(jac)
-        inv[..., 0, 0] = e
-        inv[..., 0, 1] = -b
-        inv[..., 1, 0] = -c
-        inv[..., 1, 1] = a
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return inv / det[..., None, None], det
-    adj, det = _adjugate3(jac)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return adj / det[..., None, None], det
 
 
 @dataclass
@@ -269,10 +203,14 @@ class Assembler:
         coords = pos[conn]  # (B, n_loc, D)
         jac = geometry_jacobians(coords, ref.grad)
         metric = np.matmul(jac.transpose(0, 1, 3, 2), jac)
-        inv_metric, det = _inv_det(metric)
+        adj, det = adjugate_det(metric)
         if (det <= 0.0).any():
             bad = int(np.argwhere((det <= 0.0).any(axis=1))[0, 0])
             raise GeometryError("degenerate boundary facet", element=bad)
+        inv_metric = np.empty_like(metric)
+        for i, row in enumerate(adj):
+            for j, entry in enumerate(row):
+                inv_metric[..., i, j] = entry / det
         # tangential gradient of shape i: J G^-1 grad_ref N_i
         proj = np.matmul(jac, inv_metric)
         tangrad = np.matmul(ref.grad[None, :, :, :], proj.transpose(0, 1, 3, 2))
@@ -281,12 +219,12 @@ class Assembler:
             conn=conn, shape=ref.shape, tangrad=tangrad, wmeasure=wmeasure
         )
 
-    def surface_matrices(self, positions=None, geometry=None):
-        """Assemble (mass, stiffness, tangential-gradient blocks) on the boundary."""
-        geo = geometry if geometry is not None else self.surface_geometry(positions)
-        mass_e = np.tensordot(geo.wmeasure, self._shape_outer_surf, axes=(1, 0))
+    def surface_matrices(self, geometry):
+        """Assemble (mass, stiffness, tangential-gradient blocks) on the boundary
+        from its facet geometry."""
+        mass_e = np.tensordot(geometry.wmeasure, self._shape_outer_surf, axes=(1, 0))
         stiff_e = np.einsum(
-            "eq,eqiD,eqjD->eij", geo.wmeasure, geo.tangrad, geo.tangrad,
+            "eq,eqiD,eqjD->eij", geometry.wmeasure, geometry.tangrad, geometry.tangrad,
             optimize=True,
         )
         mass = self._surf_pattern.assemble(mass_e)
@@ -295,7 +233,7 @@ class Assembler:
         for comp in range(self.dim):
             d_e = np.einsum(
                 "eq,qi,eqjD->eij",
-                geo.wmeasure, geo.shape, geo.tangrad[..., comp : comp + 1],
+                geometry.wmeasure, geometry.shape, geometry.tangrad[..., comp : comp + 1],
                 optimize=True,
             )
             blocks.append(self._surf_pattern.assemble(d_e))
@@ -304,7 +242,8 @@ class Assembler:
     def system(self, positions=None):
         """All matrices of one configuration as a SystemMatrices bundle."""
         mass_b, stiff_b = self.bulk_matrices(positions)
-        mass_s, stiff_s, blocks = self.surface_matrices(positions)
+        surface = self.surface_geometry(positions)
+        mass_s, stiff_s, blocks = self.surface_matrices(surface)
         return SystemMatrices(
             mass_bulk=mass_b,
             stiff_bulk=stiff_b,
@@ -312,6 +251,7 @@ class Assembler:
             stiff_surf=stiff_s,
             tangrad=blocks,
             n_boundary=self.n_boundary,
+            surface=surface,
         )
 
     # -- curvature-dependent loads -------------------------------------------
@@ -323,28 +263,25 @@ class Assembler:
         sym = 0.5 * (grad + grad.swapaxes(2, 3))
         return np.einsum("eqdc,eqdc->eq", sym, sym)
 
-    def curvature_forcing_nu(self, normal, beta, positions=None, geometry=None):
+    def curvature_forcing_nu(self, normal, beta, geometry):
         """f_nu: rows beta * |A_h|^2 (nu_h)_l tested against psi_j.
 
         Returns an (N_Gamma, m+1) array, one column per component.
         """
-        geo = geometry if geometry is not None else self.surface_geometry(positions)
-        a2 = self.weingarten_norm_sq(normal, geo)
-        nu_qp = geo.field_at_qp(normal)  # (B, q, c)
-        weight = beta * geo.wmeasure * a2
-        contrib = np.einsum("eq,eqc,qi->eic", weight, nu_qp, geo.shape, optimize=True)
-        return self._scatter_boundary(contrib, geo.conn)
+        a2 = self.weingarten_norm_sq(normal, geometry)
+        nu_qp = geometry.field_at_qp(normal)  # (B, q, c)
+        weight = beta * geometry.wmeasure * a2
+        contrib = np.einsum("eq,eqc,qi->eic", weight, nu_qp, geometry.shape, optimize=True)
+        return self._scatter_boundary(contrib, geometry.conn)
 
-    def curvature_forcing_H(self, normal, normal_speed, positions=None,
-                            geometry=None):
+    def curvature_forcing_H(self, normal, normal_speed, geometry):
         """f_H: -|A_h|^2 V_h tested against psi_j; returns (N_Gamma,)."""
-        geo = geometry if geometry is not None else self.surface_geometry(positions)
-        a2 = self.weingarten_norm_sq(normal, geo)
-        v_qp = geo.field_at_qp(normal_speed)  # (B, q)
-        weight = -geo.wmeasure * a2 * v_qp
-        contrib = np.einsum("eq,qi->ei", weight, geo.shape, optimize=True)
+        a2 = self.weingarten_norm_sq(normal, geometry)
+        v_qp = geometry.field_at_qp(normal_speed)  # (B, q)
+        weight = -geometry.wmeasure * a2 * v_qp
+        contrib = np.einsum("eq,qi->ei", weight, geometry.shape, optimize=True)
         return np.bincount(
-            geo.conn.ravel(), weights=contrib.ravel(), minlength=self.n_boundary
+            geometry.conn.ravel(), weights=contrib.ravel(), minlength=self.n_boundary
         )
 
     def _scatter_boundary(self, contrib, conn):
@@ -355,20 +292,6 @@ class Assembler:
                 flat, weights=contrib[:, :, c].ravel(), minlength=self.n_boundary
             )
         return out
-
-
-# ---------------------------------------------------------------------------
-# Convenience wrappers (one-shot assembly on a mesh)
-# ---------------------------------------------------------------------------
-
-def assemble_bulk(mesh, positions=None):
-    """Bulk (mass, stiffness) matrices of a mesh configuration."""
-    return Assembler(mesh).bulk_matrices(positions)
-
-
-def assemble_surface(mesh, positions=None):
-    """Surface (mass, stiffness, tangential-gradient blocks) of a mesh."""
-    return Assembler(mesh).surface_matrices(positions)
 
 
 def assemble_system(mesh, positions=None):
@@ -389,13 +312,3 @@ def assemble_f_u(matrices, boundary_positions, curvature, beta, source, time):
     out = -(matrices.mass_bulk @ np.ones(n))
     out[: matrices.n_boundary] += boundary_load
     return out
-
-
-def assemble_f_nu(mesh, normal, beta, positions=None):
-    """Forcing of the normal evolution equation, shape (N_Gamma, m+1)."""
-    return Assembler(mesh).curvature_forcing_nu(normal, beta, positions)
-
-
-def assemble_f_H(mesh, normal, normal_speed, positions=None):
-    """Forcing of the curvature evolution equation, shape (N_Gamma,)."""
-    return Assembler(mesh).curvature_forcing_H(normal, normal_speed, positions)

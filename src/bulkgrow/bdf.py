@@ -66,6 +66,19 @@ def bdf_coefficients(order):
     )
 
 
+def weighted_sum(coeffs, states):
+    """sum_j coeffs[j] * states[j], accumulated in order from j = 0.
+
+    The one combination of history states behind the BDF derivative, the
+    extrapolation and the stepper's history terms; pairs beyond the shorter
+    of the two sequences are ignored.
+    """
+    acc = coeffs[0] * np.asarray(states[0], dtype=float)
+    for coeff, state in zip(coeffs[1:], states[1:]):
+        acc = acc + coeff * np.asarray(state, dtype=float)
+    return acc
+
+
 def discrete_derivative(scheme, history, tau):
     """BDF time derivative from the last q+1 states, newest first.
 
@@ -77,17 +90,11 @@ def discrete_derivative(scheme, history, tau):
         raise ValidationError(
             f"need {scheme.order + 1} states, got {len(history)}"
         )
-    acc = scheme.delta[0] * np.asarray(history[0], dtype=float)
-    for coeff, state in zip(scheme.delta[1:], history[1:]):
-        acc = acc + coeff * np.asarray(state, dtype=float)
-    return acc / tau
+    return weighted_sum(scheme.delta, history) / tau
 
 
 def extrapolate(scheme, history):
     """Extrapolated value from the last q states, newest first."""
     if len(history) != scheme.order:
         raise ValidationError(f"need {scheme.order} states, got {len(history)}")
-    acc = scheme.gamma[0] * np.asarray(history[0], dtype=float)
-    for coeff, state in zip(scheme.gamma[1:], history[1:]):
-        acc = acc + coeff * np.asarray(state, dtype=float)
-    return acc
+    return weighted_sum(scheme.gamma, history)

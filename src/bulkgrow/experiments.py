@@ -33,7 +33,6 @@ from .norms import ERROR_QUANTITIES, ErrorReport, estimated_orders, oracle_error
 from .oracle import RadialOracle
 from .stability import stability_sweep
 from .stepper import (
-    History,
     ModelParams,
     Stepper,
     bootstrap_history,
@@ -62,7 +61,7 @@ def parse_source(spec):
     Accepts a plain number, ``"const:<value>"``, or ``"expr:<polynomial in
     x, y, z, t>"``.
     """
-    if isinstance(spec, (int, float)):
+    if _is_number(spec):
         return constant_source(float(spec))
     if not isinstance(spec, str):
         raise ConfigError(f"cannot parse source term {spec!r}")
@@ -73,11 +72,17 @@ def parse_source(spec):
             raise ConfigError(f"bad constant source {spec!r}") from None
     if spec.startswith("expr:"):
         body = spec[5:]
-        if not _EXPR_ALLOWED.fullmatch(body):
+        # No powers: the expression is evaluated below, and 9**9**9 would
+        # not finish.
+        if not _EXPR_ALLOWED.fullmatch(body) or "**" in body:
             raise ConfigError(
-                "source expressions may use x, y, z, t, digits and + - * / ( )"
+                "source expressions may use x, y, z, t, digits and + - * / ( ), "
+                "but not **"
             )
-        code = compile(body, "<source>", "eval")
+        try:
+            code = compile(body, "<source>", "eval")
+        except SyntaxError as exc:
+            raise ConfigError(f"source expression does not parse: {exc}") from None
 
         def q(points, time):
             pts = np.atleast_2d(points)
@@ -120,52 +125,95 @@ def load_config(path):
     return validate_config(config)
 
 
+def _is_number(value, integer=False):
+    """True for a finite JSON number (an integral one if ``integer``)."""
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+        and (not integer or float(value).is_integer())
+    )
+
+
+def _check(ok, message):
+    if not ok:
+        raise ConfigError(message)
+
+
 def validate_config(config):
-    if not isinstance(config, dict):
-        raise ConfigError("config must be a JSON object")
+    """Check every field a runner reads; ConfigError names the first bad one."""
+    _check(isinstance(config, dict), "config must be a JSON object")
     for section in ("model", "geometry", "discretization", "run"):
-        if section not in config:
-            raise ConfigError(f"missing config section {section!r}")
+        _check(section in config, f"missing config section {section!r}")
+        _check(isinstance(config[section], dict),
+               f"config section {section!r} must be a JSON object")
     model = config["model"]
     for key in ("alpha", "beta"):
-        if key not in model or not isinstance(model[key], (int, float)):
-            raise ConfigError(f"model.{key} must be a number")
-    if model.get("mu", 0.0) < 0:
-        raise ConfigError("model.mu must be nonnegative")
+        _check(_is_number(model.get(key)) and model[key] > 0,
+               f"model.{key} must be a positive number")
+    mu = model.get("mu", 0.0)
+    _check(_is_number(mu) and mu >= 0, "model.mu must be a nonnegative number")
     parse_source(model.get("Q", 0.0))
+
     geometry = config["geometry"]
-    if geometry.get("kind") not in ("disk", "ball", "ellipsoid", "file"):
-        raise ConfigError("geometry.kind must be disk, ball, ellipsoid or file")
-    if geometry["kind"] == "file":
-        if "path" not in geometry:
-            raise ConfigError("geometry.path required for kind=file")
-    elif "h" not in geometry:
-        raise ConfigError("geometry.h required for generated meshes")
-    disc = config["discretization"]
-    if disc.get("k", 2) not in (1, 2):
-        raise ConfigError("discretization.k must be 1 or 2")
-    if not (1 <= disc.get("q", 2) <= 6):
-        raise ConfigError("discretization.q must be in 1..6")
-    if disc.get("tau", 0.0) <= 0:
-        raise ConfigError("discretization.tau must be positive")
-    if disc.get("T", 0.0) < 0:
-        raise ConfigError("discretization.T must be nonnegative")
+    _check(geometry.get("kind") in ("disk", "ball", "ellipsoid", "file"),
+           "geometry.kind must be disk, ball, ellipsoid or file")
     run = config["run"]
-    if run.get("kind") not in (
-        "simulate", "converge", "stability", "regularization",
-    ):
-        raise ConfigError(
-            "run.kind must be simulate, converge, stability or regularization"
-        )
+    if geometry["kind"] == "file":
+        _check(isinstance(geometry.get("path"), str),
+               "geometry.path required for kind=file")
+        _check(run.get("kind") != "stability",
+               "stability sweeps refine generated meshes, not geometry.kind=file")
+    else:
+        _check("h" in geometry, "geometry.h required for generated meshes")
+        radius = min(_geometry_radii(geometry))
+        for h in [geometry["h"]] + _number_list(run, "h_levels"):
+            _check(_is_number(h) and 0 < h < radius,
+                   f"mesh sizes must be positive and below the radius {radius:g}")
+
+    disc = config["discretization"]
+    k, q = disc.get("k", 2), disc.get("q", 2)
+    _check(_is_number(k, integer=True) and k in (1, 2),
+           "discretization.k must be 1 or 2")
+    _check(_is_number(q, integer=True) and 1 <= q <= 6,
+           "discretization.q must be an integer in 1..6")
+    for tau in [disc.get("tau")] + _number_list(run, "tau_levels"):
+        _check(_is_number(tau) and tau > 0, "time steps must be positive numbers")
+    # Stability sweeps do not time-step, so only they may leave T out.
+    end = disc.get("T", 0.0 if run.get("kind") == "stability" else None)
+    _check(_is_number(end) and end >= 0, "discretization.T must be a nonnegative number")
+
+    _check(run.get("kind") in ("simulate", "converge", "stability", "regularization"),
+           "run.kind must be simulate, converge, stability or regularization")
+    for key, minimum in (("snapshots", 0), ("seed", 0), ("levels", 1), ("samples", 1),
+                         ("boost_iters", 0), ("error_samples", 1)):
+        if key in run:
+            _check(_is_number(run[key], integer=True) and run[key] >= minimum,
+                   f"run.{key} must be an integer >= {minimum}")
+    for mu_value in _number_list(run, "mu_values"):
+        _check(_is_number(mu_value) and mu_value >= 0,
+               "run.mu_values must be nonnegative numbers")
+    _check(run.get("mode", "both") in ("dirichlet", "robin", "both"),
+           "run.mode must be dirichlet, robin or both")
+    _check(isinstance(run.get("outputs", ""), str), "run.outputs must be a path")
     return config
+
+
+def _number_list(run, key):
+    """The list run[key] (empty when absent); its entries are checked by the caller."""
+    values = run.get(key, [])
+    _check(isinstance(values, list) and (values or key not in run),
+           f"run.{key} must be a non-empty list")
+    return values
 
 
 def _geometry_radii(geometry):
     radii = geometry.get("radii", geometry.get("radius"))
     if radii is None:
         raise ConfigError("geometry.radii (or radius) is required")
-    if isinstance(radii, (int, float)):
-        return [float(radii)]
+    radii = radii if isinstance(radii, list) else [radii]
+    _check(radii and all(_is_number(r) and r > 0 for r in radii),
+           "geometry.radii must be positive numbers")
     return [float(r) for r in radii]
 
 
@@ -237,11 +285,7 @@ def seed_history(config, mesh, params, tau, order, normal, curvature):
         raise ConfigError("run.seed_mode=oracle requires sphere data, "
                           "constant Q and mu=0")
     if oracle is not None and mode != "bootstrap":
-        states = [
-            oracle.seed_state(oracle.mesh_at(mesh, i * tau), i * tau)
-            for i in reversed(range(order))
-        ]
-        return History(states, tau=tau), oracle
+        return oracle.seed_history(mesh, tau, order), oracle
     return bootstrap_history(mesh, params, tau, order, normal, curvature), oracle
 
 
@@ -322,11 +366,12 @@ def run_simulate(config, outdir):
     except BulkgrowError as exc:
         # Flush the last successful state before propagating.
         snapshot(history[0])
-        aborted = str(exc)
+        aborted = exc
     write_csv(os.path.join(outdir, "diagnostics.csv"), _DIAG_COLUMNS, diag_rows)
-    write_manifest(outdir, config, mesh, extra={"aborted": aborted})
+    write_manifest(outdir, config, mesh,
+                   extra={"aborted": None if aborted is None else str(aborted)})
     if aborted is not None:
-        raise BulkgrowError(aborted)
+        raise aborted
     return outdir
 
 
@@ -344,6 +389,8 @@ def run_convergence_cell(cell):
         alpha=float(cell["alpha"]),
         beta=float(cell["beta"]),
     )
+    # Imported per call: bench/ times set-up by replacing this name in
+    # bulkgrow.oracle.
     from .oracle import sphere_oracle_mesh
 
     mesh = sphere_oracle_mesh(oracle, float(cell["h"]), degree=int(cell["k"]))
@@ -355,11 +402,7 @@ def run_convergence_cell(cell):
     tau = float(cell["tau"])
     order = int(cell["q"])
     n_steps = int(round(float(cell["T"]) / tau))
-    states = [
-        oracle.seed_state(oracle.mesh_at(mesh, i * tau), i * tau)
-        for i in reversed(range(order))
-    ]
-    history = History(states, tau=tau)
+    history = oracle.seed_history(mesh, tau, order)
     stepper = Stepper(mesh, params, order, tau)
     report = ErrorReport(
         mesh_size_h=mesh.mesh_size_h, tau=tau, order=order,

@@ -16,6 +16,7 @@ import numpy as np
 from .errors import GeometryError, MeshFormatError, ResourceError, ValidationError
 from .refelem import (
     EDGE_VERTICES,
+    determinant,
     geometry_jacobians,
     nodes_per_element,
     reference_element,
@@ -100,12 +101,6 @@ def element_diameters(mesh, elements=None):
     return np.sqrt((diff ** 2).sum(axis=-1).max(axis=(1, 2)))
 
 
-def quasi_uniformity_ratio(mesh):
-    """Ratio of largest to smallest bulk element diameter."""
-    diams = element_diameters(mesh)
-    return float(diams.max() / diams.min())
-
-
 def bulk_jacobians(mesh, positions=None):
     """Geometry Jacobians at bulk quadrature points.
 
@@ -115,18 +110,7 @@ def bulk_jacobians(mesh, positions=None):
     pos = mesh.node_positions if positions is None else positions
     coords = pos[mesh.bulk_elements]  # (E, n, d)
     jac = geometry_jacobians(coords, ref.grad)
-    if mesh.dim == 2:
-        det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
-    else:
-        det = (
-            jac[..., 0, 0] * (jac[..., 1, 1] * jac[..., 2, 2]
-                              - jac[..., 1, 2] * jac[..., 2, 1])
-            - jac[..., 0, 1] * (jac[..., 1, 0] * jac[..., 2, 2]
-                                - jac[..., 1, 2] * jac[..., 2, 0])
-            + jac[..., 0, 2] * (jac[..., 1, 0] * jac[..., 2, 1]
-                                - jac[..., 1, 1] * jac[..., 2, 0])
-        )
-    return jac, det
+    return jac, determinant(jac)
 
 
 def check_orientation(mesh, positions=None):
@@ -153,11 +137,7 @@ def boundary_element_measures(mesh):
     coords = mesh.node_positions[mesh.boundary_elements]
     jac = np.einsum("enD,qnr->eqDr", coords, ref.grad, optimize=True)
     metric = np.einsum("eqDr,eqDs->eqrs", jac, jac)
-    if mesh.dim_m == 1:
-        det = metric[..., 0, 0]
-    else:
-        det = metric[..., 0, 0] * metric[..., 1, 1] - metric[..., 0, 1] * metric[..., 1, 0]
-    return np.sqrt(det) @ ref.quad_weights
+    return np.sqrt(determinant(metric)) @ ref.quad_weights
 
 
 def quality_report(mesh):

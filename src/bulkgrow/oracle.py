@@ -15,12 +15,15 @@ simulations and as the reference in convergence measurements.
 """
 
 from dataclasses import dataclass
-import math
+from functools import partial
 
 import numpy as np
 
+from .assembly import Assembler
 from .errors import ValidationError
-from .sparsela import schur_dirichlet_solve
+from .mesh import displace
+from .sparsela import dirichlet_extension, solve_spd
+from .stepper import History, SimState
 
 
 @dataclass(frozen=True)
@@ -105,9 +108,6 @@ class RadialOracle:
         interior velocity is the discrete harmonic extension of the exact
         boundary velocity, matching what the scheme itself produces.
         """
-        from .assembly import Assembler
-        from .stepper import SimState
-
         radius = self.radius(t)
         bnd_r = np.linalg.norm(mesh.boundary_positions, axis=1)
         if np.max(np.abs(bnd_r - radius)) > 1e-8 * radius:
@@ -120,7 +120,10 @@ class RadialOracle:
             mesh.boundary_positions, t
         )
         _, stiff = Assembler(mesh).bulk_matrices()
-        velocity = schur_dirichlet_solve(stiff, mesh.n_boundary, v_gamma)
+        ng = mesh.n_boundary
+        velocity = dirichlet_extension(
+            stiff, ng, v_gamma, partial(solve_spd, stiff[ng:, ng:])
+        )
         return SimState(
             time=float(t),
             positions=mesh.node_positions.copy(),
@@ -133,13 +136,22 @@ class RadialOracle:
 
     def mesh_at(self, mesh0, t):
         """The t=0 mesh carried along the exact radial flow to time t."""
-        from .mesh import displace
-
         return displace(mesh0, self.exact_positions(mesh0.node_positions, t))
+
+    def seed_history(self, mesh0, tau, order):
+        """Startup history of a q-step run: the seed states at t = (q-1) tau,
+        ..., tau, 0 on the t=0 mesh carried along the exact flow."""
+        states = [
+            self.seed_state(self.mesh_at(mesh0, i * tau), i * tau)
+            for i in reversed(range(order))
+        ]
+        return History(states, tau=tau)
 
 
 def sphere_oracle_mesh(oracle, target_h, degree=2):
     """Generate the initial sphere/disk mesh matching the oracle radius."""
+    # Imported per call: bench/ times mesh generation by replacing these names
+    # in bulkgrow.mesh.
     from .mesh import generate_ball_mesh, generate_disk_mesh
 
     r0 = oracle.initial_radius

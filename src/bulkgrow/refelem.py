@@ -8,6 +8,7 @@ by VTK quadratic cells).
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import permutations
 import math
 
 import numpy as np
@@ -36,6 +37,51 @@ def geometry_jacobians(coords, grad):
     flat = coords.transpose(0, 2, 1).reshape(n_el * dim, n_loc)
     gref = grad.transpose(1, 0, 2).reshape(n_loc, n_qp * ref_dim)
     return (flat @ gref).reshape(n_el, dim, n_qp, ref_dim).transpose(0, 2, 1, 3)
+
+
+def _adjugate_entry(a, i, j):
+    """Entry (i, j) of adj(a) for a batch of (..., d, d) matrices, d in 1..3."""
+    d = a.shape[-1]
+    if d == 1:
+        return np.ones(a.shape[:-2])
+    if d == 2:
+        return a[..., 1 - i, 1 - i] if i == j else -a[..., i, j]
+    j1, j2, i1, i2 = (j + 1) % 3, (j + 2) % 3, (i + 1) % 3, (i + 2) % 3
+    return a[..., j1, i1] * a[..., j2, i2] - a[..., j1, i2] * a[..., j2, i1]
+
+
+def _expand_first_row(a, adjugate_column):
+    """det(a) = sum_k a[0, k] adj(a)[k, 0], accumulated in k order.
+
+    ``adjugate_column(k)`` returns adj(a)[k, 0]; a fresh array from it is
+    multiplied and summed in place, which keeps large batches cheap.
+    """
+    det = a[..., 0, 0] * adjugate_column(0)
+    for k in range(1, a.shape[-1]):
+        det += a[..., 0, k] * adjugate_column(k)
+    return det
+
+
+def determinant(a):
+    """Determinants of a batch of (..., d, d) matrices, d in 1..3.
+
+    Expands along the first row, so only the first adjugate column is formed;
+    bitwise equal to the determinant returned by :func:`adjugate_det`.
+    """
+    return _expand_first_row(a, lambda k: _adjugate_entry(a, k, 0))
+
+
+def adjugate_det(a):
+    """Adjugates and determinants of a batch of (..., d, d) matrices, d in 1..3.
+
+    Returns (adj, det) with adj[i][j] the (...)-shaped array of adjugate
+    entry (i, j), so that a^-1[..., i, j] = adj[i][j] / det where det != 0.
+    Entries stay separate arrays (in 2d, views of ``a``) because callers
+    combine them entrywise.
+    """
+    d = a.shape[-1]
+    adj = [[_adjugate_entry(a, i, j) for j in range(d)] for i in range(d)]
+    return adj, _expand_first_row(a, lambda k: adj[k][0])
 
 
 def nodes_per_element(dim, degree):
@@ -149,8 +195,6 @@ def quadrature_rule(dim, degree):
 def _permutations_of(bary):
     """Distinct permutations of a barycentric tuple, in lexicographic order."""
     seen = []
-    from itertools import permutations
-
     for perm in permutations(bary):
         if not any(np.allclose(perm, s) for s in seen):
             seen.append(perm)

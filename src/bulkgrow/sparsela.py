@@ -1,15 +1,21 @@
 """Sparse symmetric positive definite solves.
 
-Matrices are scipy CSR matrices with structurally symmetric patterns.  Two
+Matrices are scipy CSR matrices with structurally symmetric patterns.  Three
 solve paths share one residual contract (||Ax - b|| <= tol * ||b||):
 
 * :func:`solve_spd` -- Jacobi-preconditioned conjugate gradients with a hard
   iteration cap; the default for one-off and well-conditioned systems.
+* :class:`SpdFactor` -- a direct sparse factorization, for matrices solved
+  against many right-hand sides.
 * :class:`CachedSpdSolver` -- conjugate gradients preconditioned by a sparse
   factorization that is refreshed only when convergence degrades; used inside
   the time loop where the matrix drifts slowly between steps.
 
 Every solve verifies the true residual before returning.
+
+:func:`dirichlet_extension` solves a Dirichlet problem on a boundary-first
+partitioned matrix with whichever of these the caller binds to the interior
+block.
 """
 
 import math
@@ -31,15 +37,6 @@ _SPLU_OPTS = dict(
 def iteration_cap(dim):
     """Hard PCG iteration cap: 50 * sqrt(dim)."""
     return int(math.ceil(50.0 * math.sqrt(max(dim, 1))))
-
-
-def check_structural_symmetry(matrix, tol=0.0):
-    """True if the sparsity pattern (and values up to tol) are symmetric."""
-    diff = (matrix - matrix.T).tocoo()
-    if diff.nnz == 0:
-        return True
-    scale = max(np.abs(matrix.data).max(), 1.0)
-    return np.abs(diff.data).max() <= tol * scale
 
 
 def _pcg(matrix, rhs, precondition, tol, maxiter, x0=None):
@@ -95,7 +92,7 @@ def solve_spd(matrix, rhs, tol=DEFAULT_TOL):
     matrix : scipy sparse matrix
         Symmetric positive definite (caller contract).
     rhs : ndarray
-        Right-hand side; a 2d array is solved column by column.
+        Right-hand side; each column of a 2d array is solved on its own.
     tol : float
         Relative residual target, in (0, 1e-6].
 
@@ -117,16 +114,20 @@ def solve_spd(matrix, rhs, tol=DEFAULT_TOL):
     if (diag <= 0).any():
         raise SolverError("non-positive diagonal entry; matrix is not SPD")
     inv_diag = (1.0 / diag)[:, None]
-    x, _, converged = _pcg(
-        matrix, rhs, lambda r: inv_diag * r, tol, iteration_cap(n)
-    )
-    if not converged:
-        res = np.linalg.norm(rhs - matrix @ x) / np.linalg.norm(rhs)
-        raise SolverError(
-            f"PCG did not converge within {iteration_cap(n)} iterations",
-            residual=res,
+    columns = rhs[:, None] if rhs.ndim == 1 else rhs
+    x = np.empty(columns.shape)
+    for c in range(columns.shape[1]):
+        b = columns[:, c]
+        x[:, c], _, converged = _pcg(
+            matrix, b, lambda r: inv_diag * r, tol, iteration_cap(n)
         )
-    return x
+        if not converged:
+            res = np.linalg.norm(b - matrix @ x[:, c]) / np.linalg.norm(b)
+            raise SolverError(
+                f"PCG did not converge within {iteration_cap(n)} iterations",
+                residual=res,
+            )
+    return x[:, 0] if rhs.ndim == 1 else x
 
 
 class SpdFactor:
@@ -158,13 +159,15 @@ class CachedSpdSolver:
     Designed for sequences of SPD systems whose matrices drift slowly (moving
     meshes): the factorization of an earlier matrix remains an excellent
     preconditioner for many steps.  It is refreshed when PCG needs more than
-    ``refresh_iters`` iterations, and the refreshed factorization is used
+    ``REFRESH_ITERS`` iterations, and the refreshed factorization is used
     directly for the current solve.  Deterministic for a fixed call sequence.
     """
 
-    def __init__(self, tol=DEFAULT_TOL, refresh_iters=12):
+    #: PCG iterations beyond which the factorization is refreshed.
+    REFRESH_ITERS = 12
+
+    def __init__(self, tol=DEFAULT_TOL):
         self.tol = tol
-        self.refresh_iters = refresh_iters
         self._factor = None
         self._last = None
 
@@ -182,59 +185,39 @@ class CachedSpdSolver:
             rhs,
             self._factor.apply_inverse,
             self.tol,
-            maxiter=max(2 * self.refresh_iters, 4),
+            maxiter=2 * self.REFRESH_ITERS,
             x0=x0,
         )
-        if not (converged and iters <= self.refresh_iters):
+        if not (converged and iters <= self.REFRESH_ITERS):
             self._factor = SpdFactor(matrix)
             x = self._factor.solve(rhs, self.tol)
         self._last = x.copy()
         return x
 
 
-def schur_dirichlet_solve(matrix, n_boundary, boundary_values, interior_rhs=None,
-                          tol=DEFAULT_TOL, interior_solver=None):
+def dirichlet_extension(matrix, n_boundary, trace, solve_interior):
     """Solve a Dirichlet problem for a boundary-first partitioned SPD matrix.
 
-    Returns the full vector v with v[:n_boundary] = boundary_values and
-    A_II v_I = interior_rhs - A_IB v_B for the interior block.
+    Returns the full vector v with v[:n_boundary] = trace and
+    A_II v_I = -A_IB trace on the interior block.
 
     Parameters
     ----------
-    matrix : scipy sparse matrix, (N, N)
+    matrix : scipy CSR matrix, (N, N)
         Partitioned with the boundary block first; A_II must be SPD.
     n_boundary : int
         Size of the boundary block.
-    boundary_values : ndarray, (n_boundary,) or (n_boundary, c)
-        Prescribed trace; multiple columns are solved together.
-    interior_rhs : ndarray or None
-        Interior load; defaults to zero.
-    interior_solver : callable or None
-        Optional ``solver(matrix, rhs)`` replacing the default PCG path
-        (used to share factorizations across calls).
+    trace : ndarray, (n_boundary,) or (n_boundary, c)
+        Prescribed trace; each column is extended.
+    solve_interior : callable
+        ``solve_interior(rhs)`` returns A_II^-1 rhs for a right-hand side of
+        the shape of ``trace`` restricted to the interior.  The caller binds
+        A_II, so it chooses where the block is sliced and factorized.
     """
-    matrix = matrix.tocsr()
-    n = matrix.shape[0]
-    g = np.asarray(boundary_values, dtype=float)
-    if g.shape[0] != n_boundary:
-        raise ValidationError("boundary value length does not match partition")
-    a_ib = matrix[n_boundary:, :n_boundary]
-    a_ii = matrix[n_boundary:, n_boundary:]
-    rhs = -(a_ib @ g)
-    if interior_rhs is not None:
-        rhs = rhs + np.asarray(interior_rhs, dtype=float)
-    if rhs.ndim == 1:
-        stacked = rhs[:, None]
-    else:
-        stacked = rhs
-    if interior_solver is None:
-        interior = np.column_stack(
-            [solve_spd(a_ii, col, tol) for col in stacked.T]
-        )
-    else:
-        interior = np.column_stack([interior_solver(a_ii, col) for col in stacked.T])
-    out_shape = (n,) + g.shape[1:]
-    out = np.empty(out_shape)
-    out[:n_boundary] = g
-    out[n_boundary:] = interior if g.ndim == 2 else interior[:, 0]
+    trace = np.asarray(trace, dtype=float)
+    if trace.shape[0] != n_boundary:
+        raise ValidationError("trace length does not match the boundary block")
+    out = np.empty((matrix.shape[0],) + trace.shape[1:])
+    out[:n_boundary] = trace
+    out[n_boundary:] = solve_interior(-(matrix[n_boundary:, :n_boundary] @ trace))
     return out

@@ -19,7 +19,7 @@ import numpy as np
 from .assembly import assemble_system, embed_boundary_block
 from .errors import ValidationError
 from .norms import norm_K, norm_M, norm_h_half, surface_spectrum
-from .sparsela import SpdFactor, schur_dirichlet_solve
+from .sparsela import SpdFactor, dirichlet_extension
 
 
 def dirichlet_ratio(matrices, g, spectrum=None, interior_factor=None):
@@ -31,10 +31,8 @@ def dirichlet_ratio(matrices, g, spectrum=None, interior_factor=None):
     if not np.any(g):
         return 0.0
     denom = norm_h_half(g, matrices.mass_surf, matrices.stiff_surf, spectrum)
-    if interior_factor is None:
-        u = schur_dirichlet_solve(matrices.stiff_bulk, matrices.n_boundary, g)
-    else:
-        u = _extend(matrices, g, interior_factor)
+    factor = interior_factor if interior_factor is not None else _interior_factor(matrices)
+    u = dirichlet_extension(matrices.stiff_bulk, matrices.n_boundary, g, factor.solve)
     return norm_K(u, matrices, "bulk") / denom
 
 
@@ -68,15 +66,6 @@ def _interior_factor(matrices):
     return SpdFactor(matrices.stiff_bulk[ng:, ng:])
 
 
-def _extend(matrices, g, interior_factor):
-    ng = matrices.n_boundary
-    a = matrices.stiff_bulk
-    out = np.empty(matrices.n_nodes)
-    out[:ng] = g
-    out[ng:] = interior_factor.solve(-(a[ng:, :ng] @ g))
-    return out
-
-
 def _boost_dirichlet(matrices, g, spectrum, interior_factor, iterations):
     """Power iteration on the Rayleigh structure of the Dirichlet ratio.
 
@@ -94,7 +83,7 @@ def _boost_dirichlet(matrices, g, spectrum, interior_factor, iterations):
         return phi @ (inv_weights * (phi.T @ vec))
 
     for _ in range(iterations):
-        ext = _extend(matrices, g, interior_factor)
+        ext = dirichlet_extension(a, ng, g, interior_factor.solve)
         y = k_bulk @ ext
         bg = y[:ng] - a[:ng, ng:] @ interior_factor.solve(y[ng:])
         g = apply_c_inverse(bg)
@@ -196,8 +185,3 @@ def stability_sweep(meshes, mode, samples=20, seed=0, boost_iters=20):
         )
     return rows
 
-
-def growth_factors(rows):
-    """Per-level growth factors of the max ratio."""
-    ratios = [row["max_ratio"] for row in rows]
-    return [b / a for a, b in zip(ratios, ratios[1:])]

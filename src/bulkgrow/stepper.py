@@ -8,14 +8,15 @@ position update.  Each implicit sub-system is symmetric positive definite.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .assembly import Assembler, assemble_f_u, assemble_L
-from .bdf import BdfScheme, extrapolate
+from .bdf import bdf_coefficients, extrapolate, weighted_sum
 from .errors import BulkgrowError, ValidationError
 from .mesh import check_orientation, displace
-from .sparsela import CachedSpdSolver, SpdFactor, schur_dirichlet_solve, solve_spd
+from .sparsela import CachedSpdSolver, SpdFactor, dirichlet_extension, solve_spd
 
 
 @dataclass(frozen=True)
@@ -101,55 +102,36 @@ class History:
 
 @dataclass
 class ExtrapolatedGeometry:
-    """Geometry and matrices frozen at the extrapolated configuration."""
+    """Fields and matrices of the configuration one step is frozen at: the
+    extrapolated one while stepping, the given one for initial data."""
 
     positions: np.ndarray
     normal: np.ndarray
     curvature: np.ndarray
     pressure: np.ndarray
-    matrices: object
-    surface: object  # SurfaceGeometry at the extrapolated positions
-    n_boundary: int
+    matrices: object  # SystemMatrices, with the surface geometry
 
 
 def extrapolated_geometry(history, scheme, assembler):
     """Extrapolate (x, n, H, u) and assemble all matrices there."""
     q = scheme.order
     positions = extrapolate(scheme, history.field("positions")[:q])
-    normal = extrapolate(scheme, history.field("normal")[:q])
-    curvature = extrapolate(scheme, history.field("curvature")[:q])
-    pressure = extrapolate(scheme, history.field("pressure")[:q])
-    mass_b, stiff_b = assembler.bulk_matrices(positions)
-    surf_geo = assembler.surface_geometry(positions)
-    mass_s, stiff_s, blocks = assembler.surface_matrices(geometry=surf_geo)
-    from .assembly import SystemMatrices
-
-    matrices = SystemMatrices(
-        mass_bulk=mass_b,
-        stiff_bulk=stiff_b,
-        mass_surf=mass_s,
-        stiff_surf=stiff_s,
-        tangrad=blocks,
-        n_boundary=assembler.n_boundary,
-    )
     return ExtrapolatedGeometry(
         positions=positions,
-        normal=normal,
-        curvature=curvature,
-        pressure=pressure,
-        matrices=matrices,
-        surface=surf_geo,
-        n_boundary=assembler.n_boundary,
+        normal=extrapolate(scheme, history.field("normal")[:q]),
+        curvature=extrapolate(scheme, history.field("curvature")[:q]),
+        pressure=extrapolate(scheme, history.field("pressure")[:q]),
+        matrices=assembler.system(positions),
     )
 
 
 def robin_solve(geometry, params, time, solver=None):
     """Pressure from the generalized Robin problem on the frozen geometry."""
-    ell = assemble_L(geometry.matrices, params.alpha, params.mu)
-    ng = geometry.n_boundary
+    mats = geometry.matrices
+    ell = assemble_L(mats, params.alpha, params.mu)
     rhs = assemble_f_u(
-        geometry.matrices,
-        geometry.positions[:ng],
+        mats,
+        geometry.positions[: mats.n_boundary],
         geometry.curvature,
         params.beta,
         params.source,
@@ -167,31 +149,22 @@ def _surface_system(geometry, scheme, tau, params):
 
 def _bdf_history_term(scheme, tau, mass, past_fields):
     """-(1/tau) sum_{j>=1} delta_j M x^{n-j}, vectorized over columns."""
-    acc = scheme.delta[1] * np.asarray(past_fields[0], dtype=float)
-    for coeff, field in zip(scheme.delta[2:], past_fields[1:]):
-        acc = acc + coeff * np.asarray(field, dtype=float)
-    return -(mass @ acc) / tau
+    return -(mass @ weighted_sum(scheme.delta[1:], past_fields)) / tau
 
 
 def normal_step(geometry, history, pressure, scheme, tau, params, assembler):
     """Implicit update of the (non-normalized) outward normal field."""
     mats = geometry.matrices
-    ng = geometry.n_boundary
     system = _surface_system(geometry, scheme, tau, params)
-    forcing = assembler.curvature_forcing_nu(
-        geometry.normal, params.beta, geometry=geometry.surface
-    )
-    u_gamma = pressure[:ng]
+    forcing = assembler.curvature_forcing_nu(geometry.normal, params.beta, mats.surface)
+    u_gamma = pressure[: mats.n_boundary]
     for comp, block in enumerate(mats.tangrad):
         forcing[:, comp] -= params.alpha * (block @ u_gamma)
     q = scheme.order
     rhs = forcing + _bdf_history_term(
         scheme, tau, mats.mass_surf, history.field("normal")[:q]
     )
-    out = np.empty_like(rhs)
-    for comp in range(rhs.shape[1]):
-        out[:, comp] = solve_spd(system, rhs[:, comp])
-    return out
+    return solve_spd(system, rhs)
 
 
 def curvature_step(geometry, history, pressure, scheme, tau, params, assembler):
@@ -201,13 +174,11 @@ def curvature_step(geometry, history, pressure, scheme, tau, params, assembler):
     pressure); the new pressure enters through the surface-Laplacian term.
     """
     mats = geometry.matrices
-    ng = geometry.n_boundary
+    ng = mats.n_boundary
     system = _surface_system(geometry, scheme, tau, params)
     speed_tilde = -params.beta * geometry.curvature \
         + params.alpha * geometry.pressure[:ng]
-    forcing = assembler.curvature_forcing_H(
-        geometry.normal, speed_tilde, geometry=geometry.surface
-    )
+    forcing = assembler.curvature_forcing_H(geometry.normal, speed_tilde, mats.surface)
     rhs = forcing + params.alpha * (mats.stiff_surf @ pressure[:ng])
     q = scheme.order
     rhs = rhs + _bdf_history_term(
@@ -225,28 +196,23 @@ def velocity_law(pressure_trace, curvature, normal, params):
 
 
 def harmonic_extension(matrices, boundary_velocity, solver=None):
-    """Discrete harmonic extension of the boundary velocity into the bulk."""
-    if solver is None:
-        return schur_dirichlet_solve(
-            matrices.stiff_bulk, matrices.n_boundary, boundary_velocity
-        )
+    """Discrete harmonic extension of the boundary velocity into the bulk.
+
+    The interior block goes to ``solver`` (a CachedSpdSolver kept across
+    steps) when given, to Jacobi PCG otherwise.
+    """
     ng = matrices.n_boundary
-    a = matrices.stiff_bulk
-    a_ii = a[ng:, ng:]
-    rhs = -(a[ng:, :ng] @ boundary_velocity)
-    out = np.empty((a.shape[0],) + boundary_velocity.shape[1:])
-    out[:ng] = boundary_velocity
-    out[ng:] = solver.solve(a_ii, rhs)
-    return out
+    solve = solve_spd if solver is None else solver.solve
+    return dirichlet_extension(
+        matrices.stiff_bulk, ng, boundary_velocity,
+        partial(solve, matrices.stiff_bulk[ng:, ng:]),
+    )
 
 
 def position_update(scheme, history, velocity, tau, mesh=None):
     """New positions from the BDF relation dot(x)^n = v^n."""
     q = scheme.order
-    past = history.field("positions")[:q]
-    acc = scheme.delta[1] * past[0]
-    for coeff, pos in zip(scheme.delta[2:], past[1:]):
-        acc = acc + coeff * pos
+    acc = weighted_sum(scheme.delta[1:], history.field("positions")[:q])
     new_positions = (tau * velocity - acc) / scheme.delta[0]
     if mesh is not None:
         check_orientation(mesh, new_positions)  # GeometryError on tangling
@@ -261,10 +227,8 @@ class Stepper:
     motion.
     """
 
-    def __init__(self, mesh, params, scheme, tau, check_tangling_every=1):
+    def __init__(self, mesh, params, scheme, tau):
         if isinstance(scheme, int):
-            from .bdf import bdf_coefficients
-
             scheme = bdf_coefficients(scheme)
         if tau <= 0:
             raise ValidationError("time step must be positive")
@@ -275,7 +239,6 @@ class Stepper:
         self.assembler = Assembler(mesh)
         self.robin_solver = CachedSpdSolver()
         self.harmonic_solver = CachedSpdSolver()
-        self.check_tangling_every = check_tangling_every
         self.step_count = 0
 
     def step(self, history):
@@ -303,16 +266,14 @@ class Stepper:
                 self.assembler,
             )
             stage = "velocity_law"
-            ng = geo.n_boundary
             speed, v_gamma = velocity_law(
-                pressure[:ng], curvature, normal, self.params
+                pressure[: self.mesh.n_boundary], curvature, normal, self.params
             )
             stage = "harmonic_extension"
             velocity = harmonic_extension(geo.matrices, v_gamma, self.harmonic_solver)
             stage = "position_update"
-            check = self.mesh if self.step_count % self.check_tangling_every == 0 else None
             positions = position_update(
-                self.scheme, history, velocity, self.tau, mesh=check
+                self.scheme, history, velocity, self.tau, mesh=self.mesh
             )
         except BulkgrowError as exc:
             raise type(exc)(
@@ -375,14 +336,10 @@ def estimate_boundary_geometry(mesh):
     nodes.  The orientation is fixed by pointing away from the boundary
     centroid, so the estimate targets star-shaped domains.
     """
-    from .assembly import Assembler
-
     assembler = Assembler(mesh)
-    mass, stiff, _ = assembler.surface_matrices()
+    mass, stiff, _ = assembler.surface_matrices(assembler.surface_geometry())
     coords = mesh.boundary_positions
-    hnu = np.column_stack(
-        [solve_spd(mass, stiff @ coords[:, c]) for c in range(coords.shape[1])]
-    )
+    hnu = solve_spd(mass, stiff @ coords)
     magnitude = np.linalg.norm(hnu, axis=1)
     if (magnitude <= 0).any():
         raise ValidationError("degenerate curvature estimate (flat patch?)")
@@ -395,17 +352,18 @@ def estimate_boundary_geometry(mesh):
 
 def initial_state(mesh, params, normal, curvature, time=0.0):
     """Initial state: geometry interpolated, pressure from the Robin solve."""
-    assembler = Assembler(mesh)
-    matrices = assembler.system()
-    ell = assemble_L(matrices, params.alpha, params.mu)
-    rhs = assemble_f_u(
-        matrices, mesh.boundary_positions, curvature, params.beta,
-        params.source, time,
+    geometry = ExtrapolatedGeometry(
+        positions=mesh.node_positions,
+        normal=normal,
+        curvature=curvature,
+        pressure=None,
+        matrices=Assembler(mesh).system(),
     )
-    pressure = SpdFactor(ell).solve(rhs)
-    ng = mesh.n_boundary
-    speed, v_gamma = velocity_law(pressure[:ng], curvature, normal, params)
-    velocity = harmonic_extension(matrices, v_gamma)
+    pressure = robin_solve(geometry, params, time)
+    speed, v_gamma = velocity_law(
+        pressure[: mesh.n_boundary], curvature, normal, params
+    )
+    velocity = harmonic_extension(geometry.matrices, v_gamma)
     return SimState(
         time=float(time),
         positions=mesh.node_positions.copy(),
@@ -423,8 +381,6 @@ def bootstrap_history(mesh, params, tau, order, normal, curvature):
     The seed state interpolates the supplied geometry data and solves the
     discrete Robin problem for the pressure.
     """
-    from .bdf import bdf_coefficients
-
     state0 = initial_state(mesh, params, normal, curvature)
     states = [state0]  # oldest first
     for q in range(1, order):

@@ -6,18 +6,14 @@ import scipy.sparse as sp
 
 from bulkgrow.assembly import (
     Assembler,
-    assemble_bulk,
-    assemble_f_H,
-    assemble_f_nu,
     assemble_f_u,
     assemble_L,
-    assemble_surface,
     assemble_system,
     embed_boundary_block,
 )
 from bulkgrow.errors import GeometryError, ValidationError
 from bulkgrow.mesh import BulkSurfaceMesh, generate_ball_mesh, generate_disk_mesh
-from bulkgrow.sparsela import check_structural_symmetry, solve_spd
+from bulkgrow.sparsela import solve_spd
 
 
 def single_triangle_mesh():
@@ -32,10 +28,25 @@ def single_triangle_mesh():
     )
 
 
+def surface_matrices(mesh):
+    assembler = Assembler(mesh)
+    return assembler.surface_matrices(assembler.surface_geometry())
+
+
+def forcing_nu(mesh, normal, beta):
+    assembler = Assembler(mesh)
+    return assembler.curvature_forcing_nu(normal, beta, assembler.surface_geometry())
+
+
+def forcing_H(mesh, normal, normal_speed):
+    assembler = Assembler(mesh)
+    return assembler.curvature_forcing_H(normal, normal_speed, assembler.surface_geometry())
+
+
 class TestBulkAssembly:
     def test_reference_triangle_mass(self):
         mesh = single_triangle_mesh()
-        mass, _ = assemble_bulk(mesh)
+        mass, _ = Assembler(mesh).bulk_matrices()
         area = 0.5
         expected = area / 12.0 * (np.ones((3, 3)) + np.eye(3) * 1.0)
         expected[np.diag_indices(3)] = area / 6.0
@@ -43,7 +54,7 @@ class TestBulkAssembly:
 
     def test_stiffness_kernel_contains_constants(self):
         for mesh in (generate_disk_mesh(1.0, 0.3, 2), generate_ball_mesh((1, 1, 1), 0.6)):
-            _, stiff = assemble_bulk(mesh)
+            _, stiff = Assembler(mesh).bulk_matrices()
             ones = np.ones(mesh.n_nodes)
             norm = sp.linalg.norm(stiff)
             assert np.linalg.norm(stiff @ ones) < 1e-12 * norm
@@ -53,7 +64,7 @@ class TestBulkAssembly:
         errors, hs = [], []
         for h in (0.4, 0.2, 0.1):
             mesh = generate_disk_mesh(1.0, h, degree=degree)
-            mass, _ = assemble_bulk(mesh)
+            mass, _ = Assembler(mesh).bulk_matrices()
             ones = np.ones(mesh.n_nodes)
             errors.append(abs(ones @ (mass @ ones) - math.pi))
             hs.append(mesh.mesh_size_h)
@@ -62,7 +73,7 @@ class TestBulkAssembly:
 
     def test_galerkin_consistency_affine(self):
         mesh = generate_disk_mesh(1.0, 0.25, degree=1)
-        _, stiff = assemble_bulk(mesh)
+        _, stiff = Assembler(mesh).bulk_matrices()
         cu = np.array([1.3, -0.4])
         cw = np.array([0.2, 0.9])
         u = mesh.node_positions @ cu
@@ -74,14 +85,15 @@ class TestBulkAssembly:
 
     def test_symmetry(self):
         mesh = generate_disk_mesh(1.0, 0.3, degree=2)
-        mass, stiff = assemble_bulk(mesh)
+        mass, stiff = Assembler(mesh).bulk_matrices()
         for mat in (mass, stiff):
-            assert check_structural_symmetry(mat, tol=1e-13)
+            asym = abs(mat - mat.T).max()
+            assert asym <= 1e-13 * max(abs(mat).max(), 1.0)
 
     def test_deterministic(self):
         mesh = generate_disk_mesh(1.0, 0.3, degree=2)
-        m1, a1 = assemble_bulk(mesh)
-        m2, a2 = assemble_bulk(mesh)
+        m1, a1 = Assembler(mesh).bulk_matrices()
+        m2, a2 = Assembler(mesh).bulk_matrices()
         assert np.array_equal(m1.data, m2.data)
         assert np.array_equal(a1.data, a2.data)
 
@@ -90,13 +102,13 @@ class TestBulkAssembly:
         pos = mesh.node_positions.copy()
         pos[2] = [0.5, 0.0]
         with pytest.raises(GeometryError):
-            assemble_bulk(mesh, positions=pos)
+            Assembler(mesh).bulk_matrices(positions=pos)
 
 
 class TestSurfaceAssembly:
     def test_segment_mass_block(self):
         mesh = single_triangle_mesh()
-        mass, _, _ = assemble_surface(mesh)
+        mass, _, _ = surface_matrices(mesh)
         # Edge (0, 1) has length 1: block [[L/3, L/6], [L/6, L/3]].
         assert mass[0, 1] == pytest.approx(1.0 / 6.0, rel=1e-13)
         # Node 0 touches the two unit edges; node 1 touches edge (0,1) and
@@ -106,7 +118,7 @@ class TestSurfaceAssembly:
 
     def test_constant_in_tangential_gradient_kernel(self):
         mesh = generate_ball_mesh((1, 1, 1), 0.5, degree=2)
-        _, stiff, blocks = assemble_surface(mesh)
+        _, stiff, blocks = surface_matrices(mesh)
         c = 3.7 * np.ones(mesh.n_boundary)
         assert np.linalg.norm(stiff @ c) < 1e-11 * sp.linalg.norm(stiff)
         for block in blocks:
@@ -114,14 +126,14 @@ class TestSurfaceAssembly:
 
     def test_circle_tangential_gradient_symmetry(self):
         mesh = generate_disk_mesh(1.0, 0.1, degree=2)
-        _, _, blocks = assemble_surface(mesh)
+        _, _, blocks = surface_matrices(mesh)
         w = mesh.boundary_positions[:, 0]  # x1 interpolated on the circle
         ones = np.ones(mesh.n_boundary)
         assert abs(ones @ (blocks[1] @ w)) < 1e-10
 
     def test_circle_boundary_mass_total(self):
         mesh = generate_disk_mesh(1.5, 0.1, degree=2)
-        mass, _, _ = assemble_surface(mesh)
+        mass, _, _ = surface_matrices(mesh)
         ones = np.ones(mesh.n_boundary)
         assert ones @ (mass @ ones) == pytest.approx(2 * math.pi * 1.5, rel=1e-5)
 
@@ -214,9 +226,9 @@ class TestCurvatureForcing:
     def test_constant_normal_gives_zero(self):
         mesh = generate_disk_mesh(1.0, 0.3, degree=2)
         n = np.tile([0.0, 1.0], (mesh.n_boundary, 1))
-        f = assemble_f_nu(mesh, n, beta=1.0)
+        f = forcing_nu(mesh, n, beta=1.0)
         assert np.allclose(f, 0.0, atol=1e-13)
-        fh = assemble_f_H(mesh, n, np.ones(mesh.n_boundary))
+        fh = forcing_H(mesh, n, np.ones(mesh.n_boundary))
         assert np.allclose(fh, 0.0, atol=1e-13)
 
     def test_unit_sphere_weingarten_norm(self):
@@ -226,7 +238,7 @@ class TestCurvatureForcing:
             mesh.boundary_positions, axis=1, keepdims=True
         )
         beta = 0.8
-        f = assemble_f_nu(mesh, normal, beta=beta)
+        f = forcing_nu(mesh, normal, beta=beta)
         expected = 2.0 * beta * (mats.mass_surf @ normal)
         scale = np.abs(expected).max()
         rel = np.abs(f - expected).max() / scale
@@ -238,7 +250,7 @@ class TestCurvatureForcing:
         normal = mesh.boundary_positions / np.linalg.norm(
             mesh.boundary_positions, axis=1, keepdims=True
         )
-        f = assemble_f_nu(mesh, normal, beta=1.0)
+        f = forcing_nu(mesh, normal, beta=1.0)
         expected = mats.mass_surf @ normal  # |A|^2 = 1 on the unit circle
         rel = np.abs(f - expected).max() / np.abs(expected).max()
         assert rel < 1e-3
@@ -246,7 +258,7 @@ class TestCurvatureForcing:
     def test_f_H_zero_speed(self):
         mesh = generate_disk_mesh(1.0, 0.3, degree=2)
         normal = mesh.boundary_positions.copy()
-        fh = assemble_f_H(mesh, normal, np.zeros(mesh.n_boundary))
+        fh = forcing_H(mesh, normal, np.zeros(mesh.n_boundary))
         assert np.allclose(fh, 0.0, atol=1e-14)
 
     def test_f_H_constant_speed_on_sphere(self):
@@ -256,7 +268,7 @@ class TestCurvatureForcing:
             mesh.boundary_positions, axis=1, keepdims=True
         )
         c = 0.6
-        fh = assemble_f_H(mesh, normal, np.full(mesh.n_boundary, c))
+        fh = forcing_H(mesh, normal, np.full(mesh.n_boundary, c))
         expected = -2.0 * c * (mats.mass_surf @ np.ones(mesh.n_boundary))
         rel = np.abs(fh - expected).max() / np.abs(expected).max()
         assert rel < 0.02
@@ -267,9 +279,9 @@ class TestCurvatureForcing:
         normal = rng.standard_normal((mesh.n_boundary, 2))
         v1 = rng.standard_normal(mesh.n_boundary)
         v2 = rng.standard_normal(mesh.n_boundary)
-        f1 = assemble_f_H(mesh, normal, v1)
-        f2 = assemble_f_H(mesh, normal, v2)
-        f12 = assemble_f_H(mesh, normal, v1 + 2.0 * v2)
+        f1 = forcing_H(mesh, normal, v1)
+        f2 = forcing_H(mesh, normal, v2)
+        f12 = forcing_H(mesh, normal, v1 + 2.0 * v2)
         assert np.allclose(f12, f1 + 2.0 * f2, atol=1e-11)
 
 
@@ -277,14 +289,12 @@ class TestSystemBundle:
     def test_partition_shapes(self):
         mesh = generate_disk_mesh(1.0, 0.3)
         mats = assemble_system(mesh)
-        ng = mesh.n_boundary
-        ni = mesh.n_nodes - ng
-        a_gg, a_gi, a_ig, a_ii = mats.stiff_blocks()
-        assert a_gg.shape == (ng, ng)
-        assert a_gi.shape == (ng, ni)
-        assert a_ig.shape == (ni, ng)
-        assert a_ii.shape == (ni, ni)
-        assert mats.tangrad_stacked.shape == (2 * ng, ng)
+        n, ng = mesh.n_nodes, mesh.n_boundary
+        assert mats.n_boundary == ng
+        assert mats.mass_bulk.shape == mats.stiff_bulk.shape == (n, n)
+        assert mats.mass_surf.shape == mats.stiff_surf.shape == (ng, ng)
+        assert [block.shape for block in mats.tangrad] == [(ng, ng)] * 2
+        assert mats.surface.wmeasure.shape[0] == mesh.boundary_elements.shape[0]
 
     def test_embed_boundary_block(self):
         mesh = generate_disk_mesh(1.0, 0.4)

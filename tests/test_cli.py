@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from bulkgrow.cli import main
-from bulkgrow.errors import ConfigError
+from bulkgrow.errors import ConfigError, GeometryError
 from bulkgrow.experiments import (
     load_config,
     parse_source,
@@ -15,6 +15,7 @@ from bulkgrow.experiments import (
     run_stability,
     validate_config,
 )
+from bulkgrow.stepper import Stepper
 
 
 def disk_config(tmp_path, **overrides):
@@ -213,6 +214,52 @@ class TestCliEntry:
         path = write_config(tmp_path, config)
         assert main(["simulate", str(path)]) == 0
         assert (tmp_path / "out" / "diagnostics.csv").exists()
+
+    @pytest.mark.parametrize("overrides", [
+        {"discretization": {"q": "2"}},
+        {"discretization": {"q": 2.5}},
+        {"discretization": {"tau": "abc"}},
+        {"discretization": {"T": None}},
+        {"model": {"alpha": -1}},
+        {"model": {"beta": 0}},
+        {"model": {"mu": "x"}},
+        {"model": {"Q": "expr:9**9**9"}},
+        {"model": {"Q": "expr:x+"}},
+        {"geometry": {"h": "abc"}},
+        {"geometry": {"h": 2.0}},
+        {"geometry": {"radii": ["1.5"]}},
+        {"geometry": {"kind": "file", "path": "disk.bsm"}, "run": {"kind": "stability"}},
+        {"run": {"snapshots": "many"}},
+        {"run": {"seed": -1}},
+        {"run": {"mode": "neumann"}},
+        {"run": {"error_samples": 0}},
+        {"run": {"tau_levels": [1e-3, 0]}},
+    ], ids=lambda overrides: "-".join(
+        f"{section}.{key}" for section, fields in overrides.items() for key in fields))
+    def test_malformed_config_exit_code(self, tmp_path, overrides):
+        path = write_config(tmp_path, disk_config(tmp_path, **overrides))
+        assert main(["simulate", str(path)]) == 2
+
+    def test_numerical_failure_keeps_type_and_flushes(self, tmp_path, monkeypatch):
+        original = Stepper.step
+
+        def failing_step(self, history):
+            if self.step_count == 2:
+                self.step_count += 1
+                raise GeometryError("step 3 (position_update): tangled", element=0)
+            return original(self, history)
+
+        monkeypatch.setattr(Stepper, "step", failing_step)
+        config = disk_config(tmp_path)
+        outdir = tmp_path / "out"
+        with pytest.raises(GeometryError, match="step 3 \\(position_update\\)"):
+            run_simulate(config, str(outdir))
+        rows = read_csv(outdir / "diagnostics.csv")
+        # The seed (t = tau), step 2's snapshot and the flushed last good state.
+        assert [float(r["time"]) for r in rows] == pytest.approx([2e-3, 6e-3, 6e-3])
+        assert (outdir / "snapshot_0002.vtk").exists()
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        assert "tangled" in manifest["aborted"]
 
     def test_missing_outdir(self, tmp_path):
         config = disk_config(tmp_path)

@@ -7,6 +7,8 @@ from bulkgrow.errors import ValidationError
 from bulkgrow.refelem import (
     EDGE_VERTICES,
     REFERENCE_MEASURE,
+    adjugate_det,
+    determinant,
     local_nodes,
     quadrature_rule,
     reference_element,
@@ -109,3 +111,17 @@ def test_bad_degree_rejected():
         reference_element(2, 3)
     with pytest.raises(ValidationError):
         reference_element(4, 1)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_adjugate_det_kernel(dim):
+    rng = np.random.default_rng(dim)
+    a = rng.standard_normal((5, 4, dim, dim))
+    adj, det = adjugate_det(a)
+    assert np.allclose(det, np.linalg.det(a), rtol=1e-12, atol=1e-13)
+    adj = np.moveaxis(np.array(adj), (0, 1), (-2, -1))
+    eye = np.broadcast_to(np.eye(dim), a.shape)
+    assert np.allclose(adj @ a, det[..., None, None] * eye, atol=1e-12)
+    # The det-only path is the same expansion, bit for bit.
+    assert np.array_equal(determinant(a), det)
+

@@ -1,14 +1,16 @@
+from functools import partial
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from bulkgrow.assembly import Assembler
 from bulkgrow.errors import SolverError, ValidationError
 from bulkgrow.mesh import generate_disk_mesh
 from bulkgrow.sparsela import (
     CachedSpdSolver,
     SpdFactor,
-    check_structural_symmetry,
-    schur_dirichlet_solve,
+    dirichlet_extension,
     solve_spd,
 )
 
@@ -25,10 +27,8 @@ def test_identity_solve():
 
 
 def test_mass_matrix_constructed_solution():
-    from bulkgrow.assembly import assemble_bulk
-
     mesh = generate_disk_mesh(1.0, 0.3)
-    mass, _ = assemble_bulk(mesh)
+    mass, _ = Assembler(mesh).bulk_matrices()
     ones = np.ones(mesh.n_nodes)
     x = solve_spd(mass, mass @ ones, tol=1e-12)
     assert np.allclose(x, ones, atol=1e-9)
@@ -77,42 +77,52 @@ def test_cached_solver_tracks_drifting_matrices():
         assert np.linalg.norm(a @ x - b) <= 1e-11 * np.linalg.norm(b)
 
 
-def test_structural_symmetry_check():
-    a = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
-    assert check_structural_symmetry(a)
-    b = sp.csr_matrix(np.array([[2.0, 1.0], [0.0, 2.0]]))
-    assert not check_structural_symmetry(b)
+def test_multicolumn_rhs_solved_per_column():
+    rng = np.random.default_rng(3)
+    a = random_spd(30, rng)
+    b = rng.standard_normal((30, 3))
+    x = solve_spd(a, b)
+    assert x.shape == (30, 3)
+    for c in range(3):
+        assert np.array_equal(x[:, c], solve_spd(a, b[:, c]))
 
 
 class TestSchurDirichlet:
-    def setup_method(self):
-        from bulkgrow.assembly import assemble_bulk
+    """dirichlet_extension with each interior solver its callers bind."""
 
+    def setup_method(self):
         self.mesh = generate_disk_mesh(1.0, 0.25)
-        _, self.stiff = assemble_bulk(self.mesh)
+        _, self.stiff = Assembler(self.mesh).bulk_matrices()
+        ng = self.mesh.n_boundary
+        self.a_ii = self.stiff[ng:, ng:]
+
+    def extend(self, g):
+        return dirichlet_extension(
+            self.stiff, self.mesh.n_boundary, g, partial(solve_spd, self.a_ii)
+        )
 
     def test_constant_trace_extends_to_constant(self):
         c = 2.5
         g = np.full(self.mesh.n_boundary, c)
-        v = schur_dirichlet_solve(self.stiff, self.mesh.n_boundary, g)
+        v = self.extend(g)
         assert np.allclose(v, c, atol=1e-9)
 
     def test_affine_trace_extends_exactly(self):
         coeffs = np.array([0.3, -1.2])
         affine = self.mesh.node_positions @ coeffs + 0.7
         g = affine[: self.mesh.n_boundary]
-        v = schur_dirichlet_solve(self.stiff, self.mesh.n_boundary, g)
+        v = self.extend(g)
         assert np.allclose(v, affine, atol=1e-9)
 
     def test_zero_trace(self):
         g = np.zeros(self.mesh.n_boundary)
-        v = schur_dirichlet_solve(self.stiff, self.mesh.n_boundary, g)
+        v = self.extend(g)
         assert np.allclose(v, 0.0, atol=1e-13)
 
     def test_energy_minimality(self):
         rng = np.random.default_rng(7)
         g = rng.standard_normal(self.mesh.n_boundary)
-        v = schur_dirichlet_solve(self.stiff, self.mesh.n_boundary, g)
+        v = self.extend(g)
         competitor = np.zeros(self.mesh.n_nodes)
         competitor[: self.mesh.n_boundary] = g
         energy_v = v @ (self.stiff @ v)
@@ -123,7 +133,21 @@ class TestSchurDirichlet:
         g = np.column_stack(
             [np.ones(self.mesh.n_boundary), np.zeros(self.mesh.n_boundary)]
         )
-        v = schur_dirichlet_solve(self.stiff, self.mesh.n_boundary, g)
+        v = self.extend(g)
         assert v.shape == (self.mesh.n_nodes, 2)
         assert np.allclose(v[:, 0], 1.0, atol=1e-9)
         assert np.allclose(v[:, 1], 0.0, atol=1e-13)
+
+    def test_interior_solvers_agree(self):
+        rng = np.random.default_rng(8)
+        g = rng.standard_normal((self.mesh.n_boundary, 2))
+        ng = self.mesh.n_boundary
+        reference = self.extend(g)
+        for solve in (partial(CachedSpdSolver().solve, self.a_ii),
+                      SpdFactor(self.a_ii).solve):
+            v = dirichlet_extension(self.stiff, ng, g, solve)
+            assert np.allclose(v, reference, atol=1e-9)
+
+    def test_trace_length_checked(self):
+        with pytest.raises(ValidationError):
+            self.extend(np.zeros(self.mesh.n_boundary + 1))

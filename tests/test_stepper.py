@@ -38,11 +38,7 @@ def oracle_setup(h=0.3, tau=1e-3, order=2, m=1):
     mesh = sphere_oracle_mesh(oracle, h, degree=2)
     params = ModelParams(alpha=1.0, beta=1.0, mu=0.0,
                          source=constant_source(1.5), degree_k=2, dim_m=m)
-    states = [
-        oracle.seed_state(oracle.mesh_at(mesh, i * tau), i * tau)
-        for i in reversed(range(order))
-    ]
-    return oracle, mesh, params, History(states, tau=tau)
+    return oracle, mesh, params, oracle.seed_history(mesh, tau, order)
 
 
 class TestModelParams:

@@ -1,0 +1,89 @@
+"""Print a SHA-256 digest of every output file of a fixed set of small runs.
+
+Usage::
+
+    python tools/output_digest.py
+
+Runs each configuration below in-process, in a temporary directory, and
+prints one ``<sha256>  <config>/<file>`` line per output file, sorted.  Two
+checkouts that print the same lines write byte-identical simulate, converge
+and stability outputs (``manifest.json`` included), which is the check a
+behaviour-preserving refactor must pass.  BLAS and worker thread counts are
+pinned to 1 so the digests do not depend on the host's core count.
+"""
+
+import hashlib
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "BULKGROW_THREADS"):
+    os.environ[_var] = "1"
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from bulkgrow.experiments import run_converge, run_simulate, run_stability  # noqa: E402
+
+MODEL = {"alpha": 1.0, "beta": 1.0, "mu": 0.0, "Q": "const:1.5"}
+
+
+def _config(geometry, discretization, run, model=MODEL):
+    return {"model": model, "geometry": geometry,
+            "discretization": discretization, "run": run}
+
+
+CONFIGS = {
+    "simulate_disk": (run_simulate, _config(
+        {"kind": "disk", "radii": [1.5], "h": 0.1},
+        {"k": 2, "q": 2, "tau": 1e-3, "T": 0.03},
+        {"kind": "simulate", "snapshots": 3, "seed_mode": "oracle"},
+    )),
+    "simulate_ball": (run_simulate, _config(
+        {"kind": "ball", "radii": [1.5], "h": 0.5},
+        {"k": 2, "q": 2, "tau": 1e-3, "T": 0.005},
+        {"kind": "simulate", "snapshots": 1, "seed_mode": "oracle"},
+    )),
+    # No closed form (ellipsoid, mu > 0, varying Q): the bootstrap seeding path.
+    "simulate_ellipsoid": (run_simulate, _config(
+        {"kind": "ellipsoid", "radii": [1.0, 0.8, 0.9], "h": 0.5},
+        {"k": 2, "q": 3, "tau": 1e-3, "T": 0.004},
+        {"kind": "simulate", "snapshots": 2},
+        model={"alpha": 1.0, "beta": 1.0, "mu": 0.1, "Q": "expr:1+0.1*x"},
+    )),
+    "converge_disk": (run_converge, _config(
+        {"kind": "disk", "radii": [1.5], "h": 0.4},
+        {"k": 2, "q": 2, "tau": 1e-3, "T": 0.04},
+        {"kind": "converge", "h_levels": [0.4, 0.2],
+         "tau_levels": [4e-3, 2e-3], "error_samples": 5},
+    )),
+    "stability_disk": (run_stability, _config(
+        {"kind": "disk", "radii": [1.0], "h": 0.2},
+        {"k": 2, "q": 2, "tau": 1e-3, "T": 0.0},
+        {"kind": "stability", "levels": 3, "samples": 10, "boost_iters": 10,
+         "mode": "both", "seed": 0},
+    )),
+}
+
+
+def digests():
+    """(sha256, "<config>/<file>") for every output file, sorted by name."""
+    lines = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, (runner, config) in CONFIGS.items():
+            outdir = Path(tmp) / name
+            runner(config, str(outdir))
+            for path in sorted(outdir.iterdir()):
+                lines.append((hashlib.sha256(path.read_bytes()).hexdigest(),
+                              f"{name}/{path.name}"))
+    return sorted(lines, key=lambda line: line[1])
+
+
+def main():
+    for digest, name in digests():
+        print(f"{digest}  {name}")
+
+
+if __name__ == "__main__":
+    main()

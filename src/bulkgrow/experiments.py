@@ -98,9 +98,12 @@ def parse_source(spec):
             ).copy()
 
         try:
-            q(np.zeros((2, 3)), 0.0)
+            with np.errstate(all="ignore"):
+                trial = q(np.zeros((2, 3)), 0.0)
         except Exception as exc:
             raise ConfigError(f"source expression does not evaluate: {exc}")
+        if not np.isfinite(trial).all():
+            raise ConfigError(f"source expression {body!r} is not finite at the origin")
         return q
     raise ConfigError(f"cannot parse source term {spec!r}")
 

@@ -5,10 +5,12 @@ tetrahedra for 3d) with the triangulation of its boundary (segments /
 triangles).  Boundary nodes are stored first so that the first ``n_boundary``
 entries of any nodal vector are the trace of the corresponding bulk field.
 Isoparametric degree 2 is supported by inserting edge midpoints; boundary
-midpoints may be projected onto the exact surface.
+midpoints may be projected onto the exact surface.  Faces come from
+``refelem.FACE_NODES``; face and edge lookups match node-index rows as sets.
 """
 
 from dataclasses import dataclass
+from itertools import permutations
 import math
 
 import numpy as np
@@ -16,14 +18,12 @@ import numpy as np
 from .errors import GeometryError, MeshFormatError, ResourceError, ValidationError
 from .refelem import (
     EDGE_VERTICES,
+    FACE_NODES,
     determinant,
     geometry_jacobians,
     nodes_per_element,
     reference_element,
 )
-
-# Triangular faces of the reference tetrahedron (corner slots).
-_TET_FACES = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
 
 # Hard cap on generated node counts (memory budget guard).
 MAX_GENERATED_NODES = 4_000_000
@@ -156,55 +156,48 @@ def quality_report(mesh):
     }
 
 
+def _corner_set_ids(rows, n_nodes):
+    """Dense ids of node-index rows compared as sets, numbered like
+    ``np.unique(np.sort(rows, axis=1), axis=0)``.  Columns are folded in as
+    int64 keys ``id * n_nodes + index`` < max(len(rows), n_nodes) * n_nodes."""
+    rows = np.sort(rows, axis=1).astype(np.int64)
+    ids = rows[:, 0]
+    for column in rows.T[1:]:
+        _, ids = np.unique(ids * n_nodes + column, return_inverse=True)
+    return ids
+
+
 def _validate_trace_compatibility(mesh, facet_lines=None):
     """Every boundary facet must coincide with a boundary face of a bulk element."""
-    m, k = mesh.dim_m, mesh.degree_k
-    face_nodes = {}
-    counts = {}
-    for conn in mesh.bulk_elements:
-        faces = _element_faces(conn, m, k)
-        for corners, full in faces:
-            counts[corners] = counts.get(corners, 0) + 1
-            face_nodes[corners] = full
-    for b, facet in enumerate(mesh.boundary_elements):
-        corners = frozenset(int(i) for i in facet[: m + 1])
-        line = facet_lines[b] if facet_lines is not None else None
-        if counts.get(corners, 0) != 1:
-            raise MeshFormatError(
-                f"facet {b} is not a boundary face of exactly one bulk element",
-                line=line,
-            )
-        if frozenset(int(i) for i in facet) != frozenset(int(i) for i in face_nodes[corners]):
-            raise MeshFormatError(
-                f"facet {b} node set does not match its parent element face",
-                line=line,
-            )
+    d = mesh.dim
+    facets = mesh.boundary_elements
+    width = facets.shape[1]
+    faces = mesh.bulk_elements[:, FACE_NODES[d][:, :width]].reshape(-1, width)
+    ids = _corner_set_ids(np.concatenate([faces[:, :d], facets[:, :d]]), mesh.n_nodes)
+    face_ids, facet_ids = ids[: len(faces)], ids[len(faces):]
+    count = np.bincount(face_ids, minlength=ids.max() + 1)[facet_ids]
+    parent = np.zeros(ids.max() + 1, dtype=np.int64)
+    parent[face_ids] = np.arange(len(faces))
+    same_nodes = (
+        np.sort(facets, axis=1) == np.sort(faces[parent[facet_ids]], axis=1)
+    ).all(axis=1)
+    bad = np.flatnonzero((count != 1) | ~same_nodes)
+    if bad.size:
+        b = int(bad[0])
+        problem = (
+            "is not a boundary face of exactly one bulk element" if count[b] != 1
+            else "node set does not match its parent element face"
+        )
+        raise MeshFormatError(
+            f"facet {b} {problem}",
+            line=None if facet_lines is None else int(facet_lines[b]),
+        )
 
 
-def _element_faces(conn, m, k):
-    """Boundary-candidate faces of one bulk element: (corner frozenset, all nodes)."""
-    d = m + 1
-    faces = []
-    if d == 2:
-        for s, (a, b) in enumerate(EDGE_VERTICES[2]):
-            nodes = [conn[a], conn[b]]
-            if k == 2:
-                nodes.append(conn[3 + s])
-            faces.append((frozenset(int(i) for i in nodes[:2]), tuple(nodes)))
-    else:
-        edge_slot = {frozenset(e): s for s, e in enumerate(EDGE_VERTICES[3])}
-        for fa, fb, fc in _TET_FACES:
-            nodes = [conn[fa], conn[fb], conn[fc]]
-            if k == 2:
-                for pair in ((fa, fb), (fb, fc), (fa, fc)):
-                    nodes.append(conn[4 + edge_slot[frozenset(pair)]])
-            faces.append((frozenset(int(i) for i in nodes[:3]), tuple(nodes)))
-    return faces
-
-
-def validate_mesh(mesh):
-    """Full validation: trace compatibility and element orientation."""
-    _validate_trace_compatibility(mesh)
+def validate_mesh(mesh, facet_lines=None):
+    """Full validation: trace compatibility (a bad facet's error carries its
+    ``facet_lines`` entry), orientation and, for degree 2, midpoint sanity."""
+    _validate_trace_compatibility(mesh, facet_lines)
     check_orientation(mesh)
     if mesh.degree_k == 2:
         _check_midpoint_sanity(mesh)
@@ -377,24 +370,15 @@ def _ball_mesh_from_subdivisions(subdiv, radii, degree):
     axes = [np.linspace(-1.0, 1.0, n + 1) for n in (nx, ny, nz)]
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
 
-    def vid(i, j, k):
-        return (i * (ny + 1) + j) * (nz + 1) + k
-
-    # Kuhn/Freudenthal split: six tets per cell, all sharing the main diagonal.
-    perms = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
-    tets = []
-    for i in range(nx):
-        for j in range(ny):
-            for k in range(nz):
-                base = np.array([i, j, k])
-                for perm in perms:
-                    steps = np.zeros((4, 3), dtype=int)
-                    for s, axis in enumerate(perm):
-                        steps[s + 1] = steps[s]
-                        steps[s + 1, axis] += 1
-                    corners = base + steps
-                    tets.append([vid(*c) for c in corners])
-    tets = np.array(tets, dtype=np.int64)
+    # Kuhn/Freudenthal split: six tets per cell, all sharing the main diagonal;
+    # tet p walks from the cell's base corner along the axes in order perms[p].
+    perms = np.array(list(permutations(range(3))))
+    steps = np.zeros((6, 4, 3), dtype=np.int64)
+    steps[:, 1:] = np.cumsum(np.eye(3, dtype=np.int64)[perms], axis=1)
+    dims = (nx + 1, ny + 1, nz + 1)
+    base = np.ravel_multi_index(np.indices((nx, ny, nz)).reshape(3, -1), dims)
+    offsets = np.ravel_multi_index(np.moveaxis(steps, -1, 0), dims)
+    tets = (base[:, None, None] + offsets).reshape(-1, 4)
 
     # Fix orientation in the cube; the ball map preserves it.
     coords = grid[tets]
@@ -409,26 +393,21 @@ def _ball_mesh_from_subdivisions(subdiv, radii, degree):
     scale = np.divide(sup, two, out=np.ones_like(sup), where=two > 0)
     points = grid * scale[:, None] * np.asarray(radii)
 
-    # Boundary faces appear on exactly one tet.
-    faces = {}
-    for e, conn in enumerate(tets):
-        for fa, fb, fc in _TET_FACES:
-            key = frozenset((int(conn[fa]), int(conn[fb]), int(conn[fc])))
-            faces[key] = None if key in faces else (conn[fa], conn[fb], conn[fc])
-    bnd_faces = [f for f in faces.values() if f is not None]
-
-    # Orient boundary triangles outward (the ellipsoid is star-shaped).
-    oriented = []
-    for f in bnd_faces:
-        p = points[list(f)]
-        normal = np.cross(p[1] - p[0], p[2] - p[0])
-        oriented.append(f if normal @ p.mean(axis=0) > 0 else (f[0], f[2], f[1]))
+    # Boundary faces appear on exactly one tet; orient them outward (the
+    # ellipsoid is star-shaped).
+    faces = tets[:, FACE_NODES[3][:, :3]].reshape(-1, 3)
+    ids = _corner_set_ids(faces, len(grid))
+    boundary = faces[np.bincount(ids)[ids] == 1]
+    p = points[boundary]
+    normal = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+    outward = np.einsum("fi,fi->f", normal, p.mean(axis=1)) > 0
+    boundary[~outward] = boundary[~outward][:, [0, 2, 1]]
 
     mesh = _renumber_boundary_first(
         dim_m=2,
         positions=points,
         bulk=tets,
-        boundary=np.array(oriented, dtype=np.int64),
+        boundary=boundary,
     )
     validate_mesh(mesh)
     if degree == 2:
@@ -474,23 +453,24 @@ def elevate_to_quadratic(mesh, surface_projector=None):
     d = mesh.dim
     edge_slots = EDGE_VERTICES[d]
 
-    pairs = np.sort(
-        np.concatenate([mesh.bulk_elements[:, list(e)] for e in edge_slots]), axis=1
+    # Edge ids number the sorted unique vertex pairs; boundary pairs join them.
+    pairs = np.concatenate([mesh.bulk_elements[:, list(e)] for e in edge_slots])
+    bnd_pairs = np.concatenate(
+        [mesh.boundary_elements[:, list(e)] for e in EDGE_VERTICES[mesh.dim_m]]
     )
-    edges, inverse = np.unique(pairs, axis=0, return_inverse=True)
+    ids = _corner_set_ids(np.concatenate([pairs, bnd_pairs]), mesh.n_nodes)
+    inverse, bnd_edge_ids = ids[: len(pairs)], ids[len(pairs):]
+    is_edge = np.bincount(inverse, minlength=ids.max() + 1) > 0
+    missing = np.flatnonzero(~is_edge[bnd_edge_ids])
+    if missing.size:
+        raise ValidationError(
+            f"facet {missing[0] % len(mesh.boundary_elements)} has an edge that "
+            "is not a bulk element edge"
+        )
+    edges = np.empty((int(inverse.max()) + 1, 2), dtype=np.int64)
+    edges[inverse] = np.sort(pairs, axis=1)
     inverse = inverse.reshape(len(edge_slots), -1)  # [slot, element] -> edge id
-
-    bnd_pairs = np.sort(
-        np.concatenate(
-            [mesh.boundary_elements[:, list(e)] for e in EDGE_VERTICES[mesh.dim_m]]
-        ),
-        axis=1,
-    )
     is_bnd_edge = np.zeros(len(edges), dtype=bool)
-    edge_lookup = {(int(a), int(b)): i for i, (a, b) in enumerate(edges)}
-    bnd_edge_ids = np.array(
-        [edge_lookup[(int(a), int(b))] for a, b in bnd_pairs], dtype=np.int64
-    )
     is_bnd_edge[bnd_edge_ids] = True
 
     mids = mesh.node_positions[edges].mean(axis=1)
@@ -517,8 +497,7 @@ def elevate_to_quadratic(mesh, surface_projector=None):
     old_map[mesh.n_boundary:] += n_bnd_new
     edge_map = np.empty(len(edges), dtype=np.int64)
     edge_map[is_bnd_edge] = mesh.n_boundary + np.arange(n_bnd_new)
-    n_after_bnd = mesh.n_nodes + n_bnd_new
-    edge_map[~is_bnd_edge] = n_after_bnd + np.arange(len(edges) - n_bnd_new)
+    edge_map[~is_bnd_edge] = mesh.n_nodes + np.arange(n_bnd_new, len(edges))
 
     positions = np.empty((mesh.n_nodes + len(edges), d))
     positions[old_map] = mesh.node_positions
@@ -682,8 +661,4 @@ def load_mesh(path):
         )
     except ValidationError as exc:
         raise MeshFormatError(str(exc), line=header_line) from None
-    _validate_trace_compatibility(mesh, facet_lines=bnd_lines)
-    check_orientation(mesh)
-    if k == 2:
-        _check_midpoint_sanity(mesh)
-    return mesh
+    return validate_mesh(mesh, bnd_lines)

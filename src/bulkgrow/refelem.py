@@ -22,6 +22,25 @@ EDGE_VERTICES = {
     3: ((0, 1), (1, 2), (0, 2), (0, 3), (1, 3), (2, 3)),
 }
 
+
+def _face_nodes(dim):
+    slot = {frozenset(e): dim + 1 + s for s, e in enumerate(EDGE_VERTICES[dim])}
+    corners = [[v for v in range(dim + 1) if v != omit] for omit in range(dim + 1)]
+    table = np.array([
+        c + [slot[frozenset((c[a], c[b]))] for a, b in EDGE_VERTICES[dim - 1]]
+        for c in corners
+    ])
+    table.setflags(write=False)
+    return table
+
+
+#: Faces of the reference d-simplex, d = 2, 3, as read-only (d+1, n) arrays;
+#: face i omits vertex i.  A row lists the face's corners in ascending order,
+#: then the midpoint slots of its edges in ``EDGE_VERTICES[d - 1]`` order, i.e.
+#: the face's nodes in the local order of a degree-2 (d-1)-simplex.  Degree 1
+#: uses the first d entries.
+FACE_NODES = {dim: _face_nodes(dim) for dim in (2, 3)}
+
 #: Measure of the reference simplex per dimension.
 REFERENCE_MEASURE = {1: 1.0, 2: 0.5, 3: 1.0 / 6.0}
 

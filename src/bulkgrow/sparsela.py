@@ -142,14 +142,16 @@ class SpdFactor:
         return self._lu.solve(rhs)
 
     def solve(self, rhs, tol=DEFAULT_TOL):
+        """Solve for ``rhs``; each column of a 2d array must meet ``tol``."""
         rhs = np.asarray(rhs, dtype=float)
         x = self._lu.solve(rhs)
-        b_norm = np.linalg.norm(rhs)
-        if b_norm == 0.0:
+        b_norm = np.sqrt((rhs * rhs).sum(axis=0))
+        if not b_norm.any():
             return np.zeros_like(rhs)
-        res = np.linalg.norm(rhs - self.matrix @ x) / b_norm
-        if res > tol:
-            raise SolverError("factorized solve residual too large", residual=res)
+        r = rhs - self.matrix @ x
+        res = np.sqrt((r * r).sum(axis=0)) / np.where(b_norm > 0.0, b_norm, 1.0)
+        if np.any(res > tol):
+            raise SolverError("factorized solve residual too large", residual=res.max())
         return x
 
 

@@ -276,9 +276,9 @@ class Stepper:
                 self.scheme, history, velocity, self.tau, mesh=self.mesh
             )
         except BulkgrowError as exc:
-            raise type(exc)(
-                f"step {self.step_count} ({stage}, t={time_next:.6g}): {exc}"
-            ) from exc
+            # Re-raise the same object: it keeps its type, element and residual.
+            exc.args = (f"step {self.step_count} ({stage}, t={time_next:.6g}): {exc}",)
+            raise
         return SimState(
             time=time_next,
             positions=positions,

@@ -225,6 +225,7 @@ class TestCliEntry:
         {"model": {"mu": "x"}},
         {"model": {"Q": "expr:9**9**9"}},
         {"model": {"Q": "expr:x+"}},
+        {"model": {"Q": "expr:1/x"}},
         {"geometry": {"h": "abc"}},
         {"geometry": {"h": 2.0}},
         {"geometry": {"radii": ["1.5"]}},

@@ -11,6 +11,7 @@ from bulkgrow.errors import (
 )
 from bulkgrow.mesh import (
     BulkSurfaceMesh,
+    _renumber_boundary_first,
     boundary_element_measures,
     bulk_element_measures,
     circle_projector,
@@ -24,6 +25,197 @@ from bulkgrow.mesh import (
     save_mesh,
     validate_mesh,
 )
+from bulkgrow.refelem import EDGE_VERTICES
+
+# ---------------------------------------------------------------------------
+# Loop references for the vectorized face and edge matching in bulkgrow.mesh
+# ---------------------------------------------------------------------------
+
+_TET_FACES = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
+
+
+def reference_element_faces(conn, m, k):
+    """Boundary-candidate faces of one bulk element: (corner frozenset, all nodes)."""
+    d = m + 1
+    faces = []
+    if d == 2:
+        for s, (a, b) in enumerate(EDGE_VERTICES[2]):
+            nodes = [conn[a], conn[b]]
+            if k == 2:
+                nodes.append(conn[3 + s])
+            faces.append((frozenset(int(i) for i in nodes[:2]), tuple(nodes)))
+    else:
+        edge_slot = {frozenset(e): s for s, e in enumerate(EDGE_VERTICES[3])}
+        for fa, fb, fc in _TET_FACES:
+            nodes = [conn[fa], conn[fb], conn[fc]]
+            if k == 2:
+                for pair in ((fa, fb), (fb, fc), (fa, fc)):
+                    nodes.append(conn[4 + edge_slot[frozenset(pair)]])
+            faces.append((frozenset(int(i) for i in nodes[:3]), tuple(nodes)))
+    return faces
+
+
+def reference_trace_check(mesh, facet_lines=None):
+    """Every boundary facet must coincide with a boundary face of a bulk element."""
+    m, k = mesh.dim_m, mesh.degree_k
+    face_nodes = {}
+    counts = {}
+    for conn in mesh.bulk_elements:
+        for corners, full in reference_element_faces(conn, m, k):
+            counts[corners] = counts.get(corners, 0) + 1
+            face_nodes[corners] = full
+    for b, facet in enumerate(mesh.boundary_elements):
+        corners = frozenset(int(i) for i in facet[: m + 1])
+        line = facet_lines[b] if facet_lines is not None else None
+        if counts.get(corners, 0) != 1:
+            raise MeshFormatError(
+                f"facet {b} is not a boundary face of exactly one bulk element",
+                line=line,
+            )
+        if frozenset(int(i) for i in facet) != frozenset(int(i) for i in face_nodes[corners]):
+            raise MeshFormatError(
+                f"facet {b} node set does not match its parent element face",
+                line=line,
+            )
+
+
+def reference_ball_p1(radii, target_h):
+    """Degree-1 generate_ball_mesh with the Kuhn loop, face dict and orientation loop."""
+    radii = np.asarray(radii, dtype=float)
+    if radii.ndim == 0:
+        radii = np.full(3, float(radii))
+    subdiv = np.maximum(2, np.ceil(2.0 * math.sqrt(3.0) * radii / target_h).astype(int))
+    nx, ny, nz = (int(s) for s in subdiv)
+    axes = [np.linspace(-1.0, 1.0, n + 1) for n in (nx, ny, nz)]
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+
+    def vid(i, j, k):
+        return (i * (ny + 1) + j) * (nz + 1) + k
+
+    perms = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
+    tets = []
+    for i in range(nx):
+        for j in range(ny):
+            for k in range(nz):
+                base = np.array([i, j, k])
+                for perm in perms:
+                    steps = np.zeros((4, 3), dtype=int)
+                    for s, axis in enumerate(perm):
+                        steps[s + 1] = steps[s]
+                        steps[s + 1, axis] += 1
+                    corners = base + steps
+                    tets.append([vid(*c) for c in corners])
+    tets = np.array(tets, dtype=np.int64)
+
+    coords = grid[tets]
+    vol6 = np.linalg.det(coords[:, 1:] - coords[:, :1])
+    flip = vol6 < 0
+    tets[flip, 0], tets[flip, 1] = tets[flip, 1].copy(), tets[flip, 0].copy()
+
+    sup = np.abs(grid).max(axis=1)
+    two = np.linalg.norm(grid, axis=1)
+    scale = np.divide(sup, two, out=np.ones_like(sup), where=two > 0)
+    points = grid * scale[:, None] * np.asarray(radii)
+
+    faces = {}
+    for conn in tets:
+        for fa, fb, fc in _TET_FACES:
+            key = frozenset((int(conn[fa]), int(conn[fb]), int(conn[fc])))
+            faces[key] = None if key in faces else (conn[fa], conn[fb], conn[fc])
+    bnd_faces = [f for f in faces.values() if f is not None]
+
+    oriented = []
+    for f in bnd_faces:
+        p = points[list(f)]
+        normal = np.cross(p[1] - p[0], p[2] - p[0])
+        oriented.append(f if normal @ p.mean(axis=0) > 0 else (f[0], f[2], f[1]))
+
+    return _renumber_boundary_first(
+        dim_m=2, positions=points, bulk=tets, boundary=np.array(oriented, dtype=np.int64)
+    )
+
+
+def reference_elevation(lin, projector):
+    """elevate_to_quadratic with a dict over sorted vertex pairs.
+
+    Edges are numbered in sorted order; boundary-edge midpoints follow the old
+    boundary nodes, interior ones follow the shifted interior nodes.
+    """
+    def key(conn, a, b):
+        return tuple(sorted((int(conn[a]), int(conn[b]))))
+
+    edges = sorted({key(c, a, b) for c in lin.bulk_elements for a, b in EDGE_VERTICES[lin.dim]})
+    on_boundary = {
+        key(f, a, b) for f in lin.boundary_elements for a, b in EDGE_VERTICES[lin.dim_m]
+    }
+    bnd_edges = [e for e in edges if e in on_boundary]
+    int_edges = [e for e in edges if e not in on_boundary]
+    n_new = len(bnd_edges)
+    node = {e: lin.n_boundary + i for i, e in enumerate(bnd_edges)}
+    node.update({e: lin.n_nodes + n_new + i for i, e in enumerate(int_edges)})
+
+    def shift(i):
+        return int(i) + (n_new if i >= lin.n_boundary else 0)
+
+    def elevate(conn, dim):
+        return [shift(i) for i in conn] + [node[key(conn, a, b)] for a, b in EDGE_VERTICES[dim]]
+
+    positions = np.empty((lin.n_nodes + len(edges), lin.dim))
+    for i, p in enumerate(lin.node_positions):
+        positions[shift(i)] = p
+    for e in int_edges:
+        positions[node[e]] = lin.node_positions[list(e)].mean(axis=0)
+    straight = np.array([lin.node_positions[list(e)].mean(axis=0) for e in bnd_edges])
+    for e, p in zip(bnd_edges, projector(straight)):
+        positions[node[e]] = p
+    return BulkSurfaceMesh(
+        dim_m=lin.dim_m,
+        degree_k=2,
+        node_positions=positions,
+        n_boundary=lin.n_boundary + n_new,
+        bulk_elements=[elevate(c, lin.dim) for c in lin.bulk_elements],
+        boundary_elements=[elevate(f, lin.dim_m) for f in lin.boundary_elements],
+    )
+
+
+def with_facets(mesh, facets):
+    """The mesh with another boundary connectivity (not validated)."""
+    return BulkSurfaceMesh(
+        dim_m=mesh.dim_m,
+        degree_k=mesh.degree_k,
+        node_positions=mesh.node_positions,
+        n_boundary=mesh.n_boundary,
+        bulk_elements=mesh.bulk_elements,
+        boundary_elements=facets,
+    )
+
+
+def assert_same_mesh(mesh, ref):
+    assert mesh.n_boundary == ref.n_boundary
+    assert np.array_equal(mesh.node_positions, ref.node_positions)
+    assert np.array_equal(mesh.bulk_elements, ref.bulk_elements)
+    assert np.array_equal(mesh.boundary_elements, ref.boundary_elements)
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize("shape", ["ball", "ellipsoid", "disk"])
+def test_generators_match_loop_references(shape, degree):
+    if shape == "disk":
+        radius, h = 1.0, 0.2
+        mesh = generate_disk_mesh(radius, h, degree=degree)
+        ref = generate_disk_mesh(radius, h, degree=1)
+        projector = circle_projector(radius)
+    else:
+        radii = 1.0 if shape == "ball" else [1.0, 0.8, 0.9]
+        mesh = generate_ball_mesh(radii, 0.5, degree=degree)
+        ref = reference_ball_p1(radii, 0.5)
+        projector = ellipsoid_projector(np.broadcast_to(radii, (3,)))
+    reference_trace_check(ref)
+    if degree == 2:
+        ref = reference_elevation(ref, projector)
+        reference_trace_check(ref)
+    assert_same_mesh(mesh, ref)
+
 
 
 class TestDiskMesh:
@@ -138,6 +330,13 @@ class TestElevation:
         lin = generate_disk_mesh(1.0, 0.4, degree=1)
         with pytest.raises(GeometryError):
             elevate_to_quadratic(lin, surface_projector=lambda p: p * 3.0)
+
+    def test_boundary_edge_must_be_bulk_edge(self):
+        lin = generate_disk_mesh(1.0, 0.4)
+        facets = lin.boundary_elements.copy()
+        facets[-1] = (0, 2)
+        with pytest.raises(ValidationError, match=f"^facet {len(facets) - 1} has an edge"):
+            elevate_to_quadratic(with_facets(lin, facets))
 
     def test_boundary_first_preserved(self):
         for degree in (1, 2):
@@ -256,16 +455,43 @@ class TestBsmFormat:
         loaded = load_mesh(path)
         assert loaded.n_nodes == mesh.n_nodes
 
-    def test_trace_incompatible_facet(self, tmp_path):
-        mesh = generate_disk_mesh(1.0, 0.4)
+    @pytest.mark.parametrize("case", [
+        "p1_disk_not_an_edge", "p2_disk_foreign_midpoint", "p1_ball_not_a_face",
+    ])
+    def test_trace_incompatible_facet(self, tmp_path, case):
+        not_a_face = "is not a boundary face of exactly one bulk element"
+        if case == "p1_disk_not_an_edge":
+            mesh = generate_disk_mesh(1.0, 0.4)
+            facets = mesh.boundary_elements.copy()
+            # Two boundary nodes that are not an element edge.
+            facets[-1] = (0, 2)
+            bad, problem = len(facets) - 1, not_a_face
+        elif case == "p2_disk_foreign_midpoint":
+            mesh = generate_disk_mesh(1.0, 0.4, degree=2)
+            facets = mesh.boundary_elements.copy()
+            # Facets 0 and -1 swap midpoints: corners match, node sets do not.
+            facets[[0, -1], 2] = facets[[-1, 0], 2]
+            bad, problem = 0, "node set does not match its parent element face"
+        else:
+            mesh = generate_ball_mesh(1.0, 0.6)
+            facets = mesh.boundary_elements.copy()
+            # Replace a corner by the boundary node farthest from the first one.
+            pos = mesh.boundary_positions
+            facets[-1, 2] = np.argmax(np.linalg.norm(pos - pos[facets[-1, 0]], axis=1))
+            bad, problem = len(facets) - 1, not_a_face
+        broken = with_facets(mesh, facets)
         path = tmp_path / "trace.bsm"
-        save_mesh(mesh, path)
-        lines = path.read_text().splitlines()
-        # Facet joining two boundary nodes that are not an element edge.
-        lines[-1] = "0 2"
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(MeshFormatError):
+        save_mesh(broken, path)
+        first_facet_line = path.read_text().splitlines().index("BOUNDARY") + 2
+        line = first_facet_line + bad
+        with pytest.raises(MeshFormatError) as err:
             load_mesh(path)
+        assert str(err.value) == f"line {line}: facet {bad} {problem}"
+        assert err.value.line == line
+        facet_lines = first_facet_line + np.arange(len(facets))
+        with pytest.raises(MeshFormatError) as ref:
+            reference_trace_check(broken, facet_lines)
+        assert str(ref.value) == str(err.value)
 
 
 class TestProjectors:

@@ -6,6 +6,7 @@ import pytest
 from bulkgrow.errors import ValidationError
 from bulkgrow.refelem import (
     EDGE_VERTICES,
+    FACE_NODES,
     REFERENCE_MEASURE,
     adjugate_det,
     determinant,
@@ -125,3 +126,16 @@ def test_adjugate_det_kernel(dim):
     # The det-only path is the same expansion, bit for bit.
     assert np.array_equal(determinant(a), det)
 
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_face_table(dim):
+    nodes = local_nodes(dim, 2)
+    bary = np.hstack([1.0 - nodes.sum(axis=1, keepdims=True), nodes])
+    for omit, face in enumerate(FACE_NODES[dim]):
+        corners, mids = face[:dim], face[dim:]
+        assert list(corners) == [v for v in range(dim + 1) if v != omit]
+        # Every node of face i lies on the face (barycentric coordinate i is 0).
+        assert np.all(bary[face, omit] == 0.0)
+        # Midpoints follow the (dim-1)-simplex's edge order.
+        for mid, (a, b) in zip(mids, EDGE_VERTICES[dim - 1], strict=True):
+            assert np.array_equal(nodes[mid], (nodes[corners[a]] + nodes[corners[b]]) / 2)

@@ -66,6 +66,25 @@ def test_spd_factor_matches_pcg():
     assert np.allclose(SpdFactor(a).solve(b), solve_spd(a, b, tol=1e-11), atol=1e-8)
 
 
+def test_spd_factor_checks_each_column(monkeypatch):
+    rng = np.random.default_rng(4)
+    a = random_spd(30, rng)
+    b = rng.standard_normal((30, 2)) * [1.0, 1e6]
+    x = np.linalg.solve(a.toarray(), b)
+    # Column 0 at relative residual 1e-7; the Frobenius norm would hide it.
+    x[:, 0] += np.linalg.solve(a.toarray(), 1e-7 * np.linalg.norm(b[:, 0]) * np.eye(30)[0])
+
+    class StubLU:
+        def solve(self, rhs):
+            return x.copy()
+
+    factor = SpdFactor(a)
+    monkeypatch.setattr(factor, "_lu", StubLU())
+    with pytest.raises(SolverError) as err:
+        factor.solve(b)
+    assert err.value.residual == pytest.approx(1e-7, rel=1e-3)
+
+
 def test_cached_solver_tracks_drifting_matrices():
     rng = np.random.default_rng(2)
     base = random_spd(60, rng).toarray()

@@ -3,7 +3,8 @@ import pytest
 
 from bulkgrow.assembly import Assembler, assemble_f_u, assemble_L, assemble_system
 from bulkgrow.bdf import bdf_coefficients
-from bulkgrow.errors import GeometryError, ValidationError
+from bulkgrow import stepper as stepper_module
+from bulkgrow.errors import GeometryError, SolverError, ValidationError
 from bulkgrow.mesh import generate_disk_mesh
 from bulkgrow.oracle import RadialOracle, sphere_oracle_mesh
 from bulkgrow.sparsela import SpdFactor
@@ -352,6 +353,26 @@ class TestFullStep:
         stepper2 = Stepper(mesh, params, 2, tau)
         with pytest.raises(ValidationError):
             stepper2.step(history_short)
+
+    @pytest.mark.parametrize("target, error, stage, field, value", [
+        ("check_orientation", GeometryError, "position_update", "element", 17),
+        ("robin_solve", SolverError, "robin_solve", "residual", 1e-7),
+    ])
+    def test_step_failure_keeps_context(self, monkeypatch, target, error, stage,
+                                        field, value):
+        tau = 1e-3
+        _, mesh, params, history = oracle_setup(h=0.4, tau=tau, order=1)
+
+        def fail(*args, **kwargs):
+            raise error("stage failed", **{field: value})
+
+        monkeypatch.setattr(stepper_module, target, fail)
+        with pytest.raises(error) as err:
+            Stepper(mesh, params, 1, tau).step(history)
+        assert getattr(err.value, field) == value
+        inner = str(error("stage failed", **{field: value}))
+        time_next = history[0].time + tau
+        assert str(err.value) == f"step 1 ({stage}, t={time_next:.6g}): {inner}"
 
     def test_radial_symmetry_preserved_over_short_run(self):
         tau = 2e-3

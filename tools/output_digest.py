@@ -5,9 +5,11 @@ Usage::
     python tools/output_digest.py
 
 Runs each configuration below in-process, in a temporary directory, and
-prints one ``<sha256>  <config>/<file>`` line per output file, sorted.  Two
-checkouts that print the same lines write byte-identical simulate, converge
-and stability outputs (``manifest.json`` included), which is the check a
+prints one ``<sha256>  <config>/<file>`` line per output file, sorted.  It
+also writes the generated meshes below with ``save_mesh`` and prints one
+``<sha256>  meshes/<name>.bsm`` line each.  Two checkouts that print the same
+lines write byte-identical simulate, converge and stability outputs
+(``manifest.json`` included) and byte-identical meshes, which is the check a
 behaviour-preserving refactor must pass.  BLAS and worker thread counts are
 pinned to 1 so the digests do not depend on the host's core count.
 """
@@ -25,6 +27,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from bulkgrow.experiments import run_converge, run_simulate, run_stability  # noqa: E402
+from bulkgrow.mesh import generate_ball_mesh, generate_disk_mesh, save_mesh  # noqa: E402
 
 MODEL = {"alpha": 1.0, "beta": 1.0, "mu": 0.0, "Q": "const:1.5"}
 
@@ -67,16 +70,34 @@ CONFIGS = {
 }
 
 
+# Benchmark-size meshes: the sim3d ball, the sim2d disk, stability2d's finest
+# disk, an anisotropic ellipsoid and one P1 disk.
+MESHES = {
+    "ball_p2": lambda: generate_ball_mesh(0.97, 0.25, degree=2),
+    "disk_p2": lambda: generate_disk_mesh(1.48, 0.05, degree=2),
+    "disk_fine_p2": lambda: generate_disk_mesh(1.0, 0.0125, degree=2),
+    "ellipsoid_p2": lambda: generate_ball_mesh([1.0, 0.8, 0.9], 0.5, degree=2),
+    "disk_p1": lambda: generate_disk_mesh(1.5, 0.1, degree=1),
+}
+
+
+def _digest(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def digests():
-    """(sha256, "<config>/<file>") for every output file, sorted by name."""
+    """(sha256, name) for every output file and saved mesh, sorted by name."""
     lines = []
     with tempfile.TemporaryDirectory() as tmp:
         for name, (runner, config) in CONFIGS.items():
             outdir = Path(tmp) / name
             runner(config, str(outdir))
             for path in sorted(outdir.iterdir()):
-                lines.append((hashlib.sha256(path.read_bytes()).hexdigest(),
-                              f"{name}/{path.name}"))
+                lines.append((_digest(path), f"{name}/{path.name}"))
+        for name, generate in MESHES.items():
+            path = Path(tmp) / f"{name}.bsm"
+            save_mesh(generate(), path)
+            lines.append((_digest(path), f"meshes/{path.name}"))
     return sorted(lines, key=lambda line: line[1])
 
 

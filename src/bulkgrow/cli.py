@@ -1,7 +1,9 @@
 """Command-line driver.
 
 Subcommands: ``simulate``, ``converge``, ``stability`` and ``mesh gen`` /
-``mesh info``.  Exit code 0 on success, 2 for configuration errors, 3 for
+``mesh info``.  A run subcommand runs the config's ``run.kind`` if it is one of
+its own (``simulate`` also runs ``regularization``); any other kind is a
+configuration error.  Exit code 0 on success, 2 for configuration errors, 3 for
 numerical failures.  BULKGROW_THREADS caps worker parallelism for grid
 experiments.
 """
@@ -64,25 +66,24 @@ def _outdir(args, config):
     return outdir
 
 
-def _cmd_simulate(args):
+# Subcommand -> {run.kind: runner} for each run.kind it runs.
+RUNNERS = {
+    "simulate": {"simulate": run_simulate, "regularization": run_regularization},
+    "converge": {"converge": run_converge},
+    "stability": {"stability": run_stability},
+}
+
+
+def _cmd_run(args):
     config = load_config(args.config)
-    outdir = _outdir(args, config)
-    if config["run"]["kind"] == "regularization":
-        run_regularization(config, outdir)
-    else:
-        run_simulate(config, outdir)
-    return EXIT_OK
-
-
-def _cmd_converge(args):
-    config = load_config(args.config)
-    run_converge(config, _outdir(args, config))
-    return EXIT_OK
-
-
-def _cmd_stability(args):
-    config = load_config(args.config)
-    run_stability(config, _outdir(args, config))
+    kind = config["run"]["kind"]
+    runners = RUNNERS[args.command]
+    if kind not in runners:
+        owner = next(name for name, kinds in RUNNERS.items() if kind in kinds)
+        raise ConfigError(
+            f"run.kind={kind} runs under 'bulkgrow {owner}', not 'bulkgrow {args.command}'"
+        )
+    runners[kind](config, _outdir(args, config))
     return EXIT_OK
 
 
@@ -108,14 +109,9 @@ def _cmd_mesh(args):
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "simulate": _cmd_simulate,
-        "converge": _cmd_converge,
-        "stability": _cmd_stability,
-        "mesh": _cmd_mesh,
-    }
+    handler = _cmd_mesh if args.command == "mesh" else _cmd_run
     try:
-        return handlers[args.command](args)
+        return handler(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -17,9 +17,7 @@ import re
 import numpy as np
 
 from . import __version__
-from .assembly import Assembler
-from .bdf import bdf_coefficients
-from .errors import BulkgrowError, ConfigError, ValidationError
+from .errors import BulkgrowError, ConfigError
 from .mesh import (
     boundary_element_measures,
     bulk_element_measures,
@@ -198,6 +196,8 @@ def validate_config(config):
                "run.mu_values must be nonnegative numbers")
     _check(run.get("mode", "both") in ("dirichlet", "robin", "both"),
            "run.mode must be dirichlet, robin or both")
+    _check(run.get("seed_mode", "auto") in ("auto", "oracle", "bootstrap"),
+           "run.seed_mode must be auto, oracle or bootstrap")
     _check(isinstance(run.get("outputs", ""), str), "run.outputs must be a path")
     return config
 
@@ -244,14 +244,17 @@ def build_geometry(geometry, degree):
 
 
 def build_params(config, mesh, mu=None):
+    """Model constants; the source must be finite on the initial boundary."""
     model = config["model"]
+    source = parse_source(model.get("Q", 0.0))
+    with np.errstate(all="ignore"):
+        finite = np.isfinite(source(mesh.boundary_positions, 0.0)).all()
+    _check(finite, "model.Q is not finite on the initial boundary")
     return ModelParams(
         alpha=float(model["alpha"]),
         beta=float(model["beta"]),
         mu=float(model.get("mu", 0.0)) if mu is None else float(mu),
-        source=parse_source(model.get("Q", 0.0)),
-        degree_k=mesh.degree_k,
-        dim_m=mesh.dim_m,
+        source=source,
     )
 
 
@@ -282,14 +285,26 @@ def seed_history(config, mesh, params, tau, order, normal, curvature):
     otherwise a low-order bootstrap."""
     mode = config["run"].get("seed_mode", "auto")
     oracle = compatible_oracle(config, mesh)
-    if mode not in ("auto", "oracle", "bootstrap"):
-        raise ConfigError("run.seed_mode must be auto, oracle or bootstrap")
     if mode == "oracle" and oracle is None:
         raise ConfigError("run.seed_mode=oracle requires sphere data, "
                           "constant Q and mu=0")
     if oracle is not None and mode != "bootstrap":
-        return oracle.seed_history(mesh, tau, order), oracle
-    return bootstrap_history(mesh, params, tau, order, normal, curvature), oracle
+        return oracle.seed_history(mesh, tau, order)
+    return bootstrap_history(mesh, params, tau, order, normal, curvature)
+
+
+def _time_grid(disc):
+    """(k, q, tau, n_steps) of a discretization section or a convergence cell."""
+    tau = float(disc["tau"])
+    n_steps = int(round(float(disc["T"]) / tau))
+    return int(disc.get("k", 2)), int(disc.get("q", 2)), tau, n_steps
+
+
+def _sampler(n_steps, count):
+    """Predicate on step indices 0..n_steps-1: about ``count`` evenly spaced
+    steps, always including the last."""
+    every = max(1, n_steps // max(count, 1))
+    return lambda k: (k + 1) % every == 0 or k + 1 == n_steps
 
 
 def write_manifest(outdir, config, mesh, extra=None):
@@ -332,40 +347,30 @@ _DIAG_COLUMNS = [
 def run_simulate(config, outdir):
     """Time-step to the final time, writing snapshots and diagnostics."""
     os.makedirs(outdir, exist_ok=True)
-    disc = config["discretization"]
-    degree = int(disc.get("k", 2))
-    order = int(disc.get("q", 2))
-    tau = float(disc["tau"])
-    t_end = float(disc["T"])
+    degree, order, tau, n_steps = _time_grid(config["discretization"])
     mesh, normal, curvature = build_geometry(config["geometry"], degree)
     params = build_params(config, mesh)
-    history, _ = seed_history(config, mesh, params, tau, order, normal, curvature)
-    n_steps = int(round(t_end / tau))
-    n_snapshots = int(config["run"].get("snapshots", 20))
-    snap_every = max(1, n_steps // max(n_snapshots, 1))
-
-    stepper = Stepper(mesh, params, order, tau)
+    history = seed_history(config, mesh, params, tau, order, normal, curvature)
+    keep = _sampler(n_steps, int(config["run"].get("snapshots", 20)))
     diag_rows = []
-    snap_index = [0]
 
     def snapshot(state):
         mesh_now = displace(mesh, state.positions)
+        tag = f"{len(diag_rows):04d}"
         diag_rows.append(_diagnostics_row(mesh_now, state))
-        tag = f"{snap_index[0]:04d}"
         write_vtk(os.path.join(outdir, f"snapshot_{tag}.vtk"), mesh_now, state)
         write_surface_vtk(
             os.path.join(outdir, f"surface_{tag}.vtk"), mesh_now, state
         )
-        snap_index[0] += 1
+
+    def observer(step, state):
+        if keep(step):
+            snapshot(state)
 
     snapshot(history[0])
     aborted = None
     try:
-        for step in range(1, n_steps + 1):
-            state = stepper.step(history)
-            history.push(state)
-            if step % snap_every == 0 or step == n_steps:
-                snapshot(state)
+        evolve(Stepper(mesh, params, order, tau), history, n_steps, observer)
     except BulkgrowError as exc:
         # Flush the last successful state before propagating.
         snapshot(history[0])
@@ -381,40 +386,33 @@ def run_simulate(config, outdir):
 def run_convergence_cell(cell):
     """One (h, tau) cell of the radial convergence study; picklable worker.
 
+    The cell holds the ``oracle`` (a RadialOracle), the mesh size ``h``, the
+    discretization keys ``k``, ``q``, ``tau``, ``T`` and ``error_samples``.
     The run is seeded from the exact solution and errors are sampled against
     the nodal interpolation of the exact solution at ``error_samples``
     uniformly spaced steps.
     """
-    oracle = RadialOracle(
-        dim_m=int(cell["m"]),
-        initial_radius=float(cell["R0"]),
-        source=float(cell["Q"]),
-        alpha=float(cell["alpha"]),
-        beta=float(cell["beta"]),
-    )
+    oracle = cell["oracle"]
+    degree, order, tau, n_steps = _time_grid(cell)
     # Imported per call: bench/ times set-up by replacing this name in
     # bulkgrow.oracle.
     from .oracle import sphere_oracle_mesh
 
-    mesh = sphere_oracle_mesh(oracle, float(cell["h"]), degree=int(cell["k"]))
+    mesh = sphere_oracle_mesh(oracle, float(cell["h"]), degree=degree)
     params = ModelParams(
         alpha=oracle.alpha, beta=oracle.beta, mu=0.0,
         source=constant_source(oracle.source),
-        degree_k=mesh.degree_k, dim_m=mesh.dim_m,
     )
-    tau = float(cell["tau"])
-    order = int(cell["q"])
-    n_steps = int(round(float(cell["T"]) / tau))
     history = oracle.seed_history(mesh, tau, order)
     stepper = Stepper(mesh, params, order, tau)
     report = ErrorReport(
         mesh_size_h=mesh.mesh_size_h, tau=tau, order=order,
         params={"alpha": oracle.alpha, "beta": oracle.beta},
     )
-    sample_every = max(1, n_steps // int(cell.get("error_samples", 40)))
+    keep = _sampler(n_steps, int(cell.get("error_samples", 40)))
 
     def observer(step, state):
-        if (step + 1) % sample_every == 0 or step + 1 == n_steps:
+        if keep(step):
             mats = stepper.assembler.system(state.positions)
             report.add(state.time, oracle_errors(state, oracle, mesh, mats))
 
@@ -469,9 +467,8 @@ def run_converge(config, outdir):
     disc = config["discretization"]
     run = config["run"]
     geometry = config["geometry"]
-    mesh_probe, _, _ = build_geometry(
-        {**geometry, "h": geometry.get("h", 0.4)}, int(disc.get("k", 2))
-    )
+    degree, order, _, _ = _time_grid(disc)
+    mesh_probe, _, _ = build_geometry({**geometry, "h": geometry.get("h", 0.4)}, degree)
     oracle = compatible_oracle(config, mesh_probe)
     if oracle is None:
         raise ConfigError(
@@ -482,35 +479,23 @@ def run_converge(config, outdir):
         base = float(geometry["h"])
         h_levels = [base / 2 ** j for j in range(int(run.get("levels", 4)))]
     tau_levels = run.get("tau_levels", [float(disc["tau"])])
-    cells = []
-    for h in h_levels:
-        for tau in tau_levels:
-            cells.append(
-                {
-                    "m": mesh_probe.dim_m,
-                    "k": int(disc.get("k", 2)),
-                    "q": int(disc.get("q", 2)),
-                    "alpha": float(config["model"]["alpha"]),
-                    "beta": float(config["model"]["beta"]),
-                    "Q": _constant_source_value(config["model"].get("Q", 0.0)),
-                    "R0": oracle.initial_radius,
-                    "h": float(h),
-                    "tau": float(tau),
-                    "T": float(disc["T"]),
-                    "error_samples": int(run.get("error_samples", 40)),
-                }
-            )
+    cells = [
+        {"oracle": oracle, "k": degree, "q": order, "h": float(h), "tau": float(tau),
+         "T": float(disc["T"]), "error_samples": int(run.get("error_samples", 40))}
+        for h in h_levels
+        for tau in tau_levels
+    ]
     workers = worker_count()
     if workers > 1 and len(cells) > 1:
         # Dispatch expensive cells first so workers stay balanced.
         def cost(cell):
-            return (1.0 / cell["h"]) ** (cell["m"] + 1) * cell["T"] / cell["tau"]
+            return (1.0 / cell["h"]) ** (oracle.dim_m + 1) * cell["T"] / cell["tau"]
 
-        order = sorted(range(len(cells)), key=lambda i: -cost(cells[i]))
+        dispatch = sorted(range(len(cells)), key=lambda i: -cost(cells[i]))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(run_convergence_cell, [cells[i] for i in order]))
+            done = list(pool.map(run_convergence_cell, [cells[i] for i in dispatch]))
         rows = [None] * len(cells)
-        for pos, i in enumerate(order):
+        for pos, i in enumerate(dispatch):
             rows[i] = done[pos]
     else:
         rows = [run_convergence_cell(cell) for cell in cells]
@@ -578,35 +563,28 @@ def run_regularization(config, outdir):
     regularization.
     """
     os.makedirs(outdir, exist_ok=True)
-    disc = config["discretization"]
-    degree = int(disc.get("k", 2))
-    order = int(disc.get("q", 2))
-    tau = float(disc["tau"])
-    t_end = float(disc["T"])
+    degree, order, tau, n_steps = _time_grid(config["discretization"])
     mu_values = [float(v) for v in config["run"].get("mu_values", [0.0, 0.01, 0.1, 1.0])]
     if 0.0 not in mu_values:
         mu_values = [0.0] + mu_values
     mesh, normal, curvature = build_geometry(config["geometry"], degree)
-    n_steps = int(round(t_end / tau))
-    n_snapshots = int(config["run"].get("snapshots", 10))
-    snap_every = max(1, n_steps // max(n_snapshots, 1))
+    keep = _sampler(n_steps, int(config["run"].get("snapshots", 10)))
+    ng = mesh.n_boundary
 
     traces = {}
     for mu in mu_values:
         params = build_params(config, mesh, mu=mu)
         history = bootstrap_history(mesh, params, tau, order, normal, curvature)
-        stepper = Stepper(mesh, params, order, tau)
         samples = []
 
         def observer(step, state):
-            if (step + 1) % snap_every == 0 or step + 1 == n_steps:
-                ng = mesh.n_boundary
+            if keep(step):
                 samples.append(
                     (state.time, state.positions[:ng].copy(),
                      state.pressure[:ng].copy())
                 )
 
-        evolve(stepper, history, n_steps, observer)
+        evolve(Stepper(mesh, params, order, tau), history, n_steps, observer)
         traces[mu] = samples
 
     base = traces[0.0]

@@ -281,54 +281,37 @@ def generate_disk_mesh(radius, target_h, degree=1):
             f"(cap {MAX_GENERATED_NODES})"
         )
 
-    n_bnd = 6 * rings
-    center = n_bnd
-
-    def ring_start(j):
-        # ring M occupies [0, 6M); interior ring j starts after the center node
-        return n_bnd + 1 + 3 * j * (j - 1)
-
-    def node_id(j, p):
-        if j == 0:
-            return center
-        if j == rings:
-            return p % n_bnd
-        return ring_start(j) + p % (6 * j)
+    # Natural numbering: the centre is 0, ring j holds nodes 1 + 3j(j-1) + p
+    # for p in [0, 6j) at angles 2 pi p / 6j; the renumbering below moves the
+    # outer ring to the front.
+    def node(j, p):
+        return np.where(j == 0, 0, 1 + 3 * j * (j - 1) + p % np.maximum(6 * j, 1))
 
     n_nodes = 1 + 3 * rings * (rings + 1)
-    pos = np.empty((n_nodes, 2))
-    pos[center] = 0.0
-    for j in range(1, rings + 1):
-        r = radius * j / rings
-        p = np.arange(6 * j)
-        theta = 2.0 * np.pi * p / (6 * j)
-        ids = np.array([node_id(j, int(q)) for q in p])
-        pos[ids, 0] = r * np.cos(theta)
-        pos[ids, 1] = r * np.sin(theta)
+    ring = np.repeat(np.arange(1, rings + 1), 6 * np.arange(1, rings + 1))
+    p = np.arange(n_nodes - 1) - 3 * ring * (ring - 1)
+    theta = 2.0 * np.pi * p / (6 * ring)
+    r = radius * ring / rings
+    pos = np.zeros((n_nodes, 2))
+    pos[1:, 0] = r * np.cos(theta)
+    pos[1:, 1] = r * np.sin(theta)
 
-    tris = []
-    for p in range(6):
-        tris.append((node_id(1, p), node_id(1, p + 1), center))
-    for j in range(2, rings + 1):
-        for s in range(6):
-            for p in range(j):
-                o0 = node_id(j, s * j + p)
-                o1 = node_id(j, s * j + p + 1)
-                i0 = node_id(j - 1, s * (j - 1) + p)
-                tris.append((o0, o1, i0))
-                if p < j - 1:
-                    i1 = node_id(j - 1, s * (j - 1) + p + 1)
-                    tris.append((o1, i1, i0))
-    segments = [(p, (p + 1) % n_bnd) for p in range(n_bnd)]
+    # Sector s of ring j is a strip of 2j - 1 triangles between rings j and
+    # j - 1: slot t is an outward triangle (o0, o1, i0) for even t and an
+    # inward one (o1, i1, i0) for odd t, with p = t // 2.
+    slots = 6 * (2 * np.arange(1, rings + 1) - 1)
+    j = np.repeat(np.arange(1, rings + 1), slots)
+    local = np.arange(j.size) - np.repeat(np.cumsum(slots) - slots, slots)
+    s, t = np.divmod(local, 2 * j - 1)
+    p, inward = np.divmod(t, 2)
+    o0, o1 = node(j, s * j + p), node(j, s * j + p + 1)
+    i0, i1 = node(j - 1, s * (j - 1) + p), node(j - 1, s * (j - 1) + p + 1)
+    tris = np.where(inward[:, None] == 1, np.stack([o1, i1, i0], 1),
+                    np.stack([o0, o1, i0], 1))
+    p = np.arange(6 * rings)
+    segments = np.stack([node(rings, p), node(rings, p + 1)], 1)
 
-    mesh = BulkSurfaceMesh(
-        dim_m=1,
-        degree_k=1,
-        node_positions=pos,
-        n_boundary=n_bnd,
-        bulk_elements=np.array(tris, dtype=np.int32),
-        boundary_elements=np.array(segments, dtype=np.int32),
-    )
+    mesh = _renumber_boundary_first(dim_m=1, positions=pos, bulk=tris, boundary=segments)
     validate_mesh(mesh)
     if degree == 2:
         mesh = elevate_to_quadratic(mesh, circle_projector(radius))

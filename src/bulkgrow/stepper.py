@@ -15,7 +15,7 @@ import numpy as np
 from .assembly import Assembler, assemble_f_u, assemble_L
 from .bdf import bdf_coefficients, extrapolate, weighted_sum
 from .errors import BulkgrowError, ValidationError
-from .mesh import check_orientation, displace
+from .mesh import check_orientation
 from .sparsela import CachedSpdSolver, SpdFactor, dirichlet_extension, solve_spd
 
 
@@ -30,8 +30,6 @@ class ModelParams:
     beta: float
     mu: float = 0.0
     source: callable = None
-    degree_k: int = 2
-    dim_m: int = 2
 
     def __post_init__(self):
         if self.alpha <= 0:
@@ -288,10 +286,6 @@ class Stepper:
             normal_speed=speed,
             velocity=velocity,
         )
-
-    def mesh_at(self, state):
-        """Mesh object of a state's configuration."""
-        return displace(self.mesh, state.positions)
 
 
 def evolve(stepper, history, n_steps, observer=None):

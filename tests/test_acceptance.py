@@ -15,9 +15,11 @@ import pytest
 
 from bulkgrow.experiments import run_convergence_cell
 from bulkgrow.norms import estimated_orders
+from bulkgrow.oracle import RadialOracle
 
-BASE_CELL = {"m": 1, "k": 2, "q": 2, "alpha": 1.0, "beta": 1.0, "Q": 1.5,
-             "R0": 1.5, "T": 0.2, "error_samples": 20}
+BASE_CELL = {"oracle": RadialOracle(dim_m=1, initial_radius=1.5, source=1.5,
+                                    alpha=1.0, beta=1.0),
+             "k": 2, "q": 2, "T": 0.2, "error_samples": 20}
 RATE = 2.0
 RATE_TOL = 0.3
 

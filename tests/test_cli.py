@@ -81,6 +81,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             validate_config(config)
 
+    def test_bad_seed_mode(self, tmp_path):
+        config = disk_config(tmp_path, run={"seed_mode": "exact"})
+        with pytest.raises(ConfigError, match="seed_mode"):
+            validate_config(config)
+
     def test_load_config_bad_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -144,6 +149,21 @@ class TestConverge:
         table = read_csv(tmp_path / "conv" / "converge.csv")
         assert table[0]["eoc_h_u"] == ""
         assert float(table[1]["eoc_h_u"]) > 1.0  # refinement helps
+
+    def test_worker_pool_matches_serial(self, tmp_path, monkeypatch):
+        config = disk_config(
+            tmp_path,
+            discretization={"tau": 2e-3, "T": 0.01},
+            run={"kind": "converge", "h_levels": [0.5, 0.25],
+                 "tau_levels": [2e-3, 1e-3], "error_samples": 3},
+        )
+        outputs = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("BULKGROW_THREADS", threads)
+            outdir = tmp_path / f"threads{threads}"
+            run_converge(config, str(outdir))
+            outputs[threads] = (outdir / "converge.csv").read_bytes()
+        assert outputs["2"] == outputs["1"]
 
     def test_requires_oracle_compatible_setup(self, tmp_path):
         config = disk_config(tmp_path, model={"mu": 0.5},
@@ -226,6 +246,7 @@ class TestCliEntry:
         {"model": {"Q": "expr:9**9**9"}},
         {"model": {"Q": "expr:x+"}},
         {"model": {"Q": "expr:1/x"}},
+        {"model": {"Q": "expr:1/(x-1.5)"}},  # infinite at the boundary point (1.5, 0)
         {"geometry": {"h": "abc"}},
         {"geometry": {"h": 2.0}},
         {"geometry": {"radii": ["1.5"]}},
@@ -240,6 +261,26 @@ class TestCliEntry:
     def test_malformed_config_exit_code(self, tmp_path, overrides):
         path = write_config(tmp_path, disk_config(tmp_path, **overrides))
         assert main(["simulate", str(path)]) == 2
+
+    @pytest.mark.parametrize("command, run_kind, geometry", [
+        ("simulate", "converge", "disk"),
+        ("simulate", "stability", "disk"),
+        ("converge", "simulate", "disk"),
+        ("converge", "regularization", "disk"),
+        ("converge", "stability", "disk"),
+        ("stability", "simulate", "disk"),
+        ("stability", "simulate", "file"),
+        ("stability", "regularization", "disk"),
+        ("stability", "converge", "disk"),
+    ])
+    def test_subcommand_must_match_run_kind(self, tmp_path, command, run_kind, geometry):
+        config = disk_config(tmp_path, run={"kind": run_kind})
+        if geometry == "file":
+            config["geometry"] = {"kind": "file", "path": "disk.bsm"}
+        validate_config(config)  # valid on its own; only the subcommand is wrong
+        path = write_config(tmp_path, config)
+        assert main([command, str(path)]) == 2
+        assert not (tmp_path / "out").exists()
 
     def test_numerical_failure_keeps_type_and_flushes(self, tmp_path, monkeypatch):
         original = Stepper.step

@@ -79,6 +79,59 @@ def reference_trace_check(mesh, facet_lines=None):
             )
 
 
+def reference_disk_p1(radius, target_h):
+    """Degree-1 generate_disk_mesh with the per-triangle ring loop and the
+    boundary-first numbering built in."""
+    rings = max(1, math.ceil(radius / target_h))
+    n_bnd = 6 * rings
+    center = n_bnd
+
+    def ring_start(j):
+        # ring M occupies [0, 6M); interior ring j starts after the center node
+        return n_bnd + 1 + 3 * j * (j - 1)
+
+    def node_id(j, p):
+        if j == 0:
+            return center
+        if j == rings:
+            return p % n_bnd
+        return ring_start(j) + p % (6 * j)
+
+    n_nodes = 1 + 3 * rings * (rings + 1)
+    pos = np.empty((n_nodes, 2))
+    pos[center] = 0.0
+    for j in range(1, rings + 1):
+        r = radius * j / rings
+        p = np.arange(6 * j)
+        theta = 2.0 * np.pi * p / (6 * j)
+        ids = np.array([node_id(j, int(q)) for q in p])
+        pos[ids, 0] = r * np.cos(theta)
+        pos[ids, 1] = r * np.sin(theta)
+
+    tris = []
+    for p in range(6):
+        tris.append((node_id(1, p), node_id(1, p + 1), center))
+    for j in range(2, rings + 1):
+        for s in range(6):
+            for p in range(j):
+                o0 = node_id(j, s * j + p)
+                o1 = node_id(j, s * j + p + 1)
+                i0 = node_id(j - 1, s * (j - 1) + p)
+                tris.append((o0, o1, i0))
+                if p < j - 1:
+                    i1 = node_id(j - 1, s * (j - 1) + p + 1)
+                    tris.append((o1, i1, i0))
+    segments = [(p, (p + 1) % n_bnd) for p in range(n_bnd)]
+    return BulkSurfaceMesh(
+        dim_m=1,
+        degree_k=1,
+        node_positions=pos,
+        n_boundary=n_bnd,
+        bulk_elements=np.array(tris, dtype=np.int32),
+        boundary_elements=np.array(segments, dtype=np.int32),
+    )
+
+
 def reference_ball_p1(radii, target_h):
     """Degree-1 generate_ball_mesh with the Kuhn loop, face dict and orientation loop."""
     radii = np.asarray(radii, dtype=float)
@@ -203,7 +256,7 @@ def test_generators_match_loop_references(shape, degree):
     if shape == "disk":
         radius, h = 1.0, 0.2
         mesh = generate_disk_mesh(radius, h, degree=degree)
-        ref = generate_disk_mesh(radius, h, degree=1)
+        ref = reference_disk_p1(radius, h)
         projector = circle_projector(radius)
     else:
         radii = 1.0 if shape == "ball" else [1.0, 0.8, 0.9]

@@ -30,7 +30,7 @@ from bulkgrow.stepper import (
 
 def disk_params(alpha=1.0, beta=1.0, mu=0.0, q_value=1.5):
     return ModelParams(alpha=alpha, beta=beta, mu=mu,
-                       source=constant_source(q_value), degree_k=2, dim_m=1)
+                       source=constant_source(q_value))
 
 
 def oracle_setup(h=0.3, tau=1e-3, order=2, m=1):
@@ -38,7 +38,7 @@ def oracle_setup(h=0.3, tau=1e-3, order=2, m=1):
                           alpha=1.0, beta=1.0)
     mesh = sphere_oracle_mesh(oracle, h, degree=2)
     params = ModelParams(alpha=1.0, beta=1.0, mu=0.0,
-                         source=constant_source(1.5), degree_k=2, dim_m=m)
+                         source=constant_source(1.5))
     return oracle, mesh, params, oracle.seed_history(mesh, tau, order)
 
 
@@ -243,7 +243,7 @@ class TestVelocityLaw:
         u_gamma = np.full(4, 1.5 + 2.0 - 1.0 / 3.0)
         curvature = np.full(4, 2.0)
         normal = np.tile([0.0, 0.0, 1.0], (4, 1))
-        params = ModelParams(alpha=1.0, beta=1.0, dim_m=2)
+        params = ModelParams(alpha=1.0, beta=1.0)
         speed, v_gamma = velocity_law(u_gamma, curvature, normal, params)
         assert np.allclose(speed, 1.5 - 1.0 / 3.0)
         assert np.allclose(v_gamma[:, 2], speed)
@@ -311,7 +311,7 @@ class TestFullStep:
                               alpha=1.0, beta=1.0)
         mesh = sphere_oracle_mesh(oracle, 0.4, degree=2)
         params = ModelParams(alpha=1.0, beta=1.0, mu=0.0,
-                             source=constant_source(1.5), degree_k=2, dim_m=1)
+                             source=constant_source(1.5))
         history = History([oracle.seed_state(mesh, 0.0)])
         stepper = Stepper(mesh, params, 1, tau)
         state = stepper.step(history)

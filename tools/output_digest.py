@@ -8,9 +8,9 @@ Runs each configuration below in-process, in a temporary directory, and
 prints one ``<sha256>  <config>/<file>`` line per output file, sorted.  It
 also writes the generated meshes below with ``save_mesh`` and prints one
 ``<sha256>  meshes/<name>.bsm`` line each.  Two checkouts that print the same
-lines write byte-identical simulate, converge and stability outputs
-(``manifest.json`` included) and byte-identical meshes, which is the check a
-behaviour-preserving refactor must pass.  BLAS and worker thread counts are
+lines write byte-identical simulate, converge, stability and regularization
+outputs (``manifest.json`` included) and byte-identical meshes, which is the
+check a behaviour-preserving refactor must pass.  BLAS and worker thread counts are
 pinned to 1 so the digests do not depend on the host's core count.
 """
 
@@ -26,7 +26,12 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from bulkgrow.experiments import run_converge, run_simulate, run_stability  # noqa: E402
+from bulkgrow.experiments import (  # noqa: E402
+    run_converge,
+    run_regularization,
+    run_simulate,
+    run_stability,
+)
 from bulkgrow.mesh import generate_ball_mesh, generate_disk_mesh, save_mesh  # noqa: E402
 
 MODEL = {"alpha": 1.0, "beta": 1.0, "mu": 0.0, "Q": "const:1.5"}
@@ -66,6 +71,11 @@ CONFIGS = {
         {"k": 2, "q": 2, "tau": 1e-3, "T": 0.0},
         {"kind": "stability", "levels": 3, "samples": 10, "boost_iters": 10,
          "mode": "both", "seed": 0},
+    )),
+    "regularization_ellipsoid": (run_regularization, _config(
+        {"kind": "ellipsoid", "radii": [1.0, 0.8, 0.9], "h": 0.5},
+        {"k": 2, "q": 2, "tau": 1e-3, "T": 0.004},
+        {"kind": "regularization", "mu_values": [0.0, 0.1], "snapshots": 2},
     )),
 }
 

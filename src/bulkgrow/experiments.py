@@ -141,13 +141,28 @@ def _check(ok, message):
         raise ConfigError(message)
 
 
+# The keys of each config section; any other key is a configuration error.
+CONFIG_KEYS = {
+    "model": {"alpha", "beta", "mu", "Q"},
+    "geometry": {"kind", "radii", "radius", "h", "path"},
+    "discretization": {"k", "q", "tau", "T"},
+    "run": {"kind", "outputs", "seed_mode", "snapshots", "h_levels", "tau_levels",
+            "levels", "error_samples", "samples", "seed", "boost_iters", "mode",
+            "mu_values"},
+}
+
+
 def validate_config(config):
     """Check every field a runner reads; ConfigError names the first bad one."""
     _check(isinstance(config, dict), "config must be a JSON object")
-    for section in ("model", "geometry", "discretization", "run"):
+    for section in CONFIG_KEYS:
         _check(section in config, f"missing config section {section!r}")
         _check(isinstance(config[section], dict),
                f"config section {section!r} must be a JSON object")
+    unknown = sorted(set(config) - set(CONFIG_KEYS)) + sorted(
+        f"{section}.{key}" for section, keys in CONFIG_KEYS.items()
+        for key in set(config[section]) - keys)
+    _check(not unknown, f"unknown config keys: {', '.join(unknown)}")
     model = config["model"]
     for key in ("alpha", "beta"):
         _check(_is_number(model.get(key)) and model[key] > 0,
@@ -167,21 +182,27 @@ def validate_config(config):
                "stability sweeps refine generated meshes, not geometry.kind=file")
     else:
         _check("h" in geometry, "geometry.h required for generated meshes")
-        radius = min(_geometry_radii(geometry))
+        radii = _geometry_radii(geometry)
+        _check(len(radii) == 1 or (len(radii) == 3 and geometry["kind"] != "disk"),
+               "geometry.radii: one for a disk, one or three for a ball or ellipsoid")
+        radius = min(radii)
         for h in [geometry["h"]] + _number_list(run, "h_levels"):
             _check(_is_number(h) and 0 < h < radius,
                    f"mesh sizes must be positive and below the radius {radius:g}")
 
     disc = config["discretization"]
-    k, q = disc.get("k", 2), disc.get("q", 2)
-    _check(_is_number(k, integer=True) and k in (1, 2),
-           "discretization.k must be 1 or 2")
-    _check(_is_number(q, integer=True) and 1 <= q <= 6,
-           "discretization.q must be an integer in 1..6")
-    for tau in [disc.get("tau")] + _number_list(run, "tau_levels"):
+    if "k" in disc:
+        _check(_is_number(disc["k"], integer=True) and disc["k"] in (1, 2),
+               "discretization.k must be 1 or 2")
+    if "q" in disc:
+        _check(_is_number(disc["q"], integer=True) and 1 <= disc["q"] <= 6,
+               "discretization.q must be an integer in 1..6")
+    # Stability sweeps do not time-step, so only they may leave tau and T out.
+    stepping = run.get("kind") != "stability"
+    taus = [disc.get("tau")] if stepping or "tau" in disc else []
+    for tau in taus + _number_list(run, "tau_levels"):
         _check(_is_number(tau) and tau > 0, "time steps must be positive numbers")
-    # Stability sweeps do not time-step, so only they may leave T out.
-    end = disc.get("T", 0.0 if run.get("kind") == "stability" else None)
+    end = disc.get("T", None if stepping else 0.0)
     _check(_is_number(end) and end >= 0, "discretization.T must be a nonnegative number")
 
     _check(run.get("kind") in ("simulate", "converge", "stability", "regularization"),
@@ -235,8 +256,6 @@ def build_geometry(geometry, degree):
     else:
         if len(radii) == 1:
             radii = radii * 3
-        if len(radii) != 3:
-            raise ConfigError("ball/ellipsoid geometry needs 1 or 3 radii")
         mesh = generate_ball_mesh(radii, h, degree=degree)
         full_radii = tuple(radii)
     normal, curvature = ellipsoid_surface_fields(mesh.boundary_positions, full_radii)
@@ -293,11 +312,16 @@ def seed_history(config, mesh, params, tau, order, normal, curvature):
     return bootstrap_history(mesh, params, tau, order, normal, curvature)
 
 
+def _degree(disc):
+    """Element degree k of a discretization section or a convergence cell."""
+    return int(disc.get("k", 2))
+
+
 def _time_grid(disc):
     """(k, q, tau, n_steps) of a discretization section or a convergence cell."""
     tau = float(disc["tau"])
     n_steps = int(round(float(disc["T"]) / tau))
-    return int(disc.get("k", 2)), int(disc.get("q", 2)), tau, n_steps
+    return _degree(disc), int(disc.get("q", 2)), tau, n_steps
 
 
 def _sampler(n_steps, count):
@@ -346,11 +370,11 @@ _DIAG_COLUMNS = [
 
 def run_simulate(config, outdir):
     """Time-step to the final time, writing snapshots and diagnostics."""
-    os.makedirs(outdir, exist_ok=True)
     degree, order, tau, n_steps = _time_grid(config["discretization"])
     mesh, normal, curvature = build_geometry(config["geometry"], degree)
     params = build_params(config, mesh)
     history = seed_history(config, mesh, params, tau, order, normal, curvature)
+    os.makedirs(outdir, exist_ok=True)  # after set-up: a bad config leaves none
     keep = _sampler(n_steps, int(config["run"].get("snapshots", 20)))
     diag_rows = []
 
@@ -405,16 +429,13 @@ def run_convergence_cell(cell):
     )
     history = oracle.seed_history(mesh, tau, order)
     stepper = Stepper(mesh, params, order, tau)
-    report = ErrorReport(
-        mesh_size_h=mesh.mesh_size_h, tau=tau, order=order,
-        params={"alpha": oracle.alpha, "beta": oracle.beta},
-    )
+    report = ErrorReport()
     keep = _sampler(n_steps, int(cell.get("error_samples", 40)))
 
     def observer(step, state):
         if keep(step):
             mats = stepper.assembler.system(state.positions)
-            report.add(state.time, oracle_errors(state, oracle, mesh, mats))
+            report.add(oracle_errors(state, oracle, mesh, mats))
 
     evolve(stepper, history, n_steps, observer)
     sup = report.sup_errors()
@@ -513,7 +534,7 @@ def run_stability(config, outdir):
     os.makedirs(outdir, exist_ok=True)
     geometry = config["geometry"]
     run = config["run"]
-    degree = int(config["discretization"].get("k", 1))
+    degree = _degree(config["discretization"])
     levels = int(run.get("levels", 4))
     samples = int(run.get("samples", 20))
     seed = int(run.get("seed", 0))

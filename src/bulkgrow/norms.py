@@ -45,14 +45,14 @@ def norm_K(values, matrices, which="bulk"):
     return np.sqrt(max(_quadratic_form(matrix, values), 0.0))
 
 
-def norm_L(values, matrices, alpha=1.0, mu=1.0):
+def norm_L(values, matrices):
     """Combined bulk H1 / boundary H1 energy norm sqrt(e^T L e).
 
-    With unit coefficients this is equivalent to the H1(bulk) norm plus the
-    H1(boundary) norm of the trace, the norm in which pressure errors are
+    L has unit coefficients, so this is equivalent to the H1(bulk) norm plus
+    the H1(boundary) norm of the trace, the norm in which pressure errors are
     reported.
     """
-    return np.sqrt(max(_quadratic_form(assemble_L(matrices, alpha, mu), values), 0.0))
+    return np.sqrt(max(_quadratic_form(assemble_L(matrices, 1.0, 1.0), values), 0.0))
 
 
 def surface_spectrum(mass_surf, stiff_surf):
@@ -135,17 +135,11 @@ ERROR_QUANTITIES = ("u", "x", "v", "nu", "H")
 class ErrorReport:
     """Sampled errors of one run plus sup-in-time aggregates."""
 
-    mesh_size_h: float
-    tau: float
-    order: int
-    params: dict
-    times: list = field(default_factory=list)
     samples: list = field(default_factory=list)
 
-    def add(self, time, errors):
+    def add(self, errors):
         if any(errors[q] < 0 for q in ERROR_QUANTITIES):
             raise ValidationError("error values must be nonnegative")
-        self.times.append(float(time))
         self.samples.append({q: float(errors[q]) for q in ERROR_QUANTITIES})
 
     def sup_errors(self):

@@ -79,16 +79,16 @@ class RadialOracle:
         """Mean curvature m / R(t) (sum of principal curvatures)."""
         return self.dim_m / self.radius(t)
 
-    def geometry_fields(self, points, t, rel_tol=1e-8):
+    def geometry_fields(self, points, t):
         """Exact (normal, curvature, speed, velocity) at points on the sphere.
 
-        Points must lie on the sphere of radius R(t) within ``rel_tol``.
+        Points must lie on the sphere of radius R(t) within a relative 1e-8.
         Returns (nu, H, V, v) with nu and v of shape (n, m+1).
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         radius = self.radius(t)
         dist = np.linalg.norm(pts, axis=1)
-        if np.any(np.abs(dist - radius) > rel_tol * radius):
+        if np.any(np.abs(dist - radius) > 1e-8 * radius):
             raise ValidationError("point does not lie on the sphere")
         nu = pts / radius
         n = pts.shape[0]
@@ -96,9 +96,9 @@ class RadialOracle:
         speed = np.full(n, self.normal_speed(t))
         return nu, curvature, speed, speed[:, None] * nu
 
-    def exact_positions(self, reference_positions, t, reference_time=0.0):
-        """Flow positions of material points: radial scaling by R(t)/R(ref)."""
-        scale = self.radius(t) / self.radius(reference_time)
+    def exact_positions(self, reference_positions, t):
+        """Flow positions of material points at t=0: scaling by R(t)/R(0)."""
+        scale = self.radius(t) / self.radius(0.0)
         return np.asarray(reference_positions) * scale
 
     def seed_state(self, mesh, t):

@@ -242,19 +242,17 @@ class ReferenceElement:
 
 
 @lru_cache(maxsize=None)
-def reference_element(dim, degree, quad_degree=None):
+def reference_element(dim, degree):
     """Build (and cache) a reference element.
 
-    The quadrature degree defaults to ``2 * degree``, which integrates the
-    mass matrix exactly on affine elements.
+    The quadrature rule has degree ``2 * degree``, which integrates the mass
+    matrix exactly on affine elements.
     """
     if degree not in (1, 2):
         raise ValidationError(f"unsupported polynomial degree {degree}")
     if dim not in (1, 2, 3):
         raise ValidationError(f"unsupported simplex dimension {dim}")
-    if quad_degree is None:
-        quad_degree = 2 * degree
-    pts, wts = quadrature_rule(dim, quad_degree)
+    pts, wts = quadrature_rule(dim, 2 * degree)
     elem = ReferenceElement(
         dim=dim,
         degree=degree,

@@ -1,7 +1,8 @@
 """Sparse symmetric positive definite solves.
 
 Matrices are scipy CSR matrices with structurally symmetric patterns.  Three
-solve paths share one residual contract (||Ax - b|| <= tol * ||b||):
+solve paths share one residual contract, ||Ax - b|| <= TOL * ||b|| with
+``TOL = 1e-11``, the accuracy every linear system of the scheme is solved to:
 
 * :func:`solve_spd` -- Jacobi-preconditioned conjugate gradients with a hard
   iteration cap; the default for one-off and well-conditioned systems.
@@ -26,7 +27,8 @@ import scipy.sparse.linalg as spla
 
 from .errors import SolverError, ValidationError
 
-DEFAULT_TOL = 1e-11
+#: Relative true-residual target of every solve.
+TOL = 1e-11
 
 _SPLU_OPTS = dict(
     permc_spec="MMD_AT_PLUS_A",
@@ -39,7 +41,7 @@ def iteration_cap(dim):
     return int(math.ceil(50.0 * math.sqrt(max(dim, 1))))
 
 
-def _pcg(matrix, rhs, precondition, tol, maxiter, x0=None):
+def _pcg(matrix, rhs, precondition, maxiter, x0=None):
     """Preconditioned conjugate gradients; returns (x, iterations, converged).
 
     Handles 2d right-hand sides column by column with batched matrix and
@@ -49,7 +51,7 @@ def _pcg(matrix, rhs, precondition, tol, maxiter, x0=None):
     single = rhs.ndim == 1
     b = rhs[:, None] if single else rhs
     b_norm = np.sqrt((b * b).sum(axis=0))
-    target = tol * b_norm
+    target = TOL * b_norm
     if x0 is not None:
         x = (x0[:, None] if single else x0).copy()
         r = b - matrix @ x
@@ -84,7 +86,7 @@ def _pcg(matrix, rhs, precondition, tol, maxiter, x0=None):
     return (x[:, 0] if single else x), it, converged
 
 
-def solve_spd(matrix, rhs, tol=DEFAULT_TOL):
+def solve_spd(matrix, rhs):
     """Solve an SPD system by Jacobi-preconditioned conjugate gradients.
 
     Parameters
@@ -93,8 +95,6 @@ def solve_spd(matrix, rhs, tol=DEFAULT_TOL):
         Symmetric positive definite (caller contract).
     rhs : ndarray
         Right-hand side; each column of a 2d array is solved on its own.
-    tol : float
-        Relative residual target, in (0, 1e-6].
 
     Raises
     ------
@@ -102,8 +102,6 @@ def solve_spd(matrix, rhs, tol=DEFAULT_TOL):
         If the iteration cap (50 * sqrt(dim)) is reached without meeting the
         residual target; reports the final relative residual.
     """
-    if not (0.0 < tol <= 1e-6):
-        raise ValidationError(f"tol must lie in (0, 1e-6], got {tol}")
     matrix = matrix.tocsr()
     n = matrix.shape[0]
     rhs = np.asarray(rhs, dtype=float)
@@ -119,7 +117,7 @@ def solve_spd(matrix, rhs, tol=DEFAULT_TOL):
     for c in range(columns.shape[1]):
         b = columns[:, c]
         x[:, c], _, converged = _pcg(
-            matrix, b, lambda r: inv_diag * r, tol, iteration_cap(n)
+            matrix, b, lambda r: inv_diag * r, iteration_cap(n)
         )
         if not converged:
             res = np.linalg.norm(b - matrix @ x[:, c]) / np.linalg.norm(b)
@@ -141,8 +139,8 @@ class SpdFactor:
         """One triangular solve, no residual verification (preconditioner use)."""
         return self._lu.solve(rhs)
 
-    def solve(self, rhs, tol=DEFAULT_TOL):
-        """Solve for ``rhs``; each column of a 2d array must meet ``tol``."""
+    def solve(self, rhs):
+        """Solve for ``rhs``; each column of a 2d array must meet ``TOL``."""
         rhs = np.asarray(rhs, dtype=float)
         x = self._lu.solve(rhs)
         b_norm = np.sqrt((rhs * rhs).sum(axis=0))
@@ -150,7 +148,7 @@ class SpdFactor:
             return np.zeros_like(rhs)
         r = rhs - self.matrix @ x
         res = np.sqrt((r * r).sum(axis=0)) / np.where(b_norm > 0.0, b_norm, 1.0)
-        if np.any(res > tol):
+        if np.any(res > TOL):
             raise SolverError("factorized solve residual too large", residual=res.max())
         return x
 
@@ -168,8 +166,7 @@ class CachedSpdSolver:
     #: PCG iterations beyond which the factorization is refreshed.
     REFRESH_ITERS = 12
 
-    def __init__(self, tol=DEFAULT_TOL):
-        self.tol = tol
+    def __init__(self):
         self._factor = None
         self._last = None
 
@@ -178,7 +175,7 @@ class CachedSpdSolver:
         rhs = np.asarray(rhs, dtype=float)
         if self._factor is None:
             self._factor = SpdFactor(matrix)
-            x = self._factor.solve(rhs, self.tol)
+            x = self._factor.solve(rhs)
             self._last = x.copy()
             return x
         x0 = self._last if self._last is not None and self._last.shape == rhs.shape else None
@@ -186,13 +183,12 @@ class CachedSpdSolver:
             matrix,
             rhs,
             self._factor.apply_inverse,
-            self.tol,
             maxiter=2 * self.REFRESH_ITERS,
             x0=x0,
         )
         if not (converged and iters <= self.REFRESH_ITERS):
             self._factor = SpdFactor(matrix)
-            x = self._factor.solve(rhs, self.tol)
+            x = self._factor.solve(rhs)
         self._last = x.copy()
         return x
 

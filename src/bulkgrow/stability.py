@@ -16,54 +16,45 @@ exploits that both ratios are Rayleigh quotients of symmetric pencils.
 
 import numpy as np
 
-from .assembly import assemble_system, embed_boundary_block
+from .assembly import assemble_L, assemble_system
 from .errors import ValidationError
 from .norms import norm_K, norm_M, norm_h_half, surface_spectrum
 from .sparsela import SpdFactor, dirichlet_extension
 
 
-def dirichlet_ratio(matrices, g, spectrum=None, interior_factor=None):
+def dirichlet_ratio(matrices, g, spectrum, interior_factor):
     """Bulk H1 norm of the zero-load Dirichlet extension over ||g||_{H^1/2}.
 
+    ``spectrum`` is the surface spectrum of ``matrices`` and
+    ``interior_factor`` an SpdFactor of their interior stiffness block.
     Returns 0 for g = 0 by convention.
     """
     g = np.asarray(g, dtype=float)
     if not np.any(g):
         return 0.0
     denom = norm_h_half(g, matrices.mass_surf, matrices.stiff_surf, spectrum)
-    factor = interior_factor if interior_factor is not None else _interior_factor(matrices)
-    u = dirichlet_extension(matrices.stiff_bulk, matrices.n_boundary, g, factor.solve)
+    u = dirichlet_extension(
+        matrices.stiff_bulk, matrices.n_boundary, g, interior_factor.solve
+    )
     return norm_K(u, matrices, "bulk") / denom
 
 
-def robin_ratio(matrices, g, robin_factor=None):
+def robin_ratio(matrices, g, robin_factor):
     """Boundary H1 norm of the Robin solution trace over ||g||_{L2}.
 
     The Robin problem uses unit boundary coefficient and no surface
-    diffusion: (A_bulk + M_surf embedded) u = gamma^T M_surf g.  Returns 0
-    for g = 0 by convention.
+    diffusion: (A_bulk + M_surf embedded) u = gamma^T M_surf g, and
+    ``robin_factor`` is an SpdFactor of its matrix.  Returns 0 for g = 0 by
+    convention.
     """
     g = np.asarray(g, dtype=float)
     if not np.any(g):
         return 0.0
     ng = matrices.n_boundary
-    factor = robin_factor if robin_factor is not None else _robin_factor(matrices)
     rhs = np.zeros(matrices.n_nodes)
     rhs[:ng] = matrices.mass_surf @ g
-    u = factor.solve(rhs)
+    u = robin_factor.solve(rhs)
     return norm_K(u[:ng], matrices, "surface") / norm_M(g, matrices, "surface")
-
-
-def _robin_factor(matrices):
-    system = matrices.stiff_bulk + embed_boundary_block(
-        matrices.mass_surf, matrices.n_nodes
-    )
-    return SpdFactor(system)
-
-
-def _interior_factor(matrices):
-    ng = matrices.n_boundary
-    return SpdFactor(matrices.stiff_bulk[ng:, ng:])
 
 
 def _boost_dirichlet(matrices, g, spectrum, interior_factor, iterations):
@@ -111,7 +102,7 @@ def _boost_robin(matrices, g, robin_factor, iterations):
     return g
 
 
-def stability_sweep(meshes, mode, samples=20, seed=0, boost_iters=20):
+def stability_sweep(meshes, mode, samples, seed, boost_iters):
     """Max stability ratio per refinement level.
 
     Parameters
@@ -144,12 +135,12 @@ def stability_sweep(meshes, mode, samples=20, seed=0, boost_iters=20):
         rng = np.random.default_rng([seed, level])
         if mode == "dirichlet":
             spectrum = surface_spectrum(matrices.mass_surf, matrices.stiff_surf)
-            interior = _interior_factor(matrices)
+            interior = SpdFactor(matrices.stiff_bulk[ng:, ng:])
 
             def ratio(g):
                 return dirichlet_ratio(matrices, g, spectrum, interior)
         else:
-            robin = _robin_factor(matrices)
+            robin = SpdFactor(assemble_L(matrices, 1.0))
 
             def ratio(g):
                 return robin_ratio(matrices, g, robin)

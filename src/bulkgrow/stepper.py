@@ -123,8 +123,9 @@ def extrapolated_geometry(history, scheme, assembler):
     )
 
 
-def robin_solve(geometry, params, time, solver=None):
-    """Pressure from the generalized Robin problem on the frozen geometry."""
+def robin_solve(geometry, params, time, solve):
+    """Pressure from the generalized Robin problem on the frozen geometry;
+    ``solve(matrix, rhs)`` solves the SPD system."""
     mats = geometry.matrices
     ell = assemble_L(mats, params.alpha, params.mu)
     rhs = assemble_f_u(
@@ -135,9 +136,7 @@ def robin_solve(geometry, params, time, solver=None):
         params.source,
         time,
     )
-    if solver is None:
-        return SpdFactor(ell).solve(rhs)
-    return solver.solve(ell, rhs)
+    return solve(ell, rhs)
 
 
 def _surface_system(geometry, scheme, tau, params):
@@ -193,27 +192,22 @@ def velocity_law(pressure_trace, curvature, normal, params):
     return speed, speed[:, None] * np.asarray(normal)
 
 
-def harmonic_extension(matrices, boundary_velocity, solver=None):
-    """Discrete harmonic extension of the boundary velocity into the bulk.
-
-    The interior block goes to ``solver`` (a CachedSpdSolver kept across
-    steps) when given, to Jacobi PCG otherwise.
-    """
+def harmonic_extension(matrices, boundary_velocity, solve):
+    """Discrete harmonic extension of the boundary velocity into the bulk;
+    ``solve(matrix, rhs)`` solves the interior block."""
     ng = matrices.n_boundary
-    solve = solve_spd if solver is None else solver.solve
     return dirichlet_extension(
         matrices.stiff_bulk, ng, boundary_velocity,
         partial(solve, matrices.stiff_bulk[ng:, ng:]),
     )
 
 
-def position_update(scheme, history, velocity, tau, mesh=None):
+def position_update(scheme, history, velocity, tau, mesh):
     """New positions from the BDF relation dot(x)^n = v^n."""
     q = scheme.order
     acc = weighted_sum(scheme.delta[1:], history.field("positions")[:q])
     new_positions = (tau * velocity - acc) / scheme.delta[0]
-    if mesh is not None:
-        check_orientation(mesh, new_positions)  # GeometryError on tangling
+    check_orientation(mesh, new_positions)  # GeometryError on tangling
     return new_positions
 
 
@@ -225,14 +219,12 @@ class Stepper:
     motion.
     """
 
-    def __init__(self, mesh, params, scheme, tau):
-        if isinstance(scheme, int):
-            scheme = bdf_coefficients(scheme)
+    def __init__(self, mesh, params, order, tau):
         if tau <= 0:
             raise ValidationError("time step must be positive")
         self.mesh = mesh
         self.params = params
-        self.scheme = scheme
+        self.scheme = bdf_coefficients(order)
         self.tau = tau
         self.assembler = Assembler(mesh)
         self.robin_solver = CachedSpdSolver()
@@ -252,7 +244,7 @@ class Stepper:
         try:
             geo = extrapolated_geometry(history, self.scheme, self.assembler)
             stage = "robin_solve"
-            pressure = robin_solve(geo, self.params, time_next, self.robin_solver)
+            pressure = robin_solve(geo, self.params, time_next, self.robin_solver.solve)
             stage = "normal_step"
             normal = normal_step(
                 geo, history, pressure, self.scheme, self.tau, self.params,
@@ -268,7 +260,9 @@ class Stepper:
                 pressure[: self.mesh.n_boundary], curvature, normal, self.params
             )
             stage = "harmonic_extension"
-            velocity = harmonic_extension(geo.matrices, v_gamma, self.harmonic_solver)
+            velocity = harmonic_extension(
+                geo.matrices, v_gamma, self.harmonic_solver.solve
+            )
             stage = "position_update"
             positions = position_update(
                 self.scheme, history, velocity, self.tau, mesh=self.mesh
@@ -344,8 +338,9 @@ def estimate_boundary_geometry(mesh):
     return normal * sign[:, None], magnitude * sign
 
 
-def initial_state(mesh, params, normal, curvature, time=0.0):
-    """Initial state: geometry interpolated, pressure from the Robin solve."""
+def initial_state(mesh, params, normal, curvature):
+    """Initial state at t = 0: geometry interpolated, pressure from the
+    Robin solve."""
     geometry = ExtrapolatedGeometry(
         positions=mesh.node_positions,
         normal=normal,
@@ -353,13 +348,13 @@ def initial_state(mesh, params, normal, curvature, time=0.0):
         pressure=None,
         matrices=Assembler(mesh).system(),
     )
-    pressure = robin_solve(geometry, params, time)
+    pressure = robin_solve(geometry, params, 0.0, lambda a, b: SpdFactor(a).solve(b))
     speed, v_gamma = velocity_law(
         pressure[: mesh.n_boundary], curvature, normal, params
     )
-    velocity = harmonic_extension(geometry.matrices, v_gamma)
+    velocity = harmonic_extension(geometry.matrices, v_gamma, solve_spd)
     return SimState(
-        time=float(time),
+        time=0.0,
         positions=mesh.node_positions.copy(),
         pressure=pressure,
         normal=np.asarray(normal, dtype=float),
@@ -378,6 +373,6 @@ def bootstrap_history(mesh, params, tau, order, normal, curvature):
     state0 = initial_state(mesh, params, normal, curvature)
     states = [state0]  # oldest first
     for q in range(1, order):
-        sub = Stepper(mesh, params, bdf_coefficients(q), tau)
+        sub = Stepper(mesh, params, q, tau)
         states.append(sub.step(History(states[::-1][:q])))
     return History(states[::-1][:order])

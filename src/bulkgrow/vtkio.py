@@ -10,6 +10,7 @@ facets are subdivided for the polydata file, which has no curved cells.
 import numpy as np
 
 from .errors import ValidationError
+from .mesh import write_rows
 
 _CELL_TYPES = {
     (2, 1): 5,   # triangle
@@ -19,51 +20,47 @@ _CELL_TYPES = {
 }
 
 
-def _fmt(x):
-    return f"{x:.12g}"
-
-
-def _points_block(positions):
+def _write_points(fh, positions):
     pts3 = np.zeros((len(positions), 3))
     pts3[:, : positions.shape[1]] = positions
-    lines = [f"POINTS {len(positions)} double"]
-    lines.extend(" ".join(_fmt(c) for c in p) for p in pts3)
-    return lines
+    fh.write(f"POINTS {len(positions)} double\n")
+    write_rows(fh, pts3, "%.12g %.12g %.12g")
 
 
-def _scalar_block(name, values):
-    lines = [f"SCALARS {name} double", "LOOKUP_TABLE default"]
-    lines.extend(_fmt(v) for v in values)
-    return lines
+def _write_connectivity(fh, keyword, conn):
+    """``<keyword> n size`` and one ``n_loc i0 i1 ...`` row per cell."""
+    n_cells, n_loc = conn.shape
+    fh.write(f"{keyword} {n_cells} {n_cells * (n_loc + 1)}\n")
+    write_rows(fh, conn, f"{n_loc} " + " ".join(["%d"] * n_loc))
 
 
-def write_vtk(path, mesh, state=None, title="bulkgrow snapshot"):
-    """Write the bulk mesh (and optional state fields) as legacy VTK."""
+def _write_point_data(fh, n_points, fields):
+    fh.write(f"POINT_DATA {n_points}\n")
+    for name, values in fields:
+        fh.write(f"SCALARS {name} double\nLOOKUP_TABLE default\n")
+        write_rows(fh, values, "%.12g")
+
+
+def write_vtk(path, mesh, state):
+    """Write the bulk mesh and the state fields as legacy VTK."""
     cell_type = _CELL_TYPES.get((mesh.dim, mesh.degree_k))
     if cell_type is None:
         raise ValidationError("unsupported mesh for VTK output")
-    conn = mesh.bulk_elements
-    lines = ["# vtk DataFile Version 3.0", title, "ASCII",
-             "DATASET UNSTRUCTURED_GRID"]
-    lines.extend(_points_block(mesh.node_positions))
-    n_el, n_loc = conn.shape
-    lines.append(f"CELLS {n_el} {n_el * (n_loc + 1)}")
-    lines.extend(
-        f"{n_loc} " + " ".join(str(int(i)) for i in row) for row in conn
-    )
-    lines.append(f"CELL_TYPES {n_el}")
-    lines.extend([str(cell_type)] * n_el)
-    if state is not None:
-        n = mesh.n_nodes
-        padded_h = np.zeros(n)
-        padded_h[: mesh.n_boundary] = state.curvature
-        speed = np.linalg.norm(state.velocity, axis=1)
-        lines.append(f"POINT_DATA {n}")
-        lines.extend(_scalar_block("pressure", state.pressure))
-        lines.extend(_scalar_block("curvature", padded_h))
-        lines.extend(_scalar_block("velocity_magnitude", speed))
+    n = mesh.n_nodes
+    padded_h = np.zeros(n)
+    padded_h[: mesh.n_boundary] = state.curvature
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("# vtk DataFile Version 3.0\nbulkgrow snapshot\nASCII\n"
+                 "DATASET UNSTRUCTURED_GRID\n")
+        _write_points(fh, mesh.node_positions)
+        _write_connectivity(fh, "CELLS", mesh.bulk_elements)
+        n_el = len(mesh.bulk_elements)
+        fh.write(f"CELL_TYPES {n_el}\n" + f"{cell_type}\n" * n_el)
+        _write_point_data(fh, n, [
+            ("pressure", state.pressure),
+            ("curvature", padded_h),
+            ("velocity_magnitude", np.linalg.norm(state.velocity, axis=1)),
+        ])
 
 
 def _subdivide_facets(mesh):
@@ -85,25 +82,20 @@ def _subdivide_facets(mesh):
     )
 
 
-def write_surface_vtk(path, mesh, state=None, title="bulkgrow boundary"):
+def write_surface_vtk(path, mesh, state):
     """Write the boundary as POLYDATA with the trace fields."""
     ng = mesh.n_boundary
-    facets = _subdivide_facets(mesh)
-    lines = ["# vtk DataFile Version 3.0", title, "ASCII", "DATASET POLYDATA"]
-    lines.extend(_points_block(mesh.node_positions[:ng]))
-    n_f, n_loc = facets.shape
     keyword = "LINES" if mesh.dim_m == 1 else "POLYGONS"
-    lines.append(f"{keyword} {n_f} {n_f * (n_loc + 1)}")
-    lines.extend(
-        f"{n_loc} " + " ".join(str(int(i)) for i in row) for row in facets
-    )
-    if state is not None:
-        lines.append(f"POINT_DATA {ng}")
-        lines.extend(_scalar_block("pressure_trace", state.pressure[:ng]))
-        lines.extend(_scalar_block("curvature", state.curvature))
-        lines.extend(_scalar_block("normal_speed", state.normal_speed))
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("# vtk DataFile Version 3.0\nbulkgrow boundary\nASCII\n"
+                 "DATASET POLYDATA\n")
+        _write_points(fh, mesh.node_positions[:ng])
+        _write_connectivity(fh, keyword, _subdivide_facets(mesh))
+        _write_point_data(fh, ng, [
+            ("pressure_trace", state.pressure[:ng]),
+            ("curvature", state.curvature),
+            ("normal_speed", state.normal_speed),
+        ])
 
 
 def write_csv(path, columns, rows):
@@ -114,7 +106,7 @@ def write_csv(path, columns, rows):
         for col in columns:
             value = row[col]
             if isinstance(value, float):
-                cells.append(_fmt(value))
+                cells.append(f"{value:.12g}")
             else:
                 cells.append(str(value))
         out.append(",".join(cells))

@@ -15,6 +15,7 @@ from bulkgrow.experiments import (
     run_stability,
     validate_config,
 )
+from bulkgrow.mesh import generate_disk_mesh
 from bulkgrow.stepper import Stepper
 
 
@@ -189,6 +190,31 @@ class TestStability:
                 "level", "h", "N", "N_Gamma", "max_ratio", "argmax_seed"
             }
 
+    def stability_config(self, tmp_path):
+        config = disk_config(
+            tmp_path,
+            geometry={"radii": [1.0]},
+            run={"kind": "stability", "levels": 1, "samples": 2, "mode": "dirichlet",
+                 "boost_iters": 0},
+        )
+        del config["run"]["snapshots"]
+        return config
+
+    def test_default_degree_matches_other_runs(self, tmp_path):
+        config = self.stability_config(tmp_path)
+        del config["discretization"]["k"]
+        assert main(["stability", str(write_config(tmp_path, config))]) == 0
+        table = read_csv(tmp_path / "out" / "stability_dirichlet.csv")
+        # The P2 disk of radius 1 at h = 0.4, as every other run kind meshes it.
+        assert int(table[0]["N"]) == generate_disk_mesh(1.0, 0.4, degree=2).n_nodes == 127
+
+    def test_needs_no_time_step(self, tmp_path):
+        config = self.stability_config(tmp_path)
+        del config["discretization"]["tau"]
+        del config["discretization"]["T"]
+        assert main(["stability", str(write_config(tmp_path, config))]) == 0
+        assert (tmp_path / "out" / "stability_dirichlet.csv").exists()
+
 
 class TestRegularization:
     def test_mu_zero_baseline_and_duplicates(self, tmp_path):
@@ -256,11 +282,16 @@ class TestCliEntry:
         {"run": {"mode": "neumann"}},
         {"run": {"error_samples": 0}},
         {"run": {"tau_levels": [1e-3, 0]}},
+        {"run": {"snapshot": 3}},  # unknown keys: misspelled snapshots, seed_mode
+        {"run": {"seedmode": "oracle"}},
+        {"geometry": {"kind": "disk", "radii": [1.5, 3.0]}},  # a disk has one radius
+        {"geometry": {"radii": [1.5, 1.5], "kind": "ball"}},  # a ball has one or three
     ], ids=lambda overrides: "-".join(
         f"{section}.{key}" for section, fields in overrides.items() for key in fields))
     def test_malformed_config_exit_code(self, tmp_path, overrides):
         path = write_config(tmp_path, disk_config(tmp_path, **overrides))
         assert main(["simulate", str(path)]) == 2
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command, run_kind, geometry", [
         ("simulate", "converge", "disk"),

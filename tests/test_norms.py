@@ -96,7 +96,7 @@ class TestCombinedNorm:
         mesh, mats = disk
         ones_s = np.ones(mesh.n_boundary)
         perimeter = ones_s @ (mats.mass_surf @ ones_s)
-        assert norm_L(np.ones(mesh.n_nodes), mats, alpha=1.0, mu=1.0) == (
+        assert norm_L(np.ones(mesh.n_nodes), mats) == (
             pytest.approx(math.sqrt(perimeter), rel=1e-12)
         )
 
@@ -181,9 +181,9 @@ class TestOracleErrors:
         assert errors["v"] < 1e-9
 
     def test_report_aggregates(self):
-        report = ErrorReport(mesh_size_h=0.1, tau=1e-3, order=2, params={})
-        report.add(0.0, {"u": 1.0, "x": 0.5, "v": 0.25, "nu": 0.1, "H": 2.0})
-        report.add(0.5, {"u": 2.0, "x": 0.25, "v": 0.5, "nu": 0.2, "H": 1.0})
+        report = ErrorReport()
+        report.add({"u": 1.0, "x": 0.5, "v": 0.25, "nu": 0.1, "H": 2.0})
+        report.add({"u": 2.0, "x": 0.25, "v": 0.5, "nu": 0.2, "H": 1.0})
         sup = report.sup_errors()
         assert sup["u"] == 2.0
         assert sup["x"] == 0.5

@@ -30,7 +30,7 @@ def test_mass_matrix_constructed_solution():
     mesh = generate_disk_mesh(1.0, 0.3)
     mass, _ = Assembler(mesh).bulk_matrices()
     ones = np.ones(mesh.n_nodes)
-    x = solve_spd(mass, mass @ ones, tol=1e-12)
+    x = solve_spd(mass, mass @ ones)
     assert np.allclose(x, ones, atol=1e-9)
 
 
@@ -40,7 +40,7 @@ def test_residual_contract_on_random_instances():
         n = int(rng.integers(5, 51))
         a = random_spd(n, rng)
         b = rng.standard_normal(n)
-        x = solve_spd(a, b, tol=1e-9)
+        x = solve_spd(a, b)
         dense = np.linalg.solve(a.toarray(), b)
         assert np.linalg.norm(a @ x - b) <= 1e-9 * np.linalg.norm(b)
         assert np.allclose(x, dense, atol=1e-6 * max(1.0, np.abs(dense).max()))
@@ -50,20 +50,14 @@ def test_nonconvergence_reports_residual():
     # Indefinite matrix: CG cannot drive the residual down.
     a = sp.csr_matrix(np.diag([1.0, 1.0, -1.0]) + 0.01)
     with pytest.raises(SolverError):
-        solve_spd(a, np.ones(3), tol=1e-9)
-
-
-def test_tolerance_validation():
-    a = sp.identity(4, format="csr")
-    with pytest.raises(ValidationError):
-        solve_spd(a, np.ones(4), tol=1e-3)
+        solve_spd(a, np.ones(3))
 
 
 def test_spd_factor_matches_pcg():
     rng = np.random.default_rng(1)
     a = random_spd(40, rng)
     b = rng.standard_normal(40)
-    assert np.allclose(SpdFactor(a).solve(b), solve_spd(a, b, tol=1e-11), atol=1e-8)
+    assert np.allclose(SpdFactor(a).solve(b), solve_spd(a, b), atol=1e-8)
 
 
 def test_spd_factor_checks_each_column(monkeypatch):
@@ -88,7 +82,7 @@ def test_spd_factor_checks_each_column(monkeypatch):
 def test_cached_solver_tracks_drifting_matrices():
     rng = np.random.default_rng(2)
     base = random_spd(60, rng).toarray()
-    solver = CachedSpdSolver(tol=1e-11)
+    solver = CachedSpdSolver()
     for step in range(25):
         a = sp.csr_matrix(base * (1.0 + 1e-3 * step))
         b = rng.standard_normal(60)

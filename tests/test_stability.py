@@ -3,16 +3,28 @@ import math
 import numpy as np
 import pytest
 
-from bulkgrow.assembly import assemble_system
+from bulkgrow.assembly import assemble_L, assemble_system
 from bulkgrow.errors import ValidationError
 from bulkgrow.mesh import generate_disk_mesh
-from bulkgrow.norms import norm_K, norm_h_half
+from bulkgrow.norms import norm_K, norm_h_half, surface_spectrum
 from bulkgrow.sparsela import SpdFactor, dirichlet_extension
 from bulkgrow.stability import (
     dirichlet_ratio,
     robin_ratio,
     stability_sweep,
 )
+
+
+def dirichlet(mats, g):
+    """Dirichlet ratio with the spectrum and interior factor of ``mats``."""
+    ng = mats.n_boundary
+    spectrum = surface_spectrum(mats.mass_surf, mats.stiff_surf)
+    return dirichlet_ratio(mats, g, spectrum, SpdFactor(mats.stiff_bulk[ng:, ng:]))
+
+
+def robin(mats, g):
+    """Robin ratio with the factorized unit Robin matrix of ``mats``."""
+    return robin_ratio(mats, g, SpdFactor(assemble_L(mats, 1.0)))
 
 
 def growth_factors(rows):
@@ -33,13 +45,13 @@ class TestDirichletRatio:
         g = np.ones(mesh.n_boundary)
         # Extension of a constant is the constant: ratio
         # sqrt(|Omega| / |Gamma|) -> sqrt(1/2) on the unit disk.
-        assert dirichlet_ratio(mats, g) == pytest.approx(
+        assert dirichlet(mats, g) == pytest.approx(
             math.sqrt(0.5), rel=5e-3
         )
 
     def test_zero_field(self, disk):
         mesh, mats = disk
-        assert dirichlet_ratio(mats, np.zeros(mesh.n_boundary)) == 0.0
+        assert dirichlet(mats, np.zeros(mesh.n_boundary)) == 0.0
 
     def test_affine_trace(self, disk):
         mesh, mats = disk
@@ -49,15 +61,15 @@ class TestDirichletRatio:
         expected = norm_K(affine, mats, "bulk") / norm_h_half(
             g, mats.mass_surf, mats.stiff_surf
         )
-        assert dirichlet_ratio(mats, g) == pytest.approx(expected, rel=1e-10)
+        assert dirichlet(mats, g) == pytest.approx(expected, rel=1e-10)
 
     def test_scale_invariance(self, disk):
         mesh, mats = disk
         rng = np.random.default_rng(0)
         g = rng.standard_normal(mesh.n_boundary)
-        base = dirichlet_ratio(mats, g)
+        base = dirichlet(mats, g)
         for s in (3.0, -0.2, 1e4):
-            assert dirichlet_ratio(mats, s * g) == pytest.approx(base, rel=1e-12)
+            assert dirichlet(mats, s * g) == pytest.approx(base, rel=1e-12)
 
     def test_energy_minimality_against_zero_extension(self, disk):
         mesh, mats = disk
@@ -67,7 +79,7 @@ class TestDirichletRatio:
         competitor = np.zeros(mesh.n_nodes)
         competitor[: mesh.n_boundary] = g
         competitor_ratio = norm_K(competitor, mats, "bulk") / denom
-        assert dirichlet_ratio(mats, g) <= competitor_ratio + 1e-12
+        assert dirichlet(mats, g) <= competitor_ratio + 1e-12
 
 
 class TestRobinRatio:
@@ -76,25 +88,25 @@ class TestRobinRatio:
         g = np.full(mesh.n_boundary, 1.7)
         # The exact solution of the unit Robin problem with constant data is
         # the constant itself, whose trace has equal H1 and L2 norms.
-        assert robin_ratio(mats, g) == pytest.approx(1.0, abs=2e-2)
+        assert robin(mats, g) == pytest.approx(1.0, abs=2e-2)
 
     def test_zero_field(self, disk):
         mesh, mats = disk
-        assert robin_ratio(mats, np.zeros(mesh.n_boundary)) == 0.0
+        assert robin(mats, np.zeros(mesh.n_boundary)) == 0.0
 
     def test_random_field_finite(self, disk):
         mesh, mats = disk
         rng = np.random.default_rng(2)
-        r = robin_ratio(mats, rng.standard_normal(mesh.n_boundary))
+        r = robin(mats, rng.standard_normal(mesh.n_boundary))
         assert np.isfinite(r) and r > 0
 
     def test_scale_invariance(self, disk):
         mesh, mats = disk
         rng = np.random.default_rng(3)
         g = rng.standard_normal(mesh.n_boundary)
-        base = robin_ratio(mats, g)
+        base = robin(mats, g)
         for s in (10.0, -4.0):
-            assert robin_ratio(mats, s * g) == pytest.approx(base, rel=1e-12)
+            assert robin(mats, s * g) == pytest.approx(base, rel=1e-12)
 
 
 class TestSweep:
@@ -130,7 +142,7 @@ class TestSweep:
 
     def test_mode_validation(self):
         with pytest.raises(ValidationError):
-            stability_sweep(self.meshes(1), "neumann")
+            stability_sweep(self.meshes(1), "neumann", samples=8, seed=0, boost_iters=0)
 
     def test_constant_only_sample(self, disk):
         mesh, mats = disk

@@ -118,7 +118,7 @@ class TestRobinSolve:
     def test_sphere_boundary_value(self):
         oracle, mesh, params, history = oracle_setup(h=0.15, order=1, m=1)
         geo = extrapolated_geometry(history, bdf_coefficients(1), Assembler(mesh))
-        u = robin_solve(geo, params, 0.0)
+        u = robin_solve(geo, params, 0.0, lambda m, b: SpdFactor(m).solve(b))
         radius = 1.5
         expected = 1.5 + 1.0 / radius - radius / 2.0  # Q + beta m/R - R/(m+1)
         u_gamma = u[: mesh.n_boundary]
@@ -272,7 +272,9 @@ class TestPositionUpdate:
     def test_zero_velocity_constant_history(self):
         oracle, mesh, params, history = oracle_setup(h=0.4, order=1)
         scheme = bdf_coefficients(1)
-        x = position_update(scheme, history, np.zeros_like(history[0].positions), 1e-3)
+        x = position_update(
+            scheme, history, np.zeros_like(history[0].positions), 1e-3, mesh
+        )
         assert np.allclose(x, history[0].positions, atol=1e-14)
 
     def test_order_one_is_explicit_euler(self):
@@ -280,7 +282,7 @@ class TestPositionUpdate:
         scheme = bdf_coefficients(1)
         tau = 1e-2
         v = np.ones_like(history[0].positions)
-        x = position_update(scheme, history, v, tau)
+        x = position_update(scheme, history, v, tau, mesh)
         assert np.allclose(x, history[0].positions + tau * v, atol=1e-14)
 
     def test_tangling_detected(self):

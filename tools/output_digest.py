@@ -72,6 +72,18 @@ CONFIGS = {
         {"kind": "stability", "levels": 3, "samples": 10, "boost_iters": 10,
          "mode": "both", "seed": 0},
     )),
+    # P1 elements with BDF1: linear shape functions and their quadrature rule.
+    "simulate_disk_p1": (run_simulate, _config(
+        {"kind": "disk", "radii": [1.5], "h": 0.1},
+        {"k": 1, "q": 1, "tau": 1e-3, "T": 0.01},
+        {"kind": "simulate", "snapshots": 2, "seed_mode": "oracle"},
+    )),
+    "stability_disk_p1": (run_stability, _config(
+        {"kind": "disk", "radii": [1.0], "h": 0.2},
+        {"k": 1, "q": 2, "tau": 1e-3, "T": 0.0},
+        {"kind": "stability", "levels": 2, "samples": 10, "boost_iters": 10,
+         "mode": "both", "seed": 0},
+    )),
     "regularization_ellipsoid": (run_regularization, _config(
         {"kind": "ellipsoid", "radii": [1.0, 0.8, 0.9], "h": 0.5},
         {"k": 2, "q": 2, "tau": 1e-3, "T": 0.004},

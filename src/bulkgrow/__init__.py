@@ -9,7 +9,7 @@ backward differentiation formulas.
 
 __version__ = "0.1.0"
 
-from .bdf import BdfScheme, bdf_coefficients, discrete_derivative, extrapolate
+from .bdf import BdfScheme, bdf_coefficients, extrapolate
 from .errors import (
     BulkgrowError,
     CapabilityError,
@@ -34,7 +34,6 @@ from .assembly import (
     SystemMatrices,
     assemble_f_u,
     assemble_L,
-    assemble_system,
 )
 from .oracle import RadialOracle, sphere_oracle_mesh
 from .sparsela import SpdFactor, dirichlet_extension, solve_spd

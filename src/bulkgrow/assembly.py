@@ -294,11 +294,6 @@ class Assembler:
         return out
 
 
-def assemble_system(mesh, positions=None):
-    """All system matrices of a mesh configuration."""
-    return Assembler(mesh).system(positions)
-
-
 def assemble_f_u(matrices, boundary_positions, curvature, beta, source, time):
     """Load vector of the generalized Robin problem.
 

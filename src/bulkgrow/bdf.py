@@ -1,4 +1,4 @@
-"""Backward differentiation formulas: coefficients, derivative, extrapolation.
+"""Backward differentiation formulas: coefficients, history sums, extrapolation.
 
 Coefficients are expanded from their generating polynomials in exact rational
 arithmetic and converted to floats once, so the tabulated identities
@@ -77,20 +77,6 @@ def weighted_sum(coeffs, states):
     for coeff, state in zip(coeffs[1:], states[1:]):
         acc = acc + coeff * np.asarray(state, dtype=float)
     return acc
-
-
-def discrete_derivative(scheme, history, tau):
-    """BDF time derivative from the last q+1 states, newest first.
-
-    Returns (1/tau) * sum_j delta_j * history[j].
-    """
-    if tau <= 0:
-        raise ValidationError("time step must be positive")
-    if len(history) != scheme.order + 1:
-        raise ValidationError(
-            f"need {scheme.order + 1} states, got {len(history)}"
-        )
-    return weighted_sum(scheme.delta, history) / tau
 
 
 def extrapolate(scheme, history):

@@ -17,6 +17,7 @@ import re
 import numpy as np
 
 from . import __version__
+from .assembly import Assembler
 from .errors import BulkgrowError, ConfigError
 from .mesh import (
     boundary_element_measures,
@@ -484,7 +485,6 @@ def _attach_eoc(rows):
 
 def run_converge(config, outdir):
     """h x tau error grid against the radial solution, with EOC columns."""
-    os.makedirs(outdir, exist_ok=True)
     disc = config["discretization"]
     run = config["run"]
     geometry = config["geometry"]
@@ -506,6 +506,7 @@ def run_converge(config, outdir):
         for h in h_levels
         for tau in tau_levels
     ]
+    os.makedirs(outdir, exist_ok=True)  # after set-up: a bad config leaves none
     workers = worker_count()
     if workers > 1 and len(cells) > 1:
         # Dispatch expensive cells first so workers stay balanced.
@@ -530,8 +531,8 @@ STABILITY_COLUMNS = ["level", "h", "N", "N_Gamma", "max_ratio", "argmax_seed"]
 
 
 def run_stability(config, outdir):
-    """Stability-ratio sweeps over refinement levels, one CSV per mode."""
-    os.makedirs(outdir, exist_ok=True)
+    """Stability-ratio sweeps over refinement levels, one CSV per mode; the
+    modes share each level's mesh and assembled matrices."""
     geometry = config["geometry"]
     run = config["run"]
     degree = _degree(config["discretization"])
@@ -542,14 +543,13 @@ def run_stability(config, outdir):
     modes = run.get("mode", "both")
     modes = ("dirichlet", "robin") if modes == "both" else (modes,)
     base_h = float(geometry["h"])
-    meshes = []
-    for j in range(levels):
-        cfg = {**geometry, "h": base_h / 2 ** j}
-        mesh, _, _ = build_geometry(cfg, degree)
-        meshes.append(mesh)
+    meshes = [build_geometry({**geometry, "h": base_h / 2 ** j}, degree)[0]
+              for j in range(levels)]
+    systems = [(mesh, Assembler(mesh).system()) for mesh in meshes]
+    os.makedirs(outdir, exist_ok=True)  # after set-up: a bad config leaves none
     results = {}
     for mode in modes:
-        rows = stability_sweep(meshes, mode, samples=samples, seed=seed,
+        rows = stability_sweep(systems, mode, samples=samples, seed=seed,
                                boost_iters=boost)
         csv_rows = [
             {
@@ -583,18 +583,18 @@ def run_regularization(config, outdir):
     and trace difference of each run relative to the baseline without
     regularization.
     """
-    os.makedirs(outdir, exist_ok=True)
     degree, order, tau, n_steps = _time_grid(config["discretization"])
     mu_values = [float(v) for v in config["run"].get("mu_values", [0.0, 0.01, 0.1, 1.0])]
     if 0.0 not in mu_values:
         mu_values = [0.0] + mu_values
     mesh, normal, curvature = build_geometry(config["geometry"], degree)
+    params_of = {mu: build_params(config, mesh, mu=mu) for mu in mu_values}
+    os.makedirs(outdir, exist_ok=True)  # after set-up: a bad config leaves none
     keep = _sampler(n_steps, int(config["run"].get("snapshots", 10)))
     ng = mesh.n_boundary
 
     traces = {}
-    for mu in mu_values:
-        params = build_params(config, mesh, mu=mu)
+    for mu, params in params_of.items():
         history = bootstrap_history(mesh, params, tau, order, normal, curvature)
         samples = []
 

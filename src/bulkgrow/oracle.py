@@ -15,14 +15,11 @@ simulations and as the reference in convergence measurements.
 """
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from .assembly import Assembler
 from .errors import ValidationError
 from .mesh import displace
-from .sparsela import dirichlet_extension, solve_spd
 from .stepper import History, SimState
 
 
@@ -105,8 +102,22 @@ class RadialOracle:
         """Nodal interpolation of the exact solution on a sphere mesh.
 
         The mesh boundary must discretize the sphere of radius R(t).  The
-        interior velocity is the discrete harmonic extension of the exact
-        boundary velocity, matching what the scheme itself produces.
+        velocity is the exact radial field (V(t)/R(t)) x at every node, and
+        that field is the discrete harmonic extension of its own boundary
+        trace, which is what the scheme itself produces:
+
+        * each coordinate x_d lies in the isoparametric P1/P2 space, so row i
+          of the stiffness matrix applied to it is the quadrature of the
+          integral of the x_d-derivative of basis function i;
+        * pulled back to the reference element, that integrand is the
+          reference gradient of the basis function times the adjugate of the
+          element Jacobian, a polynomial of degree (k - 1) D <= 2k for
+          D <= 3, which the degree-2k rule integrates exactly;
+        * by the divergence theorem the exact integral vanishes for every
+          interior node, whose basis function is zero on the boundary.
+
+        So the interior rows vanish up to roundoff, with no assembly and no
+        solve.
         """
         radius = self.radius(t)
         bnd_r = np.linalg.norm(mesh.boundary_positions, axis=1)
@@ -116,13 +127,8 @@ class RadialOracle:
             )
         node_r = np.linalg.norm(mesh.node_positions, axis=1)
         pressure = self.pressure_extended(node_r, t)
-        nu, curvature, speed, v_gamma = self.geometry_fields(
+        nu, curvature, speed, _ = self.geometry_fields(
             mesh.boundary_positions, t
-        )
-        _, stiff = Assembler(mesh).bulk_matrices()
-        ng = mesh.n_boundary
-        velocity = dirichlet_extension(
-            stiff, ng, v_gamma, partial(solve_spd, stiff[ng:, ng:])
         )
         return SimState(
             time=float(t),
@@ -131,7 +137,8 @@ class RadialOracle:
             normal=nu,
             curvature=curvature,
             normal_speed=speed,
-            velocity=velocity,
+            # Multiplied as in geometry_fields: the boundary rows equal its v.
+            velocity=self.normal_speed(t) * (mesh.node_positions / radius),
         )
 
     def mesh_at(self, mesh0, t):

@@ -1,25 +1,23 @@
 """Sparse symmetric positive definite solves.
 
-Matrices are scipy CSR matrices with structurally symmetric patterns.  Three
+Matrices are scipy CSR matrices with structurally symmetric patterns.  Two
 solve paths share one residual contract, ||Ax - b|| <= TOL * ||b|| with
 ``TOL = 1e-11``, the accuracy every linear system of the scheme is solved to:
 
-* :func:`solve_spd` -- Jacobi-preconditioned conjugate gradients with a hard
-  iteration cap; the default for one-off and well-conditioned systems.
-* :class:`SpdFactor` -- a direct sparse factorization, for matrices solved
-  against many right-hand sides.
+* :class:`SpdFactor` -- a direct sparse factorization, for one-off systems
+  and for matrices solved against many right-hand sides;
+  :func:`solve_spd` is the one-off form, ``SpdFactor(matrix).solve(rhs)``.
 * :class:`CachedSpdSolver` -- conjugate gradients preconditioned by a sparse
   factorization that is refreshed only when convergence degrades; used inside
   the time loop where the matrix drifts slowly between steps.
 
-Every solve verifies the true residual before returning.
+Every solve verifies the true residual of each right-hand-side column before
+returning.
 
 :func:`dirichlet_extension` solves a Dirichlet problem on a boundary-first
 partitioned matrix with whichever of these the caller binds to the interior
 block.
 """
-
-import math
 
 import numpy as np
 import scipy.sparse as sp
@@ -34,11 +32,6 @@ _SPLU_OPTS = dict(
     permc_spec="MMD_AT_PLUS_A",
     options={"SymmetricMode": True},
 )
-
-
-def iteration_cap(dim):
-    """Hard PCG iteration cap: 50 * sqrt(dim)."""
-    return int(math.ceil(50.0 * math.sqrt(max(dim, 1))))
 
 
 def _pcg(matrix, rhs, precondition, maxiter, x0=None):
@@ -86,53 +79,17 @@ def _pcg(matrix, rhs, precondition, maxiter, x0=None):
     return (x[:, 0] if single else x), it, converged
 
 
-def solve_spd(matrix, rhs):
-    """Solve an SPD system by Jacobi-preconditioned conjugate gradients.
-
-    Parameters
-    ----------
-    matrix : scipy sparse matrix
-        Symmetric positive definite (caller contract).
-    rhs : ndarray
-        Right-hand side; each column of a 2d array is solved on its own.
-
-    Raises
-    ------
-    SolverError
-        If the iteration cap (50 * sqrt(dim)) is reached without meeting the
-        residual target; reports the final relative residual.
-    """
-    matrix = matrix.tocsr()
-    n = matrix.shape[0]
-    rhs = np.asarray(rhs, dtype=float)
-    if rhs.shape[0] != n:
-        raise ValidationError("rhs length does not match matrix dimension")
-
-    diag = matrix.diagonal()
-    if (diag <= 0).any():
-        raise SolverError("non-positive diagonal entry; matrix is not SPD")
-    inv_diag = (1.0 / diag)[:, None]
-    columns = rhs[:, None] if rhs.ndim == 1 else rhs
-    x = np.empty(columns.shape)
-    for c in range(columns.shape[1]):
-        b = columns[:, c]
-        x[:, c], _, converged = _pcg(
-            matrix, b, lambda r: inv_diag * r, iteration_cap(n)
-        )
-        if not converged:
-            res = np.linalg.norm(b - matrix @ x[:, c]) / np.linalg.norm(b)
-            raise SolverError(
-                f"PCG did not converge within {iteration_cap(n)} iterations",
-                residual=res,
-            )
-    return x[:, 0] if rhs.ndim == 1 else x
-
-
 class SpdFactor:
-    """Direct sparse LU factorization of an SPD matrix with residual checks."""
+    """Direct sparse LU factorization of an SPD matrix with residual checks.
+
+    Raises SolverError for a non-positive diagonal entry, which no SPD
+    matrix has.
+    """
 
     def __init__(self, matrix):
         self.matrix = matrix.tocsr()
+        if (self.matrix.diagonal() <= 0).any():
+            raise SolverError("non-positive diagonal entry; matrix is not SPD")
         self._lu = spla.splu(sp.csc_matrix(self.matrix), **_SPLU_OPTS)
 
     def apply_inverse(self, rhs):
@@ -142,6 +99,8 @@ class SpdFactor:
     def solve(self, rhs):
         """Solve for ``rhs``; each column of a 2d array must meet ``TOL``."""
         rhs = np.asarray(rhs, dtype=float)
+        if rhs.shape[0] != self.matrix.shape[0]:
+            raise ValidationError("rhs length does not match matrix dimension")
         x = self._lu.solve(rhs)
         b_norm = np.sqrt((rhs * rhs).sum(axis=0))
         if not b_norm.any():
@@ -151,6 +110,11 @@ class SpdFactor:
         if np.any(res > TOL):
             raise SolverError("factorized solve residual too large", residual=res.max())
         return x
+
+
+def solve_spd(matrix, rhs):
+    """One-off SPD solve: ``SpdFactor(matrix).solve(rhs)``."""
+    return SpdFactor(matrix).solve(rhs)
 
 
 class CachedSpdSolver:

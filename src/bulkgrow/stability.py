@@ -16,7 +16,7 @@ exploits that both ratios are Rayleigh quotients of symmetric pencils.
 
 import numpy as np
 
-from .assembly import assemble_L, assemble_system
+from .assembly import assemble_L
 from .errors import ValidationError
 from .norms import norm_K, norm_M, norm_h_half, surface_spectrum
 from .sparsela import SpdFactor, dirichlet_extension
@@ -102,13 +102,14 @@ def _boost_robin(matrices, g, robin_factor, iterations):
     return g
 
 
-def stability_sweep(meshes, mode, samples, seed, boost_iters):
+def stability_sweep(levels, mode, samples, seed, boost_iters):
     """Max stability ratio per refinement level.
 
     Parameters
     ----------
-    meshes : sequence of BulkSurfaceMesh
-        One mesh per refinement level, coarse to fine.
+    levels : sequence of (BulkSurfaceMesh, SystemMatrices)
+        One mesh and its assembled matrices per refinement level, coarse to
+        fine; both modes of a study can share them.
     mode : str
         "dirichlet" or "robin".
     samples : int
@@ -129,8 +130,7 @@ def stability_sweep(meshes, mode, samples, seed, boost_iters):
     if samples < 1:
         raise ValidationError("need at least one sample per level")
     rows = []
-    for level, mesh in enumerate(meshes):
-        matrices = assemble_system(mesh)
+    for level, (mesh, matrices) in enumerate(levels):
         ng = mesh.n_boundary
         rng = np.random.default_rng([seed, level])
         if mode == "dirichlet":

@@ -16,7 +16,7 @@ from .assembly import Assembler, assemble_f_u, assemble_L
 from .bdf import bdf_coefficients, extrapolate, weighted_sum
 from .errors import BulkgrowError, ValidationError
 from .mesh import check_orientation
-from .sparsela import CachedSpdSolver, SpdFactor, dirichlet_extension, solve_spd
+from .sparsela import CachedSpdSolver, dirichlet_extension, solve_spd
 
 
 @dataclass(frozen=True)
@@ -149,8 +149,9 @@ def _bdf_history_term(scheme, tau, mass, past_fields):
     return -(mass @ weighted_sum(scheme.delta[1:], past_fields)) / tau
 
 
-def normal_step(geometry, history, pressure, scheme, tau, params, assembler):
-    """Implicit update of the (non-normalized) outward normal field."""
+def normal_step(geometry, history, pressure, scheme, tau, params, assembler, solve):
+    """Implicit update of the (non-normalized) outward normal field;
+    ``solve(matrix, rhs)`` solves the SPD surface system."""
     mats = geometry.matrices
     system = _surface_system(geometry, scheme, tau, params)
     forcing = assembler.curvature_forcing_nu(geometry.normal, params.beta, mats.surface)
@@ -161,11 +162,12 @@ def normal_step(geometry, history, pressure, scheme, tau, params, assembler):
     rhs = forcing + _bdf_history_term(
         scheme, tau, mats.mass_surf, history.field("normal")[:q]
     )
-    return solve_spd(system, rhs)
+    return solve(system, rhs)
 
 
-def curvature_step(geometry, history, pressure, scheme, tau, params, assembler):
-    """Implicit update of the mean curvature field.
+def curvature_step(geometry, history, pressure, scheme, tau, params, assembler, solve):
+    """Implicit update of the mean curvature field; ``solve(matrix, rhs)``
+    solves the SPD surface system.
 
     The quadratic forcing uses only extrapolated fields (normal, curvature,
     pressure); the new pressure enters through the surface-Laplacian term.
@@ -181,7 +183,7 @@ def curvature_step(geometry, history, pressure, scheme, tau, params, assembler):
     rhs = rhs + _bdf_history_term(
         scheme, tau, mats.mass_surf, history.field("curvature")[:q]
     )
-    return solve_spd(system, rhs)
+    return solve(system, rhs)
 
 
 def velocity_law(pressure_trace, curvature, normal, params):
@@ -214,9 +216,11 @@ def position_update(scheme, history, velocity, tau, mesh):
 class Stepper:
     """Time stepping driver bound to one mesh connectivity.
 
-    Holds the assembly engine and the cached factorized preconditioners for
-    the two bulk solves, which stay effective across many steps of slow mesh
-    motion.
+    Holds the assembly engine and the cached factorized preconditioners of
+    its three SPD systems -- the Robin matrix, the surface pencil shared by
+    the normal and curvature solves, and the interior stiffness block of the
+    harmonic extension -- which stay effective across many steps of slow
+    mesh motion.
     """
 
     def __init__(self, mesh, params, order, tau):
@@ -228,6 +232,7 @@ class Stepper:
         self.tau = tau
         self.assembler = Assembler(mesh)
         self.robin_solver = CachedSpdSolver()
+        self.surface_solver = CachedSpdSolver()
         self.harmonic_solver = CachedSpdSolver()
         self.step_count = 0
 
@@ -248,12 +253,12 @@ class Stepper:
             stage = "normal_step"
             normal = normal_step(
                 geo, history, pressure, self.scheme, self.tau, self.params,
-                self.assembler,
+                self.assembler, self.surface_solver.solve,
             )
             stage = "curvature_step"
             curvature = curvature_step(
                 geo, history, pressure, self.scheme, self.tau, self.params,
-                self.assembler,
+                self.assembler, self.surface_solver.solve,
             )
             stage = "velocity_law"
             speed, v_gamma = velocity_law(
@@ -338,21 +343,29 @@ def estimate_boundary_geometry(mesh):
     return normal * sign[:, None], magnitude * sign
 
 
-def initial_state(mesh, params, normal, curvature):
-    """Initial state at t = 0: geometry interpolated, pressure from the
-    Robin solve."""
+def initial_state(stepper, normal, curvature):
+    """Initial state at t = 0 on the stepper's mesh: geometry interpolated,
+    pressure from the Robin solve.
+
+    The Robin and harmonic solves go through the stepper's cached solvers,
+    so its first step starts from factorizations of the initial
+    configuration.
+    """
+    mesh, params = stepper.mesh, stepper.params
     geometry = ExtrapolatedGeometry(
         positions=mesh.node_positions,
         normal=normal,
         curvature=curvature,
         pressure=None,
-        matrices=Assembler(mesh).system(),
+        matrices=stepper.assembler.system(),
     )
-    pressure = robin_solve(geometry, params, 0.0, lambda a, b: SpdFactor(a).solve(b))
+    pressure = robin_solve(geometry, params, 0.0, stepper.robin_solver.solve)
     speed, v_gamma = velocity_law(
         pressure[: mesh.n_boundary], curvature, normal, params
     )
-    velocity = harmonic_extension(geometry.matrices, v_gamma, solve_spd)
+    velocity = harmonic_extension(
+        geometry.matrices, v_gamma, stepper.harmonic_solver.solve
+    )
     return SimState(
         time=0.0,
         positions=mesh.node_positions.copy(),
@@ -368,11 +381,13 @@ def bootstrap_history(mesh, params, tau, order, normal, curvature):
     """Startup for non-oracle runs: one step each with orders 1..q-1.
 
     The seed state interpolates the supplied geometry data and solves the
-    discrete Robin problem for the pressure.
+    discrete Robin problem for the pressure, on the BDF1 stepper that then
+    takes the first start step.
     """
-    state0 = initial_state(mesh, params, normal, curvature)
-    states = [state0]  # oldest first
+    sub = Stepper(mesh, params, 1, tau)
+    states = [initial_state(sub, normal, curvature)]  # oldest first
     for q in range(1, order):
-        sub = Stepper(mesh, params, q, tau)
+        if q > 1:
+            sub = Stepper(mesh, params, q, tau)
         states.append(sub.step(History(states[::-1][:q])))
     return History(states[::-1][:order])

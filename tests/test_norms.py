@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bulkgrow.assembly import assemble_system
+from bulkgrow.assembly import Assembler
 from bulkgrow.errors import CapabilityError, ValidationError
 from bulkgrow.mesh import BulkSurfaceMesh, generate_disk_mesh
 from bulkgrow.norms import (
@@ -22,7 +22,7 @@ from bulkgrow.oracle import RadialOracle, sphere_oracle_mesh
 @pytest.fixture(scope="module")
 def disk():
     mesh = generate_disk_mesh(1.0, 0.25, degree=2)
-    return mesh, assemble_system(mesh)
+    return mesh, Assembler(mesh).system()
 
 
 class TestMatrixNorms:
@@ -136,7 +136,7 @@ class TestHalfNorm:
 class TestRenumberingInvariance:
     def test_norms_invariant_under_boundary_preserving_permutation(self):
         mesh = generate_disk_mesh(1.0, 0.4, degree=1)
-        mats = assemble_system(mesh)
+        mats = Assembler(mesh).system()
         rng = np.random.default_rng(5)
         ng, n = mesh.n_boundary, mesh.n_nodes
         perm = np.concatenate(
@@ -152,7 +152,7 @@ class TestRenumberingInvariance:
             bulk_elements=inv[mesh.bulk_elements],
             boundary_elements=inv[mesh.boundary_elements],
         )
-        pmats = assemble_system(permuted)
+        pmats = Assembler(permuted).system()
         e = rng.standard_normal(n)
         ep = e[perm]
         assert norm_M(ep, pmats, "bulk") == pytest.approx(
@@ -174,7 +174,7 @@ class TestOracleErrors:
                               alpha=1.0, beta=1.0)
         mesh = sphere_oracle_mesh(oracle, 0.3, degree=2)
         state = oracle.seed_state(mesh, 0.0)
-        mats = assemble_system(mesh)
+        mats = Assembler(mesh).system()
         errors = oracle_errors(state, oracle, mesh, mats)
         for quantity in ("u", "x", "nu", "H"):
             assert errors[quantity] < 1e-9, quantity

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bulkgrow.assembly import Assembler
 from bulkgrow.errors import ValidationError
 from bulkgrow.oracle import RadialOracle, sphere_oracle_mesh
 
@@ -171,6 +172,22 @@ class TestSeedState:
     def test_radius_mismatch_rejected(self):
         with pytest.raises(ValidationError):
             self.oracle.seed_state(self.mesh, 0.5)
+
+    @pytest.mark.parametrize("dim_m, degree", [(1, 1), (1, 2), (2, 1), (2, 2)])
+    def test_velocity_is_discrete_harmonic_extension(self, dim_m, degree):
+        # The closed-form field (V/R) x satisfies the interior rows of the
+        # stiffness system, so it is the extension of its own trace.
+        oracle = RadialOracle(dim_m=dim_m, initial_radius=1.5, source=1.5,
+                              alpha=1.0, beta=1.0)
+        mesh = sphere_oracle_mesh(oracle, 0.3 if dim_m == 1 else 0.5, degree=degree)
+        state = oracle.seed_state(mesh, 0.0)
+        _, stiff = Assembler(mesh).bulk_matrices()
+        ng = mesh.n_boundary
+        interior = stiff[ng:] @ state.velocity
+        coupling = stiff[ng:, :ng] @ state.velocity[:ng]
+        assert np.linalg.norm(interior) <= 1e-12 * np.linalg.norm(coupling)
+        _, _, _, v_gamma = oracle.geometry_fields(mesh.boundary_positions, 0.0)
+        assert np.array_equal(state.velocity[:ng], v_gamma)
 
     def test_seed_at_later_time(self):
         t = 0.3

@@ -47,7 +47,7 @@ def test_residual_contract_on_random_instances():
 
 
 def test_nonconvergence_reports_residual():
-    # Indefinite matrix: CG cannot drive the residual down.
+    # Indefinite matrix: its negative diagonal entry is rejected before factoring.
     a = sp.csr_matrix(np.diag([1.0, 1.0, -1.0]) + 0.01)
     with pytest.raises(SolverError):
         solve_spd(a, np.ones(3))
@@ -56,8 +56,16 @@ def test_nonconvergence_reports_residual():
 def test_spd_factor_matches_pcg():
     rng = np.random.default_rng(1)
     a = random_spd(40, rng)
+    solver = CachedSpdSolver()
+    solver.solve(a, rng.standard_normal(40))
+    first = solver._factor
+    # A symmetric drift: the factor of ``a`` preconditions PCG on ``drifted``.
+    e = rng.standard_normal((40, 40))
+    drifted = sp.csr_matrix(a.toarray() + 0.5 * (e + e.T))
     b = rng.standard_normal(40)
-    assert np.allclose(SpdFactor(a).solve(b), solve_spd(a, b), atol=1e-8)
+    x = solver.solve(drifted, b)
+    assert solver._factor is first  # solved by PCG, not by a refresh
+    assert np.allclose(SpdFactor(drifted).solve(b), x, atol=1e-8)
 
 
 def test_spd_factor_checks_each_column(monkeypatch):

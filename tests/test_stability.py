@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bulkgrow.assembly import assemble_L, assemble_system
+from bulkgrow.assembly import Assembler, assemble_L
 from bulkgrow.errors import ValidationError
 from bulkgrow.mesh import generate_disk_mesh
 from bulkgrow.norms import norm_K, norm_h_half, surface_spectrum
@@ -36,7 +36,7 @@ def growth_factors(rows):
 @pytest.fixture(scope="module")
 def disk():
     mesh = generate_disk_mesh(1.0, 0.15, degree=1)
-    return mesh, assemble_system(mesh)
+    return mesh, Assembler(mesh).system()
 
 
 class TestDirichletRatio:
@@ -110,39 +110,40 @@ class TestRobinRatio:
 
 
 class TestSweep:
-    def meshes(self, levels=3):
-        return [generate_disk_mesh(1.0, 0.4 / 2 ** j, degree=1) for j in range(levels)]
+    def levels(self, count=3):
+        meshes = [generate_disk_mesh(1.0, 0.4 / 2 ** j, degree=1) for j in range(count)]
+        return [(mesh, Assembler(mesh).system()) for mesh in meshes]
 
     def test_dirichlet_sweep_bounded(self):
-        rows = stability_sweep(self.meshes(), "dirichlet", samples=8, seed=0,
+        rows = stability_sweep(self.levels(), "dirichlet", samples=8, seed=0,
                                boost_iters=10)
         assert len(rows) == 3
         for factor in growth_factors(rows):
             assert factor <= 1.15
 
     def test_robin_sweep_bounded(self):
-        rows = stability_sweep(self.meshes(), "robin", samples=8, seed=0,
+        rows = stability_sweep(self.levels(), "robin", samples=8, seed=0,
                                boost_iters=10)
         for factor in growth_factors(rows):
             assert factor <= 1.15
 
     def test_boost_does_not_lose_to_samples(self):
         # The boosted ratio must be at least the best sampled ratio.
-        meshes = self.meshes(2)
-        plain = stability_sweep(meshes, "dirichlet", samples=8, seed=0, boost_iters=0)
-        boosted = stability_sweep(meshes, "dirichlet", samples=8, seed=0, boost_iters=15)
+        levels = self.levels(2)
+        plain = stability_sweep(levels, "dirichlet", samples=8, seed=0, boost_iters=0)
+        boosted = stability_sweep(levels, "dirichlet", samples=8, seed=0, boost_iters=15)
         for a, b in zip(plain, boosted):
             assert b["max_ratio"] >= a["max_ratio"] - 1e-12
 
     def test_deterministic(self):
-        meshes = self.meshes(2)
-        r1 = stability_sweep(meshes, "robin", samples=5, seed=7, boost_iters=5)
-        r2 = stability_sweep(meshes, "robin", samples=5, seed=7, boost_iters=5)
+        levels = self.levels(2)
+        r1 = stability_sweep(levels, "robin", samples=5, seed=7, boost_iters=5)
+        r2 = stability_sweep(levels, "robin", samples=5, seed=7, boost_iters=5)
         assert r1 == r2
 
     def test_mode_validation(self):
         with pytest.raises(ValidationError):
-            stability_sweep(self.meshes(1), "neumann", samples=8, seed=0, boost_iters=0)
+            stability_sweep(self.levels(1), "neumann", samples=8, seed=0, boost_iters=0)
 
     def test_constant_only_sample(self, disk):
         mesh, mats = disk

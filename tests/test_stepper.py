@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from bulkgrow.assembly import Assembler, assemble_f_u, assemble_L, assemble_system
+from bulkgrow.assembly import Assembler, assemble_f_u, assemble_L
 from bulkgrow.bdf import bdf_coefficients
 from bulkgrow import stepper as stepper_module
 from bulkgrow.errors import GeometryError, SolverError, ValidationError
 from bulkgrow.mesh import generate_disk_mesh
 from bulkgrow.oracle import RadialOracle, sphere_oracle_mesh
-from bulkgrow.sparsela import SpdFactor
+from bulkgrow.sparsela import SpdFactor, solve_spd
 from bulkgrow.stepper import (
     History,
     ModelParams,
@@ -96,7 +96,7 @@ class TestExtrapolatedGeometry:
         assembler = Assembler(mesh)
         geo = extrapolated_geometry(frozen, bdf_coefficients(2), assembler)
         assert np.allclose(geo.positions, s.positions, atol=1e-14)
-        mats = assemble_system(mesh, positions=s.positions)
+        mats = Assembler(mesh).system(s.positions)
         assert np.allclose(geo.matrices.mass_bulk.data, mats.mass_bulk.data)
 
     def test_order_one_is_pure_lag(self):
@@ -131,7 +131,7 @@ class TestRobinSolve:
 
     def test_pure_constant_modified_system(self):
         mesh = generate_disk_mesh(1.0, 0.3, degree=2)
-        mats = assemble_system(mesh)
+        mats = Assembler(mesh).system()
         params = disk_params(alpha=1.3, mu=0.7)
         ell = assemble_L(mats, params.alpha, params.mu)
         c = 2.2
@@ -187,7 +187,8 @@ class TestSurfaceSteps:
         assembler = Assembler(mesh)
         geo = extrapolated_geometry(history, scheme, assembler)
         new_normal = normal_step(
-            geo, history, np.zeros(mesh.n_nodes), scheme, tau, params, assembler
+            geo, history, np.zeros(mesh.n_nodes), scheme, tau, params, assembler,
+            solve_spd,
         )
         assert np.allclose(new_normal, n_const, atol=1e-10)
 
@@ -199,8 +200,9 @@ class TestSurfaceSteps:
         assembler = Assembler(mesh)
         geo = extrapolated_geometry(history, scheme, assembler)
         u = history[0].pressure
-        n1 = normal_step(geo, history, u, scheme, 1e-3, params, assembler)
-        n2 = normal_step(geo, history, u + 4.2, scheme, 1e-3, params, assembler)
+        n1 = normal_step(geo, history, u, scheme, 1e-3, params, assembler, solve_spd)
+        n2 = normal_step(geo, history, u + 4.2, scheme, 1e-3, params, assembler,
+                         solve_spd)
         assert np.allclose(n1, n2, atol=1e-9)
 
     def test_curvature_mass_conservation_without_forcing(self):
@@ -228,7 +230,8 @@ class TestSurfaceSteps:
         assembler = Assembler(mesh)
         geo = extrapolated_geometry(history, scheme, assembler)
         new_curv = curvature_step(
-            geo, history, np.zeros(mesh.n_nodes), scheme, tau, params, assembler
+            geo, history, np.zeros(mesh.n_nodes), scheme, tau, params, assembler,
+            solve_spd,
         )
         mass = geo.matrices.mass_surf
         ones = np.ones(mesh.n_boundary)
@@ -423,7 +426,7 @@ class TestInitialData:
         normal, curv = ellipsoid_surface_fields(
             mesh.boundary_positions, (1.5, 1.5)
         )
-        state = initial_state(mesh, params, normal, curv)
+        state = initial_state(Stepper(mesh, params, 1, 1e-3), normal, curv)
         exact = oracle.pressure(1.5, 0.0)
         assert np.abs(state.pressure[: mesh.n_boundary] - exact).max() < 5e-3
 

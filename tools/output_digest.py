@@ -78,6 +78,12 @@ CONFIGS = {
         {"k": 1, "q": 1, "tau": 1e-3, "T": 0.01},
         {"kind": "simulate", "snapshots": 2, "seed_mode": "oracle"},
     )),
+    # BDF1 from the bootstrap start: the initial-state solves alone, no start step.
+    "simulate_disk_bootstrap_q1": (run_simulate, _config(
+        {"kind": "disk", "radii": [1.5], "h": 0.1},
+        {"k": 2, "q": 1, "tau": 1e-3, "T": 0.01},
+        {"kind": "simulate", "snapshots": 2, "seed_mode": "bootstrap"},
+    )),
     "stability_disk_p1": (run_stability, _config(
         {"kind": "disk", "radii": [1.0], "h": 0.2},
         {"k": 1, "q": 2, "tau": 1e-3, "T": 0.0},

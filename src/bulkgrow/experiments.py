@@ -300,17 +300,17 @@ def compatible_oracle(config, mesh):
     )
 
 
-def seed_history(config, mesh, params, tau, order, normal, curvature):
-    """Startup states: exact interpolation when a closed form exists,
-    otherwise a low-order bootstrap."""
+def seed_history(config, stepper, normal, curvature):
+    """Startup states of the run ``stepper`` takes: exact interpolation when
+    a closed form exists, otherwise a low-order bootstrap on the stepper."""
     mode = config["run"].get("seed_mode", "auto")
-    oracle = compatible_oracle(config, mesh)
+    oracle = compatible_oracle(config, stepper.mesh)
     if mode == "oracle" and oracle is None:
         raise ConfigError("run.seed_mode=oracle requires sphere data, "
                           "constant Q and mu=0")
     if oracle is not None and mode != "bootstrap":
-        return oracle.seed_history(mesh, tau, order)
-    return bootstrap_history(mesh, params, tau, order, normal, curvature)
+        return oracle.seed_history(stepper.mesh, stepper.tau, stepper.scheme.order)
+    return bootstrap_history(stepper, normal, curvature)
 
 
 def _degree(disc):
@@ -373,8 +373,8 @@ def run_simulate(config, outdir):
     """Time-step to the final time, writing snapshots and diagnostics."""
     degree, order, tau, n_steps = _time_grid(config["discretization"])
     mesh, normal, curvature = build_geometry(config["geometry"], degree)
-    params = build_params(config, mesh)
-    history = seed_history(config, mesh, params, tau, order, normal, curvature)
+    stepper = Stepper(mesh, build_params(config, mesh), order, tau)
+    history = seed_history(config, stepper, normal, curvature)
     os.makedirs(outdir, exist_ok=True)  # after set-up: a bad config leaves none
     keep = _sampler(n_steps, int(config["run"].get("snapshots", 20)))
     diag_rows = []
@@ -395,7 +395,7 @@ def run_simulate(config, outdir):
     snapshot(history[0])
     aborted = None
     try:
-        evolve(Stepper(mesh, params, order, tau), history, n_steps, observer)
+        evolve(stepper, history, n_steps, observer)
     except BulkgrowError as exc:
         # Flush the last successful state before propagating.
         snapshot(history[0])
@@ -595,7 +595,8 @@ def run_regularization(config, outdir):
 
     traces = {}
     for mu, params in params_of.items():
-        history = bootstrap_history(mesh, params, tau, order, normal, curvature)
+        stepper = Stepper(mesh, params, order, tau)
+        history = bootstrap_history(stepper, normal, curvature)
         samples = []
 
         def observer(step, state):
@@ -605,7 +606,7 @@ def run_regularization(config, outdir):
                      state.pressure[:ng].copy())
                 )
 
-        evolve(Stepper(mesh, params, order, tau), history, n_steps, observer)
+        evolve(stepper, history, n_steps, observer)
         traces[mu] = samples
 
     base = traces[0.0]

@@ -7,12 +7,19 @@ solve paths share one residual contract, ||Ax - b|| <= TOL * ||b|| with
 * :class:`SpdFactor` -- a direct sparse factorization, for one-off systems
   and for matrices solved against many right-hand sides;
   :func:`solve_spd` is the one-off form, ``SpdFactor(matrix).solve(rhs)``.
-* :class:`CachedSpdSolver` -- conjugate gradients preconditioned by a sparse
-  factorization that is refreshed only when convergence degrades; used inside
-  the time loop where the matrix drifts slowly between steps.
+  The factor's precision follows its matrix: a float64 matrix gives a
+  float64 factor, a float32 matrix a float32 one.
+* :class:`CachedSpdSolver` -- conjugate gradients from a caller's initial
+  guess, preconditioned by a float32 factorization that is refreshed only
+  when convergence degrades; used inside the time loop where the matrix
+  drifts slowly between steps and the extrapolated fields of the BDF scheme
+  are good guesses.  A low-precision factor inside a float64 residual loop
+  costs iterations, not accuracy (Carson & Higham, SIAM J. Sci. Comput. 40
+  (2018)), while it stores its values in half the bytes and factors and
+  applies faster.
 
-Every solve verifies the true residual of each right-hand-side column before
-returning.
+Every solve verifies the float64 true residual of each right-hand-side
+column before returning.
 
 :func:`dirichlet_extension` solves a Dirichlet problem on a boundary-first
 partitioned matrix with whichever of these the caller binds to the interior
@@ -34,27 +41,25 @@ _SPLU_OPTS = dict(
 )
 
 
-def _pcg(matrix, rhs, precondition, maxiter, x0=None):
-    """Preconditioned conjugate gradients; returns (x, iterations, converged).
+def _pcg(matrix, rhs, precondition, maxiter, x0):
+    """Preconditioned conjugate gradients from ``x0``; returns (x, iterations,
+    residual), with the largest relative true residual over the columns.
 
     Handles 2d right-hand sides column by column with batched matrix and
     preconditioner applications (scalars become per-column vectors), which is
-    exact columnwise CG at a fraction of the traversal cost.
+    exact columnwise CG at a fraction of the traversal cost.  Zero columns of
+    ``rhs`` have the zero solution, whatever their guess.
     """
     single = rhs.ndim == 1
     b = rhs[:, None] if single else rhs
     b_norm = np.sqrt((b * b).sum(axis=0))
     target = TOL * b_norm
-    if x0 is not None:
-        x = (x0[:, None] if single else x0).copy()
-        r = b - matrix @ x
-    else:
-        x = np.zeros_like(b)
-        r = b.copy()
+    x = (x0[:, None] if single else x0).copy()
+    x[:, b_norm == 0.0] = 0.0
+    r = b - matrix @ x
     it = 0
     res0 = np.sqrt((r * r).sum(axis=0))
-    needs_work = np.any(b_norm > 0.0) and np.any(res0 > 0.25 * target)
-    if needs_work:
+    if np.any(res0 > 0.25 * target):
         z = precondition(r)
         p = z.copy()
         rz = (r * z).sum(axis=0)
@@ -65,7 +70,7 @@ def _pcg(matrix, rhs, precondition, maxiter, x0=None):
             x += alpha * p
             r -= alpha * ap
             res = np.sqrt((r * r).sum(axis=0))
-            if np.all(res <= 0.25 * np.maximum(target, 0.0)):
+            if np.all(res <= 0.25 * target):
                 break
             z = precondition(r)
             rz_new = (r * z).sum(axis=0)
@@ -73,17 +78,15 @@ def _pcg(matrix, rhs, precondition, maxiter, x0=None):
             p = z + beta * p
             rz = rz_new
     true = b - matrix @ x
-    true_res = np.sqrt((true * true).sum(axis=0))
-    converged = bool(np.all((true_res <= target) | (b_norm == 0.0)))
-    x[:, b_norm == 0.0] = 0.0
-    return (x[:, 0] if single else x), it, converged
+    true_res = np.sqrt((true * true).sum(axis=0)) / np.where(b_norm > 0.0, b_norm, 1.0)
+    return (x[:, 0] if single else x), it, float(true_res.max())
 
 
 class SpdFactor:
     """Direct sparse LU factorization of an SPD matrix with residual checks.
 
-    Raises SolverError for a non-positive diagonal entry, which no SPD
-    matrix has.
+    The factorization is computed in the matrix's own dtype.  Raises
+    SolverError for a non-positive diagonal entry, which no SPD matrix has.
     """
 
     def __init__(self, matrix):
@@ -93,15 +96,18 @@ class SpdFactor:
         self._lu = spla.splu(sp.csc_matrix(self.matrix), **_SPLU_OPTS)
 
     def apply_inverse(self, rhs):
-        """One triangular solve, no residual verification (preconditioner use)."""
-        return self._lu.solve(rhs)
+        """One triangular solve in the factor's precision, returned in
+        float64; no residual verification (preconditioner use)."""
+        x = self._lu.solve(rhs.astype(self.matrix.dtype, copy=False))
+        return x.astype(np.float64, copy=False)
 
     def solve(self, rhs):
-        """Solve for ``rhs``; each column of a 2d array must meet ``TOL``."""
+        """Solve for ``rhs``; each column of a 2d array must meet ``TOL`` in
+        float64, which a float32 factor cannot."""
         rhs = np.asarray(rhs, dtype=float)
         if rhs.shape[0] != self.matrix.shape[0]:
             raise ValidationError("rhs length does not match matrix dimension")
-        x = self._lu.solve(rhs)
+        x = self.apply_inverse(rhs)
         b_norm = np.sqrt((rhs * rhs).sum(axis=0))
         if not b_norm.any():
             return np.zeros_like(rhs)
@@ -118,13 +124,15 @@ def solve_spd(matrix, rhs):
 
 
 class CachedSpdSolver:
-    """PCG preconditioned by a lazily refreshed factorization.
+    """PCG preconditioned by a lazily refreshed float32 factorization.
 
     Designed for sequences of SPD systems whose matrices drift slowly (moving
     meshes): the factorization of an earlier matrix remains an excellent
-    preconditioner for many steps.  It is refreshed when PCG needs more than
-    ``REFRESH_ITERS`` iterations, and the refreshed factorization is used
-    directly for the current solve.  Deterministic for a fixed call sequence.
+    preconditioner for many steps.  Every solve, the first included, runs PCG
+    from the caller's initial guess to the float64 ``TOL`` of each column.
+    The factorization is refreshed when PCG needs more than ``REFRESH_ITERS``
+    iterations, and the current solve is repeated with the fresh factor.
+    Deterministic for a fixed call sequence.
     """
 
     #: PCG iterations beyond which the factorization is refreshed.
@@ -132,28 +140,29 @@ class CachedSpdSolver:
 
     def __init__(self):
         self._factor = None
-        self._last = None
 
-    def solve(self, matrix, rhs):
+    def solve(self, matrix, rhs, x0):
+        """Solve ``matrix x = rhs`` starting from the guess ``x0`` (the shape
+        of ``rhs``); SolverError if a fresh factor cannot reach ``TOL``."""
         matrix = matrix.tocsr()
         rhs = np.asarray(rhs, dtype=float)
-        if self._factor is None:
-            self._factor = SpdFactor(matrix)
-            x = self._factor.solve(rhs)
-            self._last = x.copy()
-            return x
-        x0 = self._last if self._last is not None and self._last.shape == rhs.shape else None
-        x, iters, converged = _pcg(
-            matrix,
-            rhs,
-            self._factor.apply_inverse,
-            maxiter=2 * self.REFRESH_ITERS,
-            x0=x0,
-        )
-        if not (converged and iters <= self.REFRESH_ITERS):
-            self._factor = SpdFactor(matrix)
-            x = self._factor.solve(rhs)
-        self._last = x.copy()
+        x0 = np.asarray(x0, dtype=float)
+        if x0.shape != rhs.shape:
+            raise ValidationError("initial guess shape does not match rhs")
+
+        def pcg():
+            return _pcg(matrix, rhs, self._factor.apply_inverse,
+                        maxiter=2 * self.REFRESH_ITERS, x0=x0)
+
+        if self._factor is not None:
+            x, iters, residual = pcg()
+            if residual <= TOL and iters <= self.REFRESH_ITERS:
+                return x
+        self._factor = SpdFactor(matrix.astype(np.float32))
+        x, _, residual = pcg()
+        if residual > TOL:
+            raise SolverError("PCG with a fresh factor did not reach TOL",
+                              residual=residual)
         return x
 
 

@@ -7,6 +7,7 @@ the nodal velocity law, the discrete harmonic velocity extension, and the
 position update.  Each implicit sub-system is symmetric positive definite.
 """
 
+import copy
 from dataclasses import dataclass
 from functools import partial
 
@@ -101,17 +102,20 @@ class History:
 @dataclass
 class ExtrapolatedGeometry:
     """Fields and matrices of the configuration one step is frozen at: the
-    extrapolated one while stepping, the given one for initial data."""
+    extrapolated one while stepping, the given one for initial data.  The
+    extrapolated pressure, normal, curvature and velocity are also the
+    initial guesses of the step's iterative solves."""
 
     positions: np.ndarray
     normal: np.ndarray
     curvature: np.ndarray
     pressure: np.ndarray
+    velocity: np.ndarray
     matrices: object  # SystemMatrices, with the surface geometry
 
 
 def extrapolated_geometry(history, scheme, assembler):
-    """Extrapolate (x, n, H, u) and assemble all matrices there."""
+    """Extrapolate (x, n, H, u, v) and assemble all matrices there."""
     q = scheme.order
     positions = extrapolate(scheme, history.field("positions")[:q])
     return ExtrapolatedGeometry(
@@ -119,6 +123,7 @@ def extrapolated_geometry(history, scheme, assembler):
         normal=extrapolate(scheme, history.field("normal")[:q]),
         curvature=extrapolate(scheme, history.field("curvature")[:q]),
         pressure=extrapolate(scheme, history.field("pressure")[:q]),
+        velocity=extrapolate(scheme, history.field("velocity")[:q]),
         matrices=assembler.system(positions),
     )
 
@@ -220,7 +225,7 @@ class Stepper:
     its three SPD systems -- the Robin matrix, the surface pencil shared by
     the normal and curvature solves, and the interior stiffness block of the
     harmonic extension -- which stay effective across many steps of slow
-    mesh motion.
+    mesh motion.  Each solve starts from the extrapolated field it updates.
     """
 
     def __init__(self, mesh, params, order, tau):
@@ -245,28 +250,33 @@ class Stepper:
             )
         self.step_count += 1
         time_next = history[0].time + self.tau
+        ng = self.mesh.n_boundary
         stage = "extrapolated_geometry"
         try:
             geo = extrapolated_geometry(history, self.scheme, self.assembler)
             stage = "robin_solve"
-            pressure = robin_solve(geo, self.params, time_next, self.robin_solver.solve)
+            pressure = robin_solve(
+                geo, self.params, time_next,
+                partial(self.robin_solver.solve, x0=geo.pressure),
+            )
             stage = "normal_step"
             normal = normal_step(
                 geo, history, pressure, self.scheme, self.tau, self.params,
-                self.assembler, self.surface_solver.solve,
+                self.assembler, partial(self.surface_solver.solve, x0=geo.normal),
             )
             stage = "curvature_step"
             curvature = curvature_step(
                 geo, history, pressure, self.scheme, self.tau, self.params,
-                self.assembler, self.surface_solver.solve,
+                self.assembler, partial(self.surface_solver.solve, x0=geo.curvature),
             )
             stage = "velocity_law"
             speed, v_gamma = velocity_law(
-                pressure[: self.mesh.n_boundary], curvature, normal, self.params
+                pressure[:ng], curvature, normal, self.params
             )
             stage = "harmonic_extension"
             velocity = harmonic_extension(
-                geo.matrices, v_gamma, self.harmonic_solver.solve
+                geo.matrices, v_gamma,
+                partial(self.harmonic_solver.solve, x0=geo.velocity[ng:]),
             )
             stage = "position_update"
             positions = position_update(
@@ -347,24 +357,29 @@ def initial_state(stepper, normal, curvature):
     """Initial state at t = 0 on the stepper's mesh: geometry interpolated,
     pressure from the Robin solve.
 
-    The Robin and harmonic solves go through the stepper's cached solvers,
-    so its first step starts from factorizations of the initial
-    configuration.
+    The Robin and harmonic solves go through the stepper's cached solvers
+    from zero guesses, so its first step starts from factorizations of the
+    initial configuration.
     """
     mesh, params = stepper.mesh, stepper.params
+    ng = mesh.n_boundary
     geometry = ExtrapolatedGeometry(
         positions=mesh.node_positions,
         normal=normal,
         curvature=curvature,
         pressure=None,
+        velocity=None,
         matrices=stepper.assembler.system(),
     )
-    pressure = robin_solve(geometry, params, 0.0, stepper.robin_solver.solve)
-    speed, v_gamma = velocity_law(
-        pressure[: mesh.n_boundary], curvature, normal, params
+    pressure = robin_solve(
+        geometry, params, 0.0,
+        partial(stepper.robin_solver.solve, x0=np.zeros(mesh.n_nodes)),
     )
+    speed, v_gamma = velocity_law(pressure[:ng], curvature, normal, params)
     velocity = harmonic_extension(
-        geometry.matrices, v_gamma, stepper.harmonic_solver.solve
+        geometry.matrices, v_gamma,
+        partial(stepper.harmonic_solver.solve,
+                x0=np.zeros((mesh.n_nodes - ng,) + v_gamma.shape[1:])),
     )
     return SimState(
         time=0.0,
@@ -377,17 +392,22 @@ def initial_state(stepper, normal, curvature):
     )
 
 
-def bootstrap_history(mesh, params, tau, order, normal, curvature):
-    """Startup for non-oracle runs: one step each with orders 1..q-1.
+def bootstrap_history(stepper, normal, curvature):
+    """Startup for non-oracle runs of ``stepper``'s order q: one step each
+    with orders 1..q-1.
 
     The seed state interpolates the supplied geometry data and solves the
-    discrete Robin problem for the pressure, on the BDF1 stepper that then
-    takes the first start step.
+    discrete Robin problem for the pressure.  The seed solves and the start
+    steps share the stepper's assembler and its Robin and harmonic solvers,
+    so the run that continues on ``stepper`` reuses those factorizations.
+    The surface pencil (delta_0/tau) M + beta A depends on the order, so each
+    start order solves it with a solver of its own.
     """
-    sub = Stepper(mesh, params, 1, tau)
-    states = [initial_state(sub, normal, curvature)]  # oldest first
+    order = stepper.scheme.order
+    states = [initial_state(stepper, normal, curvature)]  # oldest first
     for q in range(1, order):
-        if q > 1:
-            sub = Stepper(mesh, params, q, tau)
-        states.append(sub.step(History(states[::-1][:q])))
+        start = copy.copy(stepper)
+        start.scheme = bdf_coefficients(q)
+        start.surface_solver = CachedSpdSolver()
+        states.append(start.step(History(states[::-1][:q])))
     return History(states[::-1][:order])

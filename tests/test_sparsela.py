@@ -53,19 +53,87 @@ def test_nonconvergence_reports_residual():
         solve_spd(a, np.ones(3))
 
 
-def test_spd_factor_matches_pcg():
+@pytest.fixture
+def calls(monkeypatch):
+    """Dtypes of the matrices factorized and the count of preconditioner
+    applications (PCG iterations), recorded through the public methods."""
+    record = {"factored": [], "applies": 0}
+    init, apply_inverse = SpdFactor.__init__, SpdFactor.apply_inverse
+
+    def counting_init(self, matrix):
+        record["factored"].append(matrix.dtype)
+        init(self, matrix)
+
+    def counting_apply(self, rhs):
+        record["applies"] += 1
+        return apply_inverse(self, rhs)
+
+    monkeypatch.setattr(SpdFactor, "__init__", counting_init)
+    monkeypatch.setattr(SpdFactor, "apply_inverse", counting_apply)
+    return record
+
+
+def relative_residuals(a, x, b):
+    return np.linalg.norm(a @ x - b, axis=0) / np.linalg.norm(b, axis=0)
+
+
+def test_spd_factor_matches_pcg(calls):
     rng = np.random.default_rng(1)
     a = random_spd(40, rng)
     solver = CachedSpdSolver()
-    solver.solve(a, rng.standard_normal(40))
-    first = solver._factor
+    solver.solve(a, rng.standard_normal(40), np.zeros(40))
     # A symmetric drift: the factor of ``a`` preconditions PCG on ``drifted``.
     e = rng.standard_normal((40, 40))
     drifted = sp.csr_matrix(a.toarray() + 0.5 * (e + e.T))
     b = rng.standard_normal(40)
-    x = solver.solve(drifted, b)
-    assert solver._factor is first  # solved by PCG, not by a refresh
+    x = solver.solve(drifted, b, np.zeros(40))
+    assert calls["factored"] == [np.float32]  # solved by PCG, not by a refresh
     assert np.allclose(SpdFactor(drifted).solve(b), x, atol=1e-8)
+
+
+def test_first_cached_solve_meets_tol_per_column(calls):
+    rng = np.random.default_rng(5)
+    a = random_spd(50, rng)
+    b = rng.standard_normal((50, 3)) * [1.0, 1e-6, 1e6]
+    x = CachedSpdSolver().solve(a, b, np.zeros_like(b))
+    assert calls["factored"] == [np.float32]
+    assert calls["applies"] > 0  # through PCG, not a direct solve
+    assert np.all(relative_residuals(a, x, b) <= 1e-11)
+
+
+def test_exact_guess_takes_no_iteration(calls):
+    rng = np.random.default_rng(6)
+    a = random_spd(30, rng)
+    b = rng.standard_normal((30, 2))
+    exact = np.linalg.solve(a.toarray(), b)
+    x = CachedSpdSolver().solve(a, b, exact)
+    assert calls["applies"] == 0
+    assert np.array_equal(x, exact)
+
+
+def test_refresh_on_a_distant_matrix_meets_tol(calls):
+    rng = np.random.default_rng(7)
+    solver = CachedSpdSolver()
+    solver.solve(random_spd(40, rng), rng.standard_normal(40), np.zeros(40))
+    far = sp.csr_matrix(np.diag(np.geomspace(1.0, 1e4, 40)) + 0.1)
+    b = rng.standard_normal(40)
+    x = solver.solve(far, b, np.zeros(40))
+    assert calls["factored"] == [np.float32, np.float32]
+    assert relative_residuals(far, x, b) <= 1e-11
+
+
+def test_float32_factor_cannot_meet_tol():
+    rng = np.random.default_rng(8)
+    a = random_spd(30, rng).astype(np.float32)
+    with pytest.raises(SolverError):
+        SpdFactor(a).solve(rng.standard_normal(30))
+
+
+def test_guess_shape_checked():
+    rng = np.random.default_rng(9)
+    a = random_spd(20, rng)
+    with pytest.raises(ValidationError):
+        CachedSpdSolver().solve(a, rng.standard_normal((20, 2)), np.zeros(20))
 
 
 def test_spd_factor_checks_each_column(monkeypatch):
@@ -94,7 +162,7 @@ def test_cached_solver_tracks_drifting_matrices():
     for step in range(25):
         a = sp.csr_matrix(base * (1.0 + 1e-3 * step))
         b = rng.standard_normal(60)
-        x = solver.solve(a, b)
+        x = solver.solve(a, b, np.zeros(60))
         assert np.linalg.norm(a @ x - b) <= 1e-11 * np.linalg.norm(b)
 
 
@@ -164,7 +232,8 @@ class TestSchurDirichlet:
         g = rng.standard_normal((self.mesh.n_boundary, 2))
         ng = self.mesh.n_boundary
         reference = self.extend(g)
-        for solve in (partial(CachedSpdSolver().solve, self.a_ii),
+        guess = np.zeros((self.mesh.n_nodes - ng, 2))
+        for solve in (partial(CachedSpdSolver().solve, self.a_ii, x0=guess),
                       SpdFactor(self.a_ii).solve):
             v = dirichlet_extension(self.stiff, ng, g, solve)
             assert np.allclose(v, reference, atol=1e-9)

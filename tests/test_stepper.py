@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -5,9 +7,10 @@ from bulkgrow.assembly import Assembler, assemble_f_u, assemble_L
 from bulkgrow.bdf import bdf_coefficients
 from bulkgrow import stepper as stepper_module
 from bulkgrow.errors import GeometryError, SolverError, ValidationError
-from bulkgrow.mesh import generate_disk_mesh
+from bulkgrow.experiments import run_simulate
+from bulkgrow.mesh import generate_ball_mesh, generate_disk_mesh
 from bulkgrow.oracle import RadialOracle, sphere_oracle_mesh
-from bulkgrow.sparsela import SpdFactor, solve_spd
+from bulkgrow.sparsela import CachedSpdSolver, SpdFactor, solve_spd
 from bulkgrow.stepper import (
     History,
     ModelParams,
@@ -436,10 +439,53 @@ class TestInitialData:
         mesh = sphere_oracle_mesh(oracle, 0.3, degree=2)
         params = disk_params()
         normal, curv = ellipsoid_surface_fields(mesh.boundary_positions, (1.5, 1.5))
-        history = bootstrap_history(mesh, params, 1e-3, 2, normal, curv)
+        history = bootstrap_history(Stepper(mesh, params, 2, 1e-3), normal, curv)
         assert len(history) == 2
         assert history[0].time == pytest.approx(1e-3)
         assert history[1].time == pytest.approx(0.0)
         # The bootstrapped run should track the radial solution.
         radii = np.linalg.norm(history[0].positions[: mesh.n_boundary], axis=1)
         assert abs(radii.mean() - oracle.radius(1e-3)) < 1e-3
+
+
+class TestCachedSolves:
+    """The cached factors on a run whose shape really changes; oracle runs
+    are self-similar, so they cannot show a factor ageing."""
+
+    def test_factors_last_a_nonradial_run(self, monkeypatch, tmp_path):
+        factored = Counter()      # factorizations by matrix rows
+        iterations = []           # PCG iterations of each cached solve
+        init, apply_inverse = SpdFactor.__init__, SpdFactor.apply_inverse
+        cached_solve = CachedSpdSolver.solve
+
+        def counting_init(self, matrix):
+            factored[matrix.shape[0]] += 1
+            init(self, matrix)
+
+        def counting_apply(self, rhs):
+            iterations[-1] += 1
+            return apply_inverse(self, rhs)
+
+        def counting_solve(self, matrix, rhs, x0):
+            iterations.append(0)
+            return cached_solve(self, matrix, rhs, x0)
+
+        monkeypatch.setattr(SpdFactor, "__init__", counting_init)
+        monkeypatch.setattr(SpdFactor, "apply_inverse", counting_apply)
+        monkeypatch.setattr(CachedSpdSolver, "solve", counting_solve)
+        steps = 100
+        run_simulate({
+            "model": {"alpha": 1.0, "beta": 1.0, "mu": 0.0, "Q": 1.5},
+            "geometry": {"kind": "ellipsoid", "radii": [1.0, 0.8, 0.9], "h": 0.5},
+            "discretization": {"k": 2, "q": 2, "tau": 1e-3, "T": steps * 1e-3},
+            "run": {"kind": "simulate", "snapshots": 1, "seed_mode": "bootstrap"},
+        }, str(tmp_path))
+        mesh = generate_ball_mesh([1.0, 0.8, 0.9], 0.5, degree=2)
+        n, ng = mesh.n_nodes, mesh.n_boundary
+        # The bootstrap's seed solves and BDF1 start step share L and A_II
+        # with the run; the surface pencil is factored once per BDF order.
+        assert factored == {n: 1, n - ng: 1, ng: 2}
+        # Robin, normal, curvature and harmonic solves of every step, plus
+        # the seed state's Robin and harmonic solves.
+        assert len(iterations) == 4 * (steps + 1) + 2
+        assert max(iterations) <= 6

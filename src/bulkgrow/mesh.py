@@ -10,10 +10,13 @@ midpoints may be projected onto the exact surface.  Faces come from
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations
+import io
 import math
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import GeometryError, MeshFormatError, ResourceError, ValidationError
 from .refelem import (
@@ -24,6 +27,7 @@ from .refelem import (
     nodes_per_element,
     reference_element,
 )
+from .sparsela import nested_dissection
 
 # Hard cap on generated node counts (memory budget guard).
 MAX_GENERATED_NODES = 4_000_000
@@ -91,6 +95,20 @@ class BulkSurfaceMesh:
     @property
     def boundary_positions(self):
         return self.node_positions[: self.n_boundary]
+
+    @cached_property
+    def dissection_ordering(self):
+        """Nested-dissection ordering of the nodes (:func:`nested_dissection`
+        of the bulk connectivity graph at these positions).  Computed on
+        first use and kept, so every solver on this mesh shares it."""
+        conn = self.bulk_elements
+        n_loc = conn.shape[1]
+        rows = np.repeat(conn, n_loc, axis=1).ravel()
+        cols = np.tile(conn, (1, n_loc)).ravel()
+        graph = sp.csr_matrix(
+            (np.ones(rows.size), (rows, cols)), shape=(self.n_nodes, self.n_nodes)
+        )
+        return nested_dissection(graph, self.node_positions)
 
 
 def element_diameters(mesh):
@@ -550,15 +568,25 @@ def save_mesh(mesh, path):
             write_rows(fh, conn, " ".join(["%d"] * conn.shape[1]))
 
 
+def _parse_block(entries, width, dtype):
+    """The rows of one section as an (n, width) array, parsed by one numpy
+    call; None if any row is malformed, for the row-by-row parse to find
+    the first bad line.  numpy accepts a subset of what ``float``/``int``
+    accept, with the same values."""
+    block = io.StringIO("\n".join(text for _, text in entries))
+    try:
+        out = np.loadtxt(block, dtype=dtype, ndmin=2, comments=None)
+    except ValueError:
+        return None
+    return out if out.shape == (len(entries), width) else None
+
+
 def load_mesh(path):
     """Read a ``.bsm`` file, validating structure and mesh invariants."""
     with open(path) as fh:
         raw = fh.readlines()
-    rows = []  # (line number, payload)
-    for lineno, line in enumerate(raw, start=1):
-        text = line.split("#", 1)[0].strip()
-        if text:
-            rows.append((lineno, text))
+    payloads = (line.split("#", 1)[0].strip() for line in raw)
+    rows = [(lineno, text) for lineno, text in enumerate(payloads, start=1) if text]
     if not rows:
         raise MeshFormatError("empty file", line=1)
 
@@ -575,19 +603,17 @@ def load_mesh(path):
     if m not in (1, 2) or k not in (1, 2):
         raise MeshFormatError(f"unsupported dimension/degree m={m} k={k}", line=header_line)
 
+    names = ("NODES", "ELEMENTS", "BOUNDARY")
+    heads = [i for i, (_, text) in enumerate(rows) if text in names] + [len(rows)]
+    if len(rows) > 1 and heads[0] != 1:
+        raise MeshFormatError("data before first section header", line=rows[1][0])
     sections = {}
-    current = None
-    for lineno, text in rows[1:]:
-        if text in ("NODES", "ELEMENTS", "BOUNDARY"):
-            if text in sections:
-                raise MeshFormatError(f"duplicate section {text}", line=lineno)
-            current = text
-            sections[current] = []
-            continue
-        if current is None:
-            raise MeshFormatError("data before first section header", line=lineno)
-        sections[current].append((lineno, text))
-    for name in ("NODES", "ELEMENTS", "BOUNDARY"):
+    for start, end in zip(heads, heads[1:]):
+        lineno, name = rows[start]
+        if name in sections:
+            raise MeshFormatError(f"duplicate section {name}", line=lineno)
+        sections[name] = rows[start + 1:end]
+    for name in names:
         if name not in sections:
             raise MeshFormatError(f"missing section {name}", line=header_line)
         if not sections[name]:
@@ -599,33 +625,41 @@ def load_mesh(path):
             f"expected {n_nodes} node rows, found {len(sections['NODES'])}",
             line=sections["NODES"][0][0],
         )
-    positions = np.empty((n_nodes, dim))
-    for i, (lineno, text) in enumerate(sections["NODES"]):
-        fields = text.split()
-        if len(fields) != dim:
-            raise MeshFormatError(f"expected {dim} coordinates", line=lineno)
-        try:
-            positions[i] = [float(f) for f in fields]
-        except ValueError:
-            raise MeshFormatError("non-numeric coordinate", line=lineno) from None
+    positions = _parse_block(sections["NODES"], dim, float)
+    if positions is None:
+        positions = np.empty((n_nodes, dim))
+        for i, (lineno, text) in enumerate(sections["NODES"]):
+            fields = text.split()
+            if len(fields) != dim:
+                raise MeshFormatError(f"expected {dim} coordinates", line=lineno)
+            try:
+                positions[i] = [float(f) for f in fields]
+            except ValueError:
+                raise MeshFormatError("non-numeric coordinate", line=lineno) from None
 
     def parse_conn(name, width):
         entries = sections[name]
-        out = np.empty((len(entries), width), dtype=np.int64)
-        lines = np.empty(len(entries), dtype=np.int64)
-        for i, (lineno, text) in enumerate(entries):
-            fields = text.split()
-            if len(fields) != width:
-                raise MeshFormatError(
-                    f"expected {width} node indices in {name} row", line=lineno
-                )
-            try:
-                out[i] = [int(f) for f in fields]
-            except ValueError:
-                raise MeshFormatError("non-integer connectivity entry", line=lineno) from None
-            if out[i].min() < 0 or out[i].max() >= n_nodes:
-                raise MeshFormatError("node index out of range", line=lineno)
-            lines[i] = lineno
+        lines = np.array([lineno for lineno, _ in entries], dtype=np.int64)
+        out = _parse_block(entries, width, np.int64)
+        if out is None:
+            out = np.empty((len(entries), width), dtype=np.int64)
+            for i, (lineno, text) in enumerate(entries):
+                fields = text.split()
+                if len(fields) != width:
+                    raise MeshFormatError(
+                        f"expected {width} node indices in {name} row", line=lineno
+                    )
+                try:
+                    out[i] = [int(f) for f in fields]
+                except ValueError:
+                    raise MeshFormatError(
+                        "non-integer connectivity entry", line=lineno
+                    ) from None
+                if out[i].min() < 0 or out[i].max() >= n_nodes:
+                    raise MeshFormatError("node index out of range", line=lineno)
+        bad = np.flatnonzero((out < 0).any(axis=1) | (out >= n_nodes).any(axis=1))
+        if bad.size:
+            raise MeshFormatError("node index out of range", line=int(lines[bad[0]]))
         return out, lines
 
     bulk, _ = parse_conn("ELEMENTS", nodes_per_element(dim, k))

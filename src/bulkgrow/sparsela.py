@@ -21,6 +21,15 @@ solve paths share one residual contract, ||Ax - b|| <= TOL * ||b|| with
 Every solve verifies the float64 true residual of each right-hand-side
 column before returning.
 
+Both paths factor in SuperLU's minimum-degree ordering unless the caller
+passes a permutation.  The ordering is chosen per dimension, by measurement:
+on 3d volume meshes minimum degree fills badly, and the Robin matrix and
+interior stiffness block are factored in the mesh's
+:func:`nested_dissection` ordering, computed once per mesh from its node
+coordinates (P2 ball, 24,389 nodes: fill 34x -> 28x, factor time 2.4x
+lower; P1 ball of the same size: 112x -> 40x).  In 2d and on the surface
+pencil minimum degree is the faster one and is kept.
+
 :func:`dirichlet_extension` solves a Dirichlet problem on a boundary-first
 partitioned matrix with whichever of these the caller binds to the interior
 block.
@@ -39,6 +48,76 @@ _SPLU_OPTS = dict(
     permc_spec="MMD_AT_PLUS_A",
     options={"SymmetricMode": True},
 )
+
+# A matrix reordered beforehand: SuperLU keeps the order and its diagonal
+# pivots, which an SPD matrix can always take.
+_SPLU_ORDERED_OPTS = dict(
+    permc_spec="NATURAL",
+    diag_pivot_thresh=0.0,
+    options={"SymmetricMode": True},
+)
+
+# Largest node set that nested_dissection orders without splitting it.
+_DISSECTION_LEAF = 16
+
+
+def nested_dissection(graph, points):
+    """Fill-reducing ordering of a mesh graph by coordinate bisection.
+
+    Recursively splits the nodes at the median of their longest coordinate
+    extent.  The split is by value, so nodes with equal coordinates stay on
+    one side; those at the median go to the lower half.  The separator is
+    one-sided: the nodes of the lower half with a neighbour in the upper
+    half.  Each split orders the rest of the lower half first, then the
+    upper half, then the separator, down to leaves of 16 nodes, which keep
+    their index order.  Separators of a volume mesh are surfaces, which is
+    why nested dissection fills less than minimum degree there (George,
+    SIAM J. Numer. Anal. 10 (1973)).
+
+    Parameters
+    ----------
+    graph : scipy sparse matrix, (n, n)
+        Its nonzero pattern gives the neighbours of each node; the values
+        are ignored.
+    points : ndarray, (n, d)
+        Node coordinates.
+
+    Returns ``perm``, a permutation of ``range(n)``: the new i-th node is the
+    old node ``perm[i]``, so ``matrix[perm][:, perm]`` is the reordered matrix.
+    """
+    graph = sp.csr_matrix(graph)
+    points = np.asarray(points, dtype=float)
+    n = graph.shape[0]
+    if graph.shape != (n, n) or points.ndim != 2 or points.shape[0] != n:
+        raise ValidationError("graph and points must describe the same nodes")
+    pattern = sp.csr_matrix(
+        (np.ones(graph.nnz), graph.indices, graph.indptr), shape=graph.shape
+    )
+    upper = np.zeros(n)  # indicator of the upper half being split
+    order = []
+
+    def dissect(nodes):
+        if nodes.size <= _DISSECTION_LEAF:
+            order.append(np.sort(nodes))
+            return
+        coords = points[nodes]
+        c = coords[:, np.argmax(coords.max(axis=0) - coords.min(axis=0))]
+        below = c <= np.median(c)
+        if below.all():  # over half the nodes share the largest value
+            below = c < c.max()
+        if not below.any():  # the nodes coincide; nothing to split
+            order.append(np.sort(nodes))
+            return
+        lower, higher = nodes[below], nodes[~below]
+        upper[higher] = 1.0
+        cut = (pattern[lower] @ upper) > 0.0
+        upper[higher] = 0.0
+        dissect(lower[~cut])
+        dissect(higher)
+        order.append(np.sort(lower[cut]))
+
+    dissect(np.arange(n))
+    return np.concatenate(order)
 
 
 def _pcg(matrix, rhs, precondition, maxiter, x0):
@@ -85,20 +164,34 @@ def _pcg(matrix, rhs, precondition, maxiter, x0):
 class SpdFactor:
     """Direct sparse LU factorization of an SPD matrix with residual checks.
 
-    The factorization is computed in the matrix's own dtype.  Raises
-    SolverError for a non-positive diagonal entry, which no SPD matrix has.
+    The factorization is computed in the matrix's own dtype.  Without
+    ``perm`` SuperLU orders the matrix by minimum degree; with a permutation
+    (such as :func:`nested_dissection`'s) it factors ``matrix[perm][:, perm]``
+    in that order, and right-hand sides and solutions are permuted to match.
+    Raises SolverError for a non-positive diagonal entry, which no SPD
+    matrix has.
     """
 
-    def __init__(self, matrix):
+    def __init__(self, matrix, perm=None):
         self.matrix = matrix.tocsr()
         if (self.matrix.diagonal() <= 0).any():
             raise SolverError("non-positive diagonal entry; matrix is not SPD")
-        self._lu = spla.splu(sp.csc_matrix(self.matrix), **_SPLU_OPTS)
+        self._perm = perm
+        if perm is None:
+            self._lu = spla.splu(sp.csc_matrix(self.matrix), **_SPLU_OPTS)
+        else:
+            reordered = self.matrix[perm][:, perm]
+            self._lu = spla.splu(sp.csc_matrix(reordered), **_SPLU_ORDERED_OPTS)
+            self._inverse_perm = np.argsort(perm)
 
     def apply_inverse(self, rhs):
         """One triangular solve in the factor's precision, returned in
         float64; no residual verification (preconditioner use)."""
-        x = self._lu.solve(rhs.astype(self.matrix.dtype, copy=False))
+        rhs = rhs.astype(self.matrix.dtype, copy=False)
+        if self._perm is None:
+            x = self._lu.solve(rhs)
+        else:
+            x = self._lu.solve(rhs[self._perm])[self._inverse_perm]
         return x.astype(np.float64, copy=False)
 
     def solve(self, rhs):
@@ -132,13 +225,15 @@ class CachedSpdSolver:
     from the caller's initial guess to the float64 ``TOL`` of each column.
     The factorization is refreshed when PCG needs more than ``REFRESH_ITERS``
     iterations, and the current solve is repeated with the fresh factor.
-    Deterministic for a fixed call sequence.
+    Every factorization uses the fill-reducing ``perm`` given here (see
+    :class:`SpdFactor`).  Deterministic for a fixed call sequence.
     """
 
     #: PCG iterations beyond which the factorization is refreshed.
     REFRESH_ITERS = 12
 
-    def __init__(self):
+    def __init__(self, perm=None):
+        self._perm = perm
         self._factor = None
 
     def solve(self, matrix, rhs, x0):
@@ -158,7 +253,7 @@ class CachedSpdSolver:
             x, iters, residual = pcg()
             if residual <= TOL and iters <= self.REFRESH_ITERS:
                 return x
-        self._factor = SpdFactor(matrix.astype(np.float32))
+        self._factor = SpdFactor(matrix.astype(np.float32), self._perm)
         x, _, residual = pcg()
         if residual > TOL:
             raise SolverError("PCG with a fresh factor did not reach TOL",

@@ -508,6 +508,59 @@ class TestBsmFormat:
         loaded = load_mesh(path)
         assert loaded.n_nodes == mesh.n_nodes
 
+    @staticmethod
+    def corrupted(tmp_path, edits):
+        """Save the P1 disk of radius 1 at h = 0.4, replace data rows
+        ``{(section, row): text}`` and return (path, {(section, row): line
+        number})."""
+        mesh = generate_disk_mesh(1.0, 0.4)
+        path = tmp_path / "edited.bsm"
+        save_mesh(mesh, path)
+        lines = path.read_text().splitlines()
+        numbers = {}
+        for (section, row), text in edits.items():
+            index = lines.index(section) + 1 + row
+            lines[index] = text
+            numbers[section, row] = index + 1
+        path.write_text("\n".join(lines) + "\n")
+        return path, numbers
+
+    @pytest.mark.parametrize("section, row, text, message", [
+        ("NODES", 3, "0.5 x", "non-numeric coordinate"),
+        ("NODES", 4, "0.5", "expected 2 coordinates"),
+        ("ELEMENTS", 2, "0 1", "expected 3 node indices in ELEMENTS row"),
+        ("ELEMENTS", 5, "0 1 2.0", "non-integer connectivity entry"),
+        ("BOUNDARY", 1, "0 -1", "node index out of range"),
+    ])
+    def test_bad_row_reports_its_line(self, tmp_path, section, row, text, message):
+        path, numbers = self.corrupted(tmp_path, {(section, row): text})
+        with pytest.raises(MeshFormatError) as err:
+            load_mesh(path)
+        assert str(err.value) == f"line {numbers[section, row]}: {message}"
+
+    def test_first_bad_row_wins(self, tmp_path):
+        path, numbers = self.corrupted(tmp_path, {
+            ("ELEMENTS", 1): "0 1 100000", ("ELEMENTS", 4): "0 1 x",
+        })
+        with pytest.raises(MeshFormatError) as err:
+            load_mesh(path)
+        assert err.value.line == numbers["ELEMENTS", 1]
+
+    def test_python_number_syntax_still_loads(self, tmp_path):
+        # numpy rejects non-ASCII digits, which float() and int() accept;
+        # the row-by-row parse reads them.
+        mesh = generate_disk_mesh(1.0, 0.4)
+        a, b, c = mesh.bulk_elements[0]
+        arabic = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+        x, y = (repr(float(v)).translate(arabic) for v in mesh.node_positions[0])
+        path, _ = self.corrupted(tmp_path, {
+            ("ELEMENTS", 0): f"{a} {b} {str(c).translate(arabic)}",
+            ("NODES", 0): f"{x} {y}",
+        })
+        loaded = load_mesh(path)
+        assert np.array_equal(loaded.bulk_elements, mesh.bulk_elements)
+        assert np.array_equal(loaded.node_positions, mesh.node_positions)
+
     @pytest.mark.parametrize("case", [
         "p1_disk_not_an_edge", "p2_disk_foreign_midpoint", "p1_ball_not_a_face",
     ])

@@ -6,11 +6,13 @@ import scipy.sparse as sp
 
 from bulkgrow.assembly import Assembler
 from bulkgrow.errors import SolverError, ValidationError
-from bulkgrow.mesh import generate_disk_mesh
+from bulkgrow.mesh import generate_ball_mesh, generate_disk_mesh
 from bulkgrow.sparsela import (
+    TOL,
     CachedSpdSolver,
     SpdFactor,
     dirichlet_extension,
+    nested_dissection,
     solve_spd,
 )
 
@@ -60,9 +62,9 @@ def calls(monkeypatch):
     record = {"factored": [], "applies": 0}
     init, apply_inverse = SpdFactor.__init__, SpdFactor.apply_inverse
 
-    def counting_init(self, matrix):
+    def counting_init(self, matrix, *args, **kwargs):
         record["factored"].append(matrix.dtype)
-        init(self, matrix)
+        init(self, matrix, *args, **kwargs)
 
     def counting_apply(self, rhs):
         record["applies"] += 1
@@ -174,6 +176,41 @@ def test_multicolumn_rhs_solved_per_column():
     assert x.shape == (30, 3)
     for c in range(3):
         assert np.array_equal(x[:, c], solve_spd(a, b[:, c]))
+
+
+class TestNestedDissection:
+    @pytest.fixture(scope="class")
+    def ball(self):
+        mesh = generate_ball_mesh(1.0, 0.5, degree=2)
+        _, stiff = Assembler(mesh).bulk_matrices()
+        return mesh, stiff
+
+    def test_returns_a_permutation(self, ball):
+        mesh, stiff = ball
+        perm = nested_dissection(stiff, mesh.node_positions)
+        assert np.array_equal(np.sort(perm), np.arange(mesh.n_nodes))
+
+    def test_coincident_points_are_one_leaf(self):
+        graph = sp.csr_matrix(np.ones((40, 40)))
+        perm = nested_dissection(graph, np.zeros((40, 3)))
+        assert np.array_equal(perm, np.arange(40))
+
+    def test_length_mismatch_rejected(self, ball):
+        mesh, stiff = ball
+        with pytest.raises(ValidationError):
+            nested_dissection(stiff, mesh.node_positions[:-1])
+
+    def test_permuted_factor_meets_tol(self, ball):
+        mesh, stiff = ball
+        ng = mesh.n_boundary
+        interior = stiff[ng:, ng:]
+        perm = nested_dissection(interior, mesh.node_positions[ng:])
+        b = np.random.default_rng(10).standard_normal((interior.shape[0], 2))
+        x = SpdFactor(interior, perm).solve(b)
+        assert np.all(relative_residuals(interior, x, b) <= TOL)
+        plain = SpdFactor(interior).solve(b)
+        gap = np.linalg.norm(interior @ (x - plain), axis=0) / np.linalg.norm(b, axis=0)
+        assert np.all(gap <= TOL)
 
 
 class TestSchurDirichlet:

@@ -5,12 +5,13 @@ import pytest
 
 from bulkgrow.assembly import Assembler, assemble_f_u, assemble_L
 from bulkgrow.bdf import bdf_coefficients
+from bulkgrow import mesh as mesh_module
 from bulkgrow import stepper as stepper_module
 from bulkgrow.errors import GeometryError, SolverError, ValidationError
 from bulkgrow.experiments import run_simulate
 from bulkgrow.mesh import generate_ball_mesh, generate_disk_mesh
 from bulkgrow.oracle import RadialOracle, sphere_oracle_mesh
-from bulkgrow.sparsela import CachedSpdSolver, SpdFactor, solve_spd
+from bulkgrow.sparsela import CachedSpdSolver, SpdFactor, nested_dissection, solve_spd
 from bulkgrow.stepper import (
     History,
     ModelParams,
@@ -455,12 +456,17 @@ class TestCachedSolves:
     def test_factors_last_a_nonradial_run(self, monkeypatch, tmp_path):
         factored = Counter()      # factorizations by matrix rows
         iterations = []           # PCG iterations of each cached solve
+        orderings = []            # node counts of the dissected meshes
         init, apply_inverse = SpdFactor.__init__, SpdFactor.apply_inverse
         cached_solve = CachedSpdSolver.solve
 
-        def counting_init(self, matrix):
+        def counting_init(self, matrix, *args, **kwargs):
             factored[matrix.shape[0]] += 1
-            init(self, matrix)
+            init(self, matrix, *args, **kwargs)
+
+        def counting_dissection(graph, points):
+            orderings.append(graph.shape[0])
+            return nested_dissection(graph, points)
 
         def counting_apply(self, rhs):
             iterations[-1] += 1
@@ -473,6 +479,7 @@ class TestCachedSolves:
         monkeypatch.setattr(SpdFactor, "__init__", counting_init)
         monkeypatch.setattr(SpdFactor, "apply_inverse", counting_apply)
         monkeypatch.setattr(CachedSpdSolver, "solve", counting_solve)
+        monkeypatch.setattr(mesh_module, "nested_dissection", counting_dissection)
         steps = 100
         run_simulate({
             "model": {"alpha": 1.0, "beta": 1.0, "mu": 0.0, "Q": 1.5},
@@ -485,7 +492,44 @@ class TestCachedSolves:
         # The bootstrap's seed solves and BDF1 start step share L and A_II
         # with the run; the surface pencil is factored once per BDF order.
         assert factored == {n: 1, n - ng: 1, ng: 2}
+        # One ordering of the mesh, shared by L and A_II and by the start.
+        assert orderings == [n]
         # Robin, normal, curvature and harmonic solves of every step, plus
         # the seed state's Robin and harmonic solves.
         assert len(iterations) == 4 * (steps + 1) + 2
         assert max(iterations) <= 6
+
+
+class TestBulkOrdering:
+    """Which factorizations get the nested-dissection ordering."""
+
+    @staticmethod
+    def robin_factors(monkeypatch, mesh):
+        """(factor, perm) of each factorization of one Robin solve on a
+        fresh stepper."""
+        factors = []
+        init = SpdFactor.__init__
+
+        def recording_init(self, matrix, perm=None):
+            init(self, matrix, perm)
+            factors.append((self, perm))
+
+        monkeypatch.setattr(SpdFactor, "__init__", recording_init)
+        stepper = Stepper(mesh, disk_params(), 2, 1e-3)
+        ell = assemble_L(stepper.assembler.system(), 1.0)
+        n = mesh.n_nodes
+        stepper.robin_solver.solve(ell, np.ones(n), np.zeros(n))
+        return ell, factors
+
+    def test_3d_robin_factor_fill(self, monkeypatch):
+        # 24,389 nodes: nested dissection fills 40x, minimum degree 112x.
+        mesh = generate_ball_mesh(1.0, 0.125, degree=1)
+        ell, factors = self.robin_factors(monkeypatch, mesh)
+        [(factor, perm)] = factors
+        assert perm is not None
+        lu = factor._lu
+        assert (lu.L.nnz + lu.U.nnz) / ell.nnz <= 60.0
+
+    def test_2d_factors_keep_minimum_degree(self, monkeypatch):
+        _, factors = self.robin_factors(monkeypatch, generate_disk_mesh(1.5, 0.3, degree=2))
+        assert [perm for _, perm in factors] == [None]

@@ -22,7 +22,6 @@ from .errors import (
 )
 from .mesh import (
     BulkSurfaceMesh,
-    displace,
     elevate_to_quadratic,
     generate_ball_mesh,
     generate_disk_mesh,

@@ -22,7 +22,6 @@ from .errors import BulkgrowError, ConfigError
 from .mesh import (
     boundary_element_measures,
     bulk_element_measures,
-    displace,
     generate_ball_mesh,
     generate_disk_mesh,
     load_mesh,
@@ -205,6 +204,12 @@ def validate_config(config):
         _check(_is_number(tau) and tau > 0, "time steps must be positive numbers")
     end = disc.get("T", None if stepping else 0.0)
     _check(_is_number(end) and end >= 0, "discretization.T must be a nonnegative number")
+    if stepping:
+        for tau in taus + _number_list(run, "tau_levels"):
+            steps = end / tau
+            _check(math.isfinite(steps) and abs(steps - round(steps)) <= 1e-9 * steps,
+                   f"discretization.T must be a whole number of time steps "
+                   f"(T / tau = {steps:.12g} for tau = {tau:g})")
 
     _check(run.get("kind") in ("simulate", "converge", "stability", "regularization"),
            "run.kind must be simulate, converge, stability or regularization")
@@ -347,13 +352,15 @@ def write_manifest(outdir, config, mesh, extra=None):
     return path
 
 
-def _diagnostics_row(mesh_now, state):
-    ng = mesh_now.n_boundary
+def _diagnostics_row(mesh, state):
+    ng = mesh.n_boundary
     radii = np.linalg.norm(state.positions[:ng], axis=1)
     return {
         "time": float(state.time),
-        "boundary_measure": float(boundary_element_measures(mesh_now).sum()),
-        "bulk_measure": float(bulk_element_measures(mesh_now).sum()),
+        "boundary_measure": float(
+            boundary_element_measures(mesh, state.positions).sum()
+        ),
+        "bulk_measure": float(bulk_element_measures(mesh, state.positions).sum()),
         "min_H": float(state.curvature.min()),
         "max_H": float(state.curvature.max()),
         "min_u_trace": float(state.pressure[:ng].min()),
@@ -380,13 +387,10 @@ def run_simulate(config, outdir):
     diag_rows = []
 
     def snapshot(state):
-        mesh_now = displace(mesh, state.positions)
         tag = f"{len(diag_rows):04d}"
-        diag_rows.append(_diagnostics_row(mesh_now, state))
-        write_vtk(os.path.join(outdir, f"snapshot_{tag}.vtk"), mesh_now, state)
-        write_surface_vtk(
-            os.path.join(outdir, f"surface_{tag}.vtk"), mesh_now, state
-        )
+        diag_rows.append(_diagnostics_row(mesh, state))
+        write_vtk(os.path.join(outdir, f"snapshot_{tag}.vtk"), mesh, state)
+        write_surface_vtk(os.path.join(outdir, f"surface_{tag}.vtk"), mesh, state)
 
     def observer(step, state):
         if keep(step):

@@ -9,7 +9,7 @@ midpoints may be projected onto the exact surface.  Faces come from
 ``refelem.FACE_NODES``; face and edge lookups match node-index rows as sets.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import permutations
 import io
@@ -35,7 +35,8 @@ MAX_GENERATED_NODES = 4_000_000
 
 @dataclass(frozen=True)
 class BulkSurfaceMesh:
-    """Evolving bulk-surface mesh; immutable after construction."""
+    """Reference bulk-surface mesh; immutable after construction.  A moved
+    configuration is an (N, m+1) positions array passed next to it."""
 
     dim_m: int
     degree_k: int
@@ -43,7 +44,7 @@ class BulkSurfaceMesh:
     n_boundary: int
     bulk_elements: np.ndarray     # (E, nodes per simplex)
     boundary_elements: np.ndarray # (B, nodes per facet)
-    mesh_size_h: float = 0.0      # derived, set in __post_init__
+    mesh_size_h: float = field(init=False)  # derived in __post_init__
 
     def __post_init__(self):
         pos = np.ascontiguousarray(np.asarray(self.node_positions, dtype=float))
@@ -97,10 +98,18 @@ class BulkSurfaceMesh:
         return self.node_positions[: self.n_boundary]
 
     @cached_property
-    def dissection_ordering(self):
-        """Nested-dissection ordering of the nodes (:func:`nested_dissection`
-        of the bulk connectivity graph at these positions).  Computed on
-        first use and kept, so every solver on this mesh shares it."""
+    def bulk_orderings(self):
+        """Fill-reducing orderings ``(bulk, interior)`` of the bulk matrices
+        and of their interior block, for :class:`SpdFactor` ``perm``.
+
+        In 3d, the :func:`nested_dissection` of the bulk connectivity graph
+        at these positions and its restriction to the interior nodes; in 2d
+        ``(None, None)``, i.e. minimum degree, which is the faster one
+        there.  Computed on first use and kept, so every solver on this
+        mesh shares it.
+        """
+        if self.dim != 3:
+            return None, None
         conn = self.bulk_elements
         n_loc = conn.shape[1]
         rows = np.repeat(conn, n_loc, axis=1).ravel()
@@ -108,7 +117,9 @@ class BulkSurfaceMesh:
         graph = sp.csr_matrix(
             (np.ones(rows.size), (rows, cols)), shape=(self.n_nodes, self.n_nodes)
         )
-        return nested_dissection(graph, self.node_positions)
+        bulk = nested_dissection(graph, self.node_positions)
+        ng = self.n_boundary
+        return bulk, bulk[bulk >= ng] - ng
 
 
 def element_diameters(mesh):
@@ -141,17 +152,18 @@ def check_orientation(mesh, positions=None):
         )
 
 
-def bulk_element_measures(mesh):
+def bulk_element_measures(mesh, positions=None):
     """Measure of each bulk element via quadrature, shape (E,)."""
     ref = reference_element(mesh.dim, mesh.degree_k)
-    _, det = bulk_jacobians(mesh)
+    _, det = bulk_jacobians(mesh, positions)
     return det @ ref.quad_weights
 
 
-def boundary_element_measures(mesh):
+def boundary_element_measures(mesh, positions=None):
     """Measure of each boundary facet via quadrature, shape (B,)."""
     ref = reference_element(mesh.dim_m, mesh.degree_k)
-    coords = mesh.node_positions[mesh.boundary_elements]
+    pos = mesh.node_positions if positions is None else positions
+    coords = pos[mesh.boundary_elements]
     jac = np.einsum("enD,qnr->eqDr", coords, ref.grad, optimize=True)
     metric = np.einsum("eqDr,eqDs->eqrs", jac, jac)
     return np.sqrt(determinant(metric)) @ ref.quad_weights
@@ -437,7 +449,7 @@ def _renumber_boundary_first(dim_m, positions, bulk, boundary):
 
 
 # ---------------------------------------------------------------------------
-# Degree elevation and displacement
+# Degree elevation
 # ---------------------------------------------------------------------------
 
 def elevate_to_quadratic(mesh, surface_projector=None):
@@ -517,30 +529,6 @@ def elevate_to_quadratic(mesh, surface_projector=None):
         boundary_elements=boundary,
     )
     return validate_mesh(out)
-
-
-def displace(mesh, new_positions):
-    """Same connectivity at new node positions.
-
-    Recomputes the mesh size and flags any element whose Jacobian determinant
-    becomes non-positive at a quadrature point.
-    """
-    new_positions = np.asarray(new_positions, dtype=float)
-    if new_positions.shape != mesh.node_positions.shape:
-        raise ValidationError(
-            f"expected positions of shape {mesh.node_positions.shape}, "
-            f"got {new_positions.shape}"
-        )
-    out = BulkSurfaceMesh(
-        dim_m=mesh.dim_m,
-        degree_k=mesh.degree_k,
-        node_positions=new_positions,
-        n_boundary=mesh.n_boundary,
-        bulk_elements=mesh.bulk_elements,
-        boundary_elements=mesh.boundary_elements,
-    )
-    check_orientation(out)
-    return out
 
 
 # ---------------------------------------------------------------------------

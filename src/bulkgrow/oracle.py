@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
-from .mesh import displace
+from .errors import GeometryError, ValidationError
 from .stepper import History, SimState
 
 
@@ -99,12 +98,15 @@ class RadialOracle:
         return np.asarray(reference_positions) * scale
 
     def seed_state(self, mesh, t):
-        """Nodal interpolation of the exact solution on a sphere mesh.
+        """Nodal interpolation of the exact solution at time t on the t=0
+        mesh carried along the exact radial flow.
 
-        The mesh boundary must discretize the sphere of radius R(t).  The
-        velocity is the exact radial field (V(t)/R(t)) x at every node, and
-        that field is the discrete harmonic extension of its own boundary
-        trace, which is what the scheme itself produces:
+        The mesh boundary must discretize the sphere of radius R(0); its
+        nodes move to :meth:`exact_positions`, so R(t) must be positive
+        (GeometryError otherwise).  The velocity is the exact radial field
+        (V(t)/R(t)) x at every node, and that field is the discrete harmonic
+        extension of its own boundary trace, which is what the scheme itself
+        produces:
 
         * each coordinate x_d lies in the isoparametric P1/P2 space, so row i
           of the stiffness matrix applied to it is the quadrature of the
@@ -119,39 +121,37 @@ class RadialOracle:
         So the interior rows vanish up to roundoff, with no assembly and no
         solve.
         """
-        radius = self.radius(t)
+        radius0 = self.radius(0.0)
         bnd_r = np.linalg.norm(mesh.boundary_positions, axis=1)
-        if np.max(np.abs(bnd_r - radius)) > 1e-8 * radius:
+        if np.max(np.abs(bnd_r - radius0)) > 1e-8 * radius0:
             raise ValidationError(
-                f"mesh boundary radius does not match R({t}) = {radius}"
+                f"mesh boundary radius does not match R(0) = {radius0}"
             )
-        node_r = np.linalg.norm(mesh.node_positions, axis=1)
+        radius = self.radius(t)
+        if radius <= 0:
+            raise GeometryError(f"the exact flow collapses the mesh: R({t}) = {radius:g}")
+        positions = self.exact_positions(mesh.node_positions, t)
+        node_r = np.linalg.norm(positions, axis=1)
         pressure = self.pressure_extended(node_r, t)
         nu, curvature, speed, _ = self.geometry_fields(
-            mesh.boundary_positions, t
+            positions[: mesh.n_boundary], t
         )
         return SimState(
             time=float(t),
-            positions=mesh.node_positions.copy(),
+            positions=positions,
             pressure=pressure,
             normal=nu,
             curvature=curvature,
             normal_speed=speed,
             # Multiplied as in geometry_fields: the boundary rows equal its v.
-            velocity=self.normal_speed(t) * (mesh.node_positions / radius),
+            velocity=self.normal_speed(t) * (positions / radius),
         )
-
-    def mesh_at(self, mesh0, t):
-        """The t=0 mesh carried along the exact radial flow to time t."""
-        return displace(mesh0, self.exact_positions(mesh0.node_positions, t))
 
     def seed_history(self, mesh0, tau, order):
         """Startup history of a q-step run: the seed states at t = (q-1) tau,
-        ..., tau, 0 on the t=0 mesh carried along the exact flow."""
-        states = [
-            self.seed_state(self.mesh_at(mesh0, i * tau), i * tau)
-            for i in reversed(range(order))
-        ]
+        ..., tau, 0, each on the t=0 mesh ``mesh0`` carried along the exact
+        flow (:meth:`seed_state`)."""
+        states = [self.seed_state(mesh0, i * tau) for i in reversed(range(order))]
         return History(states, tau=tau)
 
 

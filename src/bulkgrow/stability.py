@@ -109,7 +109,8 @@ def stability_sweep(levels, mode, samples, seed, boost_iters):
     ----------
     levels : sequence of (BulkSurfaceMesh, SystemMatrices)
         One mesh and its assembled matrices per refinement level, coarse to
-        fine; both modes of a study can share them.
+        fine; both modes of a study can share them.  The bulk factorizations
+        use the mesh's ``bulk_orderings``, as in the time loop.
     mode : str
         "dirichlet" or "robin".
     samples : int
@@ -133,14 +134,15 @@ def stability_sweep(levels, mode, samples, seed, boost_iters):
     for level, (mesh, matrices) in enumerate(levels):
         ng = mesh.n_boundary
         rng = np.random.default_rng([seed, level])
+        bulk_perm, interior_perm = mesh.bulk_orderings
         if mode == "dirichlet":
             spectrum = surface_spectrum(matrices.mass_surf, matrices.stiff_surf)
-            interior = SpdFactor(matrices.stiff_bulk[ng:, ng:])
+            interior = SpdFactor(matrices.stiff_bulk[ng:, ng:], interior_perm)
 
             def ratio(g):
                 return dirichlet_ratio(matrices, g, spectrum, interior)
         else:
-            robin = SpdFactor(assemble_L(matrices, 1.0))
+            robin = SpdFactor(assemble_L(matrices, 1.0), bulk_perm)
 
             def ratio(g):
                 return robin_ratio(matrices, g, robin)

@@ -227,11 +227,9 @@ class Stepper:
     harmonic extension -- which stay effective across many steps of slow
     mesh motion.  Each solve starts from the extrapolated field it updates.
 
-    On 3d meshes the Robin matrix and the interior block are factored in the
-    mesh's nested-dissection ordering (restricted to the interior nodes for
-    A_II), which fills far less than minimum degree on volume meshes.  2d
-    systems and the surface pencil keep SuperLU's minimum-degree ordering,
-    which is the faster one there.
+    The Robin matrix and the interior block are factored in the mesh's
+    ``bulk_orderings`` (nested dissection in 3d, minimum degree in 2d); the
+    surface pencil keeps SuperLU's minimum-degree ordering.
     """
 
     def __init__(self, mesh, params, order, tau):
@@ -242,11 +240,7 @@ class Stepper:
         self.scheme = bdf_coefficients(order)
         self.tau = tau
         self.assembler = Assembler(mesh)
-        bulk_perm = interior_perm = None
-        if mesh.dim == 3:
-            ng = mesh.n_boundary
-            bulk_perm = mesh.dissection_ordering
-            interior_perm = bulk_perm[bulk_perm >= ng] - ng
+        bulk_perm, interior_perm = mesh.bulk_orderings
         self.robin_solver = CachedSpdSolver(bulk_perm)
         self.surface_solver = CachedSpdSolver()
         self.harmonic_solver = CachedSpdSolver(interior_perm)

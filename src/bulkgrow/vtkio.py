@@ -42,7 +42,8 @@ def _write_point_data(fh, n_points, fields):
 
 
 def write_vtk(path, mesh, state):
-    """Write the bulk mesh and the state fields as legacy VTK."""
+    """Write the bulk mesh at ``state.positions`` and the state fields as
+    legacy VTK."""
     cell_type = _CELL_TYPES.get((mesh.dim, mesh.degree_k))
     if cell_type is None:
         raise ValidationError("unsupported mesh for VTK output")
@@ -52,7 +53,7 @@ def write_vtk(path, mesh, state):
     with open(path, "w") as fh:
         fh.write("# vtk DataFile Version 3.0\nbulkgrow snapshot\nASCII\n"
                  "DATASET UNSTRUCTURED_GRID\n")
-        _write_points(fh, mesh.node_positions)
+        _write_points(fh, state.positions)
         _write_connectivity(fh, "CELLS", mesh.bulk_elements)
         n_el = len(mesh.bulk_elements)
         fh.write(f"CELL_TYPES {n_el}\n" + f"{cell_type}\n" * n_el)
@@ -83,13 +84,14 @@ def _subdivide_facets(mesh):
 
 
 def write_surface_vtk(path, mesh, state):
-    """Write the boundary as POLYDATA with the trace fields."""
+    """Write the boundary at ``state.positions`` as POLYDATA with the trace
+    fields."""
     ng = mesh.n_boundary
     keyword = "LINES" if mesh.dim_m == 1 else "POLYGONS"
     with open(path, "w") as fh:
         fh.write("# vtk DataFile Version 3.0\nbulkgrow boundary\nASCII\n"
                  "DATASET POLYDATA\n")
-        _write_points(fh, mesh.node_positions[:ng])
+        _write_points(fh, state.positions[:ng])
         _write_connectivity(fh, keyword, _subdivide_facets(mesh))
         _write_point_data(fh, ng, [
             ("pressure_trace", state.pressure[:ng]),

@@ -83,6 +83,17 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             validate_config(config)
 
+    def test_final_time_is_whole_steps(self, tmp_path):
+        # Roundoff in T / tau is accepted: 0.2 / 4e-3 = 50.00000000000001.
+        validate_config(disk_config(tmp_path, discretization={"tau": 4e-3, "T": 0.2}))
+        # Every converge time step must divide T.
+        converge = {"kind": "converge", "tau_levels": [4e-3, 3e-3]}
+        with pytest.raises(ConfigError, match="whole number of time steps"):
+            validate_config(disk_config(tmp_path, run=converge))
+        # Stability sweeps do not time-step.
+        validate_config(disk_config(tmp_path, run={"kind": "stability"},
+                                    discretization={"T": 0.021}))
+
     def test_bad_seed_mode(self, tmp_path):
         config = disk_config(tmp_path, run={"seed_mode": "exact"})
         with pytest.raises(ConfigError, match="seed_mode"):
@@ -285,6 +296,9 @@ class TestCliEntry:
         {"discretization": {"q": 2.5}},
         {"discretization": {"tau": "abc"}},
         {"discretization": {"T": None}},
+        # T must be a whole number of steps, not rounded to one.
+        {"discretization": {"T": 0.0015, "tau": 1e-3}},
+        {"discretization": {"T": 0.0104, "tau": 1e-3}},
         {"model": {"alpha": -1}},
         {"model": {"beta": 0}},
         {"model": {"mu": "x"}},
@@ -352,6 +366,15 @@ class TestCliEntry:
         assert (outdir / "snapshot_0002.vtk").exists()
         manifest = json.loads((outdir / "manifest.json").read_text())
         assert "tangled" in manifest["aborted"]
+
+    def test_collapsing_oracle_seed_is_numerical(self, tmp_path):
+        # Q < 0 shrinks the disk to nothing before the second seed time
+        # t = tau: R(t) = 3.5 exp(-t/2) - 2 < 0 at t = 1.5.
+        config = disk_config(tmp_path, model={"Q": -1.0},
+                             discretization={"tau": 1.5, "T": 3.0},
+                             run={"seed_mode": "oracle"})
+        assert main(["simulate", str(write_config(tmp_path, config))]) == 3
+        assert not (tmp_path / "out").exists()
 
     def test_converge_on_ellipsoid_leaves_no_outdir(self, tmp_path):
         config = disk_config(

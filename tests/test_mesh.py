@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -14,8 +15,8 @@ from bulkgrow.mesh import (
     _renumber_boundary_first,
     boundary_element_measures,
     bulk_element_measures,
+    check_orientation,
     circle_projector,
-    displace,
     elevate_to_quadratic,
     ellipsoid_projector,
     generate_ball_mesh,
@@ -397,34 +398,39 @@ class TestElevation:
             validate_mesh(mesh)  # raises on any violated invariant
 
 
-class TestDisplace:
-    def test_identity(self):
-        mesh = generate_disk_mesh(1.0, 0.4)
-        out = displace(mesh, mesh.node_positions.copy())
-        assert np.array_equal(out.node_positions, mesh.node_positions)
-        assert np.array_equal(out.bulk_elements, mesh.bulk_elements)
+class TestMovedPositions:
+    """A moved configuration is a positions array on the reference mesh."""
 
     def test_uniform_scaling_scales_measures(self):
-        mesh = generate_disk_mesh(1.0, 0.3)
+        mesh = generate_disk_mesh(1.0, 0.3, degree=2)
         s = 1.7
-        out = displace(mesh, s * mesh.node_positions)
-        assert bulk_element_measures(out).sum() == pytest.approx(
+        moved = s * mesh.node_positions
+        assert bulk_element_measures(mesh, moved).sum() == pytest.approx(
             s ** 2 * bulk_element_measures(mesh).sum(), rel=1e-12
         )
-        assert out.mesh_size_h == pytest.approx(s * mesh.mesh_size_h, rel=1e-12)
+        assert boundary_element_measures(mesh, moved).sum() == pytest.approx(
+            s * boundary_element_measures(mesh).sum(), rel=1e-12
+        )
 
     def test_collapsed_element_flagged(self):
         mesh = generate_disk_mesh(1.0, 0.4)
         pos = mesh.node_positions.copy()
         elem = mesh.bulk_elements[0]
         pos[elem[2]] = (pos[elem[0]] + pos[elem[1]]) / 2.0
+        check_orientation(mesh)  # the reference mesh is fine
         with pytest.raises(GeometryError):
-            displace(mesh, pos)
+            check_orientation(mesh, pos)
 
-    def test_wrong_length_rejected(self):
-        mesh = generate_disk_mesh(1.0, 0.4)
-        with pytest.raises(ValidationError):
-            displace(mesh, mesh.node_positions[:-1])
+    def test_mesh_size_is_derived(self):
+        mesh = generate_disk_mesh(1.0, 0.3)
+        moved = dataclasses.replace(mesh, node_positions=1.7 * mesh.node_positions)
+        assert moved.mesh_size_h == pytest.approx(1.7 * mesh.mesh_size_h, rel=1e-12)
+        with pytest.raises(TypeError):  # not a constructor argument
+            BulkSurfaceMesh(
+                dim_m=1, degree_k=1, node_positions=mesh.node_positions,
+                n_boundary=mesh.n_boundary, bulk_elements=mesh.bulk_elements,
+                boundary_elements=mesh.boundary_elements, mesh_size_h=1.0,
+            )
 
 
 class TestMeasureConsistency:
@@ -457,7 +463,7 @@ class TestBsmFormat:
         rng = np.random.default_rng(3)
         mesh = generate_disk_mesh(1.0, 0.3, degree=2)
         jitter = 1e-4 * rng.standard_normal(mesh.node_positions.shape)
-        mesh = displace(mesh, mesh.node_positions + jitter)
+        mesh = dataclasses.replace(mesh, node_positions=mesh.node_positions + jitter)
         p1 = tmp_path / "a.bsm"
         p2 = tmp_path / "b.bsm"
         save_mesh(mesh, p1)

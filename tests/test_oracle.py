@@ -1,10 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from bulkgrow.assembly import Assembler
-from bulkgrow.errors import ValidationError
+from bulkgrow.errors import GeometryError, ValidationError
 from bulkgrow.oracle import RadialOracle, sphere_oracle_mesh
 
 
@@ -170,8 +171,22 @@ class TestSeedState:
         assert np.allclose(mags, abs(self.oracle.normal_speed(0.0)), atol=1e-12)
 
     def test_radius_mismatch_rejected(self):
+        # seed_state carries the R(0) sphere mesh; any other mesh is refused.
+        grown = dataclasses.replace(
+            self.mesh, node_positions=1.1 * self.mesh.node_positions
+        )
         with pytest.raises(ValidationError):
-            self.oracle.seed_state(self.mesh, 0.5)
+            self.oracle.seed_state(grown, 0.0)
+        with pytest.raises(ValidationError):
+            self.oracle.seed_state(grown, 0.5)
+
+    def test_collapsed_radius_rejected(self):
+        # Q < 0 shrinks the disk: R(t) = 3.5 exp(-t/2) - 2 vanishes at t ~ 1.12.
+        oracle = RadialOracle(dim_m=1, initial_radius=1.5, source=-1.0,
+                              alpha=1.0, beta=1.0)
+        assert oracle.radius(2.0) < 0
+        with pytest.raises(GeometryError):
+            oracle.seed_state(self.mesh, 2.0)
 
     @pytest.mark.parametrize("dim_m, degree", [(1, 1), (1, 2), (2, 1), (2, 2)])
     def test_velocity_is_discrete_harmonic_extension(self, dim_m, degree):
@@ -191,9 +206,17 @@ class TestSeedState:
 
     def test_seed_at_later_time(self):
         t = 0.3
-        mesh_t = self.oracle.mesh_at(self.mesh, t)
-        state = self.oracle.seed_state(mesh_t, t)
+        state = self.oracle.seed_state(self.mesh, t)
         assert state.time == pytest.approx(t)
+        assert np.array_equal(
+            state.positions, self.oracle.exact_positions(self.mesh.node_positions, t)
+        )
+        ng = self.mesh.n_boundary
+        assert np.allclose(np.linalg.norm(state.positions[:ng], axis=1),
+                           self.oracle.radius(t), rtol=1e-12)
         assert np.allclose(
             state.curvature, self.oracle.curvature(t), atol=1e-13
+        )
+        assert np.allclose(
+            state.pressure[0], self.oracle.pressure(self.oracle.radius(t), t), rtol=1e-12
         )

@@ -12,6 +12,7 @@ from bulkgrow.experiments import run_simulate
 from bulkgrow.mesh import generate_ball_mesh, generate_disk_mesh
 from bulkgrow.oracle import RadialOracle, sphere_oracle_mesh
 from bulkgrow.sparsela import CachedSpdSolver, SpdFactor, nested_dissection, solve_spd
+from bulkgrow.stability import stability_sweep
 from bulkgrow.stepper import (
     History,
     ModelParams,
@@ -504,9 +505,8 @@ class TestBulkOrdering:
     """Which factorizations get the nested-dissection ordering."""
 
     @staticmethod
-    def robin_factors(monkeypatch, mesh):
-        """(factor, perm) of each factorization of one Robin solve on a
-        fresh stepper."""
+    def record_factors(monkeypatch):
+        """List that collects (factor, perm) of every later factorization."""
         factors = []
         init = SpdFactor.__init__
 
@@ -515,6 +515,12 @@ class TestBulkOrdering:
             factors.append((self, perm))
 
         monkeypatch.setattr(SpdFactor, "__init__", recording_init)
+        return factors
+
+    def robin_factors(self, monkeypatch, mesh):
+        """(factor, perm) of each factorization of one Robin solve on a
+        fresh stepper."""
+        factors = self.record_factors(monkeypatch)
         stepper = Stepper(mesh, disk_params(), 2, 1e-3)
         ell = assemble_L(stepper.assembler.system(), 1.0)
         n = mesh.n_nodes
@@ -533,3 +539,23 @@ class TestBulkOrdering:
     def test_2d_factors_keep_minimum_degree(self, monkeypatch):
         _, factors = self.robin_factors(monkeypatch, generate_disk_mesh(1.5, 0.3, degree=2))
         assert [perm for _, perm in factors] == [None]
+
+    @pytest.mark.parametrize("mode", ["dirichlet", "robin"])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_stability_sweep_shares_the_ordering(self, monkeypatch, mode, dim):
+        # The sweeps factor L and A_II in the orderings the time loop uses.
+        if dim == 3:
+            mesh = generate_ball_mesh(1.0, 0.5, degree=1)
+        else:
+            mesh = generate_disk_mesh(1.0, 0.3, degree=1)
+        factors = self.record_factors(monkeypatch)
+        stability_sweep([(mesh, Assembler(mesh).system())], mode,
+                        samples=2, seed=0, boost_iters=1)
+        bulk, interior = mesh.bulk_orderings
+        expected = interior if mode == "dirichlet" else bulk
+        [(factor, perm)] = factors
+        if dim == 2:
+            assert perm is None and expected is None
+        else:
+            assert perm is expected
+            assert np.array_equal(np.sort(perm), np.arange(factor.matrix.shape[0]))

@@ -90,6 +90,13 @@ CONFIGS = {
         {"kind": "stability", "levels": 2, "samples": 10, "boost_iters": 10,
          "mode": "both", "seed": 0},
     )),
+    # The 3d sweep: Robin and interior factorizations of a P1 ball.
+    "stability_ball_p1": (run_stability, _config(
+        {"kind": "ball", "radii": [1.0], "h": 0.5},
+        {"k": 1, "q": 2, "tau": 1e-3, "T": 0.0},
+        {"kind": "stability", "levels": 2, "samples": 5, "boost_iters": 5,
+         "mode": "both", "seed": 0},
+    )),
     "regularization_ellipsoid": (run_regularization, _config(
         {"kind": "ellipsoid", "radii": [1.0, 0.8, 0.9], "h": 0.5},
         {"k": 2, "q": 2, "tau": 1e-3, "T": 0.004},

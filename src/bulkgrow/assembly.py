@@ -6,15 +6,29 @@ gradients, facet measures) are computed from the facet's own reference map,
 never through bulk element traces.  Assembly is vectorized over elements and
 deterministic: element contributions are reduced into a precomputed CSR
 pattern in a fixed order.
+
+The bulk kernel is component-major (Cuvelier, Japhet & Scarella, BIT Numer.
+Math. 56 (2016)): one GEMM gives each Jacobian entry as a (q, E) array, from
+which the adjugate, the determinant and the d(d+1)/2 metric entries are
+formed entrywise.  Mass and stiffness (bulk and surface) scatter only the
+n(n+1)/2 upper entries of each element matrix and mirror the sums through a
+transpose map of the pattern, so they are exactly symmetric.
+
+The matrices of a time step need no sparse algebra: the bulk pattern
+contains the embedded surface pattern, so the Robin matrix L is a
+scatter-add into a copy of A's data, the blocks A_II and A_IB are gathers
+of it, and the surface pencil is one combination of two data arrays
+(:class:`StepLayout`, :meth:`SystemMatrices.surface_pencil`).
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import GeometryError, ValidationError
-from .mesh import BulkSurfaceMesh
+from .mesh import BulkSurfaceMesh, bulk_jacobians
 from .refelem import adjugate_det, geometry_jacobians, reference_element
 
 
@@ -26,7 +40,9 @@ class SystemMatrices:
     ``tangrad`` holds the component blocks D_l of the tangential gradient
     matrix, D_l[i, j] = integral of psi_i * (tangential grad psi_j)_l.
     ``surface`` is the facet geometry the surface matrices were built from,
-    kept for the curvature loads of the same configuration.
+    kept for the curvature loads of the same configuration.  ``layout``
+    locates the step matrices in the bulk pattern; it is shared by every
+    configuration of one :class:`Assembler`.
     """
 
     mass_bulk: sp.csr_matrix
@@ -36,80 +52,160 @@ class SystemMatrices:
     tangrad: tuple
     n_boundary: int
     surface: "SurfaceGeometry"
+    layout: "StepLayout"
 
     @property
     def n_nodes(self):
         return self.mass_bulk.shape[0]
 
+    def stiffness_blocks(self):
+        """(A_II, A_IB): the interior block of the bulk stiffness and its
+        interior-boundary coupling, gathered from its data."""
+        data = self.stiff_bulk.data
+        return tuple(
+            sp.csr_matrix((np.take(data, slots), indices, indptr), shape=shape)
+            for slots, indices, indptr, shape in self.layout.blocks
+        )
 
-def embed_boundary_block(surface_matrix, n_nodes):
-    """Zero-pad an N_Gamma x N_Gamma matrix to N x N (boundary block first)."""
-    s = surface_matrix.tocsr()
-    ng = s.shape[0]
-    indptr = np.concatenate([s.indptr, np.full(n_nodes - ng, s.indptr[-1])])
-    return sp.csr_matrix((s.data, s.indices, indptr), shape=(n_nodes, n_nodes))
+    def surface_pencil(self, a, b):
+        """a M_Gamma + b A_Gamma: one combination of the two data arrays on
+        their shared surface pattern."""
+        m = self.mass_surf
+        return sp.csr_matrix(
+            (a * m.data + b * self.stiff_surf.data, m.indices, m.indptr), shape=m.shape
+        )
 
 
 def assemble_L(matrices, alpha, mu=0.0):
     """System matrix of the generalized Robin problem.
 
     L = A_bulk + mu * A_surf (embedded) + alpha * M_surf (embedded); symmetric
-    positive definite for alpha > 0.
+    positive definite for alpha > 0.  The surface pattern sits inside the
+    bulk one, so L is a copy of A_bulk's data with the surface combination
+    added at its slots.
     """
     if alpha <= 0:
         raise ValidationError("alpha must be positive for an SPD Robin system")
     if mu < 0:
         raise ValidationError("mu must be nonnegative")
-    n = matrices.n_nodes
-    surf = alpha * matrices.mass_surf
+    surf = alpha * matrices.mass_surf.data
     if mu != 0.0:
-        surf = surf + mu * matrices.stiff_surf
-    return (matrices.stiff_bulk + embed_boundary_block(surf, n)).tocsr()
+        surf = surf + mu * matrices.stiff_surf.data
+    a = matrices.stiff_bulk
+    data = a.data.copy()
+    data[matrices.layout.surface_slots] += surf
+    return sp.csr_matrix((data, a.indices, a.indptr), shape=a.shape)
 
 
 class _Pattern:
-    """CSR pattern for a fixed connectivity, with an entry-to-slot map."""
+    """CSR pattern of a connectivity, with element-entry-to-slot maps.
 
-    def __init__(self, conn, size):
+    Element matrices of the bulk and surface mass and stiffness are
+    symmetric, so only their n(n+1)/2 upper entries (local i <= j, in
+    ``np.triu_indices`` order) are scattered: ``upper[e, p]`` is the slot of
+    the upper-triangle position of local pair p of element e.  ``mirror``
+    maps each slot to the one whose sum it takes -- itself on and above the
+    diagonal, the transposed slot below -- which makes the assembled matrix
+    exactly symmetric.  With ``full``, ``slot[e, i, j]`` also maps every
+    entry, for the unsymmetric tangential-gradient blocks.  All maps are
+    int32.
+    """
+
+    def __init__(self, conn, size, full=False):
+        conn = conn.astype(np.int64)
         n_loc = conn.shape[1]
-        rows = np.repeat(conn, n_loc, axis=1).ravel()
-        cols = np.tile(conn, (1, n_loc)).ravel()
-        order = np.lexsort((cols, rows))
-        sr, sc = rows[order], cols[order]
-        new = np.empty(len(sr), dtype=bool)
-        new[0] = True
-        new[1:] = (sr[1:] != sr[:-1]) | (sc[1:] != sc[:-1])
-        slot_sorted = np.cumsum(new) - 1
-        self.slot = np.empty(len(rows), dtype=np.int64)
-        self.slot[order] = slot_sorted
-        self.indices = sc[new].astype(np.int32)
-        self.nnz = int(new.sum())
-        counts = np.bincount(sr[new], minlength=size)
-        self.indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
+        first, second = np.triu_indices(n_loc)
+        a, b = conn[:, first], conn[:, second]
+        keys = (np.minimum(a, b) * size + np.maximum(a, b)).ravel()
+        del a, b
+        upper_keys, inverse = np.unique(keys, return_inverse=True)
+        del keys
+        rows, cols = np.divmod(upper_keys, size)
+        off = rows != cols
+        full_keys = np.sort(np.concatenate([upper_keys, cols[off] * size + rows[off]]))
+        self.upper = (
+            np.searchsorted(full_keys, upper_keys).astype(np.int32)[inverse.ravel()]
+            .reshape(len(conn), len(first))
+        )
+        del inverse
+        rows, cols = np.divmod(full_keys, size)
+        self.nnz = full_keys.size
+        self.indices = cols.astype(np.int32)
+        self.indptr = np.searchsorted(rows, np.arange(size + 1)).astype(np.int32)
+        self.mirror = np.where(
+            rows <= cols, np.arange(self.nnz), np.searchsorted(full_keys, cols * size + rows)
+        ).astype(np.int32)
+        if full:
+            entry_keys = conn[:, :, None] * size + conn[:, None, :]
+            self.slot = np.searchsorted(full_keys, entry_keys).astype(np.int32)
         self.shape = (size, size)
 
-    def assemble(self, element_data):
-        data = np.bincount(
-            self.slot, weights=element_data.ravel(), minlength=self.nnz
-        )
+    def _matrix(self, data):
         return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
 
+    def assemble(self, upper_data):
+        """Exactly symmetric matrix from the (E, n(n+1)/2) upper entries."""
+        sums = np.bincount(self.upper.ravel(), weights=upper_data.ravel(),
+                           minlength=self.nnz)
+        return self._matrix(np.take(sums, self.mirror))
 
-def _stiffness_metric(jac):
-    """(J^-1 J^-T) det(J) = adj(J) adj(J)^T / det(J), and det(J)."""
-    adj, det = adjugate_det(jac)
-    d = jac.shape[-1]
-    out = np.empty_like(jac)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for i in range(d):
-            for j in range(i, d):
-                acc = adj[i][0] * adj[j][0]
-                for k in range(1, d):
-                    acc += adj[i][k] * adj[j][k]
-                out[..., i, j] = acc / det
-                if i != j:
-                    out[..., j, i] = out[..., i, j]
-    return out, det
+    def assemble_full(self, element_data):
+        """Matrix from the (E, n, n) element matrices (needs ``full``)."""
+        return self._matrix(
+            np.bincount(self.slot.ravel(), weights=element_data.ravel(), minlength=self.nnz)
+        )
+
+
+class StepLayout:
+    """Where the step matrices sit in the bulk CSR pattern.
+
+    Boundary nodes come first and every facet is a face of a bulk element,
+    so the bulk pattern contains the embedded surface pattern.  The Robin
+    matrix is then a scatter-add at ``surface_slots``, and the interior
+    block A_II and the coupling A_IB are gathers of the stiffness data
+    (``blocks``: slot list, indices, indptr and shape of each).  Each map is
+    int32, built on first use -- only the time loop and the stability
+    sweeps need them -- and kept for every configuration of the mesh.
+    """
+
+    def __init__(self, bulk, surface, n_boundary):
+        # Only the index arrays, which the matrices share anyway: a layout
+        # does not keep its assembler's element maps alive.
+        self._bulk = (bulk.indptr, bulk.indices)
+        self._surface = (surface.indptr, surface.indices)
+        self.n_boundary = n_boundary
+
+    @cached_property
+    def surface_slots(self):
+        """Bulk slot of each surface-pattern entry."""
+        (indptr, indices), (s_indptr, s_indices) = self._bulk, self._surface
+        n = indptr.size - 1
+        bulk_keys = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr)) * n + indices
+        keys = (np.repeat(np.arange(self.n_boundary, dtype=np.int64), np.diff(s_indptr)) * n
+                + s_indices)
+        slots = np.minimum(np.searchsorted(bulk_keys, keys), bulk_keys.size - 1)
+        if not np.array_equal(bulk_keys[slots], keys):
+            raise ValidationError("surface pattern is not contained in the bulk pattern")
+        return slots.astype(np.int32)
+
+    @cached_property
+    def blocks(self):
+        """(slots, indices, indptr, shape) of A_II and of A_IB."""
+        indptr, indices = self._bulk
+        ng, n = self.n_boundary, indptr.size - 1
+        slots = np.arange(indptr[ng], indptr[-1])
+        rows = np.repeat(np.arange(n - ng), np.diff(indptr[ng:]))
+        cols = indices[slots]
+        out = []
+        for mask, first_col, width in ((cols >= ng, ng, n - ng), (cols < ng, 0, ng)):
+            counts = np.bincount(rows[mask], minlength=n - ng)
+            out.append((
+                slots[mask].astype(np.int32),
+                (cols[mask] - first_col).astype(np.int32),
+                np.concatenate([[0], np.cumsum(counts)]).astype(np.int32),
+                (n - ng, width),
+            ))
+        return tuple(out)
 
 
 @dataclass
@@ -155,39 +251,55 @@ class Assembler:
         self._bulk_ref = reference_element(mesh.dim, mesh.degree_k)
         self._surf_ref = reference_element(mesh.dim_m, mesh.degree_k)
         self._bulk_pattern = _Pattern(mesh.bulk_elements, mesh.n_nodes)
-        self._surf_pattern = _Pattern(mesh.boundary_elements, mesh.n_boundary)
+        self._surf_pattern = _Pattern(mesh.boundary_elements, mesh.n_boundary, full=True)
+        self.layout = StepLayout(self._bulk_pattern, self._surf_pattern, mesh.n_boundary)
         ref = self._bulk_ref
-        # Precontracted reference tensors: mass (q; i j) and stiffness
-        # (q a b; i j), so that per-element work reduces to two matmuls.
-        n, q, d = ref.n_nodes, ref.n_qp, mesh.dim
-        self._w_mass = (ref.quad_weights[:, None, None]
-                        * ref.shape[:, :, None] * ref.shape[:, None, :])
-        k_ref = np.einsum("q,qia,qjb->qabij", ref.quad_weights, ref.grad, ref.grad)
-        self._k_ref = k_ref.reshape(q * d * d, n * n)
+        d = mesh.dim
+        first, second = np.triu_indices(ref.n_nodes)
+        self._metric_pairs = list(zip(*np.triu_indices(d)))
+        # Precontracted reference tensors of the upper element entries:
+        # mass (q; p) and stiffness (s q; p), with p the local pair (i <= j)
+        # and s the metric pair (a <= b), so per-element work is two GEMMs.
+        w, g = ref.quad_weights, ref.grad
+        self._m_upper = w[:, None] * ref.shape[:, first] * ref.shape[:, second]
+        k_upper = []
+        for a, b in self._metric_pairs:
+            k = g[:, first, a] * g[:, second, b]
+            if a != b:
+                k = k + g[:, first, b] * g[:, second, a]
+            k_upper.append(w[:, None] * k)
+        self._k_upper = np.concatenate(k_upper)  # (s * q, p)
         sref = self._surf_ref
         # Quadrature weights live in SurfaceGeometry.wmeasure, so the shape
         # product tensor carries none.
-        self._shape_outer_surf = sref.shape[:, :, None] * sref.shape[:, None, :]
+        first, second = np.triu_indices(sref.n_nodes)
+        self._surf_pairs = (first, second)
+        self._shape_upper_surf = sref.shape[:, first] * sref.shape[:, second]
 
     # -- bulk ---------------------------------------------------------------
 
     def bulk_matrices(self, positions=None):
-        """Assemble (mass, stiffness) on the given node positions."""
-        pos = self.mesh.node_positions if positions is None else positions
-        ref = self._bulk_ref
-        conn = self.mesh.bulk_elements
-        coords = pos[conn]
-        # J[e, q, D, r] = dx_D / dxi_r; inv[e, q, r, D] is its inverse.
-        jac = geometry_jacobians(coords, ref.grad)
-        # c[a,b] = (J^-1 J^-T)[a,b] det(J); quad weights live inside k_ref
-        c, det = _stiffness_metric(jac)
-        if (det <= 0.0).any():
-            bad = int(np.argwhere((det <= 0.0).any(axis=1))[0, 0])
-            raise GeometryError("singular element Jacobian", element=bad)
-        mass_e = np.tensordot(det, self._w_mass, axes=(1, 0))
-        e, q = det.shape
-        d, n = self.dim, ref.n_nodes
-        stiff_e = (c.reshape(e, q * d * d) @ self._k_ref).reshape(e, n, n)
+        """Assemble (mass, stiffness) on the given node positions.
+
+        The component-major kernel gives the adjugate, the determinant and
+        the metric entries c_ab = (adj adj^T)_ab / det (a <= b) as (q, E)
+        arrays; the upper element entries are then two GEMMs against the
+        reference tensors, scattered and mirrored by the pattern.
+        """
+        adj, det = adjugate_det(bulk_jacobians(self.mesh, positions))
+        bad = (det <= 0.0).any(axis=0)
+        if bad.any():
+            raise GeometryError("singular element Jacobian",
+                                element=int(np.flatnonzero(bad)[0]))
+        metric = np.empty((len(self._metric_pairs),) + det.shape)
+        product = np.empty_like(det)
+        for entry, (a, b) in zip(metric, self._metric_pairs):
+            np.multiply(adj[a][0], adj[b][0], out=entry)
+            for k in range(1, self.dim):
+                entry += np.multiply(adj[a][k], adj[b][k], out=product)
+            entry /= det
+        mass_e = det.T @ self._m_upper
+        stiff_e = metric.reshape(-1, det.shape[1]).T @ self._k_upper
         return (
             self._bulk_pattern.assemble(mass_e),
             self._bulk_pattern.assemble(stiff_e),
@@ -222,11 +334,11 @@ class Assembler:
     def surface_matrices(self, geometry):
         """Assemble (mass, stiffness, tangential-gradient blocks) on the boundary
         from its facet geometry."""
-        mass_e = np.tensordot(geometry.wmeasure, self._shape_outer_surf, axes=(1, 0))
+        mass_e = geometry.wmeasure @ self._shape_upper_surf
         stiff_e = np.einsum(
             "eq,eqiD,eqjD->eij", geometry.wmeasure, geometry.tangrad, geometry.tangrad,
             optimize=True,
-        )
+        )[:, self._surf_pairs[0], self._surf_pairs[1]]
         mass = self._surf_pattern.assemble(mass_e)
         stiff = self._surf_pattern.assemble(stiff_e)
         blocks = []
@@ -236,7 +348,7 @@ class Assembler:
                 geometry.wmeasure, geometry.shape, geometry.tangrad[..., comp : comp + 1],
                 optimize=True,
             )
-            blocks.append(self._surf_pattern.assemble(d_e))
+            blocks.append(self._surf_pattern.assemble_full(d_e))
         return mass, stiff, tuple(blocks)
 
     def system(self, positions=None):
@@ -252,6 +364,7 @@ class Assembler:
             tangrad=blocks,
             n_boundary=self.n_boundary,
             surface=surface,
+            layout=self.layout,
         )
 
     # -- curvature-dependent loads -------------------------------------------

@@ -283,8 +283,12 @@ def build_params(config, mesh, mu=None):
     )
 
 
-def compatible_oracle(config, mesh):
-    """RadialOracle for the config, or None when no closed form applies."""
+def compatible_oracle(config, mesh=None):
+    """RadialOracle for the config, or None when no closed form applies.
+
+    The boundary dimension follows from ``geometry.kind``, so no mesh is
+    needed; ``mesh`` is accepted for callers that pass the run's mesh.
+    """
     geometry = config["geometry"]
     if geometry["kind"] not in ("disk", "ball"):
         return None
@@ -297,7 +301,7 @@ def compatible_oracle(config, mesh):
     if q_value is None:
         return None
     return RadialOracle(
-        dim_m=mesh.dim_m,
+        dim_m=1 if geometry["kind"] == "disk" else 2,
         initial_radius=radii[0],
         source=q_value,
         alpha=float(config["model"]["alpha"]),
@@ -337,11 +341,12 @@ def _sampler(n_steps, count):
     return lambda k: (k + 1) % every == 0 or k + 1 == n_steps
 
 
-def write_manifest(outdir, config, mesh, extra=None):
+def write_manifest(outdir, config, mesh_report, extra=None):
+    """manifest.json: version, config and the ``quality_report`` of a mesh."""
     manifest = {
         "version": __version__,
         "config": config,
-        "mesh": quality_report(mesh),
+        "mesh": mesh_report,
     }
     if extra:
         manifest.update(extra)
@@ -405,7 +410,7 @@ def run_simulate(config, outdir):
         snapshot(history[0])
         aborted = exc
     write_csv(os.path.join(outdir, "diagnostics.csv"), _DIAG_COLUMNS, diag_rows)
-    write_manifest(outdir, config, mesh,
+    write_manifest(outdir, config, quality_report(mesh),
                    extra={"aborted": None if aborted is None else str(aborted)})
     if aborted is not None:
         raise aborted
@@ -416,7 +421,9 @@ def run_convergence_cell(cell):
     """One (h, tau) cell of the radial convergence study; picklable worker.
 
     The cell holds the ``oracle`` (a RadialOracle), the mesh size ``h``, the
-    discretization keys ``k``, ``q``, ``tau``, ``T`` and ``error_samples``.
+    discretization keys ``k``, ``q``, ``tau``, ``T`` and ``error_samples``;
+    with ``report_mesh`` the row also holds the mesh's ``quality_report``
+    under ``mesh``.
     The run is seeded from the exact solution and errors are sampled against
     the nodal interpolation of the exact solution at ``error_samples``
     uniformly spaced steps.
@@ -446,6 +453,8 @@ def run_convergence_cell(cell):
     sup = report.sup_errors()
     row = {"h": mesh.mesh_size_h, "tau": tau}
     row.update({f"err_{q}": sup[q] for q in ERROR_QUANTITIES})
+    if cell.get("report_mesh"):
+        row["mesh"] = quality_report(mesh)
     return row
 
 
@@ -493,8 +502,7 @@ def run_converge(config, outdir):
     run = config["run"]
     geometry = config["geometry"]
     degree, order, _, _ = _time_grid(disc)
-    mesh_probe, _, _ = build_geometry({**geometry, "h": geometry.get("h", 0.4)}, degree)
-    oracle = compatible_oracle(config, mesh_probe)
+    oracle = compatible_oracle(config)
     if oracle is None:
         raise ConfigError(
             "convergence study needs sphere/disk geometry, constant Q and mu=0"
@@ -510,6 +518,7 @@ def run_converge(config, outdir):
         for h in h_levels
         for tau in tau_levels
     ]
+    cells[0]["report_mesh"] = True  # the manifest's mesh
     os.makedirs(outdir, exist_ok=True)  # after set-up: a bad config leaves none
     workers = worker_count()
     if workers > 1 and len(cells) > 1:
@@ -527,7 +536,7 @@ def run_converge(config, outdir):
         rows = [run_convergence_cell(cell) for cell in cells]
     rows = _attach_eoc(rows)
     write_csv(os.path.join(outdir, "converge.csv"), CONVERGE_COLUMNS, rows)
-    write_manifest(outdir, config, mesh_probe)
+    write_manifest(outdir, config, rows[0].pop("mesh"))
     return rows
 
 
@@ -571,7 +580,7 @@ def run_stability(config, outdir):
             STABILITY_COLUMNS, csv_rows,
         )
         results[mode] = rows
-    write_manifest(outdir, config, meshes[0], extra={"seed": seed})
+    write_manifest(outdir, config, quality_report(meshes[0]), extra={"seed": seed})
     return results
 
 
@@ -630,5 +639,5 @@ def run_regularization(config, outdir):
     write_csv(
         os.path.join(outdir, "regularization.csv"), REGULARIZATION_COLUMNS, rows
     )
-    write_manifest(outdir, config, mesh)
+    write_manifest(outdir, config, quality_report(mesh))
     return rows

@@ -23,7 +23,6 @@ from .refelem import (
     EDGE_VERTICES,
     FACE_NODES,
     determinant,
-    geometry_jacobians,
     nodes_per_element,
     reference_element,
 )
@@ -130,21 +129,28 @@ def element_diameters(mesh):
 
 
 def bulk_jacobians(mesh, positions=None):
-    """Geometry Jacobians at bulk quadrature points.
+    """Geometry Jacobians at the bulk quadrature points, component-major.
 
-    Returns (jac, det) with shapes (E, n_qp, d, d) and (E, n_qp).
+    One batched GEMM of the (d*q, n) reference gradients, rows ordered
+    (r, q), with the (d, n, E) element coordinates yields each entry
+    J[D][r] = dx_D / dxi_r as a contiguous (n_qp, E) array.  Returns the
+    (n_qp, E, d, d) view whose ``[..., D, r]`` is that array, which
+    :func:`refelem.adjugate_det` and :func:`refelem.determinant` take as a
+    batch of matrices.  The one Jacobian kernel of bulk elements: assembly,
+    the orientation check and the element measures share it.
     """
     ref = reference_element(mesh.dim, mesh.degree_k)
     pos = mesh.node_positions if positions is None else positions
-    coords = pos[mesh.bulk_elements]  # (E, n, d)
-    jac = geometry_jacobians(coords, ref.grad)
-    return jac, determinant(jac)
+    n_qp, n_loc, d = ref.grad.shape
+    gref = ref.grad.transpose(2, 0, 1).reshape(d * n_qp, n_loc)
+    coords = np.take(np.asarray(pos).T, mesh.bulk_elements.T, axis=1)
+    return np.matmul(gref, coords).reshape(d, d, n_qp, -1).transpose(2, 3, 0, 1)
 
 
 def check_orientation(mesh, positions=None):
     """Raise GeometryError if any element has a non-positive Jacobian."""
-    _, det = bulk_jacobians(mesh, positions)
-    bad = np.flatnonzero((det <= 0.0).any(axis=1))
+    det = determinant(bulk_jacobians(mesh, positions))
+    bad = np.flatnonzero((det <= 0.0).any(axis=0))
     if bad.size:
         raise GeometryError(
             "non-positive Jacobian determinant at a quadrature point",
@@ -155,8 +161,7 @@ def check_orientation(mesh, positions=None):
 def bulk_element_measures(mesh, positions=None):
     """Measure of each bulk element via quadrature, shape (E,)."""
     ref = reference_element(mesh.dim, mesh.degree_k)
-    _, det = bulk_jacobians(mesh, positions)
-    return det @ ref.quad_weights
+    return ref.quad_weights @ determinant(bulk_jacobians(mesh, positions))
 
 
 def boundary_element_measures(mesh, positions=None):

@@ -120,6 +120,12 @@ def nested_dissection(graph, points):
     return np.concatenate(order)
 
 
+def _column_norms(a):
+    """2-norm of each column of ``a`` (of ``a`` itself if 1d), without a
+    squared copy of it."""
+    return np.sqrt(np.einsum("i...,i...->...", a, a))
+
+
 def _pcg(matrix, rhs, precondition, maxiter, x0):
     """Preconditioned conjugate gradients from ``x0``; returns (x, iterations,
     residual), with the largest relative true residual over the columns.
@@ -201,11 +207,12 @@ class SpdFactor:
         if rhs.shape[0] != self.matrix.shape[0]:
             raise ValidationError("rhs length does not match matrix dimension")
         x = self.apply_inverse(rhs)
-        b_norm = np.sqrt((rhs * rhs).sum(axis=0))
+        b_norm = _column_norms(rhs)
         if not b_norm.any():
             return np.zeros_like(rhs)
-        r = rhs - self.matrix @ x
-        res = np.sqrt((r * r).sum(axis=0)) / np.where(b_norm > 0.0, b_norm, 1.0)
+        r = self.matrix @ x
+        r -= rhs
+        res = _column_norms(r) / np.where(b_norm > 0.0, b_norm, 1.0)
         if np.any(res > TOL):
             raise SolverError("factorized solve residual too large", residual=res.max())
         return x
@@ -261,7 +268,7 @@ class CachedSpdSolver:
         return x
 
 
-def dirichlet_extension(matrix, n_boundary, trace, solve_interior):
+def dirichlet_extension(coupling, trace, solve_interior):
     """Solve a Dirichlet problem for a boundary-first partitioned SPD matrix.
 
     Returns the full vector v with v[:n_boundary] = trace and
@@ -269,21 +276,21 @@ def dirichlet_extension(matrix, n_boundary, trace, solve_interior):
 
     Parameters
     ----------
-    matrix : scipy CSR matrix, (N, N)
-        Partitioned with the boundary block first; A_II must be SPD.
-    n_boundary : int
-        Size of the boundary block.
+    coupling : scipy sparse matrix, (N - n_boundary, n_boundary)
+        The interior-boundary block A_IB.
     trace : ndarray, (n_boundary,) or (n_boundary, c)
         Prescribed trace; each column is extended.
     solve_interior : callable
         ``solve_interior(rhs)`` returns A_II^-1 rhs for a right-hand side of
         the shape of ``trace`` restricted to the interior.  The caller binds
-        A_II, so it chooses where the block is sliced and factorized.
+        A_II, so it chooses where the block is formed and factorized.
     """
     trace = np.asarray(trace, dtype=float)
+    n_interior, n_boundary = coupling.shape
     if trace.shape[0] != n_boundary:
         raise ValidationError("trace length does not match the boundary block")
-    out = np.empty((matrix.shape[0],) + trace.shape[1:])
+    out = np.empty((n_boundary + n_interior,) + trace.shape[1:])
     out[:n_boundary] = trace
-    out[n_boundary:] = solve_interior(-(matrix[n_boundary:, :n_boundary] @ trace))
+    rhs = coupling @ trace
+    out[n_boundary:] = solve_interior(np.negative(rhs, out=rhs))
     return out

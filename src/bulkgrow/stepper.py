@@ -112,6 +112,15 @@ class ExtrapolatedGeometry:
     pressure: np.ndarray
     velocity: np.ndarray
     matrices: object  # SystemMatrices, with the surface geometry
+    pencil: tuple = None  # ((a, b), a M_Gamma + b A_Gamma), see surface_system
+
+    def surface_system(self, scheme, tau, params):
+        """The surface pencil (delta_0/tau) M + beta A on this geometry; built
+        by the first of the step's two surface solves and kept for the other."""
+        coeffs = (scheme.delta[0] / tau, params.beta)
+        if self.pencil is None or self.pencil[0] != coeffs:
+            self.pencil = (coeffs, self.matrices.surface_pencil(*coeffs))
+        return self.pencil[1]
 
 
 def extrapolated_geometry(history, scheme, assembler):
@@ -144,11 +153,6 @@ def robin_solve(geometry, params, time, solve):
     return solve(ell, rhs)
 
 
-def _surface_system(geometry, scheme, tau, params):
-    mats = geometry.matrices
-    return (scheme.delta[0] / tau) * mats.mass_surf + params.beta * mats.stiff_surf
-
-
 def _bdf_history_term(scheme, tau, mass, past_fields):
     """-(1/tau) sum_{j>=1} delta_j M x^{n-j}, vectorized over columns."""
     return -(mass @ weighted_sum(scheme.delta[1:], past_fields)) / tau
@@ -158,7 +162,7 @@ def normal_step(geometry, history, pressure, scheme, tau, params, assembler, sol
     """Implicit update of the (non-normalized) outward normal field;
     ``solve(matrix, rhs)`` solves the SPD surface system."""
     mats = geometry.matrices
-    system = _surface_system(geometry, scheme, tau, params)
+    system = geometry.surface_system(scheme, tau, params)
     forcing = assembler.curvature_forcing_nu(geometry.normal, params.beta, mats.surface)
     u_gamma = pressure[: mats.n_boundary]
     for comp, block in enumerate(mats.tangrad):
@@ -179,7 +183,7 @@ def curvature_step(geometry, history, pressure, scheme, tau, params, assembler, 
     """
     mats = geometry.matrices
     ng = mats.n_boundary
-    system = _surface_system(geometry, scheme, tau, params)
+    system = geometry.surface_system(scheme, tau, params)
     speed_tilde = -params.beta * geometry.curvature \
         + params.alpha * geometry.pressure[:ng]
     forcing = assembler.curvature_forcing_H(geometry.normal, speed_tilde, mats.surface)
@@ -202,11 +206,8 @@ def velocity_law(pressure_trace, curvature, normal, params):
 def harmonic_extension(matrices, boundary_velocity, solve):
     """Discrete harmonic extension of the boundary velocity into the bulk;
     ``solve(matrix, rhs)`` solves the interior block."""
-    ng = matrices.n_boundary
-    return dirichlet_extension(
-        matrices.stiff_bulk, ng, boundary_velocity,
-        partial(solve, matrices.stiff_bulk[ng:, ng:]),
-    )
+    interior, coupling = matrices.stiffness_blocks()
+    return dirichlet_extension(coupling, boundary_velocity, partial(solve, interior))
 
 
 def position_update(scheme, history, velocity, tau, mesh):
@@ -230,6 +231,13 @@ class Stepper:
     The Robin matrix and the interior block are factored in the mesh's
     ``bulk_orderings`` (nested dissection in 3d, minimum degree in 2d); the
     surface pencil keeps SuperLU's minimum-degree ordering.
+
+    Each step assembles the mass and stiffness matrices on the extrapolated
+    configuration; the three systems are then formed from their data on
+    fixed patterns, without sparse algebra: L by a scatter-add into a copy
+    of the stiffness data, A_II and A_IB by gathers through the assembler's
+    ``StepLayout`` (built on the first step), and the pencil once per step
+    for both surface solves.
     """
 
     def __init__(self, mesh, params, order, tau):

@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from bulkgrow.assembly import (
-    Assembler,
-    assemble_f_u,
-    assemble_L,
-    embed_boundary_block,
-)
+from bulkgrow.assembly import Assembler, assemble_f_u, assemble_L
 from bulkgrow.errors import GeometryError, ValidationError
 from bulkgrow.mesh import BulkSurfaceMesh, generate_ball_mesh, generate_disk_mesh
 from bulkgrow.sparsela import solve_spd
@@ -25,6 +20,14 @@ def single_triangle_mesh():
         bulk_elements=np.array([[0, 1, 2]]),
         boundary_elements=np.array([[0, 1], [1, 2], [2, 0]]),
     )
+
+
+def embed_boundary_block(surface_matrix, n_nodes):
+    """Zero-pad an N_Gamma x N_Gamma matrix to N x N (boundary block first)."""
+    s = surface_matrix.tocsr()
+    ng = s.shape[0]
+    indptr = np.concatenate([s.indptr, np.full(n_nodes - ng, s.indptr[-1])])
+    return sp.csr_matrix((s.data, s.indices, indptr), shape=(n_nodes, n_nodes))
 
 
 def surface_matrices(mesh):
@@ -83,11 +86,20 @@ class TestBulkAssembly:
         assert u @ (stiff @ w) == pytest.approx(area * (cu @ cw), rel=1e-12)
 
     def test_symmetry(self):
-        mesh = generate_disk_mesh(1.0, 0.3, degree=2)
-        mass, stiff = Assembler(mesh).bulk_matrices()
-        for mat in (mass, stiff):
-            asym = abs(mat - mat.T).max()
-            assert asym <= 1e-13 * max(abs(mat).max(), 1.0)
+        # Exactly symmetric, not up to roundoff: the upper element entries
+        # are scattered once and mirrored.  2d and 3d, P1 and P2, on moved
+        # positions, so that no entry is symmetric by the reference geometry
+        # alone.
+        rng = np.random.default_rng(4)
+        for mesh in (generate_disk_mesh(1.0, 0.1, degree=1),
+                     generate_disk_mesh(1.0, 0.1, degree=2),
+                     generate_ball_mesh((1.0, 1.0, 1.0), 0.5, degree=1),
+                     generate_ball_mesh((1.0, 1.0, 1.0), 0.5, degree=2)):
+            pos = mesh.node_positions + 1e-5 * rng.standard_normal(mesh.node_positions.shape)
+            mats = Assembler(mesh).system(pos)
+            for mat in (mats.mass_bulk, mats.stiff_bulk, mats.mass_surf, mats.stiff_surf,
+                        assemble_L(mats, 1.3), assemble_L(mats, 1.3, 0.7)):
+                assert (mat != mat.T).nnz == 0
 
     def test_deterministic(self):
         mesh = generate_disk_mesh(1.0, 0.3, degree=2)
@@ -286,6 +298,47 @@ class TestCurvatureForcing:
         f2 = forcing_H(mesh, normal, v2)
         f12 = forcing_H(mesh, normal, v1 + 2.0 * v2)
         assert np.allclose(f12, f1 + 2.0 * f2, atol=1e-11)
+
+
+class TestStepMatrices:
+    """The step matrices built from the pattern layout equal their sparse
+    algebra: each entry of L is the same single addition, the blocks are
+    the same entries, the pencil is the same combination."""
+
+    @pytest.fixture(scope="class", params=["disk", "ball"])
+    def mats(self, request):
+        if request.param == "disk":
+            mesh = generate_disk_mesh(1.0, 0.2, degree=2)
+        else:
+            mesh = generate_ball_mesh((1.0, 1.0, 1.0), 0.5, degree=2)
+        rng = np.random.default_rng(2)
+        pos = mesh.node_positions + 1e-4 * rng.standard_normal(mesh.node_positions.shape)
+        return Assembler(mesh).system(pos)
+
+    @staticmethod
+    def assert_bitwise(a, b):
+        assert a.shape == b.shape
+        assert (a != b).nnz == 0
+
+    @pytest.mark.parametrize("mu", [0.0, 0.4])
+    def test_robin_matrix(self, mats, mu):
+        alpha = 1.7
+        surf = alpha * mats.mass_surf
+        if mu != 0.0:
+            surf = surf + mu * mats.stiff_surf
+        expected = mats.stiff_bulk + embed_boundary_block(surf, mats.n_nodes)
+        self.assert_bitwise(assemble_L(mats, alpha, mu), expected)
+
+    def test_stiffness_blocks(self, mats):
+        ng = mats.n_boundary
+        a_ii, a_ib = mats.stiffness_blocks()
+        self.assert_bitwise(a_ii, mats.stiff_bulk[ng:, ng:])
+        self.assert_bitwise(a_ib, mats.stiff_bulk[ng:, :ng])
+
+    def test_surface_pencil(self, mats):
+        a, b = 1500.0, 0.8
+        expected = a * mats.mass_surf + b * mats.stiff_surf
+        self.assert_bitwise(mats.surface_pencil(a, b), expected)
 
 
 class TestSystemBundle:

@@ -3,28 +3,22 @@ import math
 import numpy as np
 import pytest
 
-from bulkgrow.assembly import Assembler, assemble_L
+from bulkgrow.assembly import Assembler
 from bulkgrow.errors import ValidationError
 from bulkgrow.mesh import generate_disk_mesh
-from bulkgrow.norms import norm_K, norm_h_half, surface_spectrum
+from bulkgrow.norms import norm_K, norm_h_half
 from bulkgrow.sparsela import SpdFactor, dirichlet_extension
-from bulkgrow.stability import (
-    dirichlet_ratio,
-    robin_ratio,
-    stability_sweep,
-)
+from bulkgrow.stability import DirichletRatio, RobinRatio, stability_sweep
 
 
 def dirichlet(mats, g):
     """Dirichlet ratio with the spectrum and interior factor of ``mats``."""
-    ng = mats.n_boundary
-    spectrum = surface_spectrum(mats.mass_surf, mats.stiff_surf)
-    return dirichlet_ratio(mats, g, spectrum, SpdFactor(mats.stiff_bulk[ng:, ng:]))
+    return DirichletRatio(mats)(g)
 
 
 def robin(mats, g):
     """Robin ratio with the factorized unit Robin matrix of ``mats``."""
-    return robin_ratio(mats, g, SpdFactor(assemble_L(mats, 1.0)))
+    return RobinRatio(mats)(g)
 
 
 def growth_factors(rows):
@@ -109,6 +103,22 @@ class TestRobinRatio:
             assert robin(mats, s * g) == pytest.approx(base, rel=1e-12)
 
 
+@pytest.mark.parametrize("ratio_type", [DirichletRatio, RobinRatio])
+def test_fields_in_columns_match_single_fields(disk, ratio_type):
+    # The sweep evaluates its sampled fields as the columns of one block;
+    # each column's ratio is the ratio of that field alone, and a zero
+    # column has ratio 0.
+    mesh, mats = disk
+    ratio = ratio_type(mats)
+    fields = np.random.default_rng(9).standard_normal((mesh.n_boundary, 4))
+    fields[:, 2] = 0.0
+    block = ratio(fields)
+    assert block.shape == (4,)
+    assert block[2] == 0.0
+    for col, value in zip(fields.T, block):
+        assert value == pytest.approx(ratio(col), rel=1e-12)
+
+
 class TestSweep:
     def levels(self, count=3):
         meshes = [generate_disk_mesh(1.0, 0.4 / 2 ** j, degree=1) for j in range(count)]
@@ -150,5 +160,5 @@ class TestSweep:
         g = np.ones(mesh.n_boundary)
         ng = mesh.n_boundary
         interior = SpdFactor(mats.stiff_bulk[ng:, ng:])
-        u = dirichlet_extension(mats.stiff_bulk, ng, g, interior.solve)
+        u = dirichlet_extension(mats.stiff_bulk[ng:, :ng], g, interior.solve)
         assert np.allclose(u, 1.0, atol=1e-9)

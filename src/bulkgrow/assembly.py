@@ -7,12 +7,19 @@ never through bulk element traces.  Assembly is vectorized over elements and
 deterministic: element contributions are reduced into a precomputed CSR
 pattern in a fixed order.
 
-The bulk kernel is component-major (Cuvelier, Japhet & Scarella, BIT Numer.
-Math. 56 (2016)): one GEMM gives each Jacobian entry as a (q, E) array, from
-which the adjugate, the determinant and the d(d+1)/2 metric entries are
-formed entrywise.  Mass and stiffness (bulk and surface) scatter only the
-n(n+1)/2 upper entries of each element matrix and mirror the sums through a
-transpose map of the pattern, so they are exactly symmetric.
+The bulk and facet kernels are component-major (Cuvelier, Japhet &
+Scarella, BIT Numer. Math. 56 (2016)): one GEMM gives each Jacobian entry as
+a (q, E) array, from which the adjugate, the determinant and the metric
+entries are formed entrywise -- (adj adj^T)_ab / det of the bulk Jacobian,
+w adj(G)_rs / sqrt(det G) of the facet metric G = J^T J.  Mass and stiffness
+(bulk and surface) are then two GEMMs against precontracted reference
+tensors; they scatter only the n(n+1)/2 upper entries of each element
+matrix and mirror the sums through a transpose map of the pattern, so they
+are exactly symmetric.
+
+The tangential-gradient coupling -alpha (psi_i, (grad_Gamma u_h)_l) is not
+a matrix: it is assembled as a load from the tangential gradient of u_h at
+the facet quadrature points, like the curvature forcings.
 
 The matrices of a time step need no sparse algebra: the bulk pattern
 contains the embedded surface pattern, so the Robin matrix L is a
@@ -28,19 +35,17 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import GeometryError, ValidationError
-from .mesh import BulkSurfaceMesh, bulk_jacobians
-from .refelem import adjugate_det, geometry_jacobians, reference_element
+from .mesh import BulkSurfaceMesh, boundary_jacobians, bulk_jacobians
+from .refelem import adjugate_det, gram, reference_element
 
 
 @dataclass(frozen=True)
 class SystemMatrices:
     """Mass/stiffness matrices of one mesh configuration.
 
-    The bulk matrices are N x N, the surface matrices N_Gamma x N_Gamma, and
-    ``tangrad`` holds the component blocks D_l of the tangential gradient
-    matrix, D_l[i, j] = integral of psi_i * (tangential grad psi_j)_l.
+    The bulk matrices are N x N, the surface matrices N_Gamma x N_Gamma.
     ``surface`` is the facet geometry the surface matrices were built from,
-    kept for the curvature loads of the same configuration.  ``layout``
+    kept for the surface loads of the same configuration.  ``layout``
     locates the step matrices in the bulk pattern; it is shared by every
     configuration of one :class:`Assembler`.
     """
@@ -49,7 +54,6 @@ class SystemMatrices:
     stiff_bulk: sp.csr_matrix
     mass_surf: sp.csr_matrix
     stiff_surf: sp.csr_matrix
-    tangrad: tuple
     n_boundary: int
     surface: "SurfaceGeometry"
     layout: "StepLayout"
@@ -106,12 +110,10 @@ class _Pattern:
     the upper-triangle position of local pair p of element e.  ``mirror``
     maps each slot to the one whose sum it takes -- itself on and above the
     diagonal, the transposed slot below -- which makes the assembled matrix
-    exactly symmetric.  With ``full``, ``slot[e, i, j]`` also maps every
-    entry, for the unsymmetric tangential-gradient blocks.  All maps are
-    int32.
+    exactly symmetric.  Both maps are int32.
     """
 
-    def __init__(self, conn, size, full=False):
+    def __init__(self, conn, size):
         conn = conn.astype(np.int64)
         n_loc = conn.shape[1]
         first, second = np.triu_indices(n_loc)
@@ -135,25 +137,14 @@ class _Pattern:
         self.mirror = np.where(
             rows <= cols, np.arange(self.nnz), np.searchsorted(full_keys, cols * size + rows)
         ).astype(np.int32)
-        if full:
-            entry_keys = conn[:, :, None] * size + conn[:, None, :]
-            self.slot = np.searchsorted(full_keys, entry_keys).astype(np.int32)
         self.shape = (size, size)
-
-    def _matrix(self, data):
-        return sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
 
     def assemble(self, upper_data):
         """Exactly symmetric matrix from the (E, n(n+1)/2) upper entries."""
         sums = np.bincount(self.upper.ravel(), weights=upper_data.ravel(),
                            minlength=self.nnz)
-        return self._matrix(np.take(sums, self.mirror))
-
-    def assemble_full(self, element_data):
-        """Matrix from the (E, n, n) element matrices (needs ``full``)."""
-        return self._matrix(
-            np.bincount(self.slot.ravel(), weights=element_data.ravel(), minlength=self.nnz)
-        )
+        return sp.csr_matrix((np.take(sums, self.mirror), self.indices, self.indptr),
+                             shape=self.shape)
 
 
 class StepLayout:
@@ -208,32 +199,64 @@ class StepLayout:
         return tuple(out)
 
 
+def _upper_tensors(ref, weights):
+    """Precontracted reference tensors of the n(n+1)/2 upper element
+    entries, p the local pair (i <= j): mass (q, p) and stiffness (s q, p),
+    s the metric pair (a <= b) with the off-diagonal products symmetrized,
+    both times ``weights`` per quadrature point.  Per-element work is then
+    one GEMM each."""
+    first, second = np.triu_indices(ref.n_nodes)
+    g = ref.grad
+    mass = weights[:, None] * ref.shape[:, first] * ref.shape[:, second]
+    stiff = []
+    for a, b in zip(*np.triu_indices(ref.dim)):
+        k = g[:, first, a] * g[:, second, b]
+        if a != b:
+            k = k + g[:, first, b] * g[:, second, a]
+        stiff.append(weights[:, None] * k)
+    return mass, np.concatenate(stiff)
+
+
 @dataclass
 class SurfaceGeometry:
-    """Facet quadrature data on one configuration of the boundary."""
+    """Facet quadrature data on one configuration of the boundary.
 
-    conn: np.ndarray        # (B, n_loc)
-    shape: np.ndarray       # (n_qp, n_loc)
-    tangrad: np.ndarray     # (B, n_qp, n_loc, d) tangential shape gradients
-    wmeasure: np.ndarray    # (B, n_qp) quadrature weight times area element
+    Component-major, like the kernel that forms it: every per-quadrature-
+    point quantity is a (n_qp, B) array, and fields at quadrature points are
+    (n_qp, B), or (c, n_qp, B) for c components.
+    """
+
+    nodes: np.ndarray       # (n_loc, B) facet nodes
+    shape: np.ndarray       # (n_qp, n_loc) reference shape values
+    grad: np.ndarray        # (m * n_qp, n_loc) reference gradients, rows (r, q)
+    proj: np.ndarray        # (d, m, n_qp, B) entries of J G^-1
+    coeffs: np.ndarray      # (m(m+1)/2, n_qp, B) w adj(G)_rs / sqrt(det G), r <= s
+    wmeasure: np.ndarray    # (n_qp, B) quadrature weight times area element
+
+    def _gather(self, nodal):
+        """Facet values of a boundary field: (n_loc, B) or (c, n_loc, B)."""
+        nodal = np.asarray(nodal)
+        if nodal.ndim == 1:
+            return nodal[self.nodes]
+        return np.take(nodal.T, self.nodes, axis=1)
 
     def field_at_qp(self, nodal):
         """Evaluate a boundary nodal field (scalar or vector) at facet qps."""
-        vals = np.asarray(nodal)[self.conn]  # (B, n_loc[, c])
-        if vals.ndim == 2:
-            return np.einsum("qi,ei->eq", self.shape, vals)
-        return np.einsum("qi,eic->eqc", self.shape, vals)
+        return self.shape @ self._gather(nodal)
 
     def tangential_gradient_at_qp(self, nodal):
-        """Tangential gradient of a boundary field at qps.
+        """Tangential gradient J G^-1 grad_ref of a boundary field at qps.
 
-        Scalar fields give (B, n_qp, d); vector fields (B, n_qp, d, c) with
-        component gradients in the columns.
+        Scalar fields give (d, n_qp, B); vector fields (c, d, n_qp, B), the
+        gradient of component c in ``[c]``.
         """
-        vals = np.asarray(nodal)[self.conn]
-        if vals.ndim == 2:
-            return np.einsum("eqid,ei->eqd", self.tangrad, vals)
-        return np.einsum("eqid,eic->eqdc", self.tangrad, vals)
+        vals = self._gather(nodal)
+        d, m, n_qp, _ = self.proj.shape
+        ref = (self.grad @ vals).reshape(vals.shape[:-2] + (1, m, n_qp, -1))
+        out = self.proj[:, 0] * ref[..., 0, :, :]
+        for r in range(1, m):
+            out += self.proj[:, r] * ref[..., r, :, :]
+        return out
 
 
 class Assembler:
@@ -248,33 +271,20 @@ class Assembler:
         self.mesh = mesh
         self.dim = mesh.dim
         self.n_boundary = mesh.n_boundary
-        self._bulk_ref = reference_element(mesh.dim, mesh.degree_k)
-        self._surf_ref = reference_element(mesh.dim_m, mesh.degree_k)
+        ref = reference_element(mesh.dim, mesh.degree_k)
+        sref = reference_element(mesh.dim_m, mesh.degree_k)
+        self._surf_ref = sref
         self._bulk_pattern = _Pattern(mesh.bulk_elements, mesh.n_nodes)
-        self._surf_pattern = _Pattern(mesh.boundary_elements, mesh.n_boundary, full=True)
+        self._surf_pattern = _Pattern(mesh.boundary_elements, mesh.n_boundary)
         self.layout = StepLayout(self._bulk_pattern, self._surf_pattern, mesh.n_boundary)
-        ref = self._bulk_ref
-        d = mesh.dim
-        first, second = np.triu_indices(ref.n_nodes)
-        self._metric_pairs = list(zip(*np.triu_indices(d)))
-        # Precontracted reference tensors of the upper element entries:
-        # mass (q; p) and stiffness (s q; p), with p the local pair (i <= j)
-        # and s the metric pair (a <= b), so per-element work is two GEMMs.
-        w, g = ref.quad_weights, ref.grad
-        self._m_upper = w[:, None] * ref.shape[:, first] * ref.shape[:, second]
-        k_upper = []
-        for a, b in self._metric_pairs:
-            k = g[:, first, a] * g[:, second, b]
-            if a != b:
-                k = k + g[:, first, b] * g[:, second, a]
-            k_upper.append(w[:, None] * k)
-        self._k_upper = np.concatenate(k_upper)  # (s * q, p)
-        sref = self._surf_ref
-        # Quadrature weights live in SurfaceGeometry.wmeasure, so the shape
-        # product tensor carries none.
-        first, second = np.triu_indices(sref.n_nodes)
-        self._surf_pairs = (first, second)
-        self._shape_upper_surf = sref.shape[:, first] * sref.shape[:, second]
+        self._metric_pairs = list(zip(*np.triu_indices(mesh.dim)))
+        self._facet_pairs = list(zip(*np.triu_indices(mesh.dim_m)))
+        self._m_upper, self._k_upper = _upper_tensors(ref, ref.quad_weights)
+        # The facet quadrature weights live in SurfaceGeometry.wmeasure and
+        # .coeffs, so the facet tensors carry unit weights.
+        self._m_upper_surf, self._k_upper_surf = _upper_tensors(sref, np.ones(sref.n_qp))
+        self._facet_nodes = np.ascontiguousarray(mesh.boundary_elements.T)
+        self._facet_grad = sref.grad.transpose(2, 0, 1).reshape(-1, sref.n_nodes)
 
     # -- bulk ---------------------------------------------------------------
 
@@ -308,103 +318,102 @@ class Assembler:
     # -- surface ------------------------------------------------------------
 
     def surface_geometry(self, positions=None):
-        """Facet quadrature geometry (tangential gradients, measures)."""
-        pos = self.mesh.node_positions if positions is None else positions
+        """Facet quadrature geometry from the component-major facet kernel.
+
+        With the facet Jacobian J (d x m) and metric G = J^T J, the
+        tangential gradient of a field is J G^-1 grad_ref, the area element
+        sqrt(det G), and T_i . T_j = g_i^T G^-1 g_j for the shape gradients,
+        so the stiffness needs only the entries w adj(G)_rs / sqrt(det G).
+        """
+        jac = boundary_jacobians(self.mesh, positions)  # (q, B, d, m)
+        adj, det = adjugate_det(gram(jac))
+        bad = (det <= 0.0).any(axis=0)
+        if bad.any():
+            raise GeometryError("degenerate boundary facet",
+                                element=int(np.flatnonzero(bad)[0]))
+        d, m = jac.shape[2:]
         ref = self._surf_ref
-        conn = self.mesh.boundary_elements
-        coords = pos[conn]  # (B, n_loc, D)
-        jac = geometry_jacobians(coords, ref.grad)
-        metric = np.matmul(jac.transpose(0, 1, 3, 2), jac)
-        adj, det = adjugate_det(metric)
-        if (det <= 0.0).any():
-            bad = int(np.argwhere((det <= 0.0).any(axis=1))[0, 0])
-            raise GeometryError("degenerate boundary facet", element=bad)
-        inv_metric = np.empty_like(metric)
-        for i, row in enumerate(adj):
-            for j, entry in enumerate(row):
-                inv_metric[..., i, j] = entry / det
-        # tangential gradient of shape i: J G^-1 grad_ref N_i
-        proj = np.matmul(jac, inv_metric)
-        tangrad = np.matmul(ref.grad[None, :, :, :], proj.transpose(0, 1, 3, 2))
-        wmeasure = np.sqrt(det) * ref.quad_weights[None, :]
+        wmeasure = ref.quad_weights[:, None] * np.sqrt(det)
+        inv = [[adj[r][s] / det for s in range(m)] for r in range(m)]
+        proj = np.empty((d, m) + det.shape)
+        for comp in range(d):
+            for r in range(m):
+                entry = proj[comp, r]
+                np.multiply(jac[..., comp, 0], inv[0][r], out=entry)
+                for s in range(1, m):
+                    entry += jac[..., comp, s] * inv[s][r]
+        coeffs = np.empty((len(self._facet_pairs),) + det.shape)
+        for entry, (r, s) in zip(coeffs, self._facet_pairs):
+            np.multiply(wmeasure, inv[r][s], out=entry)
         return SurfaceGeometry(
-            conn=conn, shape=ref.shape, tangrad=tangrad, wmeasure=wmeasure
+            nodes=self._facet_nodes, shape=ref.shape, grad=self._facet_grad,
+            proj=proj, coeffs=coeffs, wmeasure=wmeasure,
         )
 
     def surface_matrices(self, geometry):
-        """Assemble (mass, stiffness, tangential-gradient blocks) on the boundary
-        from its facet geometry."""
-        mass_e = geometry.wmeasure @ self._shape_upper_surf
-        stiff_e = np.einsum(
-            "eq,eqiD,eqjD->eij", geometry.wmeasure, geometry.tangrad, geometry.tangrad,
-            optimize=True,
-        )[:, self._surf_pairs[0], self._surf_pairs[1]]
-        mass = self._surf_pattern.assemble(mass_e)
-        stiff = self._surf_pattern.assemble(stiff_e)
-        blocks = []
-        for comp in range(self.dim):
-            d_e = np.einsum(
-                "eq,qi,eqjD->eij",
-                geometry.wmeasure, geometry.shape, geometry.tangrad[..., comp : comp + 1],
-                optimize=True,
-            )
-            blocks.append(self._surf_pattern.assemble_full(d_e))
-        return mass, stiff, tuple(blocks)
+        """Assemble (mass, stiffness) on the boundary from its facet
+        geometry: one GEMM each against the facet reference tensors."""
+        n_facets = geometry.wmeasure.shape[1]
+        mass_e = geometry.wmeasure.T @ self._m_upper_surf
+        stiff_e = geometry.coeffs.reshape(-1, n_facets).T @ self._k_upper_surf
+        return self._surf_pattern.assemble(mass_e), self._surf_pattern.assemble(stiff_e)
 
     def system(self, positions=None):
         """All matrices of one configuration as a SystemMatrices bundle."""
         mass_b, stiff_b = self.bulk_matrices(positions)
         surface = self.surface_geometry(positions)
-        mass_s, stiff_s, blocks = self.surface_matrices(surface)
+        mass_s, stiff_s = self.surface_matrices(surface)
         return SystemMatrices(
             mass_bulk=mass_b,
             stiff_bulk=stiff_b,
             mass_surf=mass_s,
             stiff_surf=stiff_s,
-            tangrad=blocks,
             n_boundary=self.n_boundary,
             surface=surface,
             layout=self.layout,
         )
 
-    # -- curvature-dependent loads -------------------------------------------
+    # -- surface loads --------------------------------------------------------
+
+    def _load(self, values, geometry):
+        """Load of qp values (n_qp, B), or (c, n_qp, B), that already carry
+        the quadrature weights, tested against each psi_j: (N_Gamma[, c])."""
+        contrib = geometry.shape.T @ values  # ([c,] n_loc, B)
+        flat = geometry.nodes.ravel()
+        if contrib.ndim == 2:
+            return np.bincount(flat, weights=contrib.ravel(), minlength=self.n_boundary)
+        out = np.empty((self.n_boundary, contrib.shape[0]))
+        for c, column in enumerate(contrib):
+            out[:, c] = np.bincount(flat, weights=column.ravel(), minlength=self.n_boundary)
+        return out
+
+    def tangential_gradient_load(self, nodal, geometry):
+        """(N_Gamma, d) load of rows integral psi_i (tangential grad u_h)_l
+        for the boundary field u_h with nodal values ``nodal``."""
+        return self._load(geometry.tangential_gradient_at_qp(nodal) * geometry.wmeasure,
+                          geometry)
 
     def weingarten_norm_sq(self, normal, geometry):
-        """|A_h|^2 at facet qps from the symmetrized tangential gradient of
-        the (non-normalized) discrete normal field."""
-        grad = geometry.tangential_gradient_at_qp(normal)  # (B, q, d, c)
-        sym = 0.5 * (grad + grad.swapaxes(2, 3))
-        return np.einsum("eqdc,eqdc->eq", sym, sym)
+        """|A_h|^2 at facet qps, (n_qp, B), from the symmetrized tangential
+        gradient of the (non-normalized) discrete normal field."""
+        grad = geometry.tangential_gradient_at_qp(normal)  # (c, d, q, B)
+        sym = 0.5 * (grad + grad.swapaxes(0, 1))
+        return (sym * sym).sum(axis=(0, 1))
 
-    def curvature_forcing_nu(self, normal, beta, geometry):
-        """f_nu: rows beta * |A_h|^2 (nu_h)_l tested against psi_j.
+    def curvature_forcing_nu(self, normal, weingarten, beta, geometry):
+        """f_nu: rows beta * |A_h|^2 (nu_h)_l tested against psi_j, with
+        ``weingarten`` the |A_h|^2 of :meth:`weingarten_norm_sq`.
 
         Returns an (N_Gamma, m+1) array, one column per component.
         """
-        a2 = self.weingarten_norm_sq(normal, geometry)
-        nu_qp = geometry.field_at_qp(normal)  # (B, q, c)
-        weight = beta * geometry.wmeasure * a2
-        contrib = np.einsum("eq,eqc,qi->eic", weight, nu_qp, geometry.shape, optimize=True)
-        return self._scatter_boundary(contrib, geometry.conn)
+        nu_qp = geometry.field_at_qp(normal)  # (c, q, B)
+        return self._load(nu_qp * (beta * geometry.wmeasure * weingarten), geometry)
 
-    def curvature_forcing_H(self, normal, normal_speed, geometry):
-        """f_H: -|A_h|^2 V_h tested against psi_j; returns (N_Gamma,)."""
-        a2 = self.weingarten_norm_sq(normal, geometry)
-        v_qp = geometry.field_at_qp(normal_speed)  # (B, q)
-        weight = -geometry.wmeasure * a2 * v_qp
-        contrib = np.einsum("eq,qi->ei", weight, geometry.shape, optimize=True)
-        return np.bincount(
-            geometry.conn.ravel(), weights=contrib.ravel(), minlength=self.n_boundary
-        )
-
-    def _scatter_boundary(self, contrib, conn):
-        out = np.empty((self.n_boundary, contrib.shape[2]))
-        flat = conn.ravel()
-        for c in range(contrib.shape[2]):
-            out[:, c] = np.bincount(
-                flat, weights=contrib[:, :, c].ravel(), minlength=self.n_boundary
-            )
-        return out
+    def curvature_forcing_H(self, weingarten, normal_speed, geometry):
+        """f_H: -|A_h|^2 V_h tested against psi_j, with ``weingarten`` the
+        |A_h|^2 of :meth:`weingarten_norm_sq`; returns (N_Gamma,)."""
+        v_qp = geometry.field_at_qp(normal_speed)  # (q, B)
+        return self._load(-geometry.wmeasure * weingarten * v_qp, geometry)
 
 
 def assemble_f_u(matrices, boundary_positions, curvature, beta, source, time):

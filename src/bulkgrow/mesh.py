@@ -23,6 +23,7 @@ from .refelem import (
     EDGE_VERTICES,
     FACE_NODES,
     determinant,
+    gram,
     nodes_per_element,
     reference_element,
 )
@@ -128,23 +129,39 @@ def element_diameters(mesh):
     return np.sqrt((diff ** 2).sum(axis=-1).max(axis=(1, 2)))
 
 
-def bulk_jacobians(mesh, positions=None):
-    """Geometry Jacobians at the bulk quadrature points, component-major.
+def _jacobians(ref, conn, positions):
+    """Component-major Jacobians of the elements ``conn`` of reference
+    element ``ref``: one batched GEMM of the (r*q, n) reference gradients,
+    rows ordered (r, q), with the (D, n, E) element coordinates gives each
+    entry J[D][r] = dx_D / dxi_r as a contiguous (n_qp, E) array.  Returns
+    the (n_qp, E, D, r) view whose ``[..., D, r]`` is that array."""
+    n_qp, n_loc, r = ref.grad.shape
+    gref = ref.grad.transpose(2, 0, 1).reshape(r * n_qp, n_loc)
+    coords = np.take(np.asarray(positions).T, conn.T, axis=1)
+    dim = coords.shape[0]
+    return np.matmul(gref, coords).reshape(dim, r, n_qp, -1).transpose(2, 3, 0, 1)
 
-    One batched GEMM of the (d*q, n) reference gradients, rows ordered
-    (r, q), with the (d, n, E) element coordinates yields each entry
-    J[D][r] = dx_D / dxi_r as a contiguous (n_qp, E) array.  Returns the
-    (n_qp, E, d, d) view whose ``[..., D, r]`` is that array, which
+
+def bulk_jacobians(mesh, positions=None):
+    """Geometry Jacobians at the bulk quadrature points, component-major:
+    the (n_qp, E, d, d) view of :func:`_jacobians`, which
     :func:`refelem.adjugate_det` and :func:`refelem.determinant` take as a
     batch of matrices.  The one Jacobian kernel of bulk elements: assembly,
     the orientation check and the element measures share it.
     """
-    ref = reference_element(mesh.dim, mesh.degree_k)
     pos = mesh.node_positions if positions is None else positions
-    n_qp, n_loc, d = ref.grad.shape
-    gref = ref.grad.transpose(2, 0, 1).reshape(d * n_qp, n_loc)
-    coords = np.take(np.asarray(pos).T, mesh.bulk_elements.T, axis=1)
-    return np.matmul(gref, coords).reshape(d, d, n_qp, -1).transpose(2, 3, 0, 1)
+    return _jacobians(reference_element(mesh.dim, mesh.degree_k), mesh.bulk_elements, pos)
+
+
+def boundary_jacobians(mesh, positions=None):
+    """Geometry Jacobians at the facet quadrature points, component-major:
+    the (n_qp, B, m+1, m) view of :func:`_jacobians`.  The one Jacobian
+    kernel of facets: the surface assembly and the facet measures share it.
+    """
+    pos = mesh.node_positions if positions is None else positions
+    return _jacobians(
+        reference_element(mesh.dim_m, mesh.degree_k), mesh.boundary_elements, pos
+    )
 
 
 def check_orientation(mesh, positions=None):
@@ -167,11 +184,8 @@ def bulk_element_measures(mesh, positions=None):
 def boundary_element_measures(mesh, positions=None):
     """Measure of each boundary facet via quadrature, shape (B,)."""
     ref = reference_element(mesh.dim_m, mesh.degree_k)
-    pos = mesh.node_positions if positions is None else positions
-    coords = pos[mesh.boundary_elements]
-    jac = np.einsum("enD,qnr->eqDr", coords, ref.grad, optimize=True)
-    metric = np.einsum("eqDr,eqDs->eqrs", jac, jac)
-    return np.sqrt(determinant(metric)) @ ref.quad_weights
+    metric = gram(boundary_jacobians(mesh, positions))
+    return ref.quad_weights @ np.sqrt(determinant(metric))
 
 
 def quality_report(mesh):

@@ -1,9 +1,9 @@
 """Discrete norms and error measurement against the radial solution.
 
-Norms are induced by the assembled matrices: mass norms, H1 norms through
-K = A + M, the combined bulk/boundary energy through the Robin system matrix,
-and a discrete H^(1/2) boundary norm through the generalized eigenproblem of
-the surface stiffness/mass pair.  Errors are measured against the nodal
+Norms are induced by the assembled matrices: H1 norms through K = A + M,
+the combined bulk/boundary energy through the Robin system matrix, and a
+discrete H^(1/2) boundary norm through the generalized eigenproblem of the
+surface stiffness/mass pair.  Errors are measured against the nodal
 interpolation of the exact solution on the current discrete configuration.
 """
 
@@ -30,19 +30,15 @@ def _quadratic_form(matrix, values):
     return float(sum(col @ (matrix @ col) for col in values.T))
 
 
-def norm_M(values, matrices, which="bulk"):
-    """Mass norm sqrt(e^T M e) on the bulk or the surface."""
-    matrix = matrices.mass_bulk if which == "bulk" else matrices.mass_surf
+def _norm(matrix, values):
     return np.sqrt(max(_quadratic_form(matrix, values), 0.0))
 
 
 def norm_K(values, matrices, which="bulk"):
     """H1 norm sqrt(e^T (A + M) e) on the bulk or the surface."""
     if which == "bulk":
-        matrix = matrices.stiff_bulk + matrices.mass_bulk
-    else:
-        matrix = matrices.stiff_surf + matrices.mass_surf
-    return np.sqrt(max(_quadratic_form(matrix, values), 0.0))
+        return _norm(matrices.stiff_bulk + matrices.mass_bulk, values)
+    return _norm(matrices.surface_pencil(1.0, 1.0), values)
 
 
 def norm_L(values, matrices):
@@ -52,7 +48,7 @@ def norm_L(values, matrices):
     the H1(boundary) norm of the trace, the norm in which pressure errors are
     reported.
     """
-    return np.sqrt(max(_quadratic_form(assemble_L(matrices, 1.0, 1.0), values), 0.0))
+    return _norm(assemble_L(matrices, 1.0, 1.0), values)
 
 
 def surface_spectrum(mass_surf, stiff_surf):
@@ -118,13 +114,14 @@ def oracle_errors(state, oracle, reference_mesh, matrices):
     exact_nu = exact_x[:ng] / radius
     exact_h = np.full(ng, oracle.curvature(t))
     exact_v_gamma = oracle.normal_speed(t) * exact_nu
+    k_surf = matrices.surface_pencil(1.0, 1.0)  # A_Gamma + M_Gamma, once
 
     return {
         "u": norm_L(state.pressure - exact_u, matrices),
-        "x": norm_K(state.positions[:ng] - exact_x[:ng], matrices, "surface"),
-        "v": norm_K(state.velocity[:ng] - exact_v_gamma, matrices, "surface"),
-        "nu": norm_K(state.normal - exact_nu, matrices, "surface"),
-        "H": norm_K(state.curvature - exact_h, matrices, "surface"),
+        "x": _norm(k_surf, state.positions[:ng] - exact_x[:ng]),
+        "v": _norm(k_surf, state.velocity[:ng] - exact_v_gamma),
+        "nu": _norm(k_surf, state.normal - exact_nu),
+        "H": _norm(k_surf, state.curvature - exact_h),
     }
 
 

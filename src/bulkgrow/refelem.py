@@ -45,17 +45,22 @@ FACE_NODES = {dim: _face_nodes(dim) for dim in (2, 3)}
 REFERENCE_MEASURE = {1: 1.0, 2: 0.5, 3: 1.0 / 6.0}
 
 
-def geometry_jacobians(coords, grad):
-    """Element Jacobians J[e, q, D, r] = d x_D / d xi_r at quadrature points.
+def gram(jac):
+    """Metric tensors G = J^T J of a batch of (..., D, r) Jacobians.
 
-    Computed as one flat GEMM over all elements; ``coords`` is (E, n, D) and
-    ``grad`` the reference shape gradients (q, n, r).
+    Each entry is formed as one contiguous (...)-shaped array, as the
+    component-major Jacobians give them; returns the (..., r, r) view.
     """
-    n_el, n_loc, dim = coords.shape
-    n_qp, _, ref_dim = grad.shape
-    flat = coords.transpose(0, 2, 1).reshape(n_el * dim, n_loc)
-    gref = grad.transpose(1, 0, 2).reshape(n_loc, n_qp * ref_dim)
-    return (flat @ gref).reshape(n_el, dim, n_qp, ref_dim).transpose(0, 2, 1, 3)
+    r = jac.shape[-1]
+    out = np.empty((r, r) + jac.shape[:-2])
+    for a in range(r):
+        for b in range(a, r):
+            entry = out[a, b]
+            np.multiply(jac[..., 0, a], jac[..., 0, b], out=entry)
+            for k in range(1, jac.shape[-2]):
+                entry += jac[..., k, a] * jac[..., k, b]
+            out[b, a] = entry
+    return np.moveaxis(out, (0, 1), (-2, -1))
 
 
 def _adjugate_entry(a, i, j):

@@ -2,9 +2,10 @@
 
 One step freezes the geometry at the extrapolated positions and then solves,
 in order: the generalized Robin problem for the pressure, the two surface
-evolution equations for normal and curvature (which use the new pressure),
-the nodal velocity law, the discrete harmonic velocity extension, and the
-position update.  Each implicit sub-system is symmetric positive definite.
+evolution equations for normal and curvature (which use the new pressure;
+they share one matrix and are solved together), the nodal velocity law, the
+discrete harmonic velocity extension, and the position update.  Each
+implicit sub-system is symmetric positive definite.
 """
 
 import copy
@@ -112,15 +113,16 @@ class ExtrapolatedGeometry:
     pressure: np.ndarray
     velocity: np.ndarray
     matrices: object  # SystemMatrices, with the surface geometry
-    pencil: tuple = None  # ((a, b), a M_Gamma + b A_Gamma), see surface_system
+    weingarten: np.ndarray = None  # |A_h|^2 of ``normal``, see weingarten_norm_sq
 
-    def surface_system(self, scheme, tau, params):
-        """The surface pencil (delta_0/tau) M + beta A on this geometry; built
-        by the first of the step's two surface solves and kept for the other."""
-        coeffs = (scheme.delta[0] / tau, params.beta)
-        if self.pencil is None or self.pencil[0] != coeffs:
-            self.pencil = (coeffs, self.matrices.surface_pencil(*coeffs))
-        return self.pencil[1]
+    def weingarten_norm_sq(self, assembler):
+        """|A_h|^2 of the extrapolated normal at the facet qps; computed for
+        the first of the step's two curvature forcings and kept for the
+        other."""
+        if self.weingarten is None:
+            self.weingarten = assembler.weingarten_norm_sq(
+                self.normal, self.matrices.surface)
+        return self.weingarten
 
 
 def extrapolated_geometry(history, scheme, assembler):
@@ -158,41 +160,50 @@ def _bdf_history_term(scheme, tau, mass, past_fields):
     return -(mass @ weighted_sum(scheme.delta[1:], past_fields)) / tau
 
 
-def normal_step(geometry, history, pressure, scheme, tau, params, assembler, solve):
-    """Implicit update of the (non-normalized) outward normal field;
-    ``solve(matrix, rhs)`` solves the SPD surface system."""
+def normal_step(geometry, history, pressure, scheme, tau, params, assembler):
+    """Right-hand side (N_Gamma, m+1) of the implicit update of the
+    (non-normalized) outward normal field; :func:`curvature_step` solves it
+    together with the curvature equation."""
     mats = geometry.matrices
-    system = geometry.surface_system(scheme, tau, params)
-    forcing = assembler.curvature_forcing_nu(geometry.normal, params.beta, mats.surface)
-    u_gamma = pressure[: mats.n_boundary]
-    for comp, block in enumerate(mats.tangrad):
-        forcing[:, comp] -= params.alpha * (block @ u_gamma)
+    forcing = assembler.curvature_forcing_nu(
+        geometry.normal, geometry.weingarten_norm_sq(assembler), params.beta, mats.surface
+    )
+    forcing -= params.alpha * assembler.tangential_gradient_load(
+        pressure[: mats.n_boundary], mats.surface
+    )
     q = scheme.order
-    rhs = forcing + _bdf_history_term(
+    return forcing + _bdf_history_term(
         scheme, tau, mats.mass_surf, history.field("normal")[:q]
     )
-    return solve(system, rhs)
 
 
-def curvature_step(geometry, history, pressure, scheme, tau, params, assembler, solve):
-    """Implicit update of the mean curvature field; ``solve(matrix, rhs)``
-    solves the SPD surface system.
+def curvature_step(geometry, history, pressure, normal_rhs, scheme, tau, params,
+                   assembler, solve):
+    """Implicit update of the mean curvature field, solved together with the
+    normal update whose right-hand side :func:`normal_step` built.
 
-    The quadratic forcing uses only extrapolated fields (normal, curvature,
-    pressure); the new pressure enters through the surface-Laplacian term.
+    Both equations have the surface pencil (delta_0/tau) M + beta A, so one
+    solve takes the (N_Gamma, m+2) stacked right-hand side;
+    ``solve(matrix, rhs)`` solves the SPD system.  Returns (normal,
+    curvature).  The quadratic forcing uses only extrapolated fields (normal,
+    curvature, pressure); the new pressure enters through the
+    surface-Laplacian term.
     """
     mats = geometry.matrices
     ng = mats.n_boundary
-    system = geometry.surface_system(scheme, tau, params)
     speed_tilde = -params.beta * geometry.curvature \
         + params.alpha * geometry.pressure[:ng]
-    forcing = assembler.curvature_forcing_H(geometry.normal, speed_tilde, mats.surface)
+    forcing = assembler.curvature_forcing_H(
+        geometry.weingarten_norm_sq(assembler), speed_tilde, mats.surface
+    )
     rhs = forcing + params.alpha * (mats.stiff_surf @ pressure[:ng])
     q = scheme.order
     rhs = rhs + _bdf_history_term(
         scheme, tau, mats.mass_surf, history.field("curvature")[:q]
     )
-    return solve(system, rhs)
+    system = mats.surface_pencil(scheme.delta[0] / tau, params.beta)
+    both = solve(system, np.column_stack([normal_rhs, rhs]))
+    return both[:, :-1], both[:, -1]
 
 
 def velocity_law(pressure_trace, curvature, normal, params):
@@ -223,10 +234,14 @@ class Stepper:
     """Time stepping driver bound to one mesh connectivity.
 
     Holds the assembly engine and the cached factorized preconditioners of
-    its three SPD systems -- the Robin matrix, the surface pencil shared by
-    the normal and curvature solves, and the interior stiffness block of the
+    its three SPD systems -- the Robin matrix, the surface pencil of the
+    normal and curvature equations, and the interior stiffness block of the
     harmonic extension -- which stay effective across many steps of slow
-    mesh motion.  Each solve starts from the extrapolated field it updates.
+    mesh motion.  Each step makes three solves: the Robin one, one surface
+    solve of the normal and curvature together (one (N_Gamma, m+2) PCG
+    solve, which stops when its slowest column meets the tolerance), and the
+    harmonic one.  Each solve starts from the extrapolated fields it
+    updates.
 
     The Robin matrix and the interior block are factored in the mesh's
     ``bulk_orderings`` (nested dissection in 3d, minimum degree in 2d); the
@@ -236,8 +251,9 @@ class Stepper:
     configuration; the three systems are then formed from their data on
     fixed patterns, without sparse algebra: L by a scatter-add into a copy
     of the stiffness data, A_II and A_IB by gathers through the assembler's
-    ``StepLayout`` (built on the first step), and the pencil once per step
-    for both surface solves.
+    ``StepLayout`` (built on the first step), and the pencil as one
+    combination of the surface data.  |A_h|^2 of the extrapolated normal is
+    computed once per step for both curvature forcings.
     """
 
     def __init__(self, mesh, params, order, tau):
@@ -273,14 +289,15 @@ class Stepper:
                 partial(self.robin_solver.solve, x0=geo.pressure),
             )
             stage = "normal_step"
-            normal = normal_step(
-                geo, history, pressure, self.scheme, self.tau, self.params,
-                self.assembler, partial(self.surface_solver.solve, x0=geo.normal),
+            normal_rhs = normal_step(
+                geo, history, pressure, self.scheme, self.tau, self.params, self.assembler,
             )
             stage = "curvature_step"
-            curvature = curvature_step(
-                geo, history, pressure, self.scheme, self.tau, self.params,
-                self.assembler, partial(self.surface_solver.solve, x0=geo.curvature),
+            normal, curvature = curvature_step(
+                geo, history, pressure, normal_rhs, self.scheme, self.tau, self.params,
+                self.assembler,
+                partial(self.surface_solver.solve,
+                        x0=np.column_stack([geo.normal, geo.curvature])),
             )
             stage = "velocity_law"
             speed, v_gamma = velocity_law(
@@ -353,7 +370,7 @@ def estimate_boundary_geometry(mesh):
     centroid, so the estimate targets star-shaped domains.
     """
     assembler = Assembler(mesh)
-    mass, stiff, _ = assembler.surface_matrices(assembler.surface_geometry())
+    mass, stiff = assembler.surface_matrices(assembler.surface_geometry())
     coords = mesh.boundary_positions
     hnu = solve_spd(mass, stiff @ coords)
     magnitude = np.linalg.norm(hnu, axis=1)

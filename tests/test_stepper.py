@@ -24,7 +24,6 @@ from bulkgrow.stepper import (
     estimate_boundary_geometry,
     evolve,
     extrapolated_geometry,
-    harmonic_extension,
     initial_state,
     normal_step,
     position_update,
@@ -191,9 +190,10 @@ class TestSurfaceSteps:
         scheme = bdf_coefficients(2)
         assembler = Assembler(mesh)
         geo = extrapolated_geometry(history, scheme, assembler)
-        new_normal = normal_step(
-            geo, history, np.zeros(mesh.n_nodes), scheme, tau, params, assembler,
-            solve_spd,
+        pressure = np.zeros(mesh.n_nodes)
+        normal_rhs = normal_step(geo, history, pressure, scheme, tau, params, assembler)
+        new_normal, _ = curvature_step(
+            geo, history, pressure, normal_rhs, scheme, tau, params, assembler, solve_spd,
         )
         assert np.allclose(new_normal, n_const, atol=1e-10)
 
@@ -205,10 +205,13 @@ class TestSurfaceSteps:
         assembler = Assembler(mesh)
         geo = extrapolated_geometry(history, scheme, assembler)
         u = history[0].pressure
-        n1 = normal_step(geo, history, u, scheme, 1e-3, params, assembler, solve_spd)
-        n2 = normal_step(geo, history, u + 4.2, scheme, 1e-3, params, assembler,
-                         solve_spd)
-        assert np.allclose(n1, n2, atol=1e-9)
+
+        def new_normal(pressure):
+            rhs = normal_step(geo, history, pressure, scheme, 1e-3, params, assembler)
+            return curvature_step(geo, history, pressure, rhs, scheme, 1e-3, params,
+                                  assembler, solve_spd)[0]
+
+        assert np.allclose(new_normal(u), new_normal(u + 4.2), atol=1e-9)
 
     def test_curvature_mass_conservation_without_forcing(self):
         # Constant normal makes the quadratic forcing vanish; with zero
@@ -234,9 +237,10 @@ class TestSurfaceSteps:
         scheme = bdf_coefficients(1)
         assembler = Assembler(mesh)
         geo = extrapolated_geometry(history, scheme, assembler)
-        new_curv = curvature_step(
-            geo, history, np.zeros(mesh.n_nodes), scheme, tau, params, assembler,
-            solve_spd,
+        pressure = np.zeros(mesh.n_nodes)
+        normal_rhs = normal_step(geo, history, pressure, scheme, tau, params, assembler)
+        _, new_curv = curvature_step(
+            geo, history, pressure, normal_rhs, scheme, tau, params, assembler, solve_spd,
         )
         mass = geo.matrices.mass_surf
         ones = np.ones(mesh.n_boundary)
@@ -495,9 +499,9 @@ class TestCachedSolves:
         assert factored == {n: 1, n - ng: 1, ng: 2}
         # One ordering of the mesh, shared by L and A_II and by the start.
         assert orderings == [n]
-        # Robin, normal, curvature and harmonic solves of every step, plus
-        # the seed state's Robin and harmonic solves.
-        assert len(iterations) == 4 * (steps + 1) + 2
+        # Robin, joint normal-and-curvature and harmonic solves of every
+        # step, plus the seed state's Robin and harmonic solves.
+        assert len(iterations) == 3 * (steps + 1) + 2
         assert max(iterations) <= 6
 
 

@@ -124,9 +124,14 @@ class BulkSurfaceMesh:
 
 def element_diameters(mesh):
     """Per-element diameter (max pairwise node distance), shape (E,)."""
-    coords = mesh.node_positions[mesh.bulk_elements]  # (E, n, d)
-    diff = coords[:, :, None, :] - coords[:, None, :, :]
-    return np.sqrt((diff ** 2).sum(axis=-1).max(axis=(1, 2)))
+    coords = np.take(mesh.node_positions, mesh.bulk_elements.T, axis=0)  # (n, E, d)
+    n = coords.shape[0]
+    longest = np.zeros(coords.shape[1])
+    for i in range(n):
+        for j in range(i + 1, n):
+            diff = coords[i] - coords[j]
+            np.maximum(longest, (diff ** 2).sum(axis=-1), out=longest)
+    return np.sqrt(longest)
 
 
 def _jacobians(ref, conn, positions):

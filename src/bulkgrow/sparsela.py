@@ -26,8 +26,11 @@ passes a permutation.  The ordering is chosen per dimension, by measurement:
 on 3d volume meshes minimum degree fills badly, and the Robin matrix and
 interior stiffness block are factored in the mesh's
 :func:`nested_dissection` ordering, computed once per mesh from its node
-coordinates (P2 ball, 24,389 nodes: fill 34x -> 28x, factor time 2.4x
-lower; P1 ball of the same size: 112x -> 40x).  In 2d and on the surface
+coordinates.  Its separators are minimum vertex covers of the edges that
+cross each coordinate split (Karypis & Kumar, SIAM J. Sci. Comput. 20
+(1998)).  On the P2 ball of 24,389 nodes the Robin matrix fills 21x against
+minimum degree's 34x, and its float32 factor takes 1.0 s against 3.8 s; on
+a P1 ball of the same size, 36x against 112x.  In 2d and on the surface
 pencil minimum degree is the faster one and is kept.
 
 :func:`dirichlet_extension` solves a Dirichlet problem on a boundary-first
@@ -38,6 +41,7 @@ block.
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import breadth_first_order, maximum_bipartite_matching
 
 from .errors import SolverError, ValidationError
 
@@ -61,24 +65,75 @@ _SPLU_ORDERED_OPTS = dict(
 _DISSECTION_LEAF = 16
 
 
+def _crossing_cover(lower, upper, n):
+    """Minimum vertex cover of the bipartite graph of the edges
+    ``lower[i]``--``upper[i]`` between two node sets, whose nodes are
+    numbered below ``n``.  Returns the covering nodes, sorted.
+
+    König's construction from a maximum matching: Z holds the nodes that
+    alternating paths reach from the unmatched lower nodes (any edge from a
+    lower node, the matched edge from an upper one), and the cover is the
+    lower nodes outside Z with the upper nodes inside it, one node for each
+    matched edge.
+    """
+    if lower.size == 0:
+        return np.empty(0, dtype=np.intp)
+    edges = sp.csr_matrix((np.ones(lower.size, bool), (lower, upper)), shape=(n, n))
+    mate = maximum_bipartite_matching(edges, perm_type="row")  # of each upper node
+    matched = np.zeros(n, dtype=bool)
+    matched[mate[mate >= 0]] = True
+    free = np.unique(lower[~matched[lower]])
+    # The alternating paths as a graph on the lower nodes, u -> the mate of
+    # each upper neighbour of u, searched from an extra node n joined to the
+    # unmatched ones.
+    hop = mate[upper] >= 0
+    paths = sp.csr_matrix(
+        (
+            np.ones(np.count_nonzero(hop) + free.size, bool),
+            (np.concatenate((lower[hop], np.full(free.size, n))),
+             np.concatenate((mate[upper[hop]], free))),
+        ),
+        shape=(n + 1, n + 1),
+    )
+    in_z = np.zeros(n + 1, dtype=bool)
+    in_z[breadth_first_order(paths, n, return_predecessors=False)] = True
+    reached = in_z[lower]
+    cover = np.zeros(n, dtype=bool)
+    cover[lower[~reached]] = True
+    cover[upper[reached]] = True
+    return np.flatnonzero(cover)
+
+
 def nested_dissection(graph, points):
     """Fill-reducing ordering of a mesh graph by coordinate bisection.
 
     Recursively splits the nodes at the median of their longest coordinate
     extent.  The split is by value, so nodes with equal coordinates stay on
-    one side; those at the median go to the lower half.  The separator is
-    one-sided: the nodes of the lower half with a neighbour in the upper
-    half.  Each split orders the rest of the lower half first, then the
-    upper half, then the separator, down to leaves of 16 nodes, which keep
-    their index order.  Separators of a volume mesh are surfaces, which is
-    why nested dissection fills less than minimum degree there (George,
-    SIAM J. Numer. Anal. 10 (1973)).
+    one side; those at the median go to the lower half.  The separator is a
+    minimum vertex cover of the edges between the two halves
+    (:func:`_crossing_cover`), the smallest separator the split allows; it
+    may take nodes from both halves.  Karypis & Kumar (SIAM J. Sci. Comput.
+    20 (1998)) turn an edge separator into a vertex separator the same way.
+    Each split orders the rest of the lower half first, then the rest of the
+    upper half, then the separator, down to leaves of 16 nodes.  Leaves and
+    separators keep their index order.  Separators of a volume mesh are
+    surfaces, which is why nested dissection fills less than minimum degree
+    there (George, SIAM J. Numer. Anal. 10 (1973)).  On P2 tetrahedra every
+    node couples to every node of its elements, so the cover is much thinner
+    than a one-sided separator, the lower nodes with an upper neighbour: on
+    the P2 ball of 24,389 nodes it takes the LU fill of the Robin matrix
+    from 28x to 21x and its float32 factorization from 1.5 s to 1.0 s, and
+    on the ball of 68,921 nodes the fill from 45x to 33x.
+
+    The splits of one depth are made together, on the edge list of the
+    pattern, with one matching for all of their crossings; the order is the
+    one the recursion gives.
 
     Parameters
     ----------
     graph : scipy sparse matrix, (n, n)
-        Its nonzero pattern gives the neighbours of each node; the values
-        are ignored.
+        Its nonzero pattern, structurally symmetric, gives the neighbours of
+        each node; the values are ignored.
     points : ndarray, (n, d)
         Node coordinates.
 
@@ -90,34 +145,59 @@ def nested_dissection(graph, points):
     n = graph.shape[0]
     if graph.shape != (n, n) or points.ndim != 2 or points.shape[0] != n:
         raise ValidationError("graph and points must describe the same nodes")
-    pattern = sp.csr_matrix(
-        (np.ones(graph.nnz), graph.indices, graph.indptr), shape=graph.shape
-    )
-    upper = np.zeros(n)  # indicator of the upper half being split
-    order = []
+    # Each edge once, as tail < head.
+    tails = np.repeat(np.arange(n, dtype=np.int32), np.diff(graph.indptr))
+    heads = graph.indices.astype(np.int32, copy=False)
+    once = tails < heads
+    tails, heads = tails[once], heads[once]
+    # perm[start:start + size] holds the nodes of each segment to split.
+    perm = np.arange(n)
+    starts, sizes = np.zeros(1, dtype=np.intp), np.array([n])
+    segment = np.empty(n, dtype=np.intp)  # of each node being split, else -1
+    lower = np.zeros(n, dtype=bool)
+    while True:
+        big = sizes > _DISSECTION_LEAF
+        starts, sizes = starts[big], sizes[big]
+        k = sizes.size
+        if k == 0:
+            return perm
+        offsets = np.cumsum(sizes) - sizes  # of each segment in `nodes`
+        seg = np.repeat(np.arange(k), sizes)
+        where = np.repeat(starts - offsets, sizes) + np.arange(seg.size)
+        nodes = perm[where]
 
-    def dissect(nodes):
-        if nodes.size <= _DISSECTION_LEAF:
-            order.append(np.sort(nodes))
-            return
         coords = points[nodes]
-        c = coords[:, np.argmax(coords.max(axis=0) - coords.min(axis=0))]
-        below = c <= np.median(c)
-        if below.all():  # over half the nodes share the largest value
-            below = c < c.max()
-        if not below.any():  # the nodes coincide; nothing to split
-            order.append(np.sort(nodes))
-            return
-        lower, higher = nodes[below], nodes[~below]
-        upper[higher] = 1.0
-        cut = (pattern[lower] @ upper) > 0.0
-        upper[higher] = 0.0
-        dissect(lower[~cut])
-        dissect(higher)
-        order.append(np.sort(lower[cut]))
+        extent = np.maximum.reduceat(coords, offsets) - np.minimum.reduceat(coords, offsets)
+        c = coords[np.arange(nodes.size), np.argmax(extent, axis=1)[seg]]
+        ranked = c[np.lexsort((c, seg))]
+        median = (ranked[offsets + (sizes - 1) // 2] + ranked[offsets + sizes // 2]) / 2
+        below = c <= median[seg]
+        # Over half of the segment shares its largest value: split that off.
+        crowded = (np.bincount(seg[below], minlength=k) == sizes)[seg]
+        below[crowded] = c[crowded] < ranked[offsets + sizes - 1][seg[crowded]]
 
-    dissect(np.arange(n))
-    return np.concatenate(order)
+        # Keep the edges inside a segment; find those crossing its split.
+        segment.fill(-1)
+        segment[nodes] = seg
+        tail_seg = segment[tails]
+        inside = (tail_seg >= 0) & (tail_seg == segment[heads])
+        tails, heads = tails[inside], heads[inside]
+        lower[nodes] = below
+        tail_low = lower[tails]
+        crossing = tail_low != lower[heads]
+        lower[nodes] = False
+        t, h, t_low = tails[crossing], heads[crossing], tail_low[crossing]
+        separator = np.zeros(n, dtype=bool)
+        separator[_crossing_cover(np.where(t_low, t, h), np.where(t_low, h, t), n)] = True
+
+        # Each segment becomes [lower rest, upper rest, separator]; a segment
+        # with no node below holds coincident nodes and is not split.
+        part = np.where(separator[nodes], 2, np.where(below, 0, 1))
+        perm[where] = nodes[np.lexsort((nodes, part, seg))]
+        counts = np.bincount(3 * seg + part, minlength=3 * k).reshape(k, 3)
+        split = counts[:, 1] < sizes
+        starts = np.column_stack((starts, starts + counts[:, 0]))[split].ravel()
+        sizes = counts[split, :2].ravel()
 
 
 def _column_norms(a):
@@ -202,7 +282,9 @@ class SpdFactor:
 
     def solve(self, rhs):
         """Solve for ``rhs``; each column of a 2d array must meet ``TOL`` in
-        float64, which a float32 factor cannot."""
+        float64.  A float64 factor that misses it takes one step of iterative
+        refinement, x -= A^-1 (Ax - b), before the solve fails; a float32
+        factor, a preconditioner, is not refined and cannot meet it."""
         rhs = np.asarray(rhs, dtype=float)
         if rhs.shape[0] != self.matrix.shape[0]:
             raise ValidationError("rhs length does not match matrix dimension")
@@ -210,9 +292,17 @@ class SpdFactor:
         b_norm = _column_norms(rhs)
         if not b_norm.any():
             return np.zeros_like(rhs)
-        r = self.matrix @ x
-        r -= rhs
-        res = _column_norms(r) / np.where(b_norm > 0.0, b_norm, 1.0)
+        scale = np.where(b_norm > 0.0, b_norm, 1.0)
+
+        def residuals(x):
+            r = self.matrix @ x
+            r -= rhs
+            return r, _column_norms(r) / scale
+
+        r, res = residuals(x)
+        if np.any(res > TOL) and self.matrix.dtype == np.float64:
+            x = x - self.apply_inverse(r)
+            r, res = residuals(x)
         if np.any(res > TOL):
             raise SolverError("factorized solve residual too large", residual=res.max())
         return x

@@ -18,6 +18,7 @@ from bulkgrow.mesh import (
     check_orientation,
     circle_projector,
     elevate_to_quadratic,
+    element_diameters,
     ellipsoid_projector,
     generate_ball_mesh,
     generate_disk_mesh,
@@ -431,6 +432,18 @@ class TestMovedPositions:
                 n_boundary=mesh.n_boundary, bulk_elements=mesh.bulk_elements,
                 boundary_elements=mesh.boundary_elements, mesh_size_h=1.0,
             )
+
+
+@pytest.mark.parametrize("make", [
+    lambda: generate_disk_mesh(1.0, 0.2, degree=2),
+    lambda: generate_ball_mesh(1.0, 0.5, degree=2),
+], ids=["p2_disk", "p2_ball"])
+def test_element_diameters_match_the_broadcast_formula(make):
+    mesh = make()
+    coords = mesh.node_positions[mesh.bulk_elements]
+    diff = coords[:, :, None, :] - coords[:, None, :, :]
+    expected = np.sqrt((diff ** 2).sum(axis=-1).max(axis=(1, 2)))
+    assert np.array_equal(element_diameters(mesh), expected)
 
 
 class TestMeasureConsistency:

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from bulkgrow.assembly import Assembler
+from bulkgrow.assembly import Assembler, assemble_L
 from bulkgrow.errors import SolverError, ValidationError
 from bulkgrow.mesh import generate_ball_mesh, generate_disk_mesh
 from bulkgrow.sparsela import (
+    _DISSECTION_LEAF,
     TOL,
     CachedSpdSolver,
     SpdFactor,
+    _crossing_cover,
     dirichlet_extension,
     nested_dissection,
     solve_spd,
@@ -147,14 +149,51 @@ def test_spd_factor_checks_each_column(monkeypatch):
     x[:, 0] += np.linalg.solve(a.toarray(), 1e-7 * np.linalg.norm(b[:, 0]) * np.eye(30)[0])
 
     class StubLU:
+        """The perturbed solution, then a refinement step that changes nothing."""
+
+        calls = 0
+
         def solve(self, rhs):
-            return x.copy()
+            self.calls += 1
+            return x.copy() if self.calls == 1 else np.zeros_like(rhs)
 
     factor = SpdFactor(a)
     monkeypatch.setattr(factor, "_lu", StubLU())
     with pytest.raises(SolverError) as err:
         factor.solve(b)
     assert err.value.residual == pytest.approx(1e-7, rel=1e-3)
+
+
+@pytest.mark.parametrize("perturbed", ["none", "first", "every"])
+def test_spd_factor_refines_once_before_raising(monkeypatch, perturbed):
+    rng = np.random.default_rng(12)
+    a = random_spd(30, rng)
+    b = rng.standard_normal((30, 2))
+    # The k-th perturbed apply is off by k * offset, whatever its rhs, so a
+    # refinement step cannot correct it.
+    offset = 1e-6 * rng.standard_normal((30, 1))
+    apply_inverse = SpdFactor.apply_inverse
+    applies = []
+
+    def perturbed_apply(self, rhs):
+        applies.append(rhs)
+        x = apply_inverse(self, rhs)
+        if perturbed == "every" or (perturbed == "first" and len(applies) == 1):
+            x = x + len(applies) * offset
+        return x
+
+    monkeypatch.setattr(SpdFactor, "apply_inverse", perturbed_apply)
+    factor = SpdFactor(a)
+    if perturbed == "every":
+        with pytest.raises(SolverError) as err:
+            factor.solve(b)
+        # x* + offset, refined by A^-1 (A offset) + 2 offset, is x* - 2 offset.
+        refined = np.linalg.norm(a @ (2.0 * offset), axis=0) / np.linalg.norm(b, axis=0)
+        assert err.value.residual == pytest.approx(refined.max(), rel=1e-6)
+    else:
+        x = factor.solve(b)
+        assert np.all(relative_residuals(a, x, b) <= TOL)
+    assert len(applies) == (1 if perturbed == "none" else 2)
 
 
 def test_cached_solver_tracks_drifting_matrices():
@@ -178,6 +217,84 @@ def test_multicolumn_rhs_solved_per_column():
         assert np.array_equal(x[:, c], solve_spd(a, b[:, c]))
 
 
+def max_matching_size(lower, upper):
+    """Size of a maximum matching of the bipartite edges lower[i]-upper[i],
+    by augmenting paths one lower node at a time."""
+    neighbours = {}
+    for u, v in zip(lower.tolist(), upper.tolist()):
+        neighbours.setdefault(u, []).append(v)
+    mate = {}
+
+    def augment(u, seen):
+        for v in neighbours[u]:
+            if v not in seen:
+                seen.add(v)
+                if v not in mate or augment(mate[v], seen):
+                    mate[v] = u
+                    return True
+        return False
+
+    return sum(augment(u, set()) for u in neighbours)
+
+
+class TestCrossingCover:
+    def test_complete_bipartite_is_covered_by_its_small_side(self):
+        lower = np.repeat([0, 1], 5)
+        upper = np.tile(np.arange(2, 7), 2)
+        assert np.array_equal(_crossing_cover(lower, upper, 7), [0, 1])
+
+    def test_perfect_matching_takes_one_node_per_edge(self):
+        cover = _crossing_cover(np.arange(4), np.arange(4, 8), 8)
+        assert cover.size == 4
+
+    def test_no_crossing_edges_give_an_empty_separator(self):
+        empty = np.empty(0, dtype=int)
+        assert _crossing_cover(empty, empty, 5).size == 0
+
+    def test_random_crossings_minimum_cover(self):
+        rng = np.random.default_rng(13)
+        for _ in range(50):
+            n_low, n_up = rng.integers(1, 15, size=2)
+            m = int(rng.integers(1, 40))
+            lower = rng.integers(0, n_low, m)
+            upper = n_low + rng.integers(0, n_up, m)
+            cover = _crossing_cover(lower, upper, n_low + n_up)
+            covered = np.isin(lower, cover) | np.isin(upper, cover)
+            assert covered.all()
+            assert cover.size == max_matching_size(lower, upper)
+
+
+def recursive_dissection(graph, points):
+    """nested_dissection split by split, the reference for its batched splits."""
+    rows, cols = sp.coo_matrix(graph).nonzero()
+    n = graph.shape[0]
+    side = np.full(n, -1)
+    order = []
+
+    def dissect(nodes):
+        if nodes.size <= _DISSECTION_LEAF:
+            order.append(np.sort(nodes))
+            return
+        coords = points[nodes]
+        c = coords[:, np.argmax(np.ptp(coords, axis=0))]
+        below = c <= np.median(c)
+        if below.all():
+            below = c < c.max()
+        if not below.any():
+            order.append(np.sort(nodes))
+            return
+        side[nodes] = below
+        crossing = (side[rows] == 1) & (side[cols] == 0)
+        side[nodes] = -1
+        cut = np.isin(nodes, _crossing_cover(rows[crossing], cols[crossing], n))
+        dissect(nodes[below & ~cut])
+        dissect(nodes[~below & ~cut])
+        order.append(np.sort(nodes[cut]))
+
+    dissect(np.arange(n))
+    return np.concatenate(order)
+
+
 class TestNestedDissection:
     @pytest.fixture(scope="class")
     def ball(self):
@@ -189,6 +306,21 @@ class TestNestedDissection:
         mesh, stiff = ball
         perm = nested_dissection(stiff, mesh.node_positions)
         assert np.array_equal(np.sort(perm), np.arange(mesh.n_nodes))
+
+    def test_batched_splits_match_the_recursion(self, ball):
+        mesh, stiff = ball
+        perm = nested_dissection(stiff, mesh.node_positions)
+        assert np.array_equal(perm, recursive_dissection(stiff, mesh.node_positions))
+
+    def test_fill_of_the_step_matrices(self, ball):
+        mesh, _ = ball
+        system = Assembler(mesh).system()
+        bulk, interior = mesh.bulk_orderings
+        # The lower half's boundary layer as separator filled 12.7x and 11.4x.
+        for matrix, perm, bound in ((assemble_L(system, 1.0), bulk, 11.5),
+                                    (system.stiffness_blocks()[0], interior, 10.8)):
+            lu = SpdFactor(matrix, perm)._lu
+            assert (lu.L.nnz + lu.U.nnz) / matrix.nnz <= bound
 
     def test_coincident_points_are_one_leaf(self):
         graph = sp.csr_matrix(np.ones((40, 40)))

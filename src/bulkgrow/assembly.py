@@ -35,7 +35,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import GeometryError, ValidationError
-from .mesh import BulkSurfaceMesh, boundary_jacobians, bulk_jacobians
+from .mesh import BulkSurfaceMesh, CsrPattern, boundary_jacobians, bulk_jacobians
 from .refelem import adjugate_det, gram, reference_element
 
 
@@ -101,52 +101,6 @@ def assemble_L(matrices, alpha, mu=0.0):
     return sp.csr_matrix((data, a.indices, a.indptr), shape=a.shape)
 
 
-class _Pattern:
-    """CSR pattern of a connectivity, with element-entry-to-slot maps.
-
-    Element matrices of the bulk and surface mass and stiffness are
-    symmetric, so only their n(n+1)/2 upper entries (local i <= j, in
-    ``np.triu_indices`` order) are scattered: ``upper[e, p]`` is the slot of
-    the upper-triangle position of local pair p of element e.  ``mirror``
-    maps each slot to the one whose sum it takes -- itself on and above the
-    diagonal, the transposed slot below -- which makes the assembled matrix
-    exactly symmetric.  Both maps are int32.
-    """
-
-    def __init__(self, conn, size):
-        conn = conn.astype(np.int64)
-        n_loc = conn.shape[1]
-        first, second = np.triu_indices(n_loc)
-        a, b = conn[:, first], conn[:, second]
-        keys = (np.minimum(a, b) * size + np.maximum(a, b)).ravel()
-        del a, b
-        upper_keys, inverse = np.unique(keys, return_inverse=True)
-        del keys
-        rows, cols = np.divmod(upper_keys, size)
-        off = rows != cols
-        full_keys = np.sort(np.concatenate([upper_keys, cols[off] * size + rows[off]]))
-        self.upper = (
-            np.searchsorted(full_keys, upper_keys).astype(np.int32)[inverse.ravel()]
-            .reshape(len(conn), len(first))
-        )
-        del inverse
-        rows, cols = np.divmod(full_keys, size)
-        self.nnz = full_keys.size
-        self.indices = cols.astype(np.int32)
-        self.indptr = np.searchsorted(rows, np.arange(size + 1)).astype(np.int32)
-        self.mirror = np.where(
-            rows <= cols, np.arange(self.nnz), np.searchsorted(full_keys, cols * size + rows)
-        ).astype(np.int32)
-        self.shape = (size, size)
-
-    def assemble(self, upper_data):
-        """Exactly symmetric matrix from the (E, n(n+1)/2) upper entries."""
-        sums = np.bincount(self.upper.ravel(), weights=upper_data.ravel(),
-                           minlength=self.nnz)
-        return sp.csr_matrix((np.take(sums, self.mirror), self.indices, self.indptr),
-                             shape=self.shape)
-
-
 class StepLayout:
     """Where the step matrices sit in the bulk CSR pattern.
 
@@ -160,8 +114,7 @@ class StepLayout:
     """
 
     def __init__(self, bulk, surface, n_boundary):
-        # Only the index arrays, which the matrices share anyway: a layout
-        # does not keep its assembler's element maps alive.
+        # Only the index arrays, which the matrices share anyway.
         self._bulk = (bulk.indptr, bulk.indices)
         self._surface = (surface.indptr, surface.indices)
         self.n_boundary = n_boundary
@@ -274,8 +227,8 @@ class Assembler:
         ref = reference_element(mesh.dim, mesh.degree_k)
         sref = reference_element(mesh.dim_m, mesh.degree_k)
         self._surf_ref = sref
-        self._bulk_pattern = _Pattern(mesh.bulk_elements, mesh.n_nodes)
-        self._surf_pattern = _Pattern(mesh.boundary_elements, mesh.n_boundary)
+        self._bulk_pattern = mesh.bulk_pattern
+        self._surf_pattern = CsrPattern(mesh.boundary_elements, mesh.n_boundary)
         self.layout = StepLayout(self._bulk_pattern, self._surf_pattern, mesh.n_boundary)
         self._metric_pairs = list(zip(*np.triu_indices(mesh.dim)))
         self._facet_pairs = list(zip(*np.triu_indices(mesh.dim_m)))

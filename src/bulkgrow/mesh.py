@@ -32,6 +32,18 @@ from .sparsela import nested_dissection
 # Hard cap on generated node counts (memory budget guard).
 MAX_GENERATED_NODES = 4_000_000
 
+# Node count from which a 2d mesh is factored in nested dissection, not
+# minimum degree.  Measured on P2 unit disks, one thread, best of 5, minimum
+# degree -> nested dissection (ordering, 0.14 / 0.26 / 0.44 s, included):
+#   N        sweep level, both modes   float32 L + A_II, 300 applies each
+#   30,301   1.35 -> 1.36 s            4.14 -> 4.76 s
+#   48,007   3.05 -> 2.65 s            9.51 -> 9.40 s
+#   77,281   5.09 -> 4.55 s            14.9 -> 14.1 s
+# A float64 sweep level breaks even at about 30k nodes, the time loop's
+# float32 factors only at about 48k: below that A_II's solves, slower in
+# this ordering, outweigh the cheaper factorizations.
+_MIN_DISSECTION_NODES_2D = 50_000
+
 
 @dataclass(frozen=True)
 class BulkSurfaceMesh:
@@ -98,28 +110,82 @@ class BulkSurfaceMesh:
         return self.node_positions[: self.n_boundary]
 
     @cached_property
+    def bulk_pattern(self):
+        """:class:`CsrPattern` of the bulk connectivity, built on first use
+        and kept: every assembler of the mesh shares it, and its nonzero
+        pattern is the graph of :attr:`bulk_orderings`."""
+        return CsrPattern(self.bulk_elements, self.n_nodes)
+
+    @cached_property
     def bulk_orderings(self):
         """Fill-reducing orderings ``(bulk, interior)`` of the bulk matrices
         and of their interior block, for :class:`SpdFactor` ``perm``.
 
-        In 3d, the :func:`nested_dissection` of the bulk connectivity graph
-        at these positions and its restriction to the interior nodes; in 2d
-        ``(None, None)``, i.e. minimum degree, which is the faster one
-        there.  Computed on first use and kept, so every solver on this
-        mesh shares it.
+        In 3d, and in 2d from ``_MIN_DISSECTION_NODES_2D`` nodes on, the
+        :func:`nested_dissection` of the bulk connectivity graph at these
+        positions and its restriction to the interior nodes.  Smaller 2d
+        meshes get ``(None, None)``, i.e. minimum degree, which is the
+        faster one there: nested dissection's fill advantage grows with the
+        mesh, and on P2 disks it wins the factorization and the solves
+        together only above about 50,000 nodes.  Computed on first use and
+        kept, so every solver on this mesh shares it.
         """
-        if self.dim != 3:
+        if self.dim == 2 and self.n_nodes < _MIN_DISSECTION_NODES_2D:
             return None, None
-        conn = self.bulk_elements
-        n_loc = conn.shape[1]
-        rows = np.repeat(conn, n_loc, axis=1).ravel()
-        cols = np.tile(conn, (1, n_loc)).ravel()
+        pattern = self.bulk_pattern
         graph = sp.csr_matrix(
-            (np.ones(rows.size), (rows, cols)), shape=(self.n_nodes, self.n_nodes)
+            (np.ones(pattern.nnz, dtype=bool), pattern.indices, pattern.indptr),
+            shape=pattern.shape,
         )
         bulk = nested_dissection(graph, self.node_positions)
         ng = self.n_boundary
         return bulk, bulk[bulk >= ng] - ng
+
+
+class CsrPattern:
+    """CSR pattern of a connectivity, with element-entry-to-slot maps.
+
+    Element matrices of the bulk and surface mass and stiffness are
+    symmetric, so only their n(n+1)/2 upper entries (local i <= j, in
+    ``np.triu_indices`` order) are scattered: ``upper[e, p]`` is the slot of
+    the upper-triangle position of local pair p of element e.  ``mirror``
+    maps each slot to the one whose sum it takes -- itself on and above the
+    diagonal, the transposed slot below -- which makes the assembled matrix
+    exactly symmetric.  Both maps are int32.
+    """
+
+    def __init__(self, conn, size):
+        conn = conn.astype(np.int64)
+        n_loc = conn.shape[1]
+        first, second = np.triu_indices(n_loc)
+        a, b = conn[:, first], conn[:, second]
+        keys = (np.minimum(a, b) * size + np.maximum(a, b)).ravel()
+        del a, b
+        upper_keys, inverse = np.unique(keys, return_inverse=True)
+        del keys
+        rows, cols = np.divmod(upper_keys, size)
+        off = rows != cols
+        full_keys = np.sort(np.concatenate([upper_keys, cols[off] * size + rows[off]]))
+        self.upper = (
+            np.searchsorted(full_keys, upper_keys).astype(np.int32)[inverse.ravel()]
+            .reshape(len(conn), len(first))
+        )
+        del inverse
+        rows, cols = np.divmod(full_keys, size)
+        self.nnz = full_keys.size
+        self.indices = cols.astype(np.int32)
+        self.indptr = np.searchsorted(rows, np.arange(size + 1)).astype(np.int32)
+        self.mirror = np.where(
+            rows <= cols, np.arange(self.nnz), np.searchsorted(full_keys, cols * size + rows)
+        ).astype(np.int32)
+        self.shape = (size, size)
+
+    def assemble(self, upper_data):
+        """Exactly symmetric matrix from the (E, n(n+1)/2) upper entries."""
+        sums = np.bincount(self.upper.ravel(), weights=upper_data.ravel(),
+                           minlength=self.nnz)
+        return sp.csr_matrix((np.take(sums, self.mirror), self.indices, self.indptr),
+                             shape=self.shape)
 
 
 def element_diameters(mesh):

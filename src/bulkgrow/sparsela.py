@@ -22,16 +22,20 @@ Every solve verifies the float64 true residual of each right-hand-side
 column before returning.
 
 Both paths factor in SuperLU's minimum-degree ordering unless the caller
-passes a permutation.  The ordering is chosen per dimension, by measurement:
-on 3d volume meshes minimum degree fills badly, and the Robin matrix and
-interior stiffness block are factored in the mesh's
-:func:`nested_dissection` ordering, computed once per mesh from its node
-coordinates.  Its separators are minimum vertex covers of the edges that
-cross each coordinate split (Karypis & Kumar, SIAM J. Sci. Comput. 20
-(1998)).  On the P2 ball of 24,389 nodes the Robin matrix fills 21x against
-minimum degree's 34x, and its float32 factor takes 1.0 s against 3.8 s; on
-a P1 ball of the same size, 36x against 112x.  In 2d and on the surface
-pencil minimum degree is the faster one and is kept.
+passes a permutation.  The ordering follows the dimension and the node
+count, by measurement: on 3d volume meshes, and on 2d meshes of at least
+50,000 nodes, the Robin matrix and interior stiffness block are factored in
+the mesh's :func:`nested_dissection` ordering, computed once per mesh from
+its node coordinates.  Its separators are minimum vertex covers of the
+edges that cross each coordinate split (Karypis & Kumar, SIAM J. Sci.
+Comput. 20 (1998)).  On the P2 ball of 24,389 nodes the Robin matrix fills
+21x against minimum degree's 34x, and its float32 factor takes 1.0 s
+against 3.8 s; on a P1 ball of the same size, 36x against 112x.  In 2d the
+advantage grows with the mesh: on the P2 disk of 77,281 nodes L fills 8.3x
+against 14.5x and its float32 factor takes 0.37 s against 1.12 s, while at
+30,301 nodes the cheaper factorizations do not yet pay for the ordering and
+the slower interior solves.  Smaller 2d meshes and the surface pencil keep
+minimum degree.
 
 :func:`dirichlet_extension` solves a Dirichlet problem on a boundary-first
 partitioned matrix with whichever of these the caller binds to the interior

@@ -244,8 +244,9 @@ class Stepper:
     updates.
 
     The Robin matrix and the interior block are factored in the mesh's
-    ``bulk_orderings`` (nested dissection in 3d, minimum degree in 2d); the
-    surface pencil keeps SuperLU's minimum-degree ordering.
+    ``bulk_orderings`` (nested dissection in 3d and on 2d meshes of at
+    least 50,000 nodes, minimum degree on smaller 2d meshes); the surface
+    pencil keeps SuperLU's minimum-degree ordering.
 
     Each step assembles the mass and stiffness matrices on the extrapolated
     configuration; the three systems are then formed from their data on

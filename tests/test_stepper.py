@@ -2,6 +2,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from bulkgrow.assembly import Assembler, assemble_f_u, assemble_L
 from bulkgrow.bdf import bdf_coefficients
@@ -543,6 +544,63 @@ class TestBulkOrdering:
     def test_2d_factors_keep_minimum_degree(self, monkeypatch):
         _, factors = self.robin_factors(monkeypatch, generate_disk_mesh(1.5, 0.3, degree=2))
         assert [perm for _, perm in factors] == [None]
+
+    @staticmethod
+    def element_graph_orderings(mesh):
+        """bulk_orderings from a graph of all E * n_loc^2 element entries with
+        the duplicates summed, the construction the shared pattern replaced."""
+        conn = mesh.bulk_elements
+        n_loc = conn.shape[1]
+        rows = np.repeat(conn, n_loc, axis=1).ravel()
+        cols = np.tile(conn, (1, n_loc)).ravel()
+        graph = sp.csr_matrix(
+            (np.ones(rows.size), (rows, cols)), shape=(mesh.n_nodes, mesh.n_nodes)
+        )
+        bulk = nested_dissection(graph, mesh.node_positions)
+        ng = mesh.n_boundary
+        return bulk, bulk[bulk >= ng] - ng
+
+    @pytest.fixture
+    def large_disk(self, monkeypatch):
+        """A P2 disk with the 2d dissection threshold lowered to its node
+        count, so that it is just large enough."""
+        mesh = generate_disk_mesh(1.0, 0.3, degree=2)
+        monkeypatch.setattr(mesh_module, "_MIN_DISSECTION_NODES_2D", mesh.n_nodes)
+        return mesh
+
+    def test_orderings_match_the_element_graph(self, large_disk):
+        for mesh in (generate_ball_mesh(1.0, 0.5, degree=2), large_disk):
+            for perm, expected in zip(mesh.bulk_orderings,
+                                      self.element_graph_orderings(mesh)):
+                assert np.array_equal(perm, expected)
+
+    def test_large_2d_mesh_gets_nested_dissection(self, large_disk):
+        bulk, interior = large_disk.bulk_orderings
+        ng = large_disk.n_boundary
+        assert np.array_equal(np.sort(bulk), np.arange(large_disk.n_nodes))
+        assert np.array_equal(interior, bulk[bulk >= ng] - ng)
+
+    def test_large_2d_robin_factor(self, monkeypatch, large_disk):
+        _, factors = self.robin_factors(monkeypatch, large_disk)
+        [(_, perm)] = factors
+        assert perm is large_disk.bulk_orderings[0]
+
+    @pytest.mark.parametrize("mode", ["dirichlet", "robin"])
+    def test_large_2d_stability_sweep(self, monkeypatch, large_disk, mode):
+        # The sweep factors in the dissection orderings, and its ratios are
+        # those of minimum degree, on a copy of the mesh below the threshold.
+        factors = self.record_factors(monkeypatch)
+        [row] = stability_sweep([(large_disk, Assembler(large_disk).system())], mode,
+                                samples=4, seed=0, boost_iters=3)
+        bulk, interior = large_disk.bulk_orderings
+        [(_, perm)] = factors
+        assert perm is (interior if mode == "dirichlet" else bulk)
+        monkeypatch.setattr(mesh_module, "_MIN_DISSECTION_NODES_2D", large_disk.n_nodes + 1)
+        below = generate_disk_mesh(1.0, 0.3, degree=2)
+        [reference] = stability_sweep([(below, Assembler(below).system())], mode,
+                                      samples=4, seed=0, boost_iters=3)
+        assert factors[-1][1] is None
+        assert row["max_ratio"] == pytest.approx(reference["max_ratio"], rel=1e-9)
 
     @pytest.mark.parametrize("mode", ["dirichlet", "robin"])
     @pytest.mark.parametrize("dim", [2, 3])

@@ -7,11 +7,15 @@ Usage::
 Runs each configuration below in-process, in a temporary directory, and
 prints one ``<sha256>  <config>/<file>`` line per output file, sorted.  It
 also writes the generated meshes below with ``save_mesh`` and prints one
-``<sha256>  meshes/<name>.bsm`` line each.  Two checkouts that print the same
-lines write byte-identical simulate, converge, stability and regularization
-outputs (``manifest.json`` included) and byte-identical meshes, which is the
-check a behaviour-preserving refactor must pass.  BLAS and worker thread counts are
-pinned to 1 so the digests do not depend on the host's core count.
+``<sha256>  meshes/<name>.bsm`` line each, and one
+``<sha256>  orderings/<name>`` line over the bytes of each mesh's
+``bulk_orderings`` (bulk, then interior; ``None``, minimum degree, as a
+fixed marker).  Two checkouts that print the same lines write
+byte-identical simulate, converge, stability and regularization outputs
+(``manifest.json`` included), byte-identical meshes and the same factor
+orderings, which is the check a behaviour-preserving refactor must pass.
+BLAS and worker thread counts are pinned to 1 so the digests do not depend
+on the host's core count.
 """
 
 import hashlib
@@ -25,6 +29,8 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
     os.environ[_var] = "1"
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+import numpy as np  # noqa: E402
 
 from bulkgrow.experiments import (  # noqa: E402
     run_converge,
@@ -120,8 +126,16 @@ def _digest(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _orderings_digest(mesh):
+    sha = hashlib.sha256()
+    for perm in mesh.bulk_orderings:
+        sha.update(b"None" if perm is None else np.asarray(perm, dtype="<i8").tobytes())
+    return sha.hexdigest()
+
+
 def digests():
-    """(sha256, name) for every output file and saved mesh, sorted by name."""
+    """(sha256, name) for every output file, saved mesh and mesh ordering,
+    sorted by name."""
     lines = []
     with tempfile.TemporaryDirectory() as tmp:
         for name, (runner, config) in CONFIGS.items():
@@ -131,8 +145,10 @@ def digests():
                 lines.append((_digest(path), f"{name}/{path.name}"))
         for name, generate in MESHES.items():
             path = Path(tmp) / f"{name}.bsm"
-            save_mesh(generate(), path)
+            mesh = generate()
+            save_mesh(mesh, path)
             lines.append((_digest(path), f"meshes/{path.name}"))
+            lines.append((_orderings_digest(mesh), f"orderings/{name}"))
     return sorted(lines, key=lambda line: line[1])
 
 

@@ -468,31 +468,20 @@ CONVERGE_COLUMNS = (
 
 def _attach_eoc(rows):
     """EOC columns vs the previous h (same tau) and previous tau (same h)."""
-    for row in rows:
-        for q in ERROR_QUANTITIES:
-            row[f"eoc_h_{q}"] = ""
-            row[f"eoc_tau_{q}"] = ""
-    by_tau = {}
-    by_h = {}
-    for row in rows:
-        by_tau.setdefault(row["tau"], []).append(row)
-        by_h.setdefault(row["h"], []).append(row)
-    for group in by_tau.values():
-        group.sort(key=lambda r: -r["h"])
-        for prev, cur in zip(group, group[1:]):
+    for step, fixed in (("h", "tau"), ("tau", "h")):
+        groups = {}
+        for row in rows:
             for q in ERROR_QUANTITIES:
-                orders = estimated_orders(
-                    [prev[f"err_{q}"], cur[f"err_{q}"]], [prev["h"], cur["h"]]
-                )
-                cur[f"eoc_h_{q}"] = float(orders[0])
-    for group in by_h.values():
-        group.sort(key=lambda r: -r["tau"])
-        for prev, cur in zip(group, group[1:]):
-            for q in ERROR_QUANTITIES:
-                orders = estimated_orders(
-                    [prev[f"err_{q}"], cur[f"err_{q}"]], [prev["tau"], cur["tau"]]
-                )
-                cur[f"eoc_tau_{q}"] = float(orders[0])
+                row[f"eoc_{step}_{q}"] = ""
+            groups.setdefault(row[fixed], []).append(row)
+        for group in groups.values():
+            group.sort(key=lambda r: -r[step])
+            for prev, cur in zip(group, group[1:]):
+                for q in ERROR_QUANTITIES:
+                    orders = estimated_orders(
+                        [prev[f"err_{q}"], cur[f"err_{q}"]], [prev[step], cur[step]]
+                    )
+                    cur[f"eoc_{step}_{q}"] = float(orders[0])
     return rows
 
 
@@ -520,8 +509,8 @@ def run_converge(config, outdir):
     ]
     cells[0]["report_mesh"] = True  # the manifest's mesh
     os.makedirs(outdir, exist_ok=True)  # after set-up: a bad config leaves none
-    workers = worker_count()
-    if workers > 1 and len(cells) > 1:
+    workers = min(worker_count(), len(cells))
+    if workers > 1:
         # Dispatch expensive cells first so workers stay balanced.
         def cost(cell):
             return (1.0 / cell["h"]) ** (oracle.dim_m + 1) * cell["T"] / cell["tau"]
@@ -607,9 +596,10 @@ def run_regularization(config, outdir):
     ng = mesh.n_boundary
 
     traces = {}
-    for mu, params in params_of.items():
-        stepper = Stepper(mesh, params, order, tau)
-        history = bootstrap_history(stepper, normal, curvature)
+    aborted = None
+    # The baseline runs first: every row compares a run with it.
+    for mu in sorted(params_of, key=lambda value: value != 0.0):
+        stepper = Stepper(mesh, params_of[mu], order, tau)
         samples = []
 
         def observer(step, state):
@@ -619,13 +609,21 @@ def run_regularization(config, outdir):
                      state.pressure[:ng].copy())
                 )
 
-        evolve(stepper, history, n_steps, observer)
-        traces[mu] = samples
+        try:
+            evolve(stepper, bootstrap_history(stepper, normal, curvature), n_steps,
+                   observer)
+        except BulkgrowError as exc:
+            # Flush the samples so far against the baseline before propagating.
+            aborted = exc
+        if aborted is None or mu != 0.0:
+            traces[mu] = samples
+        if aborted is not None:
+            break
 
-    base = traces[0.0]
+    base = traces.get(0.0, [])
     rows = []
     for mu in mu_values:
-        for (t, x, u), (_, x0, u0) in zip(traces[mu], base):
+        for (t, x, u), (_, x0, u0) in zip(traces.get(mu, []), base):
             rows.append(
                 {
                     "time": float(t),
@@ -639,5 +637,8 @@ def run_regularization(config, outdir):
     write_csv(
         os.path.join(outdir, "regularization.csv"), REGULARIZATION_COLUMNS, rows
     )
-    write_manifest(outdir, config, quality_report(mesh))
+    write_manifest(outdir, config, quality_report(mesh),
+                   extra=None if aborted is None else {"aborted": str(aborted)})
+    if aborted is not None:
+        raise aborted
     return rows

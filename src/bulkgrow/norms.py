@@ -34,13 +34,6 @@ def _norm(matrix, values):
     return np.sqrt(max(_quadratic_form(matrix, values), 0.0))
 
 
-def norm_K(values, matrices, which="bulk"):
-    """H1 norm sqrt(e^T (A + M) e) on the bulk or the surface."""
-    if which == "bulk":
-        return _norm(matrices.stiff_bulk + matrices.mass_bulk, values)
-    return _norm(matrices.surface_pencil(1.0, 1.0), values)
-
-
 def norm_L(values, matrices):
     """Combined bulk H1 / boundary H1 energy norm sqrt(e^T L e).
 

@@ -49,23 +49,16 @@ class RadialOracle:
             + mp1 * self.source
 
     def pressure_extended(self, r, t):
-        """Pressure formula as a smooth function of radius, without the
-        domain check; used for nodal interpolation on discrete meshes whose
-        boundary nodes may fall slightly outside the exact sphere."""
+        """Tissue pressure u(r, t) as a smooth function of the radius, also
+        outside [0, R(t)]: nodal interpolation on discrete meshes needs it
+        there, since their boundary nodes may fall slightly outside the exact
+        sphere."""
         mp1 = self.dim_m + 1
         radius = self.radius(t)
         const = (
             self.source + self.beta * self.dim_m / radius - radius / mp1
         ) / self.alpha - radius ** 2 / (2.0 * mp1)
         return np.asarray(r) ** 2 / (2.0 * mp1) + const
-
-    def pressure(self, r, t):
-        """Tissue pressure u(r, t) for 0 <= r <= R(t)."""
-        r = np.asarray(r, dtype=float)
-        radius = self.radius(t)
-        if np.any(r < 0) or np.any(r > radius * (1.0 + 1e-12)):
-            raise ValidationError("radius outside the domain [0, R(t)]")
-        return self.pressure_extended(r, t)
 
     def normal_speed(self, t):
         """V(t) = Q - R(t)/(m+1), uniform over the sphere."""

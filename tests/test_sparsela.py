@@ -9,6 +9,7 @@ from bulkgrow.errors import SolverError, ValidationError
 from bulkgrow.mesh import generate_ball_mesh, generate_disk_mesh
 from bulkgrow.sparsela import (
     _DISSECTION_LEAF,
+    _MAXITER,
     TOL,
     CachedSpdSolver,
     SpdFactor,
@@ -126,11 +127,29 @@ def test_refresh_on_a_distant_matrix_meets_tol(calls):
     assert relative_residuals(far, x, b) <= 1e-11
 
 
-def test_float32_factor_cannot_meet_tol():
+def test_float32_factor_meets_tol_through_pcg(calls):
     rng = np.random.default_rng(8)
     a = random_spd(30, rng).astype(np.float32)
-    with pytest.raises(SolverError):
-        SpdFactor(a).solve(rng.standard_normal(30))
+    b = rng.standard_normal(30)
+    x = SpdFactor(a).solve(b)
+    assert calls["applies"] > 1  # the float32 direct solution was finished by PCG
+    assert relative_residuals(a.astype(float), x, b) <= TOL
+
+
+@pytest.mark.parametrize("shape", [(30,), (30, 3)], ids=["1d", "2d"])
+def test_direct_solution_meeting_tol_is_returned_bitwise(calls, shape):
+    rng = np.random.default_rng(14)
+    a = random_spd(30, rng)
+    b = rng.standard_normal(shape)
+    if b.ndim == 2:
+        b[:, 1] = 0.0
+    factor = SpdFactor(a)
+    x = factor.solve(b)
+    assert calls["applies"] == 1
+    direct = factor.apply_inverse(b)
+    assert x.shape == shape
+    assert x.tobytes() == direct.tobytes()
+    assert factor.solve(np.zeros(shape)).tobytes() == np.zeros(shape).tobytes()
 
 
 def test_guess_shape_checked():
@@ -149,7 +168,7 @@ def test_spd_factor_checks_each_column(monkeypatch):
     x[:, 0] += np.linalg.solve(a.toarray(), 1e-7 * np.linalg.norm(b[:, 0]) * np.eye(30)[0])
 
     class StubLU:
-        """The perturbed solution, then a refinement step that changes nothing."""
+        """The perturbed solution, then a dead factor: PCG cannot move."""
 
         calls = 0
 
@@ -162,38 +181,32 @@ def test_spd_factor_checks_each_column(monkeypatch):
     with pytest.raises(SolverError) as err:
         factor.solve(b)
     assert err.value.residual == pytest.approx(1e-7, rel=1e-3)
+    # The direct solve, then one apply per PCG iteration up to the cap.
+    assert factor._lu.calls == 2 + _MAXITER
 
 
-@pytest.mark.parametrize("perturbed", ["none", "first", "every"])
-def test_spd_factor_refines_once_before_raising(monkeypatch, perturbed):
+@pytest.mark.parametrize("miss", [0.5 * TOL, 1e-6])
+def test_pcg_finishes_a_direct_solution_that_misses_tol(monkeypatch, miss):
     rng = np.random.default_rng(12)
     a = random_spd(30, rng)
     b = rng.standard_normal((30, 2))
-    # The k-th perturbed apply is off by k * offset, whatever its rhs, so a
-    # refinement step cannot correct it.
-    offset = 1e-6 * rng.standard_normal((30, 1))
+    # The direct solution, the first apply, is off by an error whose residual
+    # is ``miss`` relative to its column; the applies of PCG are exact.
+    w = rng.standard_normal((30, 2))
+    w *= miss * np.linalg.norm(b, axis=0) / np.linalg.norm(w, axis=0)
+    error = np.linalg.solve(a.toarray(), w)
     apply_inverse = SpdFactor.apply_inverse
     applies = []
 
     def perturbed_apply(self, rhs):
         applies.append(rhs)
         x = apply_inverse(self, rhs)
-        if perturbed == "every" or (perturbed == "first" and len(applies) == 1):
-            x = x + len(applies) * offset
-        return x
+        return x + error if len(applies) == 1 else x
 
     monkeypatch.setattr(SpdFactor, "apply_inverse", perturbed_apply)
-    factor = SpdFactor(a)
-    if perturbed == "every":
-        with pytest.raises(SolverError) as err:
-            factor.solve(b)
-        # x* + offset, refined by A^-1 (A offset) + 2 offset, is x* - 2 offset.
-        refined = np.linalg.norm(a @ (2.0 * offset), axis=0) / np.linalg.norm(b, axis=0)
-        assert err.value.residual == pytest.approx(refined.max(), rel=1e-6)
-    else:
-        x = factor.solve(b)
-        assert np.all(relative_residuals(a, x, b) <= TOL)
-    assert len(applies) == (1 if perturbed == "none" else 2)
+    x = SpdFactor(a).solve(b)
+    assert len(applies) > 1
+    assert np.all(relative_residuals(a, x, b) <= TOL)
 
 
 def test_cached_solver_tracks_drifting_matrices():

@@ -437,7 +437,7 @@ class TestInitialData:
             mesh.boundary_positions, (1.5, 1.5)
         )
         state = initial_state(Stepper(mesh, params, 1, 1e-3), normal, curv)
-        exact = oracle.pressure(1.5, 0.0)
+        exact = oracle.pressure_extended(1.5, 0.0)
         assert np.abs(state.pressure[: mesh.n_boundary] - exact).max() < 5e-3
 
     def test_bootstrap_produces_full_history(self):

@@ -185,6 +185,31 @@ def test_spd_factor_checks_each_column(monkeypatch):
     assert factor._lu.calls == 2 + _MAXITER
 
 
+@pytest.mark.parametrize("perturbed", ["every"])
+def test_spd_factor_refines_once_before_raising(monkeypatch, perturbed):
+    # The PCG loop on the factor has replaced the single refinement step: a
+    # factor whose every apply stays wrong is refined up to the iteration cap,
+    # then raises with the true residual instead of returning a wrong solution.
+    rng = np.random.default_rng(12)
+    a = random_spd(30, rng)
+    b = rng.standard_normal((30, 2))
+    # The k-th apply is off by its own offset, whatever its rhs, so no PCG
+    # step can cancel the error of the ones before it.
+    offsets = 1e-6 * rng.standard_normal((2 + _MAXITER, 30, 1))
+    apply_inverse = SpdFactor.apply_inverse
+    applies = []
+
+    def perturbed_apply(self, rhs):
+        applies.append(rhs)
+        return apply_inverse(self, rhs) + offsets[len(applies) - 1]
+
+    monkeypatch.setattr(SpdFactor, "apply_inverse", perturbed_apply)
+    with pytest.raises(SolverError) as err:
+        SpdFactor(a).solve(b)
+    assert err.value.residual > TOL
+    assert len(applies) == 2 + _MAXITER
+
+
 @pytest.mark.parametrize("miss", [0.5 * TOL, 1e-6])
 def test_pcg_finishes_a_direct_solution_that_misses_tol(monkeypatch, miss):
     rng = np.random.default_rng(12)

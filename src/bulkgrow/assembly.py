@@ -11,11 +11,17 @@ The bulk and facet kernels are component-major (Cuvelier, Japhet &
 Scarella, BIT Numer. Math. 56 (2016)): one GEMM gives each Jacobian entry as
 a (q, E) array, from which the adjugate, the determinant and the metric
 entries are formed entrywise -- (adj adj^T)_ab / det of the bulk Jacobian,
-w adj(G)_rs / sqrt(det G) of the facet metric G = J^T J.  Mass and stiffness
-(bulk and surface) are then two GEMMs against precontracted reference
-tensors; they scatter only the n(n+1)/2 upper entries of each element
-matrix and mirror the sums through a transpose map of the pattern, so they
-are exactly symmetric.
+w adj(G)_rs / sqrt(det G) of the facet metric G = J^T J.  The stiffness
+matrices (bulk and surface) and the surface mass are then one GEMM each
+against precontracted reference tensors; they scatter only the n(n+1)/2
+upper entries of each element matrix and mirror the sums through a
+transpose map of the pattern, so they are exactly symmetric.
+
+The bulk enters a time step only through the stiffness and the constant
+sink of the Robin load, -M 1, so the step assembles the volume load
+(M 1)_i = integral phi_i -- one (n_loc, q) x (q, E) contraction of the
+determinants -- and not the bulk mass matrix.  :meth:`Assembler.bulk_mass`
+assembles that matrix where a norm needs it.
 
 The tangential-gradient coupling -alpha (psi_i, (grad_Gamma u_h)_l) is not
 a matrix: it is assembled as a load from the tangential gradient of u_h at
@@ -36,21 +42,32 @@ import scipy.sparse as sp
 
 from .errors import GeometryError, ValidationError
 from .mesh import BulkSurfaceMesh, CsrPattern, boundary_jacobians, bulk_jacobians
-from .refelem import adjugate_det, gram, reference_element
+from .refelem import adjugate_det, determinant, gram, reference_element
+
+
+def _check_positive(det, message):
+    """Raise GeometryError naming the first element with a non-positive
+    determinant at any quadrature point of the (q, E) array ``det``."""
+    bad = (det <= 0.0).any(axis=0)
+    if bad.any():
+        raise GeometryError(message, element=int(np.flatnonzero(bad)[0]))
 
 
 @dataclass(frozen=True)
 class SystemMatrices:
-    """Mass/stiffness matrices of one mesh configuration.
+    """Matrices and bulk load of one mesh configuration.
 
-    The bulk matrices are N x N, the surface matrices N_Gamma x N_Gamma.
+    The bulk stiffness is N x N, the surface matrices N_Gamma x N_Gamma;
+    ``volume_load`` is the (N,) vector of integral phi_i, the bulk mass
+    matrix times the ones vector, which is all of the bulk mass a time step
+    reads.
     ``surface`` is the facet geometry the surface matrices were built from,
     kept for the surface loads of the same configuration.  ``layout``
     locates the step matrices in the bulk pattern; it is shared by every
     configuration of one :class:`Assembler`.
     """
 
-    mass_bulk: sp.csr_matrix
+    volume_load: np.ndarray
     stiff_bulk: sp.csr_matrix
     mass_surf: sp.csr_matrix
     stiff_surf: sp.csr_matrix
@@ -60,7 +77,7 @@ class SystemMatrices:
 
     @property
     def n_nodes(self):
-        return self.mass_bulk.shape[0]
+        return self.volume_load.shape[0]
 
     def stiffness_blocks(self):
         """(A_II, A_IB): the interior block of the bulk stiffness and its
@@ -233,6 +250,8 @@ class Assembler:
         self._metric_pairs = list(zip(*np.triu_indices(mesh.dim)))
         self._facet_pairs = list(zip(*np.triu_indices(mesh.dim_m)))
         self._m_upper, self._k_upper = _upper_tensors(ref, ref.quad_weights)
+        self._w_shape = ref.quad_weights[:, None] * ref.shape  # (q, n_loc)
+        self._bulk_nodes = np.ascontiguousarray(mesh.bulk_elements.T)
         # The facet quadrature weights live in SurfaceGeometry.wmeasure and
         # .coeffs, so the facet tensors carry unit weights.
         self._m_upper_surf, self._k_upper_surf = _upper_tensors(sref, np.ones(sref.n_qp))
@@ -242,18 +261,17 @@ class Assembler:
     # -- bulk ---------------------------------------------------------------
 
     def bulk_matrices(self, positions=None):
-        """Assemble (mass, stiffness) on the given node positions.
+        """Assemble (volume load, stiffness) on the given node positions.
 
         The component-major kernel gives the adjugate, the determinant and
         the metric entries c_ab = (adj adj^T)_ab / det (a <= b) as (q, E)
-        arrays; the upper element entries are then two GEMMs against the
-        reference tensors, scattered and mirrored by the pattern.
+        arrays; the upper stiffness entries are then one GEMM against the
+        reference tensor, scattered and mirrored by the pattern.  The volume
+        load integral phi_i is (w shape)^T det summed over the element
+        nodes.
         """
         adj, det = adjugate_det(bulk_jacobians(self.mesh, positions))
-        bad = (det <= 0.0).any(axis=0)
-        if bad.any():
-            raise GeometryError("singular element Jacobian",
-                                element=int(np.flatnonzero(bad)[0]))
+        _check_positive(det, "singular element Jacobian")
         metric = np.empty((len(self._metric_pairs),) + det.shape)
         product = np.empty_like(det)
         for entry, (a, b) in zip(metric, self._metric_pairs):
@@ -261,12 +279,19 @@ class Assembler:
             for k in range(1, self.dim):
                 entry += np.multiply(adj[a][k], adj[b][k], out=product)
             entry /= det
-        mass_e = det.T @ self._m_upper
+        load_e = self._w_shape.T @ det  # (n_loc, E)
         stiff_e = metric.reshape(-1, det.shape[1]).T @ self._k_upper
-        return (
-            self._bulk_pattern.assemble(mass_e),
-            self._bulk_pattern.assemble(stiff_e),
-        )
+        load = np.bincount(self._bulk_nodes.ravel(), weights=load_e.ravel(),
+                           minlength=self.mesh.n_nodes)
+        return load, self._bulk_pattern.assemble(stiff_e)
+
+    def bulk_mass(self, positions=None):
+        """The bulk mass matrix on the given node positions, for norms: it
+        needs only the Jacobian determinants.  The time step reads only its
+        row sums, the volume load of :meth:`bulk_matrices`."""
+        det = determinant(bulk_jacobians(self.mesh, positions))
+        _check_positive(det, "singular element Jacobian")
+        return self._bulk_pattern.assemble(det.T @ self._m_upper)
 
     # -- surface ------------------------------------------------------------
 
@@ -280,10 +305,7 @@ class Assembler:
         """
         jac = boundary_jacobians(self.mesh, positions)  # (q, B, d, m)
         adj, det = adjugate_det(gram(jac))
-        bad = (det <= 0.0).any(axis=0)
-        if bad.any():
-            raise GeometryError("degenerate boundary facet",
-                                element=int(np.flatnonzero(bad)[0]))
+        _check_positive(det, "degenerate boundary facet")
         d, m = jac.shape[2:]
         ref = self._surf_ref
         wmeasure = ref.quad_weights[:, None] * np.sqrt(det)
@@ -313,11 +335,11 @@ class Assembler:
 
     def system(self, positions=None):
         """All matrices of one configuration as a SystemMatrices bundle."""
-        mass_b, stiff_b = self.bulk_matrices(positions)
+        load, stiff_b = self.bulk_matrices(positions)
         surface = self.surface_geometry(positions)
         mass_s, stiff_s = self.surface_matrices(surface)
         return SystemMatrices(
-            mass_bulk=mass_b,
+            volume_load=load,
             stiff_bulk=stiff_b,
             mass_surf=mass_s,
             stiff_surf=stiff_s,
@@ -374,11 +396,11 @@ def assemble_f_u(matrices, boundary_positions, curvature, beta, source, time):
 
     f_u = -M_bulk 1 + gamma^T M_surf (beta H + Q(x, t)), with the source Q
     evaluated at the boundary nodes and treated as a finite element function
-    by nodal interpolation.
+    by nodal interpolation.  M_bulk 1 is the configuration's volume load
+    (integral phi_i), so no bulk mass matrix is formed.
     """
-    n = matrices.n_nodes
     q_vals = source(boundary_positions, time)
     boundary_load = matrices.mass_surf @ (beta * np.asarray(curvature) + q_vals)
-    out = -(matrices.mass_bulk @ np.ones(n))
+    out = -matrices.volume_load
     out[: matrices.n_boundary] += boundary_load
     return out

@@ -626,12 +626,14 @@ def elevate_to_quadratic(mesh, surface_projector=None):
 # ---------------------------------------------------------------------------
 
 def write_rows(fh, rows, fmt):
-    """Write one ``fmt % row`` line per row of a 1d or 2d array (formatted
-    from ``tolist()``, which is faster than ``np.savetxt``'s per-row writes)."""
+    """Write one ``fmt % row`` line per row of a 1d or 2d array.
+
+    The whole block is formatted by one ``%`` over a repeated line format
+    and the flat ``tolist()`` values, which gives the same text as one
+    ``%`` per row at about half the cost.
+    """
     rows = np.asarray(rows)
-    rows = rows[:, None] if rows.ndim == 1 else rows
-    line = fmt + "\n"
-    fh.write("".join(line % tuple(row) for row in rows.tolist()))
+    fh.write(((fmt + "\n") * len(rows)) % tuple(rows.ravel().tolist()))
 
 
 def save_mesh(mesh, path):

@@ -16,7 +16,7 @@ exploits that both ratios are Rayleigh quotients of symmetric pencils.
 
 import numpy as np
 
-from .assembly import assemble_L
+from .assembly import Assembler, assemble_L
 from .errors import ValidationError
 from .norms import norm_h_half, surface_spectrum
 from .sparsela import SpdFactor, dirichlet_extension
@@ -52,16 +52,18 @@ class DirichletRatio:
 
     Holds what the level's ratios share, each formed once: the surface
     spectrum, the interior block A_II factored in ``interior_perm``, the
-    coupling block A_IB and the bulk H1 matrix K = A + M.  Calling it on a
-    field, or on fields in columns, extends all of them in one solve.
+    coupling block A_IB and the bulk H1 matrix K = A + M, from the level's
+    ``mass_bulk`` (:meth:`Assembler.bulk_mass` on the configuration of
+    ``matrices``).  Calling it on a field, or on fields in columns, extends
+    all of them in one solve.
     """
 
-    def __init__(self, matrices, interior_perm=None):
+    def __init__(self, matrices, mass_bulk, interior_perm=None):
         self.matrices = matrices
         self.spectrum = surface_spectrum(matrices.mass_surf, matrices.stiff_surf)
         interior, self.coupling = matrices.stiffness_blocks()
         self.interior = SpdFactor(interior, interior_perm)
-        self.energy = matrices.stiff_bulk + matrices.mass_bulk
+        self.energy = matrices.stiff_bulk + mass_bulk
 
     def extend(self, g):
         return dirichlet_extension(self.coupling, g, self.interior.solve)
@@ -141,9 +143,11 @@ def stability_sweep(levels, mode, samples, seed, boost_iters):
     Parameters
     ----------
     levels : sequence of (BulkSurfaceMesh, SystemMatrices)
-        One mesh and its assembled matrices per refinement level, coarse to
-        fine; both modes of a study can share them.  The bulk factorizations
-        use the mesh's ``bulk_orderings``, as in the time loop.
+        One mesh and its matrices assembled on its node positions per
+        refinement level, coarse to fine; both modes of a study can share
+        them.  The bulk factorizations use the mesh's ``bulk_orderings``, as
+        in the time loop; the Dirichlet mode assembles each level's bulk
+        mass once, for its H1 norm.
     mode : str
         "dirichlet" or "robin".
     samples : int
@@ -174,7 +178,7 @@ def _level_row(level, mesh, matrices, mode, samples, seed, boost_iters):
     freed on return, before the next level factors."""
     bulk_perm, interior_perm = mesh.bulk_orderings
     if mode == "dirichlet":
-        ratio = DirichletRatio(matrices, interior_perm)
+        ratio = DirichletRatio(matrices, Assembler(mesh).bulk_mass(), interior_perm)
     else:
         ratio = RobinRatio(matrices, bulk_perm)
     fields = np.random.default_rng([seed, level]).standard_normal(

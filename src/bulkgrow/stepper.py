@@ -248,13 +248,15 @@ class Stepper:
     least 50,000 nodes, minimum degree on smaller 2d meshes); the surface
     pencil keeps SuperLU's minimum-degree ordering.
 
-    Each step assembles the mass and stiffness matrices on the extrapolated
-    configuration; the three systems are then formed from their data on
-    fixed patterns, without sparse algebra: L by a scatter-add into a copy
-    of the stiffness data, A_II and A_IB by gathers through the assembler's
-    ``StepLayout`` (built on the first step), and the pencil as one
-    combination of the surface data.  |A_h|^2 of the extrapolated normal is
-    computed once per step for both curvature forcings.
+    Each step assembles the bulk stiffness, the volume load (the row sums
+    of the bulk mass, the only part of it the Robin load reads) and the
+    surface mass and stiffness on the extrapolated configuration; the three
+    systems are then formed from their data on fixed patterns, without
+    sparse algebra: L by a scatter-add into a copy of the stiffness data,
+    A_II and A_IB by gathers through the assembler's ``StepLayout`` (built
+    on the first step), and the pencil as one combination of the surface
+    data.  |A_h|^2 of the extrapolated normal is computed once per step for
+    both curvature forcings.
     """
 
     def __init__(self, mesh, params, order, tau):

@@ -7,7 +7,12 @@ import scipy.sparse as sp
 
 from bulkgrow.assembly import Assembler, assemble_f_u, assemble_L
 from bulkgrow.errors import GeometryError, ValidationError
-from bulkgrow.mesh import BulkSurfaceMesh, generate_ball_mesh, generate_disk_mesh
+from bulkgrow.mesh import (
+    BulkSurfaceMesh,
+    bulk_element_measures,
+    generate_ball_mesh,
+    generate_disk_mesh,
+)
 from bulkgrow.refelem import reference_element
 from bulkgrow.sparsela import solve_spd
 
@@ -81,7 +86,7 @@ def element_major_surface(mesh, positions):
 class TestBulkAssembly:
     def test_reference_triangle_mass(self):
         mesh = single_triangle_mesh()
-        mass, _ = Assembler(mesh).bulk_matrices()
+        mass = Assembler(mesh).bulk_mass()
         area = 0.5
         expected = area / 12.0 * (np.ones((3, 3)) + np.eye(3) * 1.0)
         expected[np.diag_indices(3)] = area / 6.0
@@ -99,7 +104,7 @@ class TestBulkAssembly:
         errors, hs = [], []
         for h in (0.4, 0.2, 0.1):
             mesh = generate_disk_mesh(1.0, h, degree=degree)
-            mass, _ = Assembler(mesh).bulk_matrices()
+            mass = Assembler(mesh).bulk_mass()
             ones = np.ones(mesh.n_nodes)
             errors.append(abs(ones @ (mass @ ones) - math.pi))
             hs.append(mesh.mesh_size_h)
@@ -129,17 +134,20 @@ class TestBulkAssembly:
                      generate_ball_mesh((1.0, 1.0, 1.0), 0.5, degree=1),
                      generate_ball_mesh((1.0, 1.0, 1.0), 0.5, degree=2)):
             pos = mesh.node_positions + 1e-5 * rng.standard_normal(mesh.node_positions.shape)
-            mats = Assembler(mesh).system(pos)
-            for mat in (mats.mass_bulk, mats.stiff_bulk, mats.mass_surf, mats.stiff_surf,
+            assembler = Assembler(mesh)
+            mats = assembler.system(pos)
+            for mat in (assembler.bulk_mass(pos), mats.stiff_bulk, mats.mass_surf, mats.stiff_surf,
                         assemble_L(mats, 1.3), assemble_L(mats, 1.3, 0.7)):
                 assert (mat != mat.T).nnz == 0
 
     def test_deterministic(self):
         mesh = generate_disk_mesh(1.0, 0.3, degree=2)
-        m1, a1 = Assembler(mesh).bulk_matrices()
-        m2, a2 = Assembler(mesh).bulk_matrices()
-        assert np.array_equal(m1.data, m2.data)
+        f1, a1 = Assembler(mesh).bulk_matrices()
+        f2, a2 = Assembler(mesh).bulk_matrices()
+        assert np.array_equal(f1, f2)
         assert np.array_equal(a1.data, a2.data)
+        assert np.array_equal(Assembler(mesh).bulk_mass().data,
+                              Assembler(mesh).bulk_mass().data)
 
     def test_singular_jacobian_flagged(self):
         mesh = single_triangle_mesh()
@@ -147,6 +155,41 @@ class TestBulkAssembly:
         pos[2] = [0.5, 0.0]
         with pytest.raises(GeometryError):
             Assembler(mesh).bulk_matrices(positions=pos)
+        with pytest.raises(GeometryError):
+            Assembler(mesh).bulk_mass(positions=pos)
+
+
+class TestVolumeLoad:
+    """The step's volume load is the row sums of the bulk mass matrix."""
+
+    MESHES = {
+        "disk-p1": lambda: generate_disk_mesh(1.0, 0.2, degree=1),
+        "disk-p2": lambda: generate_disk_mesh(1.0, 0.2, degree=2),
+        "ball-p1": lambda: generate_ball_mesh((1.0, 1.0, 1.0), 0.5, degree=1),
+        "ball-p2": lambda: generate_ball_mesh((1.0, 1.0, 1.0), 0.5, degree=2),
+    }
+
+    @pytest.fixture(scope="class", params=list(MESHES))
+    def jittered(self, request):
+        mesh = self.MESHES[request.param]()
+        rng = np.random.default_rng(8)
+        pos = mesh.node_positions + 1e-3 * mesh.mesh_size_h * rng.standard_normal(
+            mesh.node_positions.shape)
+        return mesh, pos
+
+    def test_equals_mass_times_ones(self, jittered):
+        mesh, pos = jittered
+        assembler = Assembler(mesh)
+        load, _ = assembler.bulk_matrices(pos)
+        expected = assembler.bulk_mass(pos) @ np.ones(mesh.n_nodes)
+        assert np.abs(load - expected).max() <= 1e-14 * np.abs(expected).max()
+        assert np.array_equal(assembler.system(pos).volume_load, load)
+
+    def test_sum_is_the_volume(self, jittered):
+        mesh, pos = jittered
+        load, _ = Assembler(mesh).bulk_matrices(pos)
+        assert load.sum() == pytest.approx(bulk_element_measures(mesh, pos).sum(),
+                                           rel=1e-14)
 
 
 class TestSurfaceAssembly:
@@ -280,7 +323,7 @@ class TestRobinLoad:
             beta=1.0, source=self.constant_source(0.0), time=0.0,
         )
         ones = np.ones(mesh.n_nodes)
-        bulk_measure = ones @ (mats.mass_bulk @ ones)
+        bulk_measure = ones @ (Assembler(mesh).bulk_mass() @ ones)
         assert ones @ f == pytest.approx(-bulk_measure, rel=1e-12)
 
     def test_sphere_constants(self):
@@ -294,7 +337,7 @@ class TestRobinLoad:
             beta=1.0, source=self.constant_source(1.5), time=0.0,
         )
         ones = np.ones(mesh.n_nodes)
-        bulk = ones @ (mats.mass_bulk @ ones)
+        bulk = ones @ (Assembler(mesh).bulk_mass() @ ones)
         surf = np.ones(mesh.n_boundary) @ (mats.mass_surf @ np.ones(mesh.n_boundary))
         expected = -bulk + (m / radius + 1.5) * surf
         assert ones @ f == pytest.approx(expected, rel=1e-12)
@@ -425,7 +468,8 @@ class TestSystemBundle:
         mats = Assembler(mesh).system()
         n, ng = mesh.n_nodes, mesh.n_boundary
         assert mats.n_boundary == ng
-        assert mats.mass_bulk.shape == mats.stiff_bulk.shape == (n, n)
+        assert mats.volume_load.shape == (n,)
+        assert mats.stiff_bulk.shape == (n, n)
         assert mats.mass_surf.shape == mats.stiff_surf.shape == (ng, ng)
         assert mats.surface.wmeasure.shape[1] == mesh.boundary_elements.shape[0]
 
@@ -443,10 +487,11 @@ class TestSystemBundle:
         mesh = generate_ball_mesh((1.0, 1.0, 1.0), 0.55, degree=2)
         from bulkgrow.mesh import boundary_element_measures, bulk_element_measures
 
-        mats = Assembler(mesh).system()
+        assembler = Assembler(mesh)
+        mats = assembler.system()
         ones_b = np.ones(mesh.n_nodes)
         ones_s = np.ones(mesh.n_boundary)
-        assert ones_b @ (mats.mass_bulk @ ones_b) == pytest.approx(
+        assert ones_b @ (assembler.bulk_mass() @ ones_b) == pytest.approx(
             bulk_element_measures(mesh).sum(), rel=1e-12
         )
         assert ones_s @ (mats.mass_surf @ ones_s) == pytest.approx(

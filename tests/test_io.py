@@ -1,9 +1,10 @@
 import csv
+import io
 
 import numpy as np
 import pytest
 
-from bulkgrow.mesh import generate_ball_mesh, generate_disk_mesh
+from bulkgrow.mesh import generate_ball_mesh, generate_disk_mesh, write_rows
 from bulkgrow.oracle import RadialOracle
 from bulkgrow.vtkio import write_csv, write_surface_vtk, write_vtk
 
@@ -140,3 +141,17 @@ class TestCsv:
         write_csv(p1, ["v"], rows)
         write_csv(p2, ["v"], rows)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("rows,fmt", [
+    (np.array([0.1, -2.5e-17, 1.0 / 3.0, 12345.678]), "%.12g"),
+    (np.random.default_rng(0).standard_normal((7, 3)), "%.17g %.17g %.17g"),
+    (np.arange(12).reshape(4, 3).T, "6 %d %d %d %d"),
+    (np.zeros((0, 3)), "%.12g %.12g %.12g"),
+    (np.zeros(0, dtype=int), "%d"),
+], ids=["1d", "2d", "int-transposed", "empty-2d", "empty-1d"])
+def test_write_rows_matches_per_row_formatting(rows, fmt):
+    out = io.StringIO()
+    write_rows(out, rows, fmt)
+    block = rows[:, None] if rows.ndim == 1 else rows
+    assert out.getvalue() == "".join(fmt % tuple(row) + "\n" for row in block.tolist())

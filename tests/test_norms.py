@@ -17,22 +17,16 @@ from bulkgrow.norms import (
 from bulkgrow.oracle import RadialOracle, sphere_oracle_mesh
 
 
-def norm_M(values, matrices, which="bulk"):
-    """Mass norm sqrt(e^T M e) on the bulk or the surface, summed over the
-    columns of a vector field."""
-    matrix = matrices.mass_bulk if which == "bulk" else matrices.mass_surf
+def norm_M(values, mass):
+    """Mass norm sqrt(e^T M e), summed over the columns of a vector field."""
     values = np.asarray(values, dtype=float)
-    return math.sqrt(max(float(np.sum(values * (matrix @ values))), 0.0))
+    return math.sqrt(max(float(np.sum(values * (mass @ values))), 0.0))
 
 
-def norm_K(values, matrices, which="bulk"):
-    """H1 norm sqrt(e^T (A + M) e) on the bulk or the surface."""
-    if which == "bulk":
-        matrix = matrices.stiff_bulk + matrices.mass_bulk
-    else:
-        matrix = matrices.surface_pencil(1.0, 1.0)
+def norm_K(values, energy):
+    """H1 norm sqrt(e^T K e) with K = A + M, on the bulk or the surface."""
     values = np.asarray(values, dtype=float)
-    return math.sqrt(max(float(values @ (matrix @ values)), 0.0))
+    return math.sqrt(max(float(values @ (energy @ values)), 0.0))
 
 
 @pytest.fixture(scope="module")
@@ -41,51 +35,57 @@ def disk():
     return mesh, Assembler(mesh).system()
 
 
+@pytest.fixture(scope="module")
+def disk_mass(disk):
+    return Assembler(disk[0]).bulk_mass()
+
+
 class TestMatrixNorms:
-    def test_constant_mass_norm_is_sqrt_area(self, disk):
+    def test_constant_mass_norm_is_sqrt_area(self, disk, disk_mass):
         mesh, mats = disk
-        value = norm_M(np.ones(mesh.n_nodes), mats, "bulk")
+        value = norm_M(np.ones(mesh.n_nodes), disk_mass)
         assert value == pytest.approx(math.sqrt(math.pi), rel=1e-4)
 
     def test_constant_surface_k_norm(self, disk):
         mesh, mats = disk
         # Stiffness part vanishes on constants: K-norm equals mass norm.
         ones = np.ones(mesh.n_boundary)
-        assert norm_K(ones, mats, "surface") == pytest.approx(
-            norm_M(ones, mats, "surface"), rel=1e-12
+        assert norm_K(ones, mats.surface_pencil(1.0, 1.0)) == pytest.approx(
+            norm_M(ones, mats.mass_surf), rel=1e-12
         )
 
-    def test_homogeneity(self, disk):
+    def test_homogeneity(self, disk, disk_mass):
         mesh, mats = disk
+        energy = mats.stiff_bulk + disk_mass
         rng = np.random.default_rng(0)
         e = rng.standard_normal(mesh.n_nodes)
         for s in (-2.0, 0.5, 3.7):
-            assert norm_M(s * e, mats, "bulk") == pytest.approx(
-                abs(s) * norm_M(e, mats, "bulk"), rel=1e-12
+            assert norm_M(s * e, disk_mass) == pytest.approx(
+                abs(s) * norm_M(e, disk_mass), rel=1e-12
             )
-            assert norm_K(s * e, mats, "bulk") == pytest.approx(
-                abs(s) * norm_K(e, mats, "bulk"), rel=1e-12
+            assert norm_K(s * e, energy) == pytest.approx(
+                abs(s) * norm_K(e, energy), rel=1e-12
             )
 
     def test_triangle_inequality(self, disk):
         mesh, mats = disk
+        energy = mats.surface_pencil(1.0, 1.0)
         rng = np.random.default_rng(1)
         for _ in range(20):
             a = rng.standard_normal(mesh.n_boundary)
             b = rng.standard_normal(mesh.n_boundary)
-            for which in ("surface",):
-                na = norm_K(a, mats, which)
-                nb = norm_K(b, mats, which)
-                assert norm_K(a + b, mats, which) <= na + nb + 1e-12
+            na = norm_K(a, energy)
+            nb = norm_K(b, energy)
+            assert norm_K(a + b, energy) <= na + nb + 1e-12
 
     def test_vector_field_norm_sums_components(self, disk):
         mesh, mats = disk
         rng = np.random.default_rng(2)
         v = rng.standard_normal((mesh.n_boundary, 2))
-        total = norm_M(v, mats, "surface")
+        total = norm_M(v, mats.mass_surf)
         split = math.sqrt(
-            norm_M(v[:, 0], mats, "surface") ** 2
-            + norm_M(v[:, 1], mats, "surface") ** 2
+            norm_M(v[:, 0], mats.mass_surf) ** 2
+            + norm_M(v[:, 1], mats.mass_surf) ** 2
         )
         assert total == pytest.approx(split, rel=1e-12)
 
@@ -122,7 +122,7 @@ class TestHalfNorm:
         mesh, mats = disk
         c = 2.3 * np.ones(mesh.n_boundary)
         half = norm_h_half(c, mats.mass_surf, mats.stiff_surf)
-        assert half == pytest.approx(norm_M(c, mats, "surface"), abs=1e-10)
+        assert half == pytest.approx(norm_M(c, mats.mass_surf), abs=1e-10)
 
     def test_between_mass_and_k_norm(self, disk):
         mesh, mats = disk
@@ -130,15 +130,15 @@ class TestHalfNorm:
         for _ in range(10):
             g = rng.standard_normal(mesh.n_boundary)
             half = norm_h_half(g, mats.mass_surf, mats.stiff_surf)
-            assert norm_M(g, mats, "surface") - 1e-10 <= half
-            assert half <= norm_K(g, mats, "surface") + 1e-10
+            assert norm_M(g, mats.mass_surf) - 1e-10 <= half
+            assert half <= norm_K(g, mats.surface_pencil(1.0, 1.0)) + 1e-10
 
     def test_highest_mode(self, disk):
         mesh, mats = disk
         lam, phi = surface_spectrum(mats.mass_surf, mats.stiff_surf)
         g = phi[:, -1]
         half = norm_h_half(g, mats.mass_surf, mats.stiff_surf, spectrum=(lam, phi))
-        expected = (1.0 + lam[-1]) ** 0.25 * norm_M(g, mats, "surface")
+        expected = (1.0 + lam[-1]) ** 0.25 * norm_M(g, mats.mass_surf)
         assert half == pytest.approx(expected, rel=1e-10)
 
     def test_size_cap(self):
@@ -171,8 +171,8 @@ class TestRenumberingInvariance:
         pmats = Assembler(permuted).system()
         e = rng.standard_normal(n)
         ep = e[perm]
-        assert norm_M(ep, pmats, "bulk") == pytest.approx(
-            norm_M(e, mats, "bulk"), rel=1e-12
+        assert norm_M(ep, Assembler(permuted).bulk_mass()) == pytest.approx(
+            norm_M(e, Assembler(mesh).bulk_mass()), rel=1e-12
         )
         assert norm_L(ep, pmats) == pytest.approx(norm_L(e, mats), rel=1e-12)
         g = e[:ng]

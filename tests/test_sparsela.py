@@ -33,7 +33,7 @@ def test_identity_solve():
 
 def test_mass_matrix_constructed_solution():
     mesh = generate_disk_mesh(1.0, 0.3)
-    mass, _ = Assembler(mesh).bulk_matrices()
+    mass = Assembler(mesh).bulk_mass()
     ones = np.ones(mesh.n_nodes)
     x = solve_spd(mass, mass @ ones)
     assert np.allclose(x, ones, atol=1e-9)

@@ -11,9 +11,15 @@ from bulkgrow.sparsela import SpdFactor, dirichlet_extension
 from bulkgrow.stability import DirichletRatio, RobinRatio, stability_sweep
 
 
-def dirichlet(mats, g):
-    """Dirichlet ratio with the spectrum and interior factor of ``mats``."""
-    return DirichletRatio(mats)(g)
+def dirichlet_ratio(level):
+    """DirichletRatio of one (mesh, matrices) level, with its bulk mass."""
+    mesh, mats = level
+    return DirichletRatio(mats, Assembler(mesh).bulk_mass())
+
+
+def dirichlet(level, g):
+    """Dirichlet ratio with the spectrum and interior factor of the level."""
+    return dirichlet_ratio(level)(g)
 
 
 def robin(mats, g):
@@ -21,9 +27,10 @@ def robin(mats, g):
     return RobinRatio(mats)(g)
 
 
-def bulk_h1_norm(values, mats):
-    """sqrt(v^T (A + M) v) on the bulk."""
-    return math.sqrt(values @ ((mats.stiff_bulk + mats.mass_bulk) @ values))
+def bulk_h1_norm(values, level):
+    """sqrt(v^T (A + M) v) on the bulk of a (mesh, matrices) level."""
+    mesh, mats = level
+    return math.sqrt(values @ ((mats.stiff_bulk + Assembler(mesh).bulk_mass()) @ values))
 
 
 def growth_factors(rows):
@@ -44,31 +51,31 @@ class TestDirichletRatio:
         g = np.ones(mesh.n_boundary)
         # Extension of a constant is the constant: ratio
         # sqrt(|Omega| / |Gamma|) -> sqrt(1/2) on the unit disk.
-        assert dirichlet(mats, g) == pytest.approx(
+        assert dirichlet(disk, g) == pytest.approx(
             math.sqrt(0.5), rel=5e-3
         )
 
     def test_zero_field(self, disk):
         mesh, mats = disk
-        assert dirichlet(mats, np.zeros(mesh.n_boundary)) == 0.0
+        assert dirichlet(disk, np.zeros(mesh.n_boundary)) == 0.0
 
     def test_affine_trace(self, disk):
         mesh, mats = disk
         coeffs = np.array([0.8, -0.4])
         affine = mesh.node_positions @ coeffs + 0.2
         g = affine[: mesh.n_boundary]
-        expected = bulk_h1_norm(affine, mats) / norm_h_half(
+        expected = bulk_h1_norm(affine, disk) / norm_h_half(
             g, mats.mass_surf, mats.stiff_surf
         )
-        assert dirichlet(mats, g) == pytest.approx(expected, rel=1e-10)
+        assert dirichlet(disk, g) == pytest.approx(expected, rel=1e-10)
 
     def test_scale_invariance(self, disk):
         mesh, mats = disk
         rng = np.random.default_rng(0)
         g = rng.standard_normal(mesh.n_boundary)
-        base = dirichlet(mats, g)
+        base = dirichlet(disk, g)
         for s in (3.0, -0.2, 1e4):
-            assert dirichlet(mats, s * g) == pytest.approx(base, rel=1e-12)
+            assert dirichlet(disk, s * g) == pytest.approx(base, rel=1e-12)
 
     def test_energy_minimality_against_zero_extension(self, disk):
         mesh, mats = disk
@@ -77,8 +84,8 @@ class TestDirichletRatio:
         denom = norm_h_half(g, mats.mass_surf, mats.stiff_surf)
         competitor = np.zeros(mesh.n_nodes)
         competitor[: mesh.n_boundary] = g
-        competitor_ratio = bulk_h1_norm(competitor, mats) / denom
-        assert dirichlet(mats, g) <= competitor_ratio + 1e-12
+        competitor_ratio = bulk_h1_norm(competitor, disk) / denom
+        assert dirichlet(disk, g) <= competitor_ratio + 1e-12
 
 
 class TestRobinRatio:
@@ -114,7 +121,7 @@ def test_fields_in_columns_match_single_fields(disk, ratio_type):
     # each column's ratio is the ratio of that field alone, and a zero
     # column has ratio 0.
     mesh, mats = disk
-    ratio = ratio_type(mats)
+    ratio = dirichlet_ratio(disk) if ratio_type is DirichletRatio else RobinRatio(mats)
     fields = np.random.default_rng(9).standard_normal((mesh.n_boundary, 4))
     fields[:, 2] = 0.0
     block = ratio(fields)

@@ -30,7 +30,8 @@ class GeometryError(BulkgrowError):
 
 
 class SolverError(BulkgrowError):
-    """Iterative solve did not reach the requested residual."""
+    """A solve failed: its residual stayed above the target, or its
+    factorization broke down on a matrix that is not positive definite."""
 
     def __init__(self, message, residual=None):
         if residual is not None:

@@ -534,7 +534,10 @@ STABILITY_COLUMNS = ["level", "h", "N", "N_Gamma", "max_ratio", "argmax_seed"]
 
 def run_stability(config, outdir):
     """Stability-ratio sweeps over refinement levels, one CSV per mode; the
-    modes share each level's mesh and assembled matrices."""
+    modes share each level's mesh and assembled matrices.
+
+    On a numerical failure the finished levels' rows and an ``"aborted"``
+    manifest are written before the error is re-raised."""
     geometry = config["geometry"]
     run = config["run"]
     degree = _degree(config["discretization"])
@@ -550,9 +553,14 @@ def run_stability(config, outdir):
     systems = [(mesh, Assembler(mesh).system()) for mesh in meshes]
     os.makedirs(outdir, exist_ok=True)  # after set-up: a bad config leaves none
     results = {}
+    aborted = None
     for mode in modes:
-        rows = stability_sweep(systems, mode, samples=samples, seed=seed,
-                               boost_iters=boost)
+        rows = []
+        try:
+            stability_sweep(systems, mode, samples=samples, seed=seed,
+                            boost_iters=boost, observer=rows.append)
+        except BulkgrowError as exc:
+            aborted = exc
         csv_rows = [
             {
                 "level": r["level"],
@@ -569,7 +577,14 @@ def run_stability(config, outdir):
             STABILITY_COLUMNS, csv_rows,
         )
         results[mode] = rows
-    write_manifest(outdir, config, quality_report(meshes[0]), extra={"seed": seed})
+        if aborted is not None:
+            break
+    extra = {"seed": seed}
+    if aborted is not None:
+        extra["aborted"] = str(aborted)
+    write_manifest(outdir, config, quality_report(meshes[0]), extra=extra)
+    if aborted is not None:
+        raise aborted
     return results
 
 

@@ -27,7 +27,7 @@ from .refelem import (
     nodes_per_element,
     reference_element,
 )
-from .sparsela import nested_dissection
+from .sparsela import Dissection, nested_dissection
 
 # Hard cap on generated node counts (memory budget guard).
 MAX_GENERATED_NODES = 4_000_000
@@ -121,14 +121,17 @@ class BulkSurfaceMesh:
         """Fill-reducing orderings ``(bulk, interior)`` of the bulk matrices
         and of their interior block, for :class:`SpdFactor` ``perm``.
 
-        In 3d, and in 2d from ``_MIN_DISSECTION_NODES_2D`` nodes on, the
-        :func:`nested_dissection` of the bulk connectivity graph at these
-        positions and its restriction to the interior nodes.  Smaller 2d
-        meshes get ``(None, None)``, i.e. minimum degree, which is the
-        faster one there: nested dissection's fill advantage grows with the
-        mesh, and on P2 disks it wins the factorization and the solves
-        together only above about 50,000 nodes.  Computed on first use and
-        kept, so every solver on this mesh shares it.
+        In 3d, the :class:`Dissection` of the bulk connectivity graph at these
+        positions (:func:`nested_dissection`) and its restriction to the
+        interior nodes, which give the supernodal Cholesky factors; each keeps
+        its symbolic analysis, so every factorization of its system on this
+        mesh reuses it.  In 2d from ``_MIN_DISSECTION_NODES_2D`` nodes on,
+        the same permutations as arrays, which SuperLU factors in.  Smaller 2d
+        meshes get ``(None, None)``, i.e. minimum degree, which is the faster
+        one there: nested dissection's fill advantage grows with the mesh, and
+        on P2 disks it wins the factorization and the solves together only
+        above about 50,000 nodes.  Computed on first use and kept, so every
+        solver on this mesh shares it.
         """
         if self.dim == 2 and self.n_nodes < _MIN_DISSECTION_NODES_2D:
             return None, None
@@ -137,9 +140,12 @@ class BulkSurfaceMesh:
             (np.ones(pattern.nnz, dtype=bool), pattern.indices, pattern.indptr),
             shape=pattern.shape,
         )
-        bulk = nested_dissection(graph, self.node_positions)
+        perm, tree = nested_dissection(graph, self.node_positions)
         ng = self.n_boundary
-        return bulk, bulk[bulk >= ng] - ng
+        if self.dim == 2:
+            return perm, perm[perm >= ng] - ng
+        bulk = Dissection(perm, tree)
+        return bulk, bulk.restrict(ng)
 
 
 class CsrPattern:

@@ -137,7 +137,7 @@ class RobinRatio:
         return g
 
 
-def stability_sweep(levels, mode, samples, seed, boost_iters):
+def stability_sweep(levels, mode, samples, seed, boost_iters, observer=None):
     """Max stability ratio per refinement level.
 
     Parameters
@@ -156,6 +156,9 @@ def stability_sweep(levels, mode, samples, seed, boost_iters):
         Base RNG seed; level l uses default_rng([seed, l]).
     boost_iters : int
         Power-iteration steps refining the worst sampled field.
+    observer : callable, optional
+        ``observer(row)`` is called with each level's row as it finishes, so
+        a caller keeps the rows of the levels before a failure.
 
     Returns
     -------
@@ -167,10 +170,12 @@ def stability_sweep(levels, mode, samples, seed, boost_iters):
         raise ValidationError(f"unknown sweep mode {mode!r}")
     if samples < 1:
         raise ValidationError("need at least one sample per level")
-    return [
-        _level_row(level, mesh, matrices, mode, samples, seed, boost_iters)
-        for level, (mesh, matrices) in enumerate(levels)
-    ]
+    rows = []
+    for level, (mesh, matrices) in enumerate(levels):
+        rows.append(_level_row(level, mesh, matrices, mode, samples, seed, boost_iters))
+        if observer is not None:
+            observer(rows[-1])
+    return rows
 
 
 def _level_row(level, mesh, matrices, mode, samples, seed, boost_iters):

@@ -7,7 +7,8 @@ import pytest
 from bulkgrow import experiments
 from bulkgrow.assembly import Assembler
 from bulkgrow.cli import main
-from bulkgrow.errors import ConfigError, GeometryError
+from bulkgrow import stability as stability_module
+from bulkgrow.errors import ConfigError, GeometryError, SolverError
 from bulkgrow.experiments import (
     load_config,
     parse_source,
@@ -250,6 +251,32 @@ class TestStability:
         )
         run_stability(config, str(tmp_path / "stab"))
         assert len(calls) == 2 and calls[0] < calls[1]  # one per level
+
+    def test_numerical_failure_flushes(self, tmp_path, monkeypatch):
+        # Level 1 of the first mode fails: level 0's row and an aborted
+        # manifest are written, the second mode does not run.
+        original = stability_module._level_row
+
+        def failing_level(level, *args):
+            if level == 1:
+                raise SolverError("forced at level 1")
+            return original(level, *args)
+
+        monkeypatch.setattr(stability_module, "_level_row", failing_level)
+        config = disk_config(
+            tmp_path,
+            discretization={"k": 1},
+            run={"kind": "stability", "levels": 3, "samples": 2,
+                 "seed": 0, "mode": "both", "boost_iters": 0},
+        )
+        assert main(["stability", str(write_config(tmp_path, config))]) == 3
+        out = tmp_path / "out"
+        rows = read_csv(out / "stability_dirichlet.csv")
+        assert [int(r["level"]) for r in rows] == [0]
+        assert not (out / "stability_robin.csv").exists()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert "forced at level 1" in manifest["aborted"]
+        assert manifest["seed"] == 0
 
     def stability_config(self, tmp_path):
         config = disk_config(

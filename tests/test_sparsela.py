@@ -14,6 +14,7 @@ from bulkgrow.sparsela import (
     CachedSpdSolver,
     SpdFactor,
     _crossing_cover,
+    _Symbolic,
     dirichlet_extension,
     nested_dissection,
     solve_spd,
@@ -80,6 +81,12 @@ def calls(monkeypatch):
 
 def relative_residuals(a, x, b):
     return np.linalg.norm(a @ x - b, axis=0) / np.linalg.norm(b, axis=0)
+
+
+def ordering_fill(matrix, dissection):
+    """(2 nnz(L) - n) / nnz(A) of the Cholesky factor of ``matrix`` in the
+    ordering of ``dissection``, counted on its unmerged separator tree."""
+    return (2 * _Symbolic(matrix, dissection, merge=0).nnz - matrix.shape[0]) / matrix.nnz
 
 
 def test_spd_factor_matches_pcg(calls):
@@ -177,12 +184,12 @@ def test_spd_factor_checks_each_column(monkeypatch):
             return x.copy() if self.calls == 1 else np.zeros_like(rhs)
 
     factor = SpdFactor(a)
-    monkeypatch.setattr(factor, "_lu", StubLU())
+    monkeypatch.setattr(factor, "_factor", StubLU())
     with pytest.raises(SolverError) as err:
         factor.solve(b)
     assert err.value.residual == pytest.approx(1e-7, rel=1e-3)
     # The direct solve, then one apply per PCG iteration up to the cap.
-    assert factor._lu.calls == 2 + _MAXITER
+    assert factor._factor.calls == 2 + _MAXITER
 
 
 @pytest.mark.parametrize("perturbed", ["every"])
@@ -342,28 +349,47 @@ class TestNestedDissection:
 
     def test_returns_a_permutation(self, ball):
         mesh, stiff = ball
-        perm = nested_dissection(stiff, mesh.node_positions)
+        perm, _ = nested_dissection(stiff, mesh.node_positions)
         assert np.array_equal(np.sort(perm), np.arange(mesh.n_nodes))
 
     def test_batched_splits_match_the_recursion(self, ball):
         mesh, stiff = ball
-        perm = nested_dissection(stiff, mesh.node_positions)
+        perm, _ = nested_dissection(stiff, mesh.node_positions)
         assert np.array_equal(perm, recursive_dissection(stiff, mesh.node_positions))
 
     def test_fill_of_the_step_matrices(self, ball):
+        # The fill (2 nnz(L) - n) / nnz(A) of the ordering itself, from the
+        # symbolic count of the unmerged separator tree.
         mesh, _ = ball
         system = Assembler(mesh).system()
         bulk, interior = mesh.bulk_orderings
         # The lower half's boundary layer as separator filled 12.7x and 11.4x.
-        for matrix, perm, bound in ((assemble_L(system, 1.0), bulk, 11.5),
-                                    (system.stiffness_blocks()[0], interior, 10.8)):
-            lu = SpdFactor(matrix, perm)._lu
-            assert (lu.L.nnz + lu.U.nnz) / matrix.nnz <= bound
+        for matrix, dissection, bound in ((assemble_L(system, 1.0), bulk, 11.5),
+                                          (system.stiffness_blocks()[0], interior, 10.8)):
+            assert ordering_fill(matrix, dissection) <= bound
 
     def test_coincident_points_are_one_leaf(self):
         graph = sp.csr_matrix(np.ones((40, 40)))
-        perm = nested_dissection(graph, np.zeros((40, 3)))
+        perm, tree = nested_dissection(graph, np.zeros((40, 3)))
         assert np.array_equal(perm, np.arange(40))
+        assert [list(column) for column in tree] == [[0], [0], [40], [-1]]
+
+    def test_tree_owns_each_column_once(self, ball):
+        mesh, stiff = ball
+        perm, (start, own, stop, parent) = nested_dissection(stiff, mesh.node_positions)
+        owned = np.zeros(mesh.n_nodes, dtype=int)
+        for a, b in zip(own, stop):
+            owned[a:b] += 1
+        assert np.all(owned == 1)
+        # A subtree is its own columns after its children's subtrees, and
+        # parents precede their children.
+        child = parent >= 0
+        assert np.all(parent[child] < np.flatnonzero(child))
+        assert np.all((start[parent[child]] <= start[child])
+                      & (stop[child] <= own[parent[child]]))
+        held = own - start
+        np.add.at(held, parent[child], -(stop - start)[child])
+        assert np.all(held == 0)
 
     def test_length_mismatch_rejected(self, ball):
         mesh, stiff = ball
@@ -374,13 +400,91 @@ class TestNestedDissection:
         mesh, stiff = ball
         ng = mesh.n_boundary
         interior = stiff[ng:, ng:]
-        perm = nested_dissection(interior, mesh.node_positions[ng:])
+        perm, _ = nested_dissection(interior, mesh.node_positions[ng:])
         b = np.random.default_rng(10).standard_normal((interior.shape[0], 2))
         x = SpdFactor(interior, perm).solve(b)
         assert np.all(relative_residuals(interior, x, b) <= TOL)
         plain = SpdFactor(interior).solve(b)
         gap = np.linalg.norm(interior @ (x - plain), axis=0) / np.linalg.norm(b, axis=0)
         assert np.all(gap <= TOL)
+
+
+class TestSupernodalCholesky:
+    """SpdFactor with a Dissection: the Cholesky factor of the 3d bulk
+    systems, on the P2 ball."""
+
+    @pytest.fixture(scope="class")
+    def systems(self):
+        mesh = generate_ball_mesh(1.0, 0.5, degree=2)
+        system = Assembler(mesh).system()
+        bulk, interior = mesh.bulk_orderings
+        return {"robin": (assemble_L(system, 1.0), bulk),
+                "interior": (system.stiffness_blocks()[0], interior)}
+
+    @pytest.mark.parametrize("columns", [1, 3])
+    @pytest.mark.parametrize("name", ["robin", "interior"])
+    def test_float64_solutions_match_superlu(self, systems, name, columns):
+        # The direct solutions, before PCG could mend an error of either.
+        matrix, dissection = systems[name]
+        n = matrix.shape[0]
+        b = np.random.default_rng(5).standard_normal(n if columns == 1 else (n, columns))
+        x = SpdFactor(matrix, dissection).apply_inverse(b)
+        lu = SpdFactor(matrix, dissection.perm).apply_inverse(b)
+        gap = np.linalg.norm(x - lu, axis=0) / np.linalg.norm(lu, axis=0)
+        assert np.all(gap <= 1e-11)
+
+    @pytest.mark.parametrize("columns", [1, 3])
+    @pytest.mark.parametrize("name", ["robin", "interior"])
+    def test_float32_factor_meets_tol(self, systems, name, columns):
+        matrix, dissection = systems[name]
+        n = matrix.shape[0]
+        b = np.random.default_rng(6).standard_normal(n if columns == 1 else (n, columns))
+        factor = SpdFactor(matrix.astype(np.float32), dissection)
+        direct = factor.apply_inverse(b)
+        x = factor.solve(b)
+        exact = factor.matrix.astype(np.float64)
+        assert x.shape == b.shape
+        # The float32 factor alone misses TOL, and PCG on it finishes the job.
+        assert np.all(relative_residuals(exact, direct, b) > TOL)
+        assert np.all(relative_residuals(exact, x, b) <= TOL)
+
+    def test_stores_fewer_entries_than_superlu(self, systems):
+        for matrix, dissection in systems.values():
+            factor = SpdFactor(matrix, dissection)
+            assert factor.nnz == _Symbolic(matrix, dissection).nnz
+            assert factor.nnz < SpdFactor(matrix, dissection.perm).nnz
+            # The count as the benchmark reads it.
+            assert factor._lu.L.nnz + factor._lu.U.nnz == factor.nnz
+
+    def test_indefinite_matrix_names_the_failing_column(self, systems):
+        matrix, dissection = systems["robin"]
+        indefinite = matrix.copy()
+        # One off-diagonal pair larger than its diagonal entries' geometric
+        # mean: the diagonal stays positive, a 2x2 minor turns negative.
+        i = 0
+        j = indefinite.indices[indefinite.indptr[i]:indefinite.indptr[i + 1]].max()
+        big = 2.0 * np.sqrt(matrix[i, i] * matrix[j, j])
+        indefinite.data[(indefinite.indices == j) & (np.arange(indefinite.nnz)
+                                                     < indefinite.indptr[i + 1])
+                        & (np.arange(indefinite.nnz) >= indefinite.indptr[i])] = big
+        indefinite.data[(indefinite.indices == i) & (np.arange(indefinite.nnz)
+                                                     < indefinite.indptr[j + 1])
+                        & (np.arange(indefinite.nnz) >= indefinite.indptr[j])] = big
+        assert (indefinite - indefinite.T).count_nonzero() == 0
+        assert (indefinite.diagonal() > 0).all()
+        with pytest.raises(SolverError, match=r"column \d+ is not positive"):
+            SpdFactor(indefinite, dissection)
+
+    def test_pattern_outside_the_tree_rejected(self, systems):
+        matrix, dissection = systems["robin"]
+        n = matrix.shape[0]
+        # A node of each half of the first split: its separator parts them.
+        halves = np.flatnonzero(dissection.tree.parent == 0)
+        a, b = dissection.perm[dissection.tree.start[halves]]
+        coupled = (matrix + sp.csr_matrix(([1e-3, 1e-3], ([a, b], [b, a])),
+                                          shape=(n, n))).tocsr()
+        with pytest.raises(ValidationError, match="dissection tree"):
+            SpdFactor(coupled, dissection)
 
 
 class TestSchurDirichlet:

@@ -7,6 +7,7 @@ import scipy.sparse as sp
 from bulkgrow.assembly import Assembler, assemble_f_u, assemble_L
 from bulkgrow.bdf import bdf_coefficients
 from bulkgrow import mesh as mesh_module
+from bulkgrow import sparsela
 from bulkgrow import stepper as stepper_module
 from bulkgrow.errors import GeometryError, SolverError, ValidationError
 from bulkgrow.experiments import run_simulate
@@ -505,6 +506,37 @@ class TestCachedSolves:
         assert len(iterations) == 3 * (steps + 1) + 2
         assert max(iterations) <= 6
 
+    def test_symbolic_analysis_once_per_system(self, monkeypatch):
+        # A refresh forced on every solve, on a moved mesh, reuses the
+        # symbolic analysis each of L and A_II got on its first factorization.
+        analyses, factored = [], Counter()
+        analyse, init = sparsela._Symbolic.__init__, SpdFactor.__init__
+
+        def counting_analysis(self, matrix, *args, **kwargs):
+            analyses.append(matrix.shape[0])
+            analyse(self, matrix, *args, **kwargs)
+
+        def counting_init(self, matrix, *args, **kwargs):
+            factored[matrix.shape[0]] += 1
+            init(self, matrix, *args, **kwargs)
+
+        monkeypatch.setattr(sparsela._Symbolic, "__init__", counting_analysis)
+        monkeypatch.setattr(SpdFactor, "__init__", counting_init)
+        monkeypatch.setattr(CachedSpdSolver, "REFRESH_ITERS", -1)
+        mesh = generate_ball_mesh(1.0, 0.5, degree=2)
+        stepper = Stepper(mesh, disk_params(), 2, 1e-3)
+        n, ng = mesh.n_nodes, mesh.n_boundary
+        rng = np.random.default_rng(8)
+        for positions in (mesh.node_positions, mesh.node_positions * [1.2, 1.0, 0.9]):
+            system = stepper.assembler.system(positions)
+            interior, _ = system.stiffness_blocks()
+            stepper.robin_solver.solve(assemble_L(system, 1.0), rng.standard_normal(n),
+                                       np.zeros(n))
+            stepper.harmonic_solver.solve(interior, rng.standard_normal((n - ng, 3)),
+                                          np.zeros((n - ng, 3)))
+        assert factored == {n: 2, n - ng: 2}
+        assert analyses == [n, n - ng]
+
 
 class TestBulkOrdering:
     """Which factorizations get the nested-dissection ordering."""
@@ -533,13 +565,15 @@ class TestBulkOrdering:
         return ell, factors
 
     def test_3d_robin_factor_fill(self, monkeypatch):
-        # 24,389 nodes: nested dissection fills 40x, minimum degree 112x.
+        # 24,389 nodes: nested dissection fills 40x, minimum degree 112x, in
+        # SuperLU's LU; the fill of the ordering, (2 nnz(L) - n) / nnz(A) on
+        # the unmerged separator tree, is 37x.
         mesh = generate_ball_mesh(1.0, 0.125, degree=1)
         ell, factors = self.robin_factors(monkeypatch, mesh)
         [(factor, perm)] = factors
-        assert perm is not None
-        lu = factor._lu
-        assert (lu.L.nnz + lu.U.nnz) / ell.nnz <= 60.0
+        assert perm is mesh.bulk_orderings[0]
+        fill = (2 * sparsela._Symbolic(ell, perm, merge=0).nnz - ell.shape[0]) / ell.nnz
+        assert fill <= 60.0
 
     def test_2d_factors_keep_minimum_degree(self, monkeypatch):
         _, factors = self.robin_factors(monkeypatch, generate_disk_mesh(1.5, 0.3, degree=2))
@@ -556,9 +590,9 @@ class TestBulkOrdering:
         graph = sp.csr_matrix(
             (np.ones(rows.size), (rows, cols)), shape=(mesh.n_nodes, mesh.n_nodes)
         )
-        bulk = nested_dissection(graph, mesh.node_positions)
+        bulk, tree = nested_dissection(graph, mesh.node_positions)
         ng = mesh.n_boundary
-        return bulk, bulk[bulk >= ng] - ng
+        return bulk, bulk[bulk >= ng] - ng, tree
 
     @pytest.fixture
     def large_disk(self, monkeypatch):
@@ -569,10 +603,16 @@ class TestBulkOrdering:
         return mesh
 
     def test_orderings_match_the_element_graph(self, large_disk):
-        for mesh in (generate_ball_mesh(1.0, 0.5, degree=2), large_disk):
-            for perm, expected in zip(mesh.bulk_orderings,
-                                      self.element_graph_orderings(mesh)):
-                assert np.array_equal(perm, expected)
+        ball = generate_ball_mesh(1.0, 0.5, degree=2)
+        bulk, interior, tree = self.element_graph_orderings(ball)
+        dissections = ball.bulk_orderings
+        for dissection, expected in zip(dissections, (bulk, interior)):
+            assert np.array_equal(dissection.perm, expected)
+        for column, expected in zip(dissections[0].tree, tree):
+            assert np.array_equal(column, expected)
+        for perm, expected in zip(large_disk.bulk_orderings,
+                                  self.element_graph_orderings(large_disk)):
+            assert np.array_equal(perm, expected)
 
     def test_large_2d_mesh_gets_nested_dissection(self, large_disk):
         bulk, interior = large_disk.bulk_orderings
@@ -620,4 +660,4 @@ class TestBulkOrdering:
             assert perm is None and expected is None
         else:
             assert perm is expected
-            assert np.array_equal(np.sort(perm), np.arange(factor.matrix.shape[0]))
+            assert np.array_equal(np.sort(perm.perm), np.arange(factor.matrix.shape[0]))

@@ -9,8 +9,8 @@ prints one ``<sha256>  <config>/<file>`` line per output file, sorted.  It
 also writes the generated meshes below with ``save_mesh`` and prints one
 ``<sha256>  meshes/<name>.bsm`` line each, and one
 ``<sha256>  orderings/<name>`` line over the bytes of each mesh's
-``bulk_orderings`` (bulk, then interior; ``None``, minimum degree, as a
-fixed marker).  Two checkouts that print the same lines write
+``bulk_orderings`` (bulk, then interior, each a permutation or a
+``Dissection``'s permutation; ``None``, minimum degree, as a fixed marker).  Two checkouts that print the same lines write
 byte-identical simulate, converge, stability and regularization outputs
 (``manifest.json`` included), byte-identical meshes and the same factor
 orderings, which is the check a behaviour-preserving refactor must pass.
@@ -129,6 +129,7 @@ def _digest(path):
 def _orderings_digest(mesh):
     sha = hashlib.sha256()
     for perm in mesh.bulk_orderings:
+        perm = getattr(perm, "perm", perm)  # a Dissection's permutation
         sha.update(b"None" if perm is None else np.asarray(perm, dtype="<i8").tobytes())
     return sha.hexdigest()
 

@@ -47,8 +47,9 @@ interior block, in the time loop and in the stability sweeps, get a
 supernodal multifrontal Cholesky factor on the separator tree of their
 :class:`Dissection`, with dense LAPACK fronts, that stores L alone
 (:class:`_SupernodalCholesky`).  On the ``sim3d`` ball it factors the
-float32 Robin matrix 3.7-4.7x faster than SuperLU, stores 9.1M entries
-against 13.9M and applies to 1 and 3 columns in 0.70-0.77 of its time.
+float32 Robin matrix 3.7-3.9x faster than SuperLU, stores 9.1M entries
+against 13.9M, and applies to 1 column in 0.69-0.75 and to 3 columns in
+0.57-0.64 of its time.
 Every 2d system and the surface pencil stay on SuperLU, because their
 solves outnumber their factorizations: on the P2 disk of 77,281 nodes the
 float64 Cholesky factor of L took 0.28 s against SuperLU's 0.76 s, but
@@ -350,48 +351,43 @@ class _Symbolic:
         for f in np.flatnonzero(self.parent >= 0):
             self.children[self.parent[f]].append(f)
 
-        # The lower triangle of the reordered matrix, by front.
+        # The lower triangle of the reordered matrix, grouped by front.
         inverse = np.empty(n, dtype=np.intp)
         inverse[perm] = np.arange(n)
         row = inverse[np.repeat(np.arange(n), np.diff(self.indptr))]
         col = inverse[self.indices]
         entry = np.flatnonzero(row >= col)
-        row, col = row[entry], col[entry]
-        front = np.repeat(np.arange(n_fronts), k)[col]
-        below = row >= self.c1[front]
-        keys = np.unique(front[below] * n + row[below])
-        first = np.searchsorted(keys, np.arange(n_fronts + 1) * n)
-        self.rows = []
-        for f in range(n_fronts):
-            rows = np.unique(np.concatenate(
-                [keys[first[f]:first[f + 1]] - f * n] + [self.rows[c] for c in self.children[f]]
-            ))
-            if rows.size and rows[0] < self.c0[f]:
+        front = np.repeat(np.arange(n_fronts), k)[col[entry]]
+        by_front = np.argsort(front, kind="stable")
+        self.src = entry[by_front]
+        row, col, front = row[self.src], col[self.src], front[by_front]
+        self.bounds = np.searchsorted(front, np.arange(n_fronts + 1))
+        # The rows of each front, and the place of each of its entries and
+        # of each of its children's rows among them.
+        self.rows, self.relative = [], [None] * n_fronts
+        local = np.empty_like(row)
+        mark = np.zeros(n, dtype=bool)
+        place = np.empty(n, dtype=np.intp)
+        for f, (c0, c1) in enumerate(zip(self.c0.tolist(), self.c1.tolist())):
+            a, b = self.bounds[f], self.bounds[f + 1]
+            mark[row[a:b]] = True
+            for c in self.children[f]:
+                mark[self.rows[c]] = True
+            rows = np.flatnonzero(mark)
+            mark[rows] = False
+            if rows.size and rows[0] < c0:
                 raise ValidationError("matrix pattern does not fit the dissection tree")
-            self.rows.append(rows[rows >= self.c1[f]])
+            rows = rows[np.searchsorted(rows, c1):]
+            self.rows.append(rows)
+            place[c0:c1] = np.arange(c1 - c0)
+            place[rows] = np.arange(c1 - c0, c1 - c0 + rows.size)
+            local[a:b] = place[row[a:b]]
+            for c in self.children[f]:
+                self.relative[c] = place[self.rows[c]]
         n_rows = np.array([rows.size for rows in self.rows])
         self.nnz = int((k * (k + 1) // 2 + k * n_rows).sum())
-
-        # Matrix entries -> positions in their column-major front.
-        local = row - self.c0[front]
-        local[below] = k[front[below]] + self._local_rows(
-            front[below], row[below], n_rows, n)
-        slot = local + (k + n_rows)[front] * (col - self.c0[front])
-        by_front = np.argsort(front, kind="stable")
-        self.src, self.dst = entry[by_front], slot[by_front]
-        self.bounds = np.searchsorted(front[by_front], np.arange(n_fronts + 1))
-        # Rows of each front -> rows of its parent's front.
-        self.relative = [
-            None if p < 0 else np.where(
-                rows < self.c1[p], rows - self.c0[p],
-                k[p] + np.searchsorted(self.rows[p], rows))
-            for rows, p in zip(self.rows, self.parent)
-        ]
-
-    def _local_rows(self, front, row, n_rows, n):
-        """Index of each ``row`` in ``rows[front]``."""
-        keys = np.concatenate([f * n + rows for f, rows in enumerate(self.rows)])
-        return np.searchsorted(keys, front * n + row) - (np.cumsum(n_rows) - n_rows)[front]
+        # Each entry's position in its column-major front.
+        self.dst = local + (k + n_rows)[front] * (col - self.c0[front])
 
     def fits(self, matrix):
         """Whether ``matrix`` has the pattern this analysis was made for."""
@@ -438,6 +434,7 @@ class _SupernodalCholesky:
         trsm, syrk = blas.get_blas_funcs(("trsm", "syrk"), (data,))
         self.nnz = sym.nnz
         self.fronts = []  # (c0, c1, rows, triangle, block below)
+        self._flat_rows = {}  # column count -> rows of each front in a flat rhs
         updates = {}
         for f, (c0, c1, rows) in enumerate(zip(sym.c0.tolist(), sym.c1.tolist(), sym.rows)):
             k = c1 - c0
@@ -489,15 +486,23 @@ class _SupernodalCholesky:
             else:  # x.T is Fortran-ordered, so trsm solves it in place
                 trsm(1.0, triangle, x.T, side=1, lower=1, trans_a=1 - trans, overwrite_b=1)
 
-        for c0, c1, rows, triangle, below in self.fronts:
+        # Each front's rows as indices into the flattened right-hand side: a
+        # 1d gather or scatter is a third of the cost of a 2d one by rows.
+        r = rhs.shape[1]
+        if r not in self._flat_rows:
+            self._flat_rows[r] = [(rows[:, None] * r + np.arange(r)).ravel()
+                                  for _, _, rows, _, _ in self.fronts]
+        flat = rhs.reshape(-1)
+        fronts = list(zip(self.fronts, self._flat_rows[r]))
+        for (c0, c1, _, triangle, below), rows in fronts:
             x = rhs[c0:c1]
             triangular(triangle, x, 0)
             if below is not None:
-                rhs[rows] -= below @ x
-        for c0, c1, rows, triangle, below in reversed(self.fronts):
+                flat[rows] -= (below @ x).reshape(-1)
+        for (c0, c1, _, triangle, below), rows in reversed(fronts):
             x = rhs[c0:c1]
             if below is not None:
-                x -= below.T @ rhs[rows]
+                x -= below.T @ flat[rows].reshape(-1, r)
             triangular(triangle, x, 1)
         return rhs
 

@@ -247,7 +247,7 @@ class Stepper:
     ``bulk_orderings``.  In 3d that is a nested dissection with its
     separator tree, and they get supernodal Cholesky factors, whose
     symbolic analysis each refresh reuses; on the ``sim3d`` ball these
-    factor L 3.7-4.7x faster than SuperLU and apply in 0.70-0.77 of its
+    factor L 3.7-3.9x faster than SuperLU and apply in 0.57-0.75 of its
     time.  2d
     systems stay on SuperLU, in nested dissection from 50,000 nodes on and
     minimum degree below: on the 77,281-node disk the Cholesky factor

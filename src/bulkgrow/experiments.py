@@ -9,6 +9,7 @@ for identical configurations.
 """
 
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 import json
 import math
 import os
@@ -204,6 +205,8 @@ def validate_config(config):
         _check(_is_number(tau) and tau > 0, "time steps must be positive numbers")
     end = disc.get("T", None if stepping else 0.0)
     _check(_is_number(end) and end >= 0, "discretization.T must be a nonnegative number")
+    _check(run.get("kind") != "converge" or end > 0,  # errors are sampled on steps
+           "discretization.T must be positive for run.kind=converge")
     if stepping:
         for tau in taus + _number_list(run, "tau_levels"):
             steps = end / tau
@@ -295,8 +298,6 @@ def compatible_oracle(config, mesh=None):
     radii = _geometry_radii(geometry)
     if len(set(radii)) != 1:
         return None
-    if float(config["model"].get("mu", 0.0)) != 0.0:
-        return None
     q_value = _constant_source_value(config["model"].get("Q", 0.0))
     if q_value is None:
         return None
@@ -315,23 +316,31 @@ def seed_history(config, stepper, normal, curvature):
     mode = config["run"].get("seed_mode", "auto")
     oracle = compatible_oracle(config, stepper.mesh)
     if mode == "oracle" and oracle is None:
-        raise ConfigError("run.seed_mode=oracle requires sphere data, "
-                          "constant Q and mu=0")
+        raise ConfigError("run.seed_mode=oracle requires sphere data and constant Q")
     if oracle is not None and mode != "bootstrap":
         return oracle.seed_history(stepper.mesh, stepper.tau, stepper.scheme.order)
     return bootstrap_history(stepper, normal, curvature)
 
 
 def _degree(disc):
-    """Element degree k of a discretization section or a convergence cell."""
+    """Element degree k of a discretization section."""
     return int(disc.get("k", 2))
 
 
 def _time_grid(disc):
-    """(k, q, tau, n_steps) of a discretization section or a convergence cell."""
+    """(k, q, tau, n_steps) of a discretization section."""
     tau = float(disc["tau"])
     n_steps = int(round(float(disc["T"]) / tau))
     return _degree(disc), int(disc.get("q", 2)), tau, n_steps
+
+
+def _start(config):
+    """(stepper, history, n_steps) of a time-stepping run: the mesh and model
+    of the config, and its startup states (``seed_history``)."""
+    degree, order, tau, n_steps = _time_grid(config["discretization"])
+    mesh, normal, curvature = build_geometry(config["geometry"], degree)
+    stepper = Stepper(mesh, build_params(config, mesh), order, tau)
+    return stepper, seed_history(config, stepper, normal, curvature), n_steps
 
 
 def _sampler(n_steps, count):
@@ -341,20 +350,22 @@ def _sampler(n_steps, count):
     return lambda k: (k + 1) % every == 0 or k + 1 == n_steps
 
 
-def write_manifest(outdir, config, mesh_report, extra=None):
-    """manifest.json: version, config and the ``quality_report`` of a mesh."""
+def _finish(outdir, config, mesh_report, aborted=None, **extra):
+    """Write manifest.json (version, config, the ``quality_report`` of a
+    mesh, ``aborted``: the failure's message or null, and ``extra``), then
+    re-raise ``aborted`` if the run failed."""
     manifest = {
         "version": __version__,
         "config": config,
         "mesh": mesh_report,
+        "aborted": None if aborted is None else str(aborted),
+        **extra,
     }
-    if extra:
-        manifest.update(extra)
-    path = os.path.join(outdir, "manifest.json")
-    with open(path, "w") as fh:
+    with open(os.path.join(outdir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return path
+    if aborted is not None:
+        raise aborted
 
 
 def _diagnostics_row(mesh, state):
@@ -383,10 +394,8 @@ _DIAG_COLUMNS = [
 
 def run_simulate(config, outdir):
     """Time-step to the final time, writing snapshots and diagnostics."""
-    degree, order, tau, n_steps = _time_grid(config["discretization"])
-    mesh, normal, curvature = build_geometry(config["geometry"], degree)
-    stepper = Stepper(mesh, build_params(config, mesh), order, tau)
-    history = seed_history(config, stepper, normal, curvature)
+    stepper, history, n_steps = _start(config)
+    mesh = stepper.mesh
     os.makedirs(outdir, exist_ok=True)  # after set-up: a bad config leaves none
     keep = _sampler(n_steps, int(config["run"].get("snapshots", 20)))
     diag_rows = []
@@ -410,39 +419,25 @@ def run_simulate(config, outdir):
         snapshot(history[0])
         aborted = exc
     write_csv(os.path.join(outdir, "diagnostics.csv"), _DIAG_COLUMNS, diag_rows)
-    write_manifest(outdir, config, quality_report(mesh),
-                   extra={"aborted": None if aborted is None else str(aborted)})
-    if aborted is not None:
-        raise aborted
+    _finish(outdir, config, quality_report(mesh), aborted)
     return outdir
 
 
-def run_convergence_cell(cell):
+def run_convergence_cell(config):
     """One (h, tau) cell of the radial convergence study; picklable worker.
 
-    The cell holds the ``oracle`` (a RadialOracle), the mesh size ``h``, the
-    discretization keys ``k``, ``q``, ``tau``, ``T`` and ``error_samples``;
-    with ``report_mesh`` the row also holds the mesh's ``quality_report``
-    under ``mesh``.
-    The run is seeded from the exact solution and errors are sampled against
-    the nodal interpolation of the exact solution at ``error_samples``
-    uniformly spaced steps.
+    ``config`` is the study's, with the cell's ``geometry.h`` and
+    ``discretization.tau``.  The cell starts as a simulation does
+    (``run.seed_mode`` applies) and samples the errors against the nodal
+    interpolation of the radial solution at ``run.error_samples`` uniformly
+    spaced steps.  The row holds h, tau, the sup errors and, under ``mesh``,
+    the mesh's ``quality_report``.
     """
-    oracle = cell["oracle"]
-    degree, order, tau, n_steps = _time_grid(cell)
-    # Imported per call: bench/ times set-up by replacing this name in
-    # bulkgrow.oracle.
-    from .oracle import sphere_oracle_mesh
-
-    mesh = sphere_oracle_mesh(oracle, float(cell["h"]), degree=degree)
-    params = ModelParams(
-        alpha=oracle.alpha, beta=oracle.beta, mu=0.0,
-        source=constant_source(oracle.source),
-    )
-    history = oracle.seed_history(mesh, tau, order)
-    stepper = Stepper(mesh, params, order, tau)
+    stepper, history, n_steps = _start(config)
+    mesh = stepper.mesh
+    oracle = compatible_oracle(config)
     report = ErrorReport()
-    keep = _sampler(n_steps, int(cell.get("error_samples", 40)))
+    keep = _sampler(n_steps, int(config["run"].get("error_samples", 40)))
 
     def observer(step, state):
         if keep(step):
@@ -451,11 +446,17 @@ def run_convergence_cell(cell):
 
     evolve(stepper, history, n_steps, observer)
     sup = report.sup_errors()
-    row = {"h": mesh.mesh_size_h, "tau": tau}
-    row.update({f"err_{q}": sup[q] for q in ERROR_QUANTITIES})
-    if cell.get("report_mesh"):
-        row["mesh"] = quality_report(mesh)
-    return row
+    return {"h": mesh.mesh_size_h, "tau": stepper.tau,
+            **{f"err_{q}": sup[q] for q in ERROR_QUANTITIES},
+            "mesh": quality_report(mesh)}
+
+
+def _cell_outcome(config):
+    """The row of ``run_convergence_cell``, or the BulkgrowError it raised."""
+    try:
+        return run_convergence_cell(config)
+    except BulkgrowError as exc:
+        return exc
 
 
 CONVERGE_COLUMNS = (
@@ -486,46 +487,39 @@ def _attach_eoc(rows):
 
 
 def run_converge(config, outdir):
-    """h x tau error grid against the radial solution, with EOC columns."""
+    """h x tau error grid against the radial solution, with EOC columns.
+
+    Every cell runs.  The rows of the cells that finished are written in
+    cell order, with EOCs between them, and the manifest holds the first
+    row's mesh; the first failure in cell order is then re-raised."""
     disc = config["discretization"]
     run = config["run"]
     geometry = config["geometry"]
-    degree, order, _, _ = _time_grid(disc)
     oracle = compatible_oracle(config)
     if oracle is None:
-        raise ConfigError(
-            "convergence study needs sphere/disk geometry, constant Q and mu=0"
-        )
+        raise ConfigError("convergence study needs sphere/disk geometry and constant Q")
     h_levels = run.get("h_levels")
     if h_levels is None:
         base = float(geometry["h"])
         h_levels = [base / 2 ** j for j in range(int(run.get("levels", 4)))]
     tau_levels = run.get("tau_levels", [float(disc["tau"])])
-    cells = [
-        {"oracle": oracle, "k": degree, "q": order, "h": float(h), "tau": float(tau),
-         "T": float(disc["T"]), "error_samples": int(run.get("error_samples", 40))}
-        for h in h_levels
-        for tau in tau_levels
-    ]
-    cells[0]["report_mesh"] = True  # the manifest's mesh
+    grid = [(float(h), float(tau)) for h in h_levels for tau in tau_levels]
+    cells = [{**config, "geometry": {**geometry, "h": h},
+              "discretization": {**disc, "tau": tau}} for h, tau in grid]
     os.makedirs(outdir, exist_ok=True)  # after set-up: a bad config leaves none
     workers = min(worker_count(), len(cells))
+    dispatch = list(range(len(cells)))
     if workers > 1:
         # Dispatch expensive cells first so workers stay balanced.
-        def cost(cell):
-            return (1.0 / cell["h"]) ** (oracle.dim_m + 1) * cell["T"] / cell["tau"]
-
-        dispatch = sorted(range(len(cells)), key=lambda i: -cost(cells[i]))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(run_convergence_cell, [cells[i] for i in dispatch]))
-        rows = [None] * len(cells)
-        for pos, i in enumerate(dispatch):
-            rows[i] = done[pos]
-    else:
-        rows = [run_convergence_cell(cell) for cell in cells]
-    rows = _attach_eoc(rows)
-    write_csv(os.path.join(outdir, "converge.csv"), CONVERGE_COLUMNS, rows)
-    write_manifest(outdir, config, rows[0].pop("mesh"))
+        dispatch.sort(key=lambda i: -(1.0 / grid[i][0]) ** (oracle.dim_m + 1) / grid[i][1])
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        results = (pool.map if pool else map)(_cell_outcome, [cells[i] for i in dispatch])
+        outcomes = [outcome for _, outcome in sorted(zip(dispatch, results))]
+    rows = [o for o in outcomes if not isinstance(o, BulkgrowError)]
+    aborted = next((o for o in outcomes if isinstance(o, BulkgrowError)), None)
+    reports = [row.pop("mesh") for row in rows]
+    write_csv(os.path.join(outdir, "converge.csv"), CONVERGE_COLUMNS, _attach_eoc(rows))
+    _finish(outdir, config, reports[0] if reports else None, aborted)
     return rows
 
 
@@ -579,12 +573,7 @@ def run_stability(config, outdir):
         results[mode] = rows
         if aborted is not None:
             break
-    extra = {"seed": seed}
-    if aborted is not None:
-        extra["aborted"] = str(aborted)
-    write_manifest(outdir, config, quality_report(meshes[0]), extra=extra)
-    if aborted is not None:
-        raise aborted
+    _finish(outdir, config, quality_report(meshes[0]), aborted, seed=seed)
     return results
 
 
@@ -652,8 +641,5 @@ def run_regularization(config, outdir):
     write_csv(
         os.path.join(outdir, "regularization.csv"), REGULARIZATION_COLUMNS, rows
     )
-    write_manifest(outdir, config, quality_report(mesh),
-                   extra=None if aborted is None else {"aborted": str(aborted)})
-    if aborted is not None:
-        raise aborted
+    _finish(outdir, config, quality_report(mesh), aborted)
     return rows

@@ -1,7 +1,7 @@
 """Closed-form radially symmetric solution of the coupled growth model.
 
-For spheres in R^(m+1) with constant source Q and no surface diffusion in the
-boundary condition, the coupled system reduces to an ODE for the radius,
+For spheres in R^(m+1) with constant source Q the coupled system reduces to
+an ODE for the radius,
 
     R(t) = (R0 - (m+1) Q) exp(-t/(m+1)) + (m+1) Q,
 
@@ -10,8 +10,10 @@ with the pressure profile
     u(r, t) = r^2 / (2(m+1)) + (Q + beta m / R - R/(m+1)) / alpha
               - R^2 / (2(m+1)),
 
-normal x/R, mean curvature m/R and normal speed Q - R/(m+1).  Used to seed
-simulations and as the reference in convergence measurements.
+normal x/R, mean curvature m/R and normal speed Q - R/(m+1).  The pressure
+trace is constant on the sphere, so Delta_Gamma u = 0 and the solution is the
+same for every surface diffusion mu >= 0 of the Robin condition.  Used to
+seed simulations and as the reference in convergence measurements.
 """
 
 from dataclasses import dataclass
@@ -24,7 +26,8 @@ from .stepper import History, SimState
 
 @dataclass(frozen=True)
 class RadialOracle:
-    """Exact sphere solution; surface diffusion is off by construction."""
+    """Exact sphere solution, for any surface diffusion mu >= 0: its trace
+    is constant, so Delta_Gamma u = 0."""
 
     dim_m: int
     initial_radius: float

@@ -30,19 +30,35 @@ T = 0.1), so they are not pinned.
 import numpy as np
 import pytest
 
-from bulkgrow.experiments import run_convergence_cell
+from bulkgrow.experiments import (
+    build_geometry,
+    build_params,
+    compatible_oracle,
+    run_convergence_cell,
+)
 from bulkgrow.norms import estimated_orders
-from bulkgrow.oracle import RadialOracle, sphere_oracle_mesh
-from bulkgrow.stepper import ModelParams, Stepper, constant_source, evolve
+from bulkgrow.stepper import Stepper, evolve
 
-BASE_CELL = {"oracle": RadialOracle(dim_m=1, initial_radius=1.5, source=1.5,
-                                    alpha=1.0, beta=1.0),
-             "k": 2, "q": 2, "T": 0.2, "error_samples": 20}
-BALL_CELL = {"oracle": RadialOracle(dim_m=2, initial_radius=1.0, source=1.5,
-                                    alpha=1.0, beta=1.0),
-             "k": 2, "q": 2, "T": 0.02, "tau": 1e-3, "error_samples": 5}
+MODEL = {"alpha": 1.0, "beta": 1.0, "mu": 0.0, "Q": "const:1.5"}
+BASE = {"model": MODEL,
+        "geometry": {"kind": "disk", "radii": [1.5]},
+        "discretization": {"k": 2, "q": 2, "T": 0.2},
+        "run": {"kind": "converge", "error_samples": 20}}
+BALL = {"model": MODEL,
+        "geometry": {"kind": "ball", "radii": [1.0]},
+        "discretization": {"k": 2, "q": 2, "T": 0.02, "tau": 1e-3},
+        "run": {"kind": "converge", "error_samples": 5}}
 RATE = 2.0
 RATE_TOL = 0.3
+
+
+def cell(config, h, **overrides):
+    """The convergence cell of ``config`` at mesh size h; ``overrides`` maps
+    a section to the keys it changes."""
+    cell_config = {**config, "geometry": {**config["geometry"], "h": h}}
+    for section, values in overrides.items():
+        cell_config[section] = {**cell_config[section], **values}
+    return run_convergence_cell(cell_config)
 
 
 def eoc(rows, key, quantity):
@@ -52,13 +68,12 @@ def eoc(rows, key, quantity):
 
 @pytest.fixture(scope="module")
 def h_rows():
-    return [run_convergence_cell({**BASE_CELL, "h": h, "tau": 1e-3}) for h in (0.4, 0.2)]
+    return [cell(BASE, h, discretization={"tau": 1e-3}) for h in (0.4, 0.2)]
 
 
 @pytest.fixture(scope="module")
 def tau_rows():
-    return [run_convergence_cell({**BASE_CELL, "h": 0.1, "tau": tau})
-            for tau in (4e-3, 2e-3)]
+    return [cell(BASE, 0.1, discretization={"tau": tau}) for tau in (4e-3, 2e-3)]
 
 
 @pytest.mark.parametrize("quantity", ["u", "H"])
@@ -68,7 +83,7 @@ def test_h_convergence_order(h_rows, quantity):
 
 @pytest.mark.parametrize("quantity", ["x", "v", "nu"])
 def test_h_convergence_at_least_k(h_rows, quantity):
-    assert eoc(h_rows, "h", quantity) >= BASE_CELL["k"] - RATE_TOL
+    assert eoc(h_rows, "h", quantity) >= BASE["discretization"]["k"] - RATE_TOL
 
 
 @pytest.mark.parametrize("quantity", ["x", "v"])
@@ -77,8 +92,19 @@ def test_tau_convergence_order(tau_rows, quantity):
 
 
 @pytest.fixture(scope="module")
+def mu_h_rows():
+    return [cell(BASE, h, model={"mu": 0.1}, discretization={"tau": 1e-3})
+            for h in (0.4, 0.2)]
+
+
+@pytest.mark.parametrize("quantity", ["u", "H"])
+def test_surface_diffusion_h_convergence_at_least_k(mu_h_rows, quantity):
+    assert eoc(mu_h_rows, "h", quantity) >= BASE["discretization"]["k"] - RATE_TOL
+
+
+@pytest.fixture(scope="module")
 def ball_h_rows():
-    return [run_convergence_cell({**BALL_CELL, "h": h}) for h in (0.51, 0.37)]
+    return [cell(BALL, h) for h in (0.51, 0.37)]
 
 
 @pytest.mark.parametrize("quantity", ["u", "H"])
@@ -88,7 +114,24 @@ def test_ball_h_convergence_order(ball_h_rows, quantity):
 
 @pytest.mark.parametrize("quantity", ["x", "v", "nu"])
 def test_ball_h_convergence_at_least_k(ball_h_rows, quantity):
-    assert eoc(ball_h_rows, "h", quantity) >= BALL_CELL["k"] - RATE_TOL
+    assert eoc(ball_h_rows, "h", quantity) >= BALL["discretization"]["k"] - RATE_TOL
+
+
+@pytest.fixture(scope="module")
+def fine_ball_h_rows():
+    return [cell(BALL, h, discretization={"T": 0.05}) for h in (0.37, 0.26)]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("quantity", ["u", "H"])
+def test_fine_ball_h_convergence_order(fine_ball_h_rows, quantity):
+    assert eoc(fine_ball_h_rows, "h", quantity) == pytest.approx(RATE, abs=RATE_TOL)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("quantity", ["x", "v", "nu"])
+def test_fine_ball_h_convergence_at_least_k(fine_ball_h_rows, quantity):
+    assert eoc(fine_ball_h_rows, "h", quantity) >= BALL["discretization"]["k"] - RATE_TOL
 
 
 BALL_TAUS = (4e-3, 2e-3, 1e-3)
@@ -96,11 +139,12 @@ BALL_TAUS = (4e-3, 2e-3, 1e-3)
 
 @pytest.fixture(scope="module")
 def ball_tau_finals():
-    """Final states at T = BALL_CELL["T"] of one h = 0.5 ball run per tau."""
-    oracle, q, end = BALL_CELL["oracle"], BALL_CELL["q"], BALL_CELL["T"]
-    mesh = sphere_oracle_mesh(oracle, 0.5, degree=BALL_CELL["k"])
-    params = ModelParams(alpha=oracle.alpha, beta=oracle.beta, mu=0.0,
-                         source=constant_source(oracle.source))
+    """Final states at T = 0.02 of one h = 0.5 ball run per tau."""
+    disc = BALL["discretization"]
+    q, end = disc["q"], disc["T"]
+    mesh = build_geometry({**BALL["geometry"], "h": 0.5}, disc["k"])[0]
+    oracle = compatible_oracle(BALL)
+    params = build_params(BALL, mesh)
     finals = []
     for tau in BALL_TAUS:
         # The seed states end at t = (q - 1) tau.

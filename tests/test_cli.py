@@ -143,9 +143,10 @@ class TestSimulate:
         ).read_bytes()
 
     def test_bootstrap_seeding_on_ellipse_like_setup(self, tmp_path):
-        # mu > 0 has no closed form, so seeding falls back to the bootstrap.
+        # The disk has a closed form for any mu, so auto would take the oracle.
         config = disk_config(tmp_path, model={"mu": 0.1},
-                             discretization={"T": 0.01, "tau": 2e-3})
+                             discretization={"T": 0.01, "tau": 2e-3},
+                             run={"seed_mode": "bootstrap"})
         run_simulate(config, str(tmp_path / "boot"))
         rows = read_csv(tmp_path / "boot" / "diagnostics.csv")
         assert len(rows) >= 2
@@ -164,6 +165,8 @@ class TestConverge:
         table = read_csv(tmp_path / "conv" / "converge.csv")
         assert table[0]["eoc_h_u"] == ""
         assert float(table[1]["eoc_h_u"]) > 1.0  # refinement helps
+        manifest = json.loads((tmp_path / "conv" / "manifest.json").read_text())
+        assert manifest["aborted"] is None
 
     def test_worker_pool_matches_serial(self, tmp_path, monkeypatch):
         config = disk_config(
@@ -211,10 +214,46 @@ class TestConverge:
         assert pools == [2]  # two cells, two workers; one cell runs serially
 
     def test_requires_oracle_compatible_setup(self, tmp_path):
-        config = disk_config(tmp_path, model={"mu": 0.5},
+        config = disk_config(tmp_path, model={"Q": "expr:1.5+0.1*x"},
                              run={"kind": "converge"})
         with pytest.raises(ConfigError):
             run_converge(config, str(tmp_path / "conv2"))
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_numerical_failure_flushes(self, tmp_path, monkeypatch, threads):
+        # The third cell (tau = 1e-3) fails at its third step; the other two
+        # finish, and their rows and an aborted manifest are written.
+        original = Stepper.step
+
+        def failing_step(self, history):
+            if self.tau == 1e-3 and self.step_count == 2:
+                raise GeometryError("step 3 (position_update): tangled", element=0)
+            return original(self, history)
+
+        monkeypatch.setattr(Stepper, "step", failing_step)
+        monkeypatch.setenv("BULKGROW_THREADS", threads)
+        config = disk_config(
+            tmp_path,
+            run={"kind": "converge", "h_levels": [0.5],
+                 "tau_levels": [4e-3, 2e-3, 1e-3], "error_samples": 2},
+        )
+        assert main(["converge", str(write_config(tmp_path, config))]) == 3
+        out = tmp_path / "out"
+        rows = read_csv(out / "converge.csv")
+        assert [float(r["tau"]) for r in rows] == [4e-3, 2e-3]
+        assert rows[0]["eoc_tau_u"] == "" and float(rows[1]["eoc_tau_u"]) > 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert "tangled" in manifest["aborted"]
+        assert manifest["mesh"]["n_nodes"] > 0
+
+    def test_accepts_surface_diffusion(self, tmp_path):
+        # On the sphere Delta_Gamma u = 0, so the radial solution holds for mu > 0.
+        config = disk_config(
+            tmp_path, model={"mu": 0.5}, discretization={"T": 0.004},
+            run={"kind": "converge", "h_levels": [0.5], "error_samples": 1},
+        )
+        rows = run_converge(config, str(tmp_path / "conv"))
+        assert rows[0]["err_u"] < 1e-2
 
 
 class TestStability:
@@ -457,6 +496,13 @@ class TestCliEntry:
                              discretization={"tau": 1.5, "T": 3.0},
                              run={"seed_mode": "oracle"})
         assert main(["simulate", str(write_config(tmp_path, config))]) == 3
+        assert not (tmp_path / "out").exists()
+
+    def test_converge_without_steps_is_config_error(self, tmp_path):
+        # A convergence cell samples errors on its steps, so T = 0 has none.
+        config = disk_config(tmp_path, discretization={"T": 0.0},
+                             run={"kind": "converge"})
+        assert main(["converge", str(write_config(tmp_path, config))]) == 2
         assert not (tmp_path / "out").exists()
 
     def test_converge_on_ellipsoid_leaves_no_outdir(self, tmp_path):

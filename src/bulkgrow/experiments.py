@@ -290,7 +290,8 @@ def compatible_oracle(config, mesh=None):
     """RadialOracle for the config, or None when no closed form applies.
 
     The boundary dimension follows from ``geometry.kind``, so no mesh is
-    needed; ``mesh`` is accepted for callers that pass the run's mesh.
+    needed; ``mesh`` is ignored, and kept for the benchmark's workloads,
+    which pass one.
     """
     geometry = config["geometry"]
     if geometry["kind"] not in ("disk", "ball"):
@@ -314,7 +315,7 @@ def seed_history(config, stepper, normal, curvature):
     """Startup states of the run ``stepper`` takes: exact interpolation when
     a closed form exists, otherwise a low-order bootstrap on the stepper."""
     mode = config["run"].get("seed_mode", "auto")
-    oracle = compatible_oracle(config, stepper.mesh)
+    oracle = compatible_oracle(config)
     if mode == "oracle" and oracle is None:
         raise ConfigError("run.seed_mode=oracle requires sphere data and constant Q")
     if oracle is not None and mode != "bootstrap":

@@ -93,8 +93,9 @@ def oracle_errors(state, oracle, reference_mesh, matrices):
     """Per-quantity errors of a state against the nodal exact interpolant.
 
     The exact positions carry the reference (t=0) nodes along the radial
-    flow; pressure, normal, curvature and boundary velocity are interpolated
-    at the exact material positions.  Pressure is measured in the combined
+    flow; normal, curvature and boundary velocity are interpolated at these
+    exact material positions, the pressure at the computed node positions
+    (``state.positions``).  Pressure is measured in the combined
     bulk/boundary H1 norm (unit coefficients), the surface quantities in the
     surface H1 norm.
     """

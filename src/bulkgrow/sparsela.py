@@ -182,10 +182,11 @@ def nested_dissection(graph, points):
     points : ndarray, (n, d)
         Node coordinates.
 
-    Returns ``(perm, tree)``.  ``perm`` is a permutation of ``range(n)``: the
-    new i-th node is the old node ``perm[i]``, so ``matrix[perm][:, perm]``
-    is the reordered matrix.  ``tree`` is its :class:`DissectionTree`, one
-    node per split segment (owning its separator) and per leaf.
+    Returns the :class:`Dissection` ``(perm, tree)``.  ``perm`` is a
+    permutation of ``range(n)``: the new i-th node is the old node
+    ``perm[i]``, so ``matrix[perm][:, perm]`` is the reordered matrix.
+    ``tree`` is its :class:`DissectionTree`, one node per split segment
+    (owning its separator) and per leaf.
     """
     graph = sp.csr_matrix(graph)
     points = np.asarray(points, dtype=float)
@@ -214,8 +215,8 @@ def nested_dissection(graph, points):
         starts, sizes, parents = starts[big], sizes[big], parents[big]
         k = sizes.size
         if k == 0:
-            return perm, DissectionTree(*(np.concatenate(column).astype(np.intp)
-                                          for column in zip(*nodes_of_depth)))
+            return Dissection(perm, DissectionTree(*(np.concatenate(column).astype(np.intp)
+                                                     for column in zip(*nodes_of_depth))))
         ids = n_tree + np.arange(k)
         n_tree += k
         offsets = np.cumsum(sizes) - sizes  # of each segment in `nodes`
@@ -273,20 +274,13 @@ class DissectionTree(NamedTuple):
     parent: np.ndarray
 
 
-class Dissection:
+class Dissection(NamedTuple):
     """A :func:`nested_dissection` ordering with its separator tree; as the
     ``perm`` of :class:`SpdFactor` it selects the supernodal Cholesky factor.
-
-    The symbolic analysis of a matrix pattern in this ordering is made on
-    the first factorization and kept, so later factorizations of matrices
-    on the same pattern (a cached solver's refreshes, the levels of a sweep
-    on one mesh) reuse it.
     """
 
-    def __init__(self, perm, tree):
-        self.perm = perm
-        self.tree = tree
-        self._symbolic = None
+    perm: np.ndarray
+    tree: DissectionTree
 
     def restrict(self, first):
         """The ordering of the nodes from ``first`` on, numbered from 0 (the
@@ -297,13 +291,6 @@ class Dissection:
         start, own, stop, parent = self.tree
         return Dissection(self.perm[keep] - first,
                           DissectionTree(before[start], before[own], before[stop], parent))
-
-    def symbolic(self, matrix):
-        """The :class:`_Symbolic` analysis of ``matrix``'s pattern, reused
-        while the pattern stays the same."""
-        if self._symbolic is None or not self._symbolic.fits(matrix):
-            self._symbolic = _Symbolic(matrix, self)
-        return self._symbolic
 
 
 class _Symbolic:
@@ -327,7 +314,6 @@ class _Symbolic:
         n = perm.size
         if matrix.shape != (n, n):
             raise ValidationError("matrix and ordering describe different nodes")
-        self.indptr, self.indices = matrix.indptr, matrix.indices
         # The fronts: merged subtrees, then the own columns of larger nodes.
         size = stop - start
         merged = (size > 0) & (size <= merge) & ((parent < 0) | (size[parent] > merge))
@@ -354,8 +340,8 @@ class _Symbolic:
         # The lower triangle of the reordered matrix, grouped by front.
         inverse = np.empty(n, dtype=np.intp)
         inverse[perm] = np.arange(n)
-        row = inverse[np.repeat(np.arange(n), np.diff(self.indptr))]
-        col = inverse[self.indices]
+        row = inverse[np.repeat(np.arange(n), np.diff(matrix.indptr))]
+        col = inverse[matrix.indices]
         entry = np.flatnonzero(row >= col)
         front = np.repeat(np.arange(n_fronts), k)[col[entry]]
         by_front = np.argsort(front, kind="stable")
@@ -388,12 +374,6 @@ class _Symbolic:
         self.nnz = int((k * (k + 1) // 2 + k * n_rows).sum())
         # Each entry's position in its column-major front.
         self.dst = local + (k + n_rows)[front] * (col - self.c0[front])
-
-    def fits(self, matrix):
-        """Whether ``matrix`` has the pattern this analysis was made for."""
-        return (matrix.indptr is self.indptr and matrix.indices is self.indices) or (
-            np.array_equal(matrix.indptr, self.indptr)
-            and np.array_equal(matrix.indices, self.indices))
 
 
 def _extend_add(front, update, relative):
@@ -428,7 +408,7 @@ class _SupernodalCholesky:
     """
 
     def __init__(self, matrix, dissection):
-        sym = dissection.symbolic(matrix)
+        sym = _Symbolic(matrix, dissection)
         data = matrix.data
         potrf = lapack.get_lapack_funcs("potrf", (data,))
         trsm, syrk = blas.get_blas_funcs(("trsm", "syrk"), (data,))
@@ -652,8 +632,7 @@ class CachedSpdSolver:
     The factorization is refreshed when PCG needs more than ``REFRESH_ITERS``
     iterations, and the current solve is repeated with the fresh factor.
     Every factorization uses the fill-reducing ``perm`` given here (see
-    :class:`SpdFactor`); a :class:`Dissection`'s symbolic analysis serves
-    all of them.  Deterministic for a fixed call sequence.
+    :class:`SpdFactor`).  Deterministic for a fixed call sequence.
     """
 
     #: PCG iterations beyond which the factorization is refreshed.

@@ -245,15 +245,13 @@ class Stepper:
 
     The Robin matrix and the interior block are factored in the mesh's
     ``bulk_orderings``.  In 3d that is a nested dissection with its
-    separator tree, and they get supernodal Cholesky factors, whose
-    symbolic analysis each refresh reuses; on the ``sim3d`` ball these
-    factor L 3.7-3.9x faster than SuperLU and apply in 0.57-0.75 of its
-    time.  2d
-    systems stay on SuperLU, in nested dissection from 50,000 nodes on and
-    minimum degree below: on the 77,281-node disk the Cholesky factor
-    applied in 45 ms against SuperLU's 27 ms per column, and the time loop
-    is bound by its solves.  The surface pencil keeps SuperLU's
-    minimum-degree ordering.
+    separator tree, and they get supernodal Cholesky factors; on the
+    ``sim3d`` ball these factor L 3.7-3.9x faster than SuperLU and apply in
+    0.57-0.75 of its time.  2d systems stay on SuperLU, in nested
+    dissection from 50,000 nodes on and minimum degree below: on the
+    77,281-node disk the Cholesky factor applied in 45 ms against SuperLU's
+    27 ms per column, and the time loop is bound by its solves.  The surface
+    pencil keeps SuperLU's minimum-degree ordering.
 
     Each step assembles the bulk stiffness, the volume load (the row sums
     of the bulk mass, the only part of it the Robin load reads) and the

@@ -12,6 +12,7 @@ from bulkgrow.sparsela import (
     _MAXITER,
     TOL,
     CachedSpdSolver,
+    Dissection,
     SpdFactor,
     _crossing_cover,
     _Symbolic,
@@ -349,8 +350,9 @@ class TestNestedDissection:
 
     def test_returns_a_permutation(self, ball):
         mesh, stiff = ball
-        perm, _ = nested_dissection(stiff, mesh.node_positions)
-        assert np.array_equal(np.sort(perm), np.arange(mesh.n_nodes))
+        dissection = nested_dissection(stiff, mesh.node_positions)
+        assert isinstance(dissection, Dissection)
+        assert np.array_equal(np.sort(dissection.perm), np.arange(mesh.n_nodes))
 
     def test_batched_splits_match_the_recursion(self, ball):
         mesh, stiff = ball

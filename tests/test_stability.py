@@ -5,7 +5,7 @@ import pytest
 
 from bulkgrow.assembly import Assembler
 from bulkgrow.errors import ValidationError
-from bulkgrow.mesh import generate_disk_mesh
+from bulkgrow.mesh import generate_ball_mesh, generate_disk_mesh
 from bulkgrow.norms import norm_h_half
 from bulkgrow.sparsela import SpdFactor, dirichlet_extension
 from bulkgrow.stability import DirichletRatio, RobinRatio, stability_sweep
@@ -43,6 +43,14 @@ def growth_factors(rows):
 def disk():
     mesh = generate_disk_mesh(1.0, 0.15, degree=1)
     return mesh, Assembler(mesh).system()
+
+
+@pytest.fixture(scope="module")
+def ball_levels():
+    """Three P1 unit balls, h = 0.5, 0.35, 0.25 (512 to 3,375 nodes), with
+    their matrices; their sweeps factor on the 3d Dissection path."""
+    meshes = [generate_ball_mesh(1.0, h, degree=1) for h in (0.5, 0.35, 0.25)]
+    return [(mesh, Assembler(mesh).system()) for mesh in meshes]
 
 
 class TestDirichletRatio:
@@ -146,6 +154,21 @@ class TestSweep:
     def test_robin_sweep_bounded(self):
         rows = stability_sweep(self.levels(), "robin", samples=8, seed=0,
                                boost_iters=10)
+        for factor in growth_factors(rows):
+            assert factor <= 1.15
+
+    def test_ball_robin_sweep_bounded(self, ball_levels):
+        # Max ratios read 0.993, 0.964, 0.955.
+        rows = stability_sweep(ball_levels, "robin", samples=5, seed=0, boost_iters=10)
+        for factor in growth_factors(rows):
+            assert factor <= 1.15
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "generate_ball_mesh is not shape-regular (FOUND in CHANGES.md): its min "
+        "vol/diam^3 falls linearly in h, and the max ratio grows like 1/h, "
+        "5.21, 7.49, 10.58"))
+    def test_ball_dirichlet_sweep_bounded(self, ball_levels):
+        rows = stability_sweep(ball_levels, "dirichlet", samples=5, seed=0, boost_iters=10)
         for factor in growth_factors(rows):
             assert factor <= 1.15
 

@@ -18,6 +18,7 @@ from .errors import (
     MeshFormatError,
     ResourceError,
     SolverError,
+    SourceError,
     ValidationError,
 )
 from .mesh import (

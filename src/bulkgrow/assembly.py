@@ -17,6 +17,12 @@ against precontracted reference tensors; they scatter only the n(n+1)/2
 upper entries of each element matrix and mirror the sums through a
 transpose map of the pattern, so they are exactly symmetric.
 
+The bulk kernel runs over cache-sized blocks of elements
+(:func:`mesh.bulk_blocks`, whose module notes give the measured size), so E
+above is the block's element count.  Each block writes its rows of the
+upper entries and of the element volume loads into the full-size arrays,
+which the pattern then scatters once.
+
 The bulk enters a time step only through the stiffness and the constant
 sink of the Robin load, -M 1, so the step assembles the volume load
 (M 1)_i = integral phi_i -- one (n_loc, q) x (q, E) contraction of the
@@ -40,17 +46,15 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import GeometryError, ValidationError
-from .mesh import BulkSurfaceMesh, CsrPattern, boundary_jacobians, bulk_jacobians
-from .refelem import adjugate_det, determinant, gram, reference_element
-
-
-def _check_positive(det, message):
-    """Raise GeometryError naming the first element with a non-positive
-    determinant at any quadrature point of the (q, E) array ``det``."""
-    bad = (det <= 0.0).any(axis=0)
-    if bad.any():
-        raise GeometryError(message, element=int(np.flatnonzero(bad)[0]))
+from .errors import SourceError, ValidationError
+from .mesh import (
+    BulkSurfaceMesh,
+    CsrPattern,
+    boundary_jacobians,
+    bulk_blocks,
+    check_positive,
+)
+from .refelem import adjugate_det, gram, reference_element
 
 
 @dataclass(frozen=True)
@@ -263,35 +267,38 @@ class Assembler:
     def bulk_matrices(self, positions=None):
         """Assemble (volume load, stiffness) on the given node positions.
 
-        The component-major kernel gives the adjugate, the determinant and
-        the metric entries c_ab = (adj adj^T)_ab / det (a <= b) as (q, E)
-        arrays; the upper stiffness entries are then one GEMM against the
-        reference tensor, scattered and mirrored by the pattern.  The volume
-        load integral phi_i is (w shape)^T det summed over the element
-        nodes.
+        Block by block (:func:`mesh.bulk_blocks`), the component-major
+        kernel gives the adjugate, the determinant and the metric entries
+        c_ab = (adj adj^T)_ab / det (a <= b) as (q, b) arrays; the block's
+        rows of the upper stiffness entries are then one GEMM against the
+        reference tensor, and its columns of the element volume loads
+        (w shape)^T det another.  The pattern scatters and mirrors the
+        stiffness once, and the loads are summed over the element nodes.
         """
-        adj, det = adjugate_det(bulk_jacobians(self.mesh, positions))
-        _check_positive(det, "singular element Jacobian")
-        metric = np.empty((len(self._metric_pairs),) + det.shape)
-        product = np.empty_like(det)
-        for entry, (a, b) in zip(metric, self._metric_pairs):
-            np.multiply(adj[a][0], adj[b][0], out=entry)
-            for k in range(1, self.dim):
-                entry += np.multiply(adj[a][k], adj[b][k], out=product)
-            entry /= det
-        load_e = self._w_shape.T @ det  # (n_loc, E)
-        stiff_e = metric.reshape(-1, det.shape[1]).T @ self._k_upper
-        load = np.bincount(self._bulk_nodes.ravel(), weights=load_e.ravel(),
-                           minlength=self.mesh.n_nodes)
+        nodes = self._bulk_nodes
+        load_e = np.empty(nodes.shape)  # (n_loc, E)
+        stiff_e = np.empty((nodes.shape[1], self._k_upper.shape[1]))
+        for rows, adj, det in bulk_blocks(self.mesh, positions, adjugate=True):
+            metric = np.empty((len(self._metric_pairs),) + det.shape)
+            product = np.empty_like(det)
+            for entry, (a, b) in zip(metric, self._metric_pairs):
+                np.multiply(adj[a][0], adj[b][0], out=entry)
+                for k in range(1, self.dim):
+                    entry += np.multiply(adj[a][k], adj[b][k], out=product)
+                entry /= det
+            np.matmul(self._w_shape.T, det, out=load_e[:, rows])
+            np.matmul(metric.reshape(-1, det.shape[1]).T, self._k_upper, out=stiff_e[rows])
+        load = np.bincount(nodes.ravel(), weights=load_e.ravel(), minlength=self.mesh.n_nodes)
         return load, self._bulk_pattern.assemble(stiff_e)
 
     def bulk_mass(self, positions=None):
         """The bulk mass matrix on the given node positions, for norms: it
         needs only the Jacobian determinants.  The time step reads only its
         row sums, the volume load of :meth:`bulk_matrices`."""
-        det = determinant(bulk_jacobians(self.mesh, positions))
-        _check_positive(det, "singular element Jacobian")
-        return self._bulk_pattern.assemble(det.T @ self._m_upper)
+        mass_e = np.empty((self._bulk_nodes.shape[1], self._m_upper.shape[1]))
+        for rows, _, det in bulk_blocks(self.mesh, positions):
+            np.matmul(det.T, self._m_upper, out=mass_e[rows])
+        return self._bulk_pattern.assemble(mass_e)
 
     # -- surface ------------------------------------------------------------
 
@@ -305,7 +312,7 @@ class Assembler:
         """
         jac = boundary_jacobians(self.mesh, positions)  # (q, B, d, m)
         adj, det = adjugate_det(gram(jac))
-        _check_positive(det, "degenerate boundary facet")
+        check_positive(det, "degenerate boundary facet")
         d, m = jac.shape[2:]
         ref = self._surf_ref
         wmeasure = ref.quad_weights[:, None] * np.sqrt(det)
@@ -397,9 +404,12 @@ def assemble_f_u(matrices, boundary_positions, curvature, beta, source, time):
     f_u = -M_bulk 1 + gamma^T M_surf (beta H + Q(x, t)), with the source Q
     evaluated at the boundary nodes and treated as a finite element function
     by nodal interpolation.  M_bulk 1 is the configuration's volume load
-    (integral phi_i), so no bulk mass matrix is formed.
+    (integral phi_i), so no bulk mass matrix is formed.  Raises SourceError
+    if a value of Q is not finite.
     """
     q_vals = source(boundary_positions, time)
+    if not np.isfinite(q_vals).all():
+        raise SourceError(f"source Q is not finite on the boundary at t={time:.6g}")
     boundary_load = matrices.mass_surf @ (beta * np.asarray(curvature) + q_vals)
     out = -matrices.volume_load
     out[: matrices.n_boundary] += boundary_load

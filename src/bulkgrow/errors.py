@@ -30,14 +30,19 @@ class GeometryError(BulkgrowError):
 
 
 class SolverError(BulkgrowError):
-    """A solve failed: its residual stayed above the target, or its
-    factorization broke down on a matrix that is not positive definite."""
+    """A solve failed: its residual did not meet the target (a NaN one never
+    does), or its factorization broke down on a matrix that is not finite or
+    not positive definite."""
 
     def __init__(self, message, residual=None):
         if residual is not None:
             message = f"{message} (relative residual {residual:.3e})"
         super().__init__(message)
         self.residual = residual
+
+
+class SourceError(BulkgrowError):
+    """The source term Q is not finite on the boundary at a step's time."""
 
 
 class CapabilityError(BulkgrowError):

@@ -84,21 +84,21 @@ def parse_source(spec):
             raise ConfigError(f"source expression does not parse: {exc}") from None
 
         def q(points, time):
+            # A numpy time divides by zero to inf, not to ZeroDivisionError;
+            # assemble_f_u rejects values that are not finite.
             pts = np.atleast_2d(points)
             env = {
                 "x": pts[:, 0],
                 "y": pts[:, 1],
                 "z": pts[:, 2] if pts.shape[1] > 2 else np.zeros(len(pts)),
-                "t": time,
+                "t": np.float64(time),
             }
-            return np.broadcast_to(
-                np.asarray(eval(code, {"__builtins__": {}}, env), dtype=float),
-                (len(pts),),
-            ).copy()
+            with np.errstate(all="ignore"):
+                value = eval(code, {"__builtins__": {}}, env)
+            return np.broadcast_to(np.asarray(value, dtype=float), (len(pts),)).copy()
 
         try:
-            with np.errstate(all="ignore"):
-                trial = q(np.zeros((2, 3)), 0.0)
+            trial = q(np.zeros((2, 3)), 0.0)
         except Exception as exc:
             raise ConfigError(f"source expression does not evaluate: {exc}")
         if not np.isfinite(trial).all():
@@ -275,8 +275,7 @@ def build_params(config, mesh, mu=None):
     """Model constants; the source must be finite on the initial boundary."""
     model = config["model"]
     source = parse_source(model.get("Q", 0.0))
-    with np.errstate(all="ignore"):
-        finite = np.isfinite(source(mesh.boundary_positions, 0.0)).all()
+    finite = np.isfinite(source(mesh.boundary_positions, 0.0)).all()
     _check(finite, "model.Q is not finite on the initial boundary")
     return ModelParams(
         alpha=float(model["alpha"]),

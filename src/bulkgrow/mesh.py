@@ -22,6 +22,7 @@ from .errors import GeometryError, MeshFormatError, ResourceError, ValidationErr
 from .refelem import (
     EDGE_VERTICES,
     FACE_NODES,
+    adjugate_det,
     determinant,
     gram,
     nodes_per_element,
@@ -43,6 +44,19 @@ MAX_GENERATED_NODES = 4_000_000
 # float32 factors only at about 48k: below that A_II's solves, slower in
 # this ordering, outweigh the cheaper factorizations.
 _MIN_DISSECTION_NODES_2D = 50_000
+
+# Elements per block of the bulk element kernel (bulk_blocks).  A whole-mesh
+# pass keeps about 25 (n_qp, E) arrays live at once, 1.45 MB each on the
+# sim3d ball (n_qp = 11, E = 16,464), far past a 2 MB L2 cache.  Measured
+# there and on the sim2d disk (E = 5,400), one thread, medians of 25
+# interleaved rounds, ms ("matrices": Assembler.bulk_matrices, "check":
+# check_orientation):
+#   block           256   512  1024  2048  4096  8192  whole
+#   ball matrices  22.0  20.6  19.0  18.3  19.5  23.6  29.0
+#   ball check     4.04  3.32  3.40  3.52  4.05  4.72  6.56
+#   disk matrices  1.75  1.45  1.37  1.27  1.35  1.27  1.27
+# Smaller blocks pay more per-block calls, larger ones leave the cache.
+_BLOCK_ELEMENTS = 2048
 
 
 @dataclass(frozen=True)
@@ -204,28 +218,25 @@ def element_diameters(mesh):
     return np.sqrt(longest)
 
 
-def _jacobians(ref, conn, positions):
+def _node_coordinates(positions):
+    """The (D, N) coordinate rows of node positions, C-contiguous, because
+    np.take copies a strided source on every call: once per block in
+    :func:`bulk_blocks`, which cost 90 us a block on a 77,281-node disk."""
+    return np.ascontiguousarray(np.asarray(positions).T)
+
+
+def _jacobians(ref, conn, coordinates):
     """Component-major Jacobians of the elements ``conn`` of reference
-    element ``ref``: one batched GEMM of the (r*q, n) reference gradients,
-    rows ordered (r, q), with the (D, n, E) element coordinates gives each
-    entry J[D][r] = dx_D / dxi_r as a contiguous (n_qp, E) array.  Returns
-    the (n_qp, E, D, r) view whose ``[..., D, r]`` is that array."""
+    element ``ref``, from the nodes' :func:`_node_coordinates`: one batched
+    GEMM of the (r*q, n) reference gradients, rows ordered (r, q), with the
+    (D, n, E) element coordinates gives each entry J[D][r] = dx_D / dxi_r
+    as a contiguous (n_qp, E) array.  Returns the (n_qp, E, D, r) view whose
+    ``[..., D, r]`` is that array."""
     n_qp, n_loc, r = ref.grad.shape
     gref = ref.grad.transpose(2, 0, 1).reshape(r * n_qp, n_loc)
-    coords = np.take(np.asarray(positions).T, conn.T, axis=1)
+    coords = np.take(coordinates, conn.T, axis=1)
     dim = coords.shape[0]
     return np.matmul(gref, coords).reshape(dim, r, n_qp, -1).transpose(2, 3, 0, 1)
-
-
-def bulk_jacobians(mesh, positions=None):
-    """Geometry Jacobians at the bulk quadrature points, component-major:
-    the (n_qp, E, d, d) view of :func:`_jacobians`, which
-    :func:`refelem.adjugate_det` and :func:`refelem.determinant` take as a
-    batch of matrices.  The one Jacobian kernel of bulk elements: assembly,
-    the orientation check and the element measures share it.
-    """
-    pos = mesh.node_positions if positions is None else positions
-    return _jacobians(reference_element(mesh.dim, mesh.degree_k), mesh.bulk_elements, pos)
 
 
 def boundary_jacobians(mesh, positions=None):
@@ -234,26 +245,59 @@ def boundary_jacobians(mesh, positions=None):
     kernel of facets: the surface assembly and the facet measures share it.
     """
     pos = mesh.node_positions if positions is None else positions
-    return _jacobians(
-        reference_element(mesh.dim_m, mesh.degree_k), mesh.boundary_elements, pos
-    )
+    return _jacobians(reference_element(mesh.dim_m, mesh.degree_k),
+                      mesh.boundary_elements, _node_coordinates(pos))
+
+
+def check_positive(det, message, first=0):
+    """Raise GeometryError naming the first element whose (n_qp, E)
+    determinants ``det`` are not all positive; NaN is not positive.
+    ``first`` is the element index of the first column."""
+    ok = (det > 0.0).all(axis=0)
+    if not ok.all():
+        raise GeometryError(message, element=first + int(np.argmin(ok)))
+
+
+def bulk_blocks(mesh, positions=None, adjugate=False):
+    """The one kernel of bulk elements, run over blocks of at most
+    ``_BLOCK_ELEMENTS`` consecutive elements; assembly, the orientation
+    check and the element measures share it.
+
+    Yields (rows, adj, det) per block: ``rows`` is the block's slice of the
+    elements, ``det`` its (n_qp, b) Jacobian determinants and ``adj`` their
+    adjugate entries as :func:`refelem.adjugate_det` gives them, or None
+    without ``adjugate``.  Callers write each block's rows into their
+    full-size outputs, so only the block's temporaries are live at once.
+    Raises GeometryError naming the first element, by its index in the
+    mesh, whose determinant is not positive at a quadrature point.
+    """
+    ref = reference_element(mesh.dim, mesh.degree_k)
+    coordinates = _node_coordinates(mesh.node_positions if positions is None else positions)
+    conn = mesh.bulk_elements
+    for first in range(0, len(conn), _BLOCK_ELEMENTS):
+        rows = slice(first, first + _BLOCK_ELEMENTS)
+        jac = _jacobians(ref, conn[rows], coordinates)
+        adj, det = adjugate_det(jac) if adjugate else (None, determinant(jac))
+        check_positive(det, "Jacobian determinant not positive at a quadrature point",
+                       first)
+        yield rows, adj, det
 
 
 def check_orientation(mesh, positions=None):
-    """Raise GeometryError if any element has a non-positive Jacobian."""
-    det = determinant(bulk_jacobians(mesh, positions))
-    bad = np.flatnonzero((det <= 0.0).any(axis=0))
-    if bad.size:
-        raise GeometryError(
-            "non-positive Jacobian determinant at a quadrature point",
-            element=int(bad[0]),
-        )
+    """Raise GeometryError if any element has a Jacobian determinant that is
+    not positive."""
+    for _ in bulk_blocks(mesh, positions):
+        pass
 
 
 def bulk_element_measures(mesh, positions=None):
-    """Measure of each bulk element via quadrature, shape (E,)."""
-    ref = reference_element(mesh.dim, mesh.degree_k)
-    return ref.quad_weights @ determinant(bulk_jacobians(mesh, positions))
+    """Measure of each bulk element via quadrature, shape (E,); raises
+    GeometryError like :func:`check_orientation`."""
+    weights = reference_element(mesh.dim, mesh.degree_k).quad_weights
+    out = np.empty(len(mesh.bulk_elements))
+    for rows, _, det in bulk_blocks(mesh, positions):
+        np.matmul(weights, det, out=out[rows])
+    return out
 
 
 def boundary_element_measures(mesh, positions=None):

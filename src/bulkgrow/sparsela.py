@@ -553,14 +553,18 @@ class SpdFactor:
       on SuperLU, whose solves were faster: 27 ms against 45 ms per column
       on the 77,281-node disk.
 
-    ``nnz`` counts the factor's stored entries.  Raises SolverError for a
-    non-positive diagonal entry, which no SPD matrix has, and for a
-    Cholesky pivot that is not positive.
+    ``nnz`` counts the factor's stored entries.  Raises SolverError for an
+    entry that is not finite, for a diagonal entry that is not positive,
+    which no SPD matrix has, for a Cholesky pivot that is not positive and
+    for an LU factor that SuperLU finds singular.  A solve whose residual
+    is NaN fails the contract like one above ``TOL``.
     """
 
     def __init__(self, matrix, perm=None):
         self.matrix = matrix.tocsr()
-        if (self.matrix.diagonal() <= 0).any():
+        if not np.isfinite(self.matrix.data).all():
+            raise SolverError("matrix has an entry that is not finite")
+        if not (self.matrix.diagonal() > 0).all():
             raise SolverError("non-positive diagonal entry; matrix is not SPD")
         if isinstance(perm, Dissection):
             if not self.matrix.has_canonical_format:
@@ -569,11 +573,15 @@ class SpdFactor:
             self._factor = _SupernodalCholesky(self.matrix, perm)
             perm = perm.perm
         else:
-            if perm is None:
-                self._factor = spla.splu(sp.csc_matrix(self.matrix), **_SPLU_OPTS)
-            else:
-                reordered = self.matrix[perm][:, perm]
-                self._factor = spla.splu(sp.csc_matrix(reordered), **_SPLU_ORDERED_OPTS)
+            try:
+                if perm is None:
+                    self._factor = spla.splu(sp.csc_matrix(self.matrix), **_SPLU_OPTS)
+                else:
+                    reordered = self.matrix[perm][:, perm]
+                    self._factor = spla.splu(sp.csc_matrix(reordered),
+                                             **_SPLU_ORDERED_OPTS)
+            except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+                raise SolverError(f"LU factorization failed: {exc}") from None
         self._perm = perm
         if perm is not None:
             self._inverse_perm = np.argsort(perm)
@@ -612,7 +620,7 @@ class SpdFactor:
             raise ValidationError("rhs length does not match matrix dimension")
         x, _, residual = _pcg(self.matrix, rhs, self.apply_inverse,
                               x0=self.apply_inverse(rhs))
-        if residual > TOL:
+        if not residual <= TOL:  # NaN included
             raise SolverError("factorized solve residual too large", residual=residual)
         return x
 
@@ -660,7 +668,7 @@ class CachedSpdSolver:
                 return x
         self._factor = SpdFactor(matrix.astype(np.float32), self._perm)
         x, _, residual = pcg()
-        if residual > TOL:
+        if not residual <= TOL:  # NaN included
             raise SolverError("PCG with a fresh factor did not reach TOL",
                               residual=residual)
         return x

@@ -255,7 +255,9 @@ class Stepper:
 
     Each step assembles the bulk stiffness, the volume load (the row sums
     of the bulk mass, the only part of it the Robin load reads) and the
-    surface mass and stiffness on the extrapolated configuration; the three
+    surface mass and stiffness on the extrapolated configuration, the bulk
+    ones by the cache-sized element blocks of :func:`mesh.bulk_blocks`,
+    which also check the new positions for tangling; the three
     systems are then formed from their data on fixed patterns, without
     sparse algebra: L by a scatter-add into a copy of the stiffness data,
     A_II and A_IB by gathers through the assembler's ``StepLayout`` (built

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from functools import partial
 
@@ -5,15 +6,18 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from bulkgrow import mesh as mesh_module
 from bulkgrow.assembly import Assembler, assemble_f_u, assemble_L
-from bulkgrow.errors import GeometryError, ValidationError
+from bulkgrow.errors import GeometryError, SourceError, ValidationError
 from bulkgrow.mesh import (
     BulkSurfaceMesh,
+    bulk_blocks,
     bulk_element_measures,
+    check_orientation,
     generate_ball_mesh,
     generate_disk_mesh,
 )
-from bulkgrow.refelem import reference_element
+from bulkgrow.refelem import EDGE_VERTICES, adjugate_det, determinant, reference_element
 from bulkgrow.sparsela import solve_spd
 
 
@@ -192,6 +196,125 @@ class TestVolumeLoad:
                                            rel=1e-14)
 
 
+def bulk_jacobians(mesh, positions):
+    """Whole-mesh Jacobians at the bulk quadrature points, component-major:
+    an (n_qp, E, d, d) view whose ``[..., D, r]`` is dx_D / dxi_r as one
+    (n_qp, E) array -- the bulk kernel before it ran by blocks."""
+    ref = reference_element(mesh.dim, mesh.degree_k)
+    n_qp, n_loc, r = ref.grad.shape
+    gref = ref.grad.transpose(2, 0, 1).reshape(r * n_qp, n_loc)
+    coords = np.take(positions.T, mesh.bulk_elements.T, axis=1)
+    return np.matmul(gref, coords).reshape(mesh.dim, r, n_qp, -1).transpose(2, 3, 0, 1)
+
+
+def unblocked_bulk(mesh, positions):
+    """(volume load, stiffness, mass, element measures) from whole-mesh
+    arrays of the adjugate, determinant and metric entries."""
+    assembler = Assembler(mesh)
+    jac = bulk_jacobians(mesh, positions)
+    adj, det = adjugate_det(jac)
+    metric = np.array([
+        sum(adj[a][k] * adj[b][k] for k in range(mesh.dim)) / det
+        for a, b in zip(*np.triu_indices(mesh.dim))
+    ])
+    load_e = assembler._w_shape.T @ det
+    load = np.bincount(mesh.bulk_elements.T.ravel(), weights=load_e.ravel(),
+                       minlength=mesh.n_nodes)
+    pattern = mesh.bulk_pattern
+    stiff = pattern.assemble(metric.reshape(-1, det.shape[1]).T @ assembler._k_upper)
+    mass = pattern.assemble(det.T @ assembler._m_upper)
+    weights = reference_element(mesh.dim, mesh.degree_k).quad_weights
+    return load, stiff, mass, weights @ determinant(jac)
+
+
+def reversed_element(mesh, e):
+    """The mesh with the orientation of element ``e`` reversed: its local
+    vertices 0 and 1 swap, and with them the midpoints of the edges they
+    move."""
+    d = mesh.dim
+    perm = [1, 0] + list(range(2, d + 1))
+    if mesh.degree_k == 2:
+        slot = {frozenset(edge): d + 1 + s for s, edge in enumerate(EDGE_VERTICES[d])}
+        perm += [slot[frozenset(perm[v] for v in edge)] for edge in EDGE_VERTICES[d]]
+    conn = mesh.bulk_elements.copy()
+    conn[e] = conn[e, perm]
+    return dataclasses.replace(mesh, bulk_elements=conn)
+
+
+def assert_close(actual, expected, rtol=1e-15):
+    assert np.abs(actual - expected).max() <= rtol * np.abs(expected).max()
+
+
+class TestBulkBlocks:
+    """The bulk kernel run by blocks against the whole-mesh kernel, with a
+    block size that does not divide the element count."""
+
+    BLOCK = 37
+    MESHES = TestVolumeLoad.MESHES
+
+    @pytest.fixture(scope="class", params=list(MESHES))
+    def jittered(self, request):
+        mesh = self.MESHES[request.param]()
+        assert mesh.bulk_elements.shape[0] % self.BLOCK != 0
+        rng = np.random.default_rng(9)
+        pos = mesh.node_positions + 1e-3 * mesh.mesh_size_h * rng.standard_normal(
+            mesh.node_positions.shape)
+        return mesh, pos, unblocked_bulk(mesh, pos)
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(mesh_module, "_BLOCK_ELEMENTS", self.BLOCK)
+
+    def test_blocks_cover_the_elements(self, jittered):
+        mesh, pos, _ = jittered
+        n_elements = mesh.bulk_elements.shape[0]
+        sizes = [det.shape[1] for _, _, det in bulk_blocks(mesh, pos)]
+        assert len(sizes) == -(-n_elements // self.BLOCK) > 2
+        assert sizes[:-1] == [self.BLOCK] * (len(sizes) - 1)
+        assert sum(sizes) == n_elements
+
+    def test_bulk_matrices(self, jittered):
+        mesh, pos, (load, stiff, _, _) = jittered
+        block_load, block_stiff = Assembler(mesh).bulk_matrices(pos)
+        assert_close(block_load, load)
+        assert_close(block_stiff.data, stiff.data)
+
+    def test_bulk_mass(self, jittered):
+        mesh, pos, (_, _, mass, _) = jittered
+        assert_close(Assembler(mesh).bulk_mass(pos).data, mass.data)
+
+    def test_element_measures(self, jittered):
+        mesh, pos, (_, _, _, measures) = jittered
+        assert_close(bulk_element_measures(mesh, pos), measures)
+        check_orientation(mesh, pos)
+
+    def test_tangled_element_in_last_block(self, jittered):
+        mesh, pos, _ = jittered
+        last = mesh.bulk_elements.shape[0] - 1
+        tangled = reversed_element(mesh, last)
+        assembler = Assembler(tangled)
+        for check in (partial(check_orientation, tangled),
+                      partial(bulk_element_measures, tangled),
+                      assembler.bulk_matrices, assembler.bulk_mass):
+            with pytest.raises(GeometryError) as info:
+                check(pos)
+            assert info.value.element == last
+
+    def test_nan_node(self, jittered):
+        # NaN fails every comparison, so a test of det <= 0 would let it pass.
+        mesh, pos, _ = jittered
+        node = mesh.bulk_elements[-1, 0]
+        first = int(np.flatnonzero((mesh.bulk_elements == node).any(axis=1))[0])
+        pos = pos.copy()
+        pos[node, 0] = np.nan
+        assembler = Assembler(mesh)
+        for check in (partial(check_orientation, mesh), partial(bulk_element_measures, mesh),
+                      assembler.bulk_matrices, assembler.bulk_mass):
+            with pytest.raises(GeometryError) as info:
+                check(pos)
+            assert info.value.element == first
+
+
 class TestSurfaceAssembly:
     def test_segment_mass_block(self):
         mesh = single_triangle_mesh()
@@ -226,6 +349,16 @@ class TestSurfaceAssembly:
         with pytest.raises(GeometryError) as info:
             Assembler(mesh).surface_geometry(pos)
         assert info.value.element == 0
+
+    def test_nan_facet_flagged(self):
+        mesh = generate_disk_mesh(1.0, 0.3, degree=2)
+        pos = mesh.node_positions.copy()
+        node = mesh.boundary_elements[3, 1]
+        pos[node, 1] = np.nan
+        first = int(np.flatnonzero((mesh.boundary_elements == node).any(axis=1))[0])
+        with pytest.raises(GeometryError) as info:
+            Assembler(mesh).surface_geometry(pos)
+        assert info.value.element == first
 
     def test_circle_boundary_mass_total(self):
         mesh = generate_disk_mesh(1.5, 0.1, degree=2)
@@ -356,6 +489,14 @@ class TestRobinLoad:
         expected_delta = np.zeros(mesh.n_nodes)
         expected_delta[: mesh.n_boundary] = mats.mass_surf @ (beta * h1)
         assert np.allclose(f1 - f0, expected_delta, atol=1e-12)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_source_not_finite(self, value):
+        mesh = generate_disk_mesh(1.0, 0.3)
+        mats = Assembler(mesh).system()
+        with pytest.raises(SourceError, match="t=0.25"):
+            assemble_f_u(mats, mesh.boundary_positions, np.zeros(mesh.n_boundary),
+                         1.0, self.constant_source(value), 0.25)
 
 
 class TestCurvatureForcing:

@@ -413,6 +413,21 @@ class TestCliEntry:
         assert main(["simulate", str(path)]) == 0
         assert (tmp_path / "out" / "diagnostics.csv").exists()
 
+    def test_exploding_source_aborts(self, tmp_path, capsys):
+        # Finite at t = 0, so the config is valid; infinite at the second
+        # step, t = 0.002, where the run stops with a numerical failure.
+        config = disk_config(tmp_path, model={"Q": "expr:1/(t-0.002)"},
+                             discretization={"q": 1, "tau": 1e-3, "T": 0.004})
+        assert main(["simulate", str(write_config(tmp_path, config))]) == 3
+        err = capsys.readouterr().err
+        assert "step 2 (robin_solve, t=0.002)" in err and "not finite" in err
+        assert "Traceback" not in err
+        out = tmp_path / "out"
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert "source Q is not finite" in manifest["aborted"]
+        times = [float(row["time"]) for row in read_csv(out / "diagnostics.csv")]
+        assert times[-1] == pytest.approx(1e-3)  # the last good state, flushed
+
     @pytest.mark.parametrize("overrides", [
         {"discretization": {"q": "2"}},
         {"discretization": {"q": 2.5}},

@@ -60,6 +60,69 @@ def test_nonconvergence_reports_residual():
         solve_spd(a, np.ones(3))
 
 
+class TestNonFinite:
+    """A NaN or inf right-hand side, guess or matrix entry raises
+    SolverError on both solve paths: a NaN residual never meets TOL."""
+
+    N = 5
+
+    def tridiagonal(self):
+        off = -np.ones(self.N - 1)
+        return sp.diags([off, 4.0 * np.ones(self.N), off], [-1, 0, 1], format="csr")
+
+    def with_bad(self, value, index=2):
+        v = np.ones(self.N)
+        v[index] = value
+        return v
+
+    def paths(self, matrix, rhs, x0):
+        """Each solve path, fresh and with a factor cached from a good solve."""
+        warm = CachedSpdSolver()
+        warm.solve(self.tridiagonal(), np.ones(self.N), np.zeros(self.N))
+        return {
+            "factor": lambda: SpdFactor(matrix).solve(rhs),
+            "cached-fresh": lambda: CachedSpdSolver().solve(matrix, rhs, x0),
+            "cached-warm": lambda: warm.solve(matrix, rhs, x0),
+        }
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rhs(self, value):
+        for solve in self.paths(self.tridiagonal(), self.with_bad(value),
+                                np.zeros(self.N)).values():
+            with pytest.raises(SolverError):
+                solve()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_guess(self, value):
+        paths = self.paths(self.tridiagonal(), np.ones(self.N), self.with_bad(value))
+        del paths["factor"]  # its guess is its own direct solution
+        for solve in paths.values():
+            with pytest.raises(SolverError):
+                solve()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("entry", [(2, 2), (1, 2)])
+    def test_matrix(self, value, entry):
+        dense = self.tridiagonal().toarray()
+        dense[entry] = dense[entry[::-1]] = value
+        matrix = sp.csr_matrix(dense)
+        for solve in self.paths(matrix, np.ones(self.N), np.zeros(self.N)).values():
+            with pytest.raises(SolverError):
+                solve()
+
+    def test_nan_matrix_cholesky(self):
+        ball = generate_ball_mesh(1.0, 0.5, degree=1)
+        matrix = assemble_L(Assembler(ball).system(), 1.0)
+        matrix.data[matrix.data.size // 2] = np.nan
+        with pytest.raises(SolverError):
+            SpdFactor(matrix, ball.bulk_orderings[0])
+
+    def test_singular_lu(self):
+        matrix = sp.csr_matrix(np.ones((2, 2)))
+        with pytest.raises(SolverError, match="LU factorization failed"):
+            SpdFactor(matrix)
+
+
 @pytest.fixture
 def calls(monkeypatch):
     """Dtypes of the matrices factorized and the count of preconditioner

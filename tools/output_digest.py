@@ -2,9 +2,10 @@
 
 Usage::
 
-    python tools/output_digest.py
+    python tools/output_digest.py [--keep DIR]
 
-Runs each configuration below in-process, in a temporary directory, and
+Runs each configuration below in-process, in a temporary directory (in DIR,
+which is kept, with ``--keep``), and
 prints one ``<sha256>  <config>/<file>`` line per output file, sorted.  It
 also writes the generated meshes below with ``save_mesh`` and prints one
 ``<sha256>  meshes/<name>.bsm`` line each, and one
@@ -15,13 +16,17 @@ byte-identical simulate, converge, stability and regularization outputs
 (``manifest.json`` included), byte-identical meshes and the same factor
 orderings, which is the check a behaviour-preserving refactor must pass.
 BLAS and worker thread counts are pinned to 1 so the digests do not depend
-on the host's core count.
+on the host's core count.  When a line moves, ``tools/compare_outputs.py``
+on the ``--keep`` directories of the two checkouts gives the size of the
+change.
 """
 
+import argparse
 import hashlib
 import os
 import sys
 import tempfile
+from contextlib import nullcontext
 from pathlib import Path
 
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
@@ -134,18 +139,23 @@ def _orderings_digest(mesh):
     return sha.hexdigest()
 
 
-def digests():
+def digests(keep=None):
     """(sha256, name) for every output file, saved mesh and mesh ordering,
-    sorted by name."""
+    sorted by name.  The files are written below the new directory ``keep``
+    if it is given, and to a temporary directory otherwise, at the paths
+    their lines name."""
     lines = []
-    with tempfile.TemporaryDirectory() as tmp:
+    if keep is not None:
+        os.makedirs(keep)
+    with nullcontext(keep) if keep is not None else tempfile.TemporaryDirectory() as tmp:
         for name, (runner, config) in CONFIGS.items():
             outdir = Path(tmp) / name
             runner(config, str(outdir))
             for path in sorted(outdir.iterdir()):
                 lines.append((_digest(path), f"{name}/{path.name}"))
+        (Path(tmp) / "meshes").mkdir()
         for name, generate in MESHES.items():
-            path = Path(tmp) / f"{name}.bsm"
+            path = Path(tmp) / "meshes" / f"{name}.bsm"
             mesh = generate()
             save_mesh(mesh, path)
             lines.append((_digest(path), f"meshes/{path.name}"))
@@ -154,7 +164,14 @@ def digests():
 
 
 def main():
-    for digest, name in digests():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--keep", metavar="DIR",
+                        help="write the run outputs and meshes to the new directory DIR "
+                             "and keep them")
+    keep = parser.parse_args().keep
+    if keep is not None and os.path.exists(keep):
+        parser.error(f"--keep {keep}: already exists")
+    for digest, name in digests(keep):
         print(f"{digest}  {name}")
 
 

@@ -107,15 +107,6 @@ def parse_source(spec):
     raise ConfigError(f"cannot parse source term {spec!r}")
 
 
-def _constant_source_value(spec):
-    """The constant value of a source spec, or None if not constant."""
-    if isinstance(spec, (int, float)):
-        return float(spec)
-    if isinstance(spec, str) and spec.startswith("const:"):
-        return float(spec[6:])
-    return None
-
-
 def load_config(path):
     try:
         with open(path) as fh:
@@ -298,7 +289,7 @@ def compatible_oracle(config, mesh=None):
     radii = _geometry_radii(geometry)
     if len(set(radii)) != 1:
         return None
-    q_value = _constant_source_value(config["model"].get("Q", 0.0))
+    q_value = getattr(parse_source(config["model"].get("Q", 0.0)), "value", None)
     if q_value is None:
         return None
     return RadialOracle(

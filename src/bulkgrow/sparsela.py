@@ -501,7 +501,8 @@ def _pcg(matrix, rhs, precondition, x0):
     preconditioner applications (scalars become per-column vectors), which is
     exact columnwise CG at a fraction of the traversal cost.  Zero columns of
     ``rhs`` have the zero solution, whatever their guess.  A guess that meets
-    a quarter of ``TOL`` is returned as it is.
+    a quarter of ``TOL`` is returned as it is.  A ``rhs`` or guess entry that
+    is not finite raises SolverError before the preconditioner is applied.
     """
     single = rhs.ndim == 1
     b = rhs[:, None] if single else rhs
@@ -512,6 +513,8 @@ def _pcg(matrix, rhs, precondition, x0):
     r = b - matrix @ x
     it = 0
     res = _column_norms(r)
+    if not np.isfinite(res).all():
+        raise SolverError("right-hand side or guess has an entry that is not finite")
     if np.any(res > 0.25 * target):
         z = precondition(r)
         p = z.copy()
@@ -557,7 +560,8 @@ class SpdFactor:
     entry that is not finite, for a diagonal entry that is not positive,
     which no SPD matrix has, for a Cholesky pivot that is not positive and
     for an LU factor that SuperLU finds singular.  A solve whose residual
-    is NaN fails the contract like one above ``TOL``.
+    is NaN fails the contract like one above ``TOL``; a right-hand side
+    that is not finite raises before any triangular solve.
     """
 
     def __init__(self, matrix, perm=None):
@@ -618,6 +622,8 @@ class SpdFactor:
         rhs = np.asarray(rhs, dtype=float)
         if rhs.shape[0] != self.matrix.shape[0]:
             raise ValidationError("rhs length does not match matrix dimension")
+        if not np.isfinite(rhs).all():
+            raise SolverError("right-hand side has an entry that is not finite")
         x, _, residual = _pcg(self.matrix, rhs, self.apply_inverse,
                               x0=self.apply_inverse(rhs))
         if not residual <= TOL:  # NaN included
@@ -652,7 +658,8 @@ class CachedSpdSolver:
 
     def solve(self, matrix, rhs, x0):
         """Solve ``matrix x = rhs`` starting from the guess ``x0`` (the shape
-        of ``rhs``); SolverError if a fresh factor cannot reach ``TOL``."""
+        of ``rhs``); SolverError if a fresh factor cannot reach ``TOL``, or,
+        before any factorization, if ``rhs`` or ``x0`` is not finite."""
         matrix = matrix.tocsr()
         rhs = np.asarray(rhs, dtype=float)
         x0 = np.asarray(x0, dtype=float)
@@ -663,9 +670,12 @@ class CachedSpdSolver:
             return _pcg(matrix, rhs, self._factor.apply_inverse, x0=x0)
 
         if self._factor is not None:
-            x, iters, residual = pcg()
+            x, iters, residual = pcg()  # rejects a rhs or guess that is not finite
             if residual <= TOL and iters <= self.REFRESH_ITERS:
                 return x
+        # A cached factor's PCG has checked them; a first solve has not.
+        if not (np.isfinite(rhs).all() and np.isfinite(x0).all()):
+            raise SolverError("right-hand side or guess has an entry that is not finite")
         self._factor = SpdFactor(matrix.astype(np.float32), self._perm)
         x, _, residual = pcg()
         if not residual <= TOL:  # NaN included

@@ -8,7 +8,7 @@ discrete harmonic velocity extension, and the position update.  Each
 implicit sub-system is symmetric positive definite.
 """
 
-import copy
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import partial
 
@@ -45,12 +45,14 @@ class ModelParams:
 
 
 def constant_source(value):
-    """Source term Q that is constant in space and time."""
+    """Source term Q that is constant in space and time; the callable
+    carries its ``value``."""
     value = float(value)
 
     def q(points, time):
         return np.full(np.atleast_2d(points).shape[0], value)
 
+    q.value = value
     return q
 
 
@@ -113,29 +115,24 @@ class ExtrapolatedGeometry:
     pressure: np.ndarray
     velocity: np.ndarray
     matrices: object  # SystemMatrices, with the surface geometry
-    weingarten: np.ndarray = None  # |A_h|^2 of ``normal``, see weingarten_norm_sq
-
-    def weingarten_norm_sq(self, assembler):
-        """|A_h|^2 of the extrapolated normal at the facet qps; computed for
-        the first of the step's two curvature forcings and kept for the
-        other."""
-        if self.weingarten is None:
-            self.weingarten = assembler.weingarten_norm_sq(
-                self.normal, self.matrices.surface)
-        return self.weingarten
+    weingarten: np.ndarray = None  # |A_h|^2 of ``normal`` at the facet qps
 
 
 def extrapolated_geometry(history, scheme, assembler):
-    """Extrapolate (x, n, H, u, v) and assemble all matrices there."""
+    """Extrapolate (x, n, H, u, v) and assemble all matrices there, with
+    |A_h|^2 of the extrapolated normal for both curvature forcings."""
     q = scheme.order
     positions = extrapolate(scheme, history.field("positions")[:q])
+    normal = extrapolate(scheme, history.field("normal")[:q])
+    matrices = assembler.system(positions)
     return ExtrapolatedGeometry(
         positions=positions,
-        normal=extrapolate(scheme, history.field("normal")[:q]),
+        normal=normal,
         curvature=extrapolate(scheme, history.field("curvature")[:q]),
         pressure=extrapolate(scheme, history.field("pressure")[:q]),
         velocity=extrapolate(scheme, history.field("velocity")[:q]),
-        matrices=assembler.system(positions),
+        matrices=matrices,
+        weingarten=assembler.weingarten_norm_sq(normal, matrices.surface),
     )
 
 
@@ -166,7 +163,7 @@ def normal_step(geometry, history, pressure, scheme, tau, params, assembler):
     together with the curvature equation."""
     mats = geometry.matrices
     forcing = assembler.curvature_forcing_nu(
-        geometry.normal, geometry.weingarten_norm_sq(assembler), params.beta, mats.surface
+        geometry.normal, geometry.weingarten, params.beta, mats.surface
     )
     forcing -= params.alpha * assembler.tangential_gradient_load(
         pressure[: mats.n_boundary], mats.surface
@@ -194,7 +191,7 @@ def curvature_step(geometry, history, pressure, normal_rhs, scheme, tau, params,
     speed_tilde = -params.beta * geometry.curvature \
         + params.alpha * geometry.pressure[:ng]
     forcing = assembler.curvature_forcing_H(
-        geometry.weingarten_norm_sq(assembler), speed_tilde, mats.surface
+        geometry.weingarten, speed_tilde, mats.surface
     )
     rhs = forcing + params.alpha * (mats.stiff_surf @ pressure[:ng])
     q = scheme.order
@@ -235,13 +232,13 @@ class Stepper:
 
     Holds the assembly engine and the cached factorized preconditioners of
     its three SPD systems -- the Robin matrix, the surface pencil of the
-    normal and curvature equations, and the interior stiffness block of the
-    harmonic extension -- which stay effective across many steps of slow
-    mesh motion.  Each step makes three solves: the Robin one, one surface
-    solve of the normal and curvature together (one (N_Gamma, m+2) PCG
-    solve, which stops when its slowest column meets the tolerance), and the
-    harmonic one.  Each solve starts from the extrapolated fields it
-    updates.
+    normal and curvature equations (one per BDF order a step takes), and the
+    interior stiffness block of the harmonic extension -- which stay
+    effective across many steps of slow mesh motion.  Each step makes three
+    solves: the Robin one, one surface solve of the normal and curvature
+    together (one (N_Gamma, m+2) PCG solve, which stops when its slowest
+    column meets the tolerance), and the harmonic one.  Each solve starts
+    from the extrapolated fields it updates.
 
     The Robin matrix and the interior block are factored in the mesh's
     ``bulk_orderings``.  In 3d that is a nested dissection with its
@@ -271,28 +268,31 @@ class Stepper:
             raise ValidationError("time step must be positive")
         self.mesh = mesh
         self.params = params
-        self.scheme = bdf_coefficients(order)
+        self.schemes = [bdf_coefficients(k) for k in range(1, order + 1)]
+        self.scheme = self.schemes[-1]
         self.tau = tau
         self.assembler = Assembler(mesh)
         bulk_perm, interior_perm = mesh.bulk_orderings
         self.robin_solver = CachedSpdSolver(bulk_perm)
-        self.surface_solver = CachedSpdSolver()
+        self.surface_solvers = defaultdict(CachedSpdSolver)  # by BDF order
         self.harmonic_solver = CachedSpdSolver(interior_perm)
         self.step_count = 0
 
     def step(self, history):
-        """Advance one BDF step; returns the new state at t + tau."""
-        if len(history) < self.scheme.order:
-            raise ValidationError(
-                f"history holds {len(history)} states; BDF{self.scheme.order} "
-                f"needs {self.scheme.order}"
-            )
+        """Advance one BDF step; returns the new state at t + tau.
+
+        The step's BDF order is min(len(history), q), so a short history
+        (the start of :func:`bootstrap_history`) steps at the order it
+        supports; each order solves its surface pencil with a cached solver
+        of its own, and all share the Robin and harmonic solvers.
+        """
+        scheme = self.schemes[min(len(history), len(self.schemes)) - 1]
         self.step_count += 1
         time_next = history[0].time + self.tau
         ng = self.mesh.n_boundary
         stage = "extrapolated_geometry"
         try:
-            geo = extrapolated_geometry(history, self.scheme, self.assembler)
+            geo = extrapolated_geometry(history, scheme, self.assembler)
             stage = "robin_solve"
             pressure = robin_solve(
                 geo, self.params, time_next,
@@ -300,13 +300,13 @@ class Stepper:
             )
             stage = "normal_step"
             normal_rhs = normal_step(
-                geo, history, pressure, self.scheme, self.tau, self.params, self.assembler,
+                geo, history, pressure, scheme, self.tau, self.params, self.assembler,
             )
             stage = "curvature_step"
             normal, curvature = curvature_step(
-                geo, history, pressure, normal_rhs, self.scheme, self.tau, self.params,
+                geo, history, pressure, normal_rhs, scheme, self.tau, self.params,
                 self.assembler,
-                partial(self.surface_solver.solve,
+                partial(self.surface_solvers[scheme.order].solve,
                         x0=np.column_stack([geo.normal, geo.curvature])),
             )
             stage = "velocity_law"
@@ -320,7 +320,7 @@ class Stepper:
             )
             stage = "position_update"
             positions = position_update(
-                self.scheme, history, velocity, self.tau, mesh=self.mesh
+                scheme, history, velocity, self.tau, mesh=self.mesh
             )
         except BulkgrowError as exc:
             # Re-raise the same object: it keeps its type, element and residual.
@@ -342,6 +342,8 @@ def evolve(stepper, history, n_steps, observer=None):
 
     ``observer(step_index, state)`` is called after every accepted step.
     """
+    if len(history) < stepper.scheme.order:  # a history keeps its length
+        raise ValidationError(f"a BDF{stepper.scheme.order} run needs a full history")
     for k in range(n_steps):
         state = stepper.step(history)
         history.push(state)
@@ -433,21 +435,17 @@ def initial_state(stepper, normal, curvature):
 
 
 def bootstrap_history(stepper, normal, curvature):
-    """Startup for non-oracle runs of ``stepper``'s order q: one step each
-    with orders 1..q-1.
+    """Startup for non-oracle runs of ``stepper``'s order q: the seed state,
+    then q-1 steps of ``stepper`` itself, of orders 1..q-1 since each step's
+    order is the length of its history.
 
     The seed state interpolates the supplied geometry data and solves the
     discrete Robin problem for the pressure.  The seed solves and the start
-    steps share the stepper's assembler and its Robin and harmonic solvers,
-    so the run that continues on ``stepper`` reuses those factorizations.
-    The surface pencil (delta_0/tau) M + beta A depends on the order, so each
-    start order solves it with a solver of its own.
+    steps run on the stepper's assembler and its Robin and harmonic solvers,
+    so the run that continues on ``stepper`` reuses those factorizations,
+    and its ``step_count`` counts the start steps.
     """
-    order = stepper.scheme.order
-    states = [initial_state(stepper, normal, curvature)]  # oldest first
-    for q in range(1, order):
-        start = copy.copy(stepper)
-        start.scheme = bdf_coefficients(q)
-        start.surface_solver = CachedSpdSolver()
-        states.append(start.step(History(states[::-1][:q])))
-    return History(states[::-1][:order])
+    states = [initial_state(stepper, normal, curvature)]  # newest first
+    for _ in range(1, stepper.scheme.order):
+        states.insert(0, stepper.step(History(states)))
+    return History(states)

@@ -370,10 +370,12 @@ class TestRegularization:
     def test_numerical_failure_flushes(self, tmp_path, monkeypatch, failing_mu, flushed):
         original = Stepper.step
 
+        # step_count counts the BDF1 start step of the q = 2 bootstrap, so
+        # step 4 is the third step of the run's time loop.
         def failing_step(self, history):
-            if self.params.mu == failing_mu and self.step_count == 2:
+            if self.params.mu == failing_mu and self.step_count == 3:
                 self.step_count += 1
-                raise GeometryError("step 3 (position_update): tangled", element=0)
+                raise GeometryError("step 4 (position_update): tangled", element=0)
             return original(self, history)
 
         monkeypatch.setattr(Stepper, "step", failing_step)
@@ -427,6 +429,16 @@ class TestCliEntry:
         assert "source Q is not finite" in manifest["aborted"]
         times = [float(row["time"]) for row in read_csv(out / "diagnostics.csv")]
         assert times[-1] == pytest.approx(1e-3)  # the last good state, flushed
+
+    def test_failing_start_step_reports_its_number(self, tmp_path, capsys):
+        # No closed form for this Q, so q = 3 starts with two steps on the
+        # run's stepper; the second one, at t = 0.002, meets the pole.
+        config = disk_config(tmp_path, model={"Q": "expr:1/(t-0.002)"},
+                             discretization={"q": 3, "tau": 1e-3, "T": 0.004})
+        assert main(["simulate", str(write_config(tmp_path, config))]) == 3
+        err = capsys.readouterr().err
+        assert "step 2 (robin_solve, t=0.002)" in err and "not finite" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("overrides", [
         {"discretization": {"q": "2"}},

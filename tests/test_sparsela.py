@@ -110,6 +110,39 @@ class TestNonFinite:
             with pytest.raises(SolverError):
                 solve()
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("bad", ["rhs", "x0"])
+    def test_rejected_before_factor_and_pcg(self, monkeypatch, value, bad):
+        # A bad vector is rejected before any factorization or factor apply,
+        # also when a cached factor fails on it.
+        matrix = self.tridiagonal()
+        warm = CachedSpdSolver()
+        warm.solve(matrix, np.ones(self.N), np.zeros(self.N))
+        factor = SpdFactor(matrix)
+        calls = []
+        init, apply_inverse = SpdFactor.__init__, SpdFactor.apply_inverse
+
+        def counting_init(self, *args):
+            calls.append("factor")
+            init(self, *args)
+
+        def counting_apply(self, rhs):
+            calls.append("apply")
+            return apply_inverse(self, rhs)
+
+        monkeypatch.setattr(SpdFactor, "__init__", counting_init)
+        monkeypatch.setattr(SpdFactor, "apply_inverse", counting_apply)
+        vectors = {"rhs": np.ones(self.N), "x0": np.zeros(self.N)}
+        vectors[bad] = self.with_bad(value)
+        solves = [partial(warm.solve, matrix, **vectors),
+                  partial(CachedSpdSolver().solve, matrix, **vectors)]
+        if bad == "rhs":
+            solves.append(partial(factor.solve, vectors["rhs"]))
+        for solve in solves:
+            with pytest.raises(SolverError, match="not finite"):
+                solve()
+        assert calls == []
+
     def test_nan_matrix_cholesky(self):
         ball = generate_ball_mesh(1.0, 0.5, degree=1)
         matrix = assemble_L(Assembler(ball).system(), 1.0)

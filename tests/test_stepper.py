@@ -354,21 +354,22 @@ class TestFullStep:
         d2 = two_steps_vs_one(1e-3)
         assert d1 / d2 == pytest.approx(4.0, rel=0.35)
 
-    def test_step_error_context(self):
+    @pytest.mark.parametrize("length", [1, 2])
+    def test_short_history_takes_its_order(self, length):
+        # An order-3 stepper steps a history of k < 3 states with BDFk,
+        # bitwise as a fresh order-k stepper does.
         tau = 1e-3
-        oracle, mesh, params, history = oracle_setup(h=0.4, tau=tau, order=1)
-        stepper = Stepper(mesh, params, 1, tau)
-        bad = history[0]
-        broken = type(bad)(
-            time=bad.time, positions=bad.positions,
-            pressure=bad.pressure, normal=bad.normal,
-            curvature=bad.curvature, normal_speed=bad.normal_speed,
-            velocity=bad.velocity,
-        )
-        history_short = History([broken])
-        stepper2 = Stepper(mesh, params, 2, tau)
-        with pytest.raises(ValidationError):
-            stepper2.step(history_short)
+        _, mesh, params, history = oracle_setup(h=0.4, tau=tau, order=2)
+        short = history.states[:length]
+        stepper = Stepper(mesh, params, 3, tau)
+        got = stepper.step(History(short))
+        want = Stepper(mesh, params, length, tau).step(History(short))
+        for name, value in vars(got).items():
+            assert np.array_equal(value, getattr(want, name)), name
+        assert list(stepper.surface_solvers) == [length]
+        # A history keeps its length, so the time loop needs a full one.
+        with pytest.raises(ValidationError, match="BDF3 run needs a full history"):
+            evolve(stepper, History(short), 1)
 
     @pytest.mark.parametrize("target, error, stage, field, value", [
         ("check_orientation", GeometryError, "position_update", "element", 17),

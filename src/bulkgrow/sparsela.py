@@ -17,8 +17,8 @@ lives:
   float32 one.
 * :class:`CachedSpdSolver` -- one float32 factorization kept across a
   sequence of matrices and refreshed only when convergence degrades; used
-  inside the time loop where the matrix drifts slowly between steps and the
-  extrapolated fields of the BDF scheme are good guesses.
+  inside the time loop, where the matrix drifts slowly between steps and
+  the stepper's extrapolations of its previous solutions are good guesses.
 
 A direct solve finished by PCG on its own factor generalizes iterative
 refinement, and a low-precision factor inside the float64 residual loop
@@ -501,12 +501,16 @@ def _pcg(matrix, rhs, precondition, x0):
     preconditioner applications (scalars become per-column vectors), which is
     exact columnwise CG at a fraction of the traversal cost.  Zero columns of
     ``rhs`` have the zero solution, whatever their guess.  A guess that meets
-    a quarter of ``TOL`` is returned as it is.  A ``rhs`` or guess entry that
-    is not finite raises SolverError before the preconditioner is applied.
+    a quarter of ``TOL`` is returned as it is.  A ``rhs`` entry that is not
+    finite raises SolverError before the first residual is formed (its
+    column norm is tested), a guess entry that is not finite before the
+    preconditioner is applied.
     """
     single = rhs.ndim == 1
     b = rhs[:, None] if single else rhs
     b_norm = _column_norms(b)
+    if not np.isfinite(b_norm).all():  # before b - A x can form inf - inf
+        raise SolverError("right-hand side has an entry that is not finite")
     target = TOL * b_norm
     x = (x0[:, None] if single else x0).copy()
     x[:, b_norm == 0.0] = 0.0
@@ -514,7 +518,7 @@ def _pcg(matrix, rhs, precondition, x0):
     it = 0
     res = _column_norms(r)
     if not np.isfinite(res).all():
-        raise SolverError("right-hand side or guess has an entry that is not finite")
+        raise SolverError("guess or matrix has an entry that is not finite")
     if np.any(res > 0.25 * target):
         z = precondition(r)
         p = z.copy()
@@ -643,6 +647,11 @@ class CachedSpdSolver:
     meshes): the factorization of an earlier matrix remains an excellent
     preconditioner for many steps.  Every solve, the first included, runs PCG
     from the caller's initial guess to the float64 ``TOL`` of each column.
+    A float32 factor of an earlier matrix cuts the residual by only about
+    1e-3 to 1e-4 per iteration, so the guess sets the count: on the
+    ``sim2d`` disk the Robin solve takes two iterations from the BDF2
+    extrapolation and mostly one or none from the stepper's cubic
+    extrapolation of its last four solutions (see ``stepper.Stepper``).
     The factorization is refreshed when PCG needs more than ``REFRESH_ITERS``
     iterations, and the current solve is repeated with the fresh factor.
     Every factorization uses the fill-reducing ``perm`` given here (see

@@ -100,6 +100,15 @@ class TestNonFinite:
             with pytest.raises(SolverError):
                 solve()
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_rhs_and_guess_at_one_entry(self, value):
+        # The rhs is rejected before the first residual, which would form
+        # inf - inf and warn in place of the SolverError.
+        bad = self.with_bad(value)
+        for solve in self.paths(self.tridiagonal(), bad, bad).values():
+            with pytest.raises(SolverError, match="not finite"):
+                solve()
+
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     @pytest.mark.parametrize("entry", [(2, 2), (1, 2)])
     def test_matrix(self, value, entry):

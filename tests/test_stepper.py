@@ -371,6 +371,40 @@ class TestFullStep:
         with pytest.raises(ValidationError, match="BDF3 run needs a full history"):
             evolve(stepper, History(short), 1)
 
+    def test_first_four_steps_take_the_bdf_guesses(self, monkeypatch):
+        # The kept solutions fill in the first four steps of a run; until
+        # then its steps are bitwise those of a stepper that keeps none,
+        # and from the fifth step on they differ.
+        tau = 1e-3
+        oracle, mesh, params, _ = oracle_setup(h=0.4, tau=tau, order=2)
+
+        def run():
+            states = []
+            evolve(Stepper(mesh, params, 2, tau), oracle.seed_history(mesh, tau, 2), 5,
+                   lambda k, state: states.append(state))
+            return states
+
+        kept = run()
+        monkeypatch.setattr(stepper_module, "_GUESS_STATES", 0)
+        plain = run()
+        for got, want in zip(kept[:4], plain[:4]):
+            for name, value in vars(got).items():
+                assert np.array_equal(value, getattr(want, name)), name
+        assert not np.array_equal(kept[4].pressure, plain[4].pressure)
+
+    def test_foreign_history_takes_the_bdf_guesses(self):
+        # After six steps the stepper keeps four solutions, but the seed
+        # history is not theirs: stepped from it, the stepper returns
+        # bitwise what a fresh one does, whose first factors are its own.
+        tau = 1e-3
+        _, mesh, params, seed = oracle_setup(h=0.4, tau=tau, order=2)
+        stepper = Stepper(mesh, params, 2, tau)
+        evolve(stepper, History(seed.states), 6)
+        got = stepper.step(seed)
+        want = Stepper(mesh, params, 2, tau).step(seed)
+        for name, value in vars(got).items():
+            assert np.array_equal(value, getattr(want, name)), name
+
     @pytest.mark.parametrize("target, error, stage, field, value", [
         ("check_orientation", GeometryError, "position_update", "element", 17),
         ("robin_solve", SolverError, "robin_solve", "residual", 1e-7),
@@ -506,6 +540,36 @@ class TestCachedSolves:
         # step, plus the seed state's Robin and harmonic solves.
         assert len(iterations) == 3 * (steps + 1) + 2
         assert max(iterations) <= 6
+
+    def test_kept_solutions_save_factor_applies(self, monkeypatch):
+        # On a shape that really changes, guesses from the last four
+        # solutions take fewer factor applies than the BDF2 extrapolation,
+        # for the same states.
+        radii = [1.0, 0.8, 0.9]
+        mesh = generate_ball_mesh(radii, 0.5, degree=2)
+        normal, curvature = ellipsoid_surface_fields(mesh.boundary_positions, radii)
+        apply_inverse = SpdFactor.apply_inverse
+
+        def run():
+            applies = 0
+
+            def counting_apply(self, rhs):
+                nonlocal applies
+                applies += 1
+                return apply_inverse(self, rhs)
+
+            monkeypatch.setattr(SpdFactor, "apply_inverse", counting_apply)
+            stepper = Stepper(mesh, disk_params(), 2, 1e-3)
+            history = evolve(stepper, bootstrap_history(stepper, normal, curvature), 14)
+            return history[0], applies
+
+        kept, kept_applies = run()
+        monkeypatch.setattr(stepper_module, "_GUESS_STATES", 0)
+        plain, plain_applies = run()
+        assert kept_applies < plain_applies
+        for name, value in vars(plain).items():
+            error = np.abs(getattr(kept, name) - value).max()
+            assert error <= 1e-9 * np.abs(value).max(), name
 
     def test_symbolic_analysis_once_per_system(self, monkeypatch):
         # A refresh forced on every solve, on a moved mesh, factors L and A_II

@@ -42,7 +42,6 @@ from .stepper import (
     ModelParams,
     SimState,
     Stepper,
-    bootstrap_history,
     constant_source,
     ellipsoid_surface_fields,
     evolve,

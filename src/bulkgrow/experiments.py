@@ -32,13 +32,14 @@ from .norms import ERROR_QUANTITIES, ErrorReport, estimated_orders, oracle_error
 from .oracle import RadialOracle
 from .stability import stability_sweep
 from .stepper import (
+    History,
     ModelParams,
     Stepper,
-    bootstrap_history,
     constant_source,
     ellipsoid_surface_fields,
     estimate_boundary_geometry,
     evolve,
+    initial_state,
 )
 from .vtkio import write_csv, write_surface_vtk, write_vtk
 
@@ -302,15 +303,17 @@ def compatible_oracle(config, mesh=None):
 
 
 def seed_history(config, stepper, normal, curvature):
-    """Startup states of the run ``stepper`` takes: exact interpolation when
-    a closed form exists, otherwise a low-order bootstrap on the stepper."""
+    """Seed states of the run ``stepper`` takes: the q states of the closed
+    form when one exists, otherwise the initial state alone (whose solves
+    run on the stepper).  The run takes its start steps from a short seed
+    with ``evolve(stepper, history, q - len(history))``."""
     mode = config["run"].get("seed_mode", "auto")
     oracle = compatible_oracle(config)
     if mode == "oracle" and oracle is None:
         raise ConfigError("run.seed_mode=oracle requires sphere data and constant Q")
     if oracle is not None and mode != "bootstrap":
         return oracle.seed_history(stepper.mesh, stepper.tau, stepper.scheme.order)
-    return bootstrap_history(stepper, normal, curvature)
+    return History([initial_state(stepper, normal, curvature)])
 
 
 def _degree(disc):
@@ -327,7 +330,7 @@ def _time_grid(disc):
 
 def _start(config):
     """(stepper, history, n_steps) of a time-stepping run: the mesh and model
-    of the config, and its startup states (``seed_history``)."""
+    of the config, and its seed states (``seed_history``)."""
     degree, order, tau, n_steps = _time_grid(config["discretization"])
     mesh, normal, curvature = build_geometry(config["geometry"], degree)
     stepper = Stepper(mesh, build_params(config, mesh), order, tau)
@@ -401,13 +404,15 @@ def run_simulate(config, outdir):
         if keep(step):
             snapshot(state)
 
-    snapshot(history[0])
     aborted = None
     try:
+        evolve(stepper, history, stepper.scheme.order - len(history))  # start steps
+        snapshot(history[0])
         evolve(stepper, history, n_steps, observer)
     except BulkgrowError as exc:
-        # Flush the last successful state before propagating.
-        snapshot(history[0])
+        # Flush the last good state, unless it was written, before propagating.
+        if not diag_rows or diag_rows[-1]["time"] < history[0].time:
+            snapshot(history[0])
         aborted = exc
     write_csv(os.path.join(outdir, "diagnostics.csv"), _DIAG_COLUMNS, diag_rows)
     _finish(outdir, config, quality_report(mesh), aborted)
@@ -435,6 +440,7 @@ def run_convergence_cell(config):
             mats = stepper.assembler.system(state.positions)
             report.add(oracle_errors(state, oracle, mesh, mats))
 
+    evolve(stepper, history, stepper.scheme.order - len(history))  # start steps
     evolve(stepper, history, n_steps, observer)
     sup = report.sup_errors()
     return {"h": mesh.mesh_size_h, "tau": stepper.tau,
@@ -605,8 +611,9 @@ def run_regularization(config, outdir):
                 )
 
         try:
-            evolve(stepper, bootstrap_history(stepper, normal, curvature), n_steps,
-                   observer)
+            history = History([initial_state(stepper, normal, curvature)])
+            evolve(stepper, history, order - len(history))  # start steps
+            evolve(stepper, history, n_steps, observer)
         except BulkgrowError as exc:
             # Flush the samples so far against the baseline before propagating.
             aborted = exc

@@ -20,12 +20,13 @@ from .errors import BulkgrowError, ValidationError
 from .mesh import check_orientation
 from .sparsela import CachedSpdSolver, dirichlet_extension, solve_spd
 
-# Solutions a Stepper keeps to start its cached solves from, by extrapolating
-# through them with the coefficients of that order, (4, -6, 4, -1), computed
-# once.  Set by measurement: the Robin solves of the 150 steps of the sim2d
-# disk took 300 factor applies from the BDF2 extrapolation, 266 through 3
-# solutions, 120 through 4 and 140 through 5, whose larger coefficients
-# amplify the roundoff left in the stored solutions.
+# Step results a Stepper's cached solves start from, by extrapolating through
+# them with the coefficients of that order, (4, -6, 4, -1), computed once; a
+# run's History keeps at least this many states.  Set by measurement: the
+# Robin solves of the 150 steps of the sim2d disk took 300 factor applies
+# from the BDF2 extrapolation, 266 through 3 solutions, 120 through 4 and 140
+# through 5, whose larger coefficients amplify the roundoff left in the
+# stored solutions.
 _GUESS_STATES = 4
 _GUESS_GAMMA = bdf_coefficients(_GUESS_STATES).gamma
 
@@ -79,7 +80,12 @@ class SimState:
 
 
 class History:
-    """Ring of the last q states, newest first, with uniform spacing."""
+    """A run's past states, newest first, with uniform spacing.
+
+    It starts from seed states and grows by :meth:`push`, which keeps the
+    newest ``depth`` states.  ``solved`` counts the pushed states, the step
+    results; the seed states are not.
+    """
 
     def __init__(self, states, tau=None):
         states = list(states)
@@ -93,13 +99,14 @@ class History:
             if np.max(np.abs(gaps - tau)) > 1e-9 * max(tau, 1.0):
                 raise ValidationError("history spacing does not match the time step")
         self.states = states
-        self.maxlen = len(states)
+        self.solved = 0
 
-    def push(self, state):
+    def push(self, state, depth):
         if state.time <= self.states[0].time:
             raise ValidationError("new state must advance in time")
         self.states.insert(0, state)
-        del self.states[self.maxlen:]
+        del self.states[depth:]
+        self.solved += 1
 
     def __len__(self):
         return len(self.states)
@@ -258,16 +265,16 @@ class Stepper:
     together (one (N_Gamma, m+2) PCG solve, which stops when its slowest
     column meets the tolerance), and the harmonic one.  Each solve starts
     from an extrapolation of the field it updates: the pressure, the stacked
-    normal and curvature, and the interior velocity.  The stepper keeps
-    references to the last ``_GUESS_STATES`` = 4 states it returned; when a
-    step's history continues them (its newest states are those objects) and
-    the step's order is below 4, the guesses are their cubic extrapolation,
-    with gamma = (4, -6, 4, -1).  Otherwise -- in the first four steps, from
-    seed states, which do not solve the step equations, from a history the
-    stepper did not produce, and at orders 4 and up -- they are the step's
-    own BDF extrapolation of the history.  On the ``sim2d`` disk the
-    cubic guesses leave a Robin residual near 5e-12 against 3e-7, so most
-    Robin solves take one factor apply in place of two.
+    normal and curvature, and the interior velocity.  A run's
+    :class:`History` keeps ``depth`` = max(q, ``_GUESS_STATES``) states;
+    when the step's order is below 4 and the history's newest 4 states are
+    step results, the guesses are their cubic extrapolation, with gamma =
+    (4, -6, 4, -1).  Otherwise -- in the first four steps from a history's
+    seed states, which do not solve the step equations, and at orders 4 and
+    up -- they are the step's own BDF extrapolation of the history.  On the
+    ``sim2d`` disk the cubic guesses leave a Robin residual near 5e-12
+    against 3e-7, so most Robin solves take one factor apply in place of
+    two.
 
     The Robin matrix and the interior block are factored in the mesh's
     ``bulk_orderings``.  In 3d that is a nested dissection with its
@@ -306,26 +313,23 @@ class Stepper:
         self.surface_solvers = defaultdict(CachedSpdSolver)  # by BDF order
         self.harmonic_solver = CachedSpdSolver(interior_perm)
         self.step_count = 0
-        self._solutions = []  # the last states step returned, newest first
+        self.depth = max(order, _GUESS_STATES)  # states a run's History keeps
 
-    def _guess_basis(self, history, scheme):
+    @staticmethod
+    def _guess_basis(history, scheme):
         """(states, gamma) that the solves of a step of ``scheme`` from
-        ``history`` extrapolate their guesses through: the kept solutions
-        when they are all of ``_GUESS_STATES`` and ``history`` continues
-        them, the history's newest states and the scheme's extrapolation
-        otherwise.  Kept solutions that ``history`` does not continue are
-        dropped."""
-        if any(h is not s for h, s in zip(history.states, self._solutions)):
-            self._solutions = []
-        if scheme.order < _GUESS_STATES and len(self._solutions) == _GUESS_STATES:
-            return self._solutions, _GUESS_GAMMA
+        ``history`` extrapolate their guesses through: the newest
+        ``_GUESS_STATES`` when they are step results and the order is below
+        theirs, the scheme's own states and extrapolation otherwise."""
+        if scheme.order < _GUESS_STATES <= min(history.solved, len(history)):
+            return history.states[:_GUESS_STATES], _GUESS_GAMMA
         return history.states[:scheme.order], scheme.gamma
 
     def step(self, history):
         """Advance one BDF step; returns the new state at t + tau.
 
         The step's BDF order is min(len(history), q), so a short history
-        (the start of :func:`bootstrap_history`) steps at the order it
+        (the start steps from a single seed state) steps at the order it
         supports; each order solves its surface pencil with a cached solver
         of its own, and all share the Robin and harmonic solvers.
         """
@@ -379,20 +383,21 @@ class Stepper:
             normal_speed=speed,
             velocity=velocity,
         )
-        self._solutions = [state, *self._solutions][:_GUESS_STATES]
         return state
 
 
 def evolve(stepper, history, n_steps, observer=None):
-    """Run n_steps of the scheme, pushing each new state into the history.
+    """Run n_steps of the scheme, pushing each new state into the history,
+    which keeps the stepper's ``depth`` states.
 
+    A history shorter than the order q grows: each step takes the order its
+    length supports, so ``evolve(stepper, history, q - len(history))`` takes
+    the start steps from a single seed state, and none from q oracle states.
     ``observer(step_index, state)`` is called after every accepted step.
     """
-    if len(history) < stepper.scheme.order:  # a history keeps its length
-        raise ValidationError(f"a BDF{stepper.scheme.order} run needs a full history")
     for k in range(n_steps):
         state = stepper.step(history)
-        history.push(state)
+        history.push(state, stepper.depth)
         if observer is not None:
             observer(k, state)
     return history
@@ -477,20 +482,3 @@ def initial_state(stepper, normal, curvature):
         normal_speed=speed,
         velocity=velocity,
     )
-
-
-def bootstrap_history(stepper, normal, curvature):
-    """Startup for non-oracle runs of ``stepper``'s order q: the seed state,
-    then q-1 steps of ``stepper`` itself, of orders 1..q-1 since each step's
-    order is the length of its history.
-
-    The seed state interpolates the supplied geometry data and solves the
-    discrete Robin problem for the pressure.  The seed solves and the start
-    steps run on the stepper's assembler and its Robin and harmonic solvers,
-    so the run that continues on ``stepper`` reuses those factorizations,
-    and its ``step_count`` counts the start steps.
-    """
-    states = [initial_state(stepper, normal, curvature)]  # newest first
-    for _ in range(1, stepper.scheme.order):
-        states.insert(0, stepper.step(History(states)))
-    return History(states)

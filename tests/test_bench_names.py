@@ -10,8 +10,10 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from bulkgrow.assembly import Assembler, assemble_L
+from bulkgrow.experiments import run_simulate
 from bulkgrow.mesh import generate_ball_mesh, generate_disk_mesh
 from bulkgrow.sparsela import Dissection, SpdFactor
 
@@ -46,3 +48,20 @@ def test_every_traced_and_probed_name_exists():
     layers.close(tracer)
     expected = [f.nnz / f.matrix.nnz for f in (superlu, cholesky)]
     assert np.allclose(tracer.values["lu_fill"], expected)
+
+
+def test_simulate_probe_points_are_called(tmp_path):
+    # The benchmark times build_geometry and seed_history as set-up and each
+    # Stepper.step as a step, so a short oracle run must call all of them.
+    probe = workloads.WORKLOADS["sim2d"].probe()
+    config = workloads.WORKLOADS["sim2d"].config(0)
+    config["geometry"]["h"] = 0.4
+    config["discretization"]["T"] = 3e-3
+    with spans.patched(probe.points()):
+        run_simulate(config, str(tmp_path))
+    assert sorted(probe.returned) == ["build_geometry", "seed_history", "step"]
+    assert len(probe.setups) == 2  # build_geometry, then seed_history
+    assert len(probe.cells) == 1   # one Stepper.__init__
+    assert len(probe.calls) == 3   # the steps, each returning its new state
+    # Three steps from the newest BDF2 oracle seed state, at t = tau.
+    assert probe.returned["step"].time == pytest.approx(4e-3)

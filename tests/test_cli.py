@@ -439,6 +439,14 @@ class TestCliEntry:
         err = capsys.readouterr().err
         assert "step 2 (robin_solve, t=0.002)" in err and "not finite" in err
         assert "Traceback" not in err
+        # The start steps run inside the run's flush path: the first start
+        # step's state is the last good one, written once.
+        out = tmp_path / "out"
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert "step 2 (robin_solve, t=0.002)" in manifest["aborted"]
+        times = [float(row["time"]) for row in read_csv(out / "diagnostics.csv")]
+        assert times == pytest.approx([1e-3])
+        assert (out / "snapshot_0000.vtk").exists()
 
     @pytest.mark.parametrize("overrides", [
         {"discretization": {"q": "2"}},
@@ -510,9 +518,11 @@ class TestCliEntry:
         with pytest.raises(GeometryError, match="step 3 \\(position_update\\)"):
             run_simulate(config, str(outdir))
         rows = read_csv(outdir / "diagnostics.csv")
-        # The seed (t = tau), step 2's snapshot and the flushed last good state.
-        assert [float(r["time"]) for r in rows] == pytest.approx([2e-3, 6e-3, 6e-3])
-        assert (outdir / "snapshot_0002.vtk").exists()
+        # The seed (t = tau) and step 2's snapshot, which is the last good
+        # state: it is not written twice.
+        assert [float(r["time"]) for r in rows] == pytest.approx([2e-3, 6e-3])
+        assert (outdir / "snapshot_0001.vtk").exists()
+        assert not (outdir / "snapshot_0002.vtk").exists()
         manifest = json.loads((outdir / "manifest.json").read_text())
         assert "tangled" in manifest["aborted"]
 

@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from bulkgrow.stepper import (
     History,
     ModelParams,
     Stepper,
-    bootstrap_history,
     constant_source,
     curvature_step,
     ellipsoid_surface_fields,
@@ -71,21 +71,21 @@ class TestHistory:
         with pytest.raises(ValidationError):
             History([s0, s0])
 
-    def test_push_keeps_length(self):
+    def test_push_grows_to_depth(self):
+        _, _, _, history = oracle_setup(h=0.5, order=1)
+        seed = history[0]
+        for k in range(1, 6):
+            history.push(replace(seed, time=k * 1e-3), 3)
+            assert len(history) == min(k + 1, 3)
+        assert [s.time for s in history] == pytest.approx([5e-3, 4e-3, 3e-3])
+
+    def test_solved_counts_pushes(self):
+        # Seed states are not step results; every pushed state is.
         _, _, _, history = oracle_setup(h=0.5, order=2)
-        newest = history[0]
-        bumped = type(newest)(
-            time=newest.time + 1e-3,
-            positions=newest.positions,
-            pressure=newest.pressure,
-            normal=newest.normal,
-            curvature=newest.curvature,
-            normal_speed=newest.normal_speed,
-            velocity=newest.velocity,
-        )
-        history.push(bumped)
-        assert len(history) == 2
-        assert history[0].time == bumped.time
+        assert history.solved == 0
+        for k in range(1, 4):
+            history.push(replace(history[0], time=history[0].time + 1e-3), 2)
+            assert history.solved == k
 
 
 class TestExtrapolatedGeometry:
@@ -343,7 +343,7 @@ class TestFullStep:
             h1 = History([history[0]])
             stepper = Stepper(mesh, params, 1, tau)
             s1 = stepper.step(h1)
-            h1.push(s1)
+            h1.push(s1, stepper.depth)
             s2 = stepper.step(h1)
             h2 = History([history[0]])
             big = Stepper(mesh, params, 1, 2 * tau)
@@ -367,14 +367,16 @@ class TestFullStep:
         for name, value in vars(got).items():
             assert np.array_equal(value, getattr(want, name)), name
         assert list(stepper.surface_solvers) == [length]
-        # A history keeps its length, so the time loop needs a full one.
-        with pytest.raises(ValidationError, match="BDF3 run needs a full history"):
-            evolve(stepper, History(short), 1)
+        # Evolved, a short history grows, and each step takes the order its
+        # length supports: from one seed state, orders 1, 2 and 3.
+        stepper = Stepper(mesh, params, 3, tau)
+        evolve(stepper, History(history.states[-1:]), 3)
+        assert list(stepper.surface_solvers) == [1, 2, 3]
 
     def test_first_four_steps_take_the_bdf_guesses(self, monkeypatch):
-        # The kept solutions fill in the first four steps of a run; until
-        # then its steps are bitwise those of a stepper that keeps none,
-        # and from the fifth step on they differ.
+        # A history holds four step results after the first four steps of a
+        # run; until then its steps are bitwise those of a stepper that
+        # takes no cubic guesses, and from the fifth step on they differ.
         tau = 1e-3
         oracle, mesh, params, _ = oracle_setup(h=0.4, tau=tau, order=2)
 
@@ -392,18 +394,27 @@ class TestFullStep:
                 assert np.array_equal(value, getattr(want, name)), name
         assert not np.array_equal(kept[4].pressure, plain[4].pressure)
 
-    def test_foreign_history_takes_the_bdf_guesses(self):
-        # After six steps the stepper keeps four solutions, but the seed
-        # history is not theirs: stepped from it, the stepper returns
-        # bitwise what a fresh one does, whose first factors are its own.
+    def test_foreign_history_takes_the_bdf_guesses(self, monkeypatch):
+        # A history built from given states counts none of them as step
+        # results, not even states a run returned: it takes the BDF guesses
+        # until four steps have been pushed.
         tau = 1e-3
         _, mesh, params, seed = oracle_setup(h=0.4, tau=tau, order=2)
-        stepper = Stepper(mesh, params, 2, tau)
-        evolve(stepper, History(seed.states), 6)
-        got = stepper.step(seed)
-        want = Stepper(mesh, params, 2, tau).step(seed)
-        for name, value in vars(got).items():
-            assert np.array_equal(value, getattr(want, name)), name
+        given = evolve(Stepper(mesh, params, 2, tau), seed, 6).states[:2]
+
+        def run():
+            states = []
+            evolve(Stepper(mesh, params, 2, tau), History(given), 5,
+                   lambda k, state: states.append(state))
+            return states
+
+        kept = run()
+        monkeypatch.setattr(stepper_module, "_GUESS_STATES", 0)
+        plain = run()
+        for got, want in zip(kept[:4], plain[:4]):
+            for name, value in vars(got).items():
+                assert np.array_equal(value, getattr(want, name)), name
+        assert not np.array_equal(kept[4].pressure, plain[4].pressure)
 
     @pytest.mark.parametrize("target, error, stage, field, value", [
         ("check_orientation", GeometryError, "position_update", "element", 17),
@@ -482,7 +493,9 @@ class TestInitialData:
         mesh = sphere_oracle_mesh(oracle, 0.3, degree=2)
         params = disk_params()
         normal, curv = ellipsoid_surface_fields(mesh.boundary_positions, (1.5, 1.5))
-        history = bootstrap_history(Stepper(mesh, params, 2, 1e-3), normal, curv)
+        # The start step is an ordinary BDF1 step on the run's history.
+        stepper = Stepper(mesh, params, 2, 1e-3)
+        history = evolve(stepper, History([initial_state(stepper, normal, curv)]), 1)
         assert len(history) == 2
         assert history[0].time == pytest.approx(1e-3)
         assert history[1].time == pytest.approx(0.0)
@@ -560,7 +573,8 @@ class TestCachedSolves:
 
             monkeypatch.setattr(SpdFactor, "apply_inverse", counting_apply)
             stepper = Stepper(mesh, disk_params(), 2, 1e-3)
-            history = evolve(stepper, bootstrap_history(stepper, normal, curvature), 14)
+            history = evolve(stepper, History([initial_state(stepper, normal, curvature)]),
+                             15)
             return history[0], applies
 
         kept, kept_applies = run()
@@ -571,7 +585,7 @@ class TestCachedSolves:
             error = np.abs(getattr(kept, name) - value).max()
             assert error <= 1e-9 * np.abs(value).max(), name
 
-    def test_symbolic_analysis_once_per_system(self, monkeypatch):
+    def test_forced_refresh_refactors_and_meets_tol(self, monkeypatch):
         # A refresh forced on every solve, on a moved mesh, factors L and A_II
         # again, and the solves still meet TOL.
         factored = Counter()

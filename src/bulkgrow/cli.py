@@ -3,7 +3,8 @@
 Subcommands: ``simulate``, ``converge``, ``stability`` and ``mesh gen`` /
 ``mesh info``.  A run subcommand runs the config's ``run.kind`` if it is one of
 its own (``simulate`` also runs ``regularization``); any other kind is a
-configuration error.  Exit code 0 on success, 2 for configuration errors, 3 for
+configuration error.  Exit code 0 on success, 2 for configuration errors (a bad
+argument, config or mesh file, or an output path that cannot be created), 3 for
 numerical failures.  BULKGROW_THREADS caps worker parallelism for grid
 experiments.
 """
@@ -12,7 +13,7 @@ import argparse
 import json
 import sys
 
-from .errors import BulkgrowError, ConfigError
+from .errors import BulkgrowError, ConfigError, MeshFormatError, ValidationError
 from .experiments import (
     load_config,
     run_converge,
@@ -92,15 +93,18 @@ def _cmd_mesh(args):
         mesh = load_mesh(args.path)
         print(json.dumps(quality_report(mesh), indent=2, sort_keys=True))
         return EXIT_OK
-    if args.kind == "disk":
-        if args.radius is None:
-            raise ConfigError("disk meshes need --radius")
-        mesh = generate_disk_mesh(args.radius, args.h, degree=args.degree)
-    else:
-        radii = args.radii if args.radii else (args.radius,) * 3
-        if radii[0] is None:
-            raise ConfigError("ball/ellipsoid meshes need --radius or --radii")
-        mesh = generate_ball_mesh(radii, args.h, degree=args.degree)
+    try:
+        if args.kind == "disk":
+            if args.radius is None:
+                raise ConfigError("disk meshes need --radius")
+            mesh = generate_disk_mesh(args.radius, args.h, degree=args.degree)
+        else:
+            radii = args.radii if args.radii else (args.radius,) * 3
+            if radii[0] is None:
+                raise ConfigError("ball/ellipsoid meshes need --radius or --radii")
+            mesh = generate_ball_mesh(radii, args.h, degree=args.degree)
+    except ValidationError as exc:  # the generators' checks of their arguments
+        raise ConfigError(str(exc)) from None
     save_mesh(mesh, args.output)
     print(json.dumps(quality_report(mesh), indent=2, sort_keys=True))
     return EXIT_OK
@@ -112,7 +116,7 @@ def main(argv=None):
     handler = _cmd_mesh if args.command == "mesh" else _cmd_run
     try:
         return handler(args)
-    except ConfigError as exc:
+    except (ConfigError, MeshFormatError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except BulkgrowError as exc:

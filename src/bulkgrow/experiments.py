@@ -344,6 +344,14 @@ def _sampler(n_steps, count):
     return lambda k: (k + 1) % every == 0 or k + 1 == n_steps
 
 
+def _make_outdir(outdir):
+    """Create the output directory; ConfigError if it cannot be."""
+    try:
+        os.makedirs(outdir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory: {exc}") from None
+
+
 def _finish(outdir, config, mesh_report, aborted=None, **extra):
     """Write manifest.json (version, config, the ``quality_report`` of a
     mesh, ``aborted``: the failure's message or null, and ``extra``), then
@@ -390,7 +398,7 @@ def run_simulate(config, outdir):
     """Time-step to the final time, writing snapshots and diagnostics."""
     stepper, history, n_steps = _start(config)
     mesh = stepper.mesh
-    os.makedirs(outdir, exist_ok=True)  # after set-up: a bad config leaves none
+    _make_outdir(outdir)  # after set-up: a bad config leaves none
     keep = _sampler(n_steps, int(config["run"].get("snapshots", 20)))
     diag_rows = []
 
@@ -503,7 +511,7 @@ def run_converge(config, outdir):
     grid = [(float(h), float(tau)) for h in h_levels for tau in tau_levels]
     cells = [{**config, "geometry": {**geometry, "h": h},
               "discretization": {**disc, "tau": tau}} for h, tau in grid]
-    os.makedirs(outdir, exist_ok=True)  # after set-up: a bad config leaves none
+    _make_outdir(outdir)  # after set-up: a bad config leaves none
     workers = min(worker_count(), len(cells))
     dispatch = list(range(len(cells)))
     if workers > 1:
@@ -542,7 +550,7 @@ def run_stability(config, outdir):
     meshes = [build_geometry({**geometry, "h": base_h / 2 ** j}, degree)[0]
               for j in range(levels)]
     systems = [(mesh, Assembler(mesh).system()) for mesh in meshes]
-    os.makedirs(outdir, exist_ok=True)  # after set-up: a bad config leaves none
+    _make_outdir(outdir)  # after set-up: a bad config leaves none
     results = {}
     aborted = None
     for mode in modes:
@@ -592,7 +600,7 @@ def run_regularization(config, outdir):
         mu_values = [0.0] + mu_values
     mesh, normal, curvature = build_geometry(config["geometry"], degree)
     params_of = {mu: build_params(config, mesh, mu=mu) for mu in mu_values}
-    os.makedirs(outdir, exist_ok=True)  # after set-up: a bad config leaves none
+    _make_outdir(outdir)  # after set-up: a bad config leaves none
     keep = _sampler(n_steps, int(config["run"].get("snapshots", 10)))
     ng = mesh.n_boundary
 

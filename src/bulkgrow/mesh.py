@@ -7,9 +7,12 @@ entries of any nodal vector are the trace of the corresponding bulk field.
 Isoparametric degree 2 is supported by inserting edge midpoints; boundary
 midpoints may be projected onto the exact surface.  Faces come from
 ``refelem.FACE_NODES``; face and edge lookups match node-index rows as sets.
+A generator or :func:`load_mesh` validates the mesh it returns once, in that
+form: a degree-2 generator checks only the elevated mesh, whose checks cover
+its straight-edged input.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
 import io
@@ -18,7 +21,7 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import GeometryError, MeshFormatError, ResourceError, ValidationError
+from .errors import ConfigError, GeometryError, MeshFormatError, ResourceError, ValidationError
 from .refelem import (
     EDGE_VERTICES,
     FACE_NODES,
@@ -70,7 +73,6 @@ class BulkSurfaceMesh:
     n_boundary: int
     bulk_elements: np.ndarray     # (E, nodes per simplex)
     boundary_elements: np.ndarray # (B, nodes per facet)
-    mesh_size_h: float = field(init=False)  # derived in __post_init__
 
     def __post_init__(self):
         pos = np.ascontiguousarray(np.asarray(self.node_positions, dtype=float))
@@ -106,7 +108,6 @@ class BulkSurfaceMesh:
         if not used.all():
             missing = int(np.flatnonzero(~used)[0])
             raise ValidationError(f"boundary node {missing} not used by any facet")
-        object.__setattr__(self, "mesh_size_h", float(element_diameters(self).max()))
         for arr in (pos, bulk, bnd):
             arr.setflags(write=False)
 
@@ -122,6 +123,11 @@ class BulkSurfaceMesh:
     @property
     def boundary_positions(self):
         return self.node_positions[: self.n_boundary]
+
+    @cached_property
+    def mesh_size_h(self):
+        """Largest element diameter, computed on first read and kept."""
+        return float(element_diameters(self).max())
 
     @cached_property
     def bulk_pattern(self):
@@ -363,11 +369,12 @@ def _validate_trace_compatibility(mesh, facet_lines=None):
 
 def validate_mesh(mesh, facet_lines=None):
     """Full validation: trace compatibility (a bad facet's error carries its
-    ``facet_lines`` entry), orientation and, for degree 2, midpoint sanity."""
+    ``facet_lines`` entry), for degree 2 midpoint sanity, then orientation;
+    a stray midpoint is named before the element it tangles."""
     _validate_trace_compatibility(mesh, facet_lines)
-    check_orientation(mesh)
     if mesh.degree_k == 2:
         _check_midpoint_sanity(mesh)
+    check_orientation(mesh)
     return mesh
 
 
@@ -429,15 +436,15 @@ def generate_disk_mesh(radius, target_h, degree=1):
     Parameters
     ----------
     radius : float
-        Disk radius, > 0.
+        Disk radius, positive and finite.
     target_h : float
         Requested mesh size; the generated mesh satisfies h <= 1.5 * target_h.
     degree : int
         Isoparametric degree (1 or 2).  Degree 2 projects boundary edge
         midpoints onto the circle.
     """
-    if radius <= 0:
-        raise ValidationError("radius must be positive")
+    if not 0 < radius < math.inf:
+        raise ValidationError("radius must be a positive finite number")
     if not (0 < target_h < radius):
         raise ValidationError("target_h must lie in (0, radius)")
     rings = max(1, math.ceil(radius / target_h))
@@ -479,10 +486,7 @@ def generate_disk_mesh(radius, target_h, degree=1):
     segments = np.stack([node(rings, p), node(rings, p + 1)], 1)
 
     mesh = _renumber_boundary_first(dim_m=1, positions=pos, bulk=tris, boundary=segments)
-    validate_mesh(mesh)
-    if degree == 2:
-        mesh = elevate_to_quadratic(mesh, circle_projector(radius))
-    return mesh
+    return _returned_form(mesh, degree, circle_projector(radius))
 
 
 def generate_ball_mesh(radii, target_h, degree=1):
@@ -497,9 +501,9 @@ def generate_ball_mesh(radii, target_h, degree=1):
     radii = np.asarray(radii, dtype=float)
     if radii.ndim == 0:
         radii = np.full(3, float(radii))
-    if radii.shape != (3,) or (radii <= 0).any():
-        raise ValidationError("radii must be three positive lengths")
-    if target_h <= 0:
+    if radii.shape != (3,) or not ((0 < radii) & (radii < math.inf)).all():
+        raise ValidationError("radii must be three positive finite lengths")
+    if not target_h > 0:
         raise ValidationError("target_h must be positive")
     # Kuhn tets have diameter sqrt(3) * cell size; compensate anisotropy so
     # the scaled elements stay near-isotropic.
@@ -512,10 +516,6 @@ def generate_ball_mesh(radii, target_h, degree=1):
             f"target_h={target_h} would create ~{n_estimate} nodes "
             f"(cap {MAX_GENERATED_NODES})"
         )
-    return _ball_mesh_from_subdivisions(subdiv, radii, degree)
-
-
-def _ball_mesh_from_subdivisions(subdiv, radii, degree):
     nx, ny, nz = (int(s) for s in subdiv)
     axes = [np.linspace(-1.0, 1.0, n + 1) for n in (nx, ny, nz)]
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
@@ -541,7 +541,7 @@ def _ball_mesh_from_subdivisions(subdiv, radii, degree):
     sup = np.abs(grid).max(axis=1)
     two = np.linalg.norm(grid, axis=1)
     scale = np.divide(sup, two, out=np.ones_like(sup), where=two > 0)
-    points = grid * scale[:, None] * np.asarray(radii)
+    points = grid * scale[:, None] * radii
 
     # Boundary faces appear on exactly one tet; orient them outward (the
     # ellipsoid is star-shaped).
@@ -553,16 +553,15 @@ def _ball_mesh_from_subdivisions(subdiv, radii, degree):
     outward = np.einsum("fi,fi->f", normal, p.mean(axis=1)) > 0
     boundary[~outward] = boundary[~outward][:, [0, 2, 1]]
 
-    mesh = _renumber_boundary_first(
-        dim_m=2,
-        positions=points,
-        bulk=tets,
-        boundary=boundary,
-    )
-    validate_mesh(mesh)
-    if degree == 2:
-        mesh = elevate_to_quadratic(mesh, ellipsoid_projector(radii))
-    return mesh
+    mesh = _renumber_boundary_first(dim_m=2, positions=points, bulk=tets, boundary=boundary)
+    return _returned_form(mesh, degree, ellipsoid_projector(radii))
+
+
+def _returned_form(mesh, degree, projector):
+    """The generators' tail: their degree-1 ``mesh`` validated, or for
+    ``degree`` 2 elevated with ``projector``, whose validation of the
+    returned mesh is the one check."""
+    return elevate_to_quadratic(mesh, projector) if degree == 2 else validate_mesh(mesh)
 
 
 def _renumber_boundary_first(dim_m, positions, bulk, boundary):
@@ -596,7 +595,9 @@ def elevate_to_quadratic(mesh, surface_projector=None):
     Boundary-edge midpoints are mapped by ``surface_projector`` (if given) so
     the curved boundary interpolates the exact surface; interior midpoints
     stay on the straight edge.  New boundary midpoints are appended to the
-    boundary-first block.
+    boundary-first block.  The returned mesh is validated
+    (:func:`validate_mesh`): a projector that moves a midpoint more than 0.3
+    edge lengths off its chord raises GeometryError naming the bulk element.
     """
     if mesh.degree_k != 1:
         raise ValidationError("input mesh must have degree 1")
@@ -625,21 +626,7 @@ def elevate_to_quadratic(mesh, surface_projector=None):
 
     mids = mesh.node_positions[edges].mean(axis=1)
     if surface_projector is not None and is_bnd_edge.any():
-        straight = mids[is_bnd_edge]
-        projected = surface_projector(straight)
-        edge_vecs = (
-            mesh.node_positions[edges[is_bnd_edge, 1]]
-            - mesh.node_positions[edges[is_bnd_edge, 0]]
-        )
-        moved = np.linalg.norm(projected - straight, axis=1)
-        limit = 0.3 * np.linalg.norm(edge_vecs, axis=1)
-        bad = np.flatnonzero(moved > limit)
-        if bad.size:
-            raise GeometryError(
-                "projector moved a boundary midpoint more than 0.3 edge lengths",
-                element=int(bad[0]),
-            )
-        mids[is_bnd_edge] = projected
+        mids[is_bnd_edge] = surface_projector(mids[is_bnd_edge])
 
     # New node numbering: old boundary, new boundary midpoints, then interior.
     n_bnd_new = int(is_bnd_edge.sum())
@@ -685,8 +672,13 @@ def write_rows(fh, rows, fmt):
 
 
 def save_mesh(mesh, path):
-    """Write a mesh in the ASCII ``.bsm`` format (17 significant digits)."""
-    with open(path, "w") as fh:
+    """Write a mesh in the ASCII ``.bsm`` format (17 significant digits);
+    ConfigError if the file cannot be created."""
+    try:
+        fh = open(path, "w")
+    except OSError as exc:
+        raise ConfigError(f"cannot create mesh file: {exc}") from None
+    with fh:
         fh.write(f"bsm 1 {mesh.dim_m} {mesh.degree_k} {mesh.n_nodes} {mesh.n_boundary}\n")
         fh.write("NODES\n")
         write_rows(fh, mesh.node_positions, " ".join(["%.17g"] * mesh.dim))
@@ -710,9 +702,14 @@ def _parse_block(entries, width, dtype):
 
 
 def load_mesh(path):
-    """Read a ``.bsm`` file, validating structure and mesh invariants."""
-    with open(path) as fh:
-        raw = fh.readlines()
+    """Read a ``.bsm`` file, validating structure and mesh invariants.  A file
+    that cannot be read raises MeshFormatError naming the path."""
+    try:
+        with open(path) as fh:
+            raw = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise MeshFormatError(f"cannot read mesh file {path}: {reason}") from None
     payloads = (line.split("#", 1)[0].strip() for line in raw)
     rows = [(lineno, text) for lineno, text in enumerate(payloads, start=1) if text]
     if not rows:

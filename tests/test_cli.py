@@ -18,7 +18,7 @@ from bulkgrow.experiments import (
     run_stability,
     validate_config,
 )
-from bulkgrow.mesh import generate_disk_mesh
+from bulkgrow.mesh import generate_disk_mesh, save_mesh
 from bulkgrow.stepper import Stepper
 
 
@@ -556,3 +556,71 @@ class TestCliEntry:
         del config["run"]["outputs"]
         path = write_config(tmp_path, config)
         assert main(["simulate", str(path)]) == 2
+
+
+def assert_config_error(capsys):
+    """One ``configuration error`` line on stderr, nothing else."""
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and err.count("\n") == 1, err
+
+
+class TestBadInputs:
+    """Bad mesh arguments, mesh files and output paths exit 2 with one line."""
+
+    @pytest.mark.parametrize("args", [
+        ["disk", "--radius", "1", "--h", "2"],
+        ["disk", "--h", "-0.5", "--radius", "1"],
+        ["ball", "--radii", "1", "1", "-1", "--h", "0.5"],
+        ["disk", "--radius", "inf", "--h", "0.5"],
+        ["ball", "--radius", "1", "--h", "nan"],
+        ["ellipsoid", "--radii", "1", "1", "inf", "--h", "0.5"],
+    ])
+    def test_mesh_gen_arguments(self, tmp_path, capsys, args):
+        out = tmp_path / "mesh.bsm"
+        assert main(["mesh", "gen", *args, "-o", str(out)]) == 2
+        assert_config_error(capsys)
+        assert not out.exists()
+
+    @staticmethod
+    def bad_mesh_file(tmp_path, case):
+        if case == "missing":
+            return tmp_path / "missing.bsm"
+        if case == "directory":
+            return tmp_path
+        path = tmp_path / "bad.bsm"
+        save_mesh(generate_disk_mesh(1.0, 0.4), path)
+        lines = path.read_text().splitlines()
+        lines[4] = "0.5 abc"  # the third node row
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    @pytest.mark.parametrize("case", ["missing", "directory", "malformed"])
+    def test_mesh_info_of_a_bad_file(self, tmp_path, capsys, case):
+        assert main(["mesh", "info", str(self.bad_mesh_file(tmp_path, case))]) == 2
+        assert_config_error(capsys)
+
+    @pytest.mark.parametrize("case", ["missing", "directory", "malformed"])
+    def test_simulate_on_a_bad_file(self, tmp_path, capsys, case):
+        config = disk_config(tmp_path)
+        config["geometry"] = {"kind": "file", "path": str(self.bad_mesh_file(tmp_path, case))}
+        assert main(["simulate", str(write_config(tmp_path, config))]) == 2
+        assert_config_error(capsys)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("below", [True, False], ids=["below_a_file", "a_file"])
+    def test_outputs_that_cannot_be_created(self, tmp_path, capsys, below):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        outputs = blocker / "out" if below else blocker
+        config = disk_config(tmp_path, discretization={"T": 0.004},
+                             run={"outputs": str(outputs)})
+        assert main(["simulate", str(write_config(tmp_path, config))]) == 2
+        assert_config_error(capsys)
+        assert blocker.read_text() == ""
+
+    @pytest.mark.parametrize("target", ["missing/mesh.bsm", "."])
+    def test_mesh_gen_output_that_cannot_be_created(self, tmp_path, capsys, target):
+        out = tmp_path / target
+        assert main(["mesh", "gen", "disk", "--radius", "1", "--h", "0.5", "-o", str(out)]) == 2
+        assert_config_error(capsys)
+        assert not (tmp_path / "missing").exists()

@@ -1,10 +1,13 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
+from bulkgrow import mesh as mesh_module
 from bulkgrow.errors import (
+    ConfigError,
     GeometryError,
     MeshFormatError,
     ResourceError,
@@ -438,6 +441,25 @@ class TestMovedPositions:
     lambda: generate_disk_mesh(1.0, 0.2, degree=2),
     lambda: generate_ball_mesh(1.0, 0.5, degree=2),
 ], ids=["p2_disk", "p2_ball"])
+def test_generated_p2_mesh_is_checked_once(make, monkeypatch):
+    """Only the returned P2 mesh is validated, and h is derived on first read."""
+    calls = {"check_orientation": 0, "element_diameters": 0}
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(mesh_module, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(mesh_module, name, counted)
+    mesh = make()
+    assert calls == {"check_orientation": 1, "element_diameters": 0}
+    h = mesh.mesh_size_h
+    assert mesh.mesh_size_h == h == float(element_diameters(mesh).max())
+    assert calls == {"check_orientation": 1, "element_diameters": 1}
+
+
+@pytest.mark.parametrize("make", [
+    lambda: generate_disk_mesh(1.0, 0.2, degree=2),
+    lambda: generate_ball_mesh(1.0, 0.5, degree=2),
+], ids=["p2_disk", "p2_ball"])
 def test_element_diameters_match_the_broadcast_formula(make):
     mesh = make()
     coords = mesh.node_positions[mesh.bulk_elements]
@@ -510,6 +532,18 @@ class TestBsmFormat:
         path.write_text("bsm 1 1 1 3 3\nNODES\n0 0\n1 0\n0 1\nELEMENTS\nBOUNDARY\n0 1\n")
         with pytest.raises(MeshFormatError):
             load_mesh(path)
+
+    def test_unreadable_file_names_its_path(self, tmp_path):
+        binary = tmp_path / "binary.bsm"
+        binary.write_bytes(b"bsm \xff\xfe\n")
+        for path in (tmp_path / "missing.bsm", tmp_path, binary):
+            message = f"^cannot read mesh file {re.escape(str(path))}: "
+            with pytest.raises(MeshFormatError, match=message):
+                load_mesh(path)
+
+    def test_uncreatable_file_is_config_error(self, tmp_path):
+        with pytest.raises(ConfigError, match="^cannot create mesh file: "):
+            save_mesh(generate_disk_mesh(1.0, 0.4), tmp_path / "missing" / "disk.bsm")
 
     def test_malformed_header(self, tmp_path):
         path = tmp_path / "hdr.bsm"

@@ -4,14 +4,16 @@ Usage::
 
     python tools/output_digest.py [--keep DIR]
 
-Runs each configuration below in-process, in a temporary directory (in DIR,
-which is kept, with ``--keep``), and
-prints one ``<sha256>  <config>/<file>`` line per output file, sorted.  It
-also writes the generated meshes below with ``save_mesh`` and prints one
+Writes the generated meshes below with ``save_mesh`` to ``meshes/`` in a
+temporary directory (in DIR, which is kept, with ``--keep``) and prints one
 ``<sha256>  meshes/<name>.bsm`` line each, and one
 ``<sha256>  orderings/<name>`` line over the bytes of each mesh's
 ``bulk_orderings`` (bulk, then interior, each a permutation or a
-``Dissection``'s permutation; ``None``, minimum degree, as a fixed marker).  Two checkouts that print the same lines write
+``Dissection``'s permutation; ``None``, minimum degree, as a fixed marker).
+Then it runs each configuration below in-process, in that directory, so a
+``geometry.kind: file`` run reads a saved mesh by its relative path, and
+prints one ``<sha256>  <config>/<file>`` line per output file; all lines are
+sorted by name.  Two checkouts that print the same lines write
 byte-identical simulate, converge, stability and regularization outputs
 (``manifest.json`` included), byte-identical meshes and the same factor
 orderings, which is the check a behaviour-preserving refactor must pass.
@@ -26,7 +28,7 @@ import hashlib
 import os
 import sys
 import tempfile
-from contextlib import nullcontext
+from contextlib import chdir, nullcontext
 from pathlib import Path
 
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
@@ -108,6 +110,12 @@ CONFIGS = {
         {"kind": "stability", "levels": 2, "samples": 5, "boost_iters": 5,
          "mode": "both", "seed": 0},
     )),
+    # A mesh read back from a file, with its estimated normal and curvature.
+    "simulate_file": (run_simulate, _config(
+        {"kind": "file", "path": "meshes/ellipsoid_p2.bsm"},
+        {"k": 2, "q": 2, "tau": 1e-3, "T": 0.004},
+        {"kind": "simulate", "snapshots": 2},
+    )),
     "regularization_ellipsoid": (run_regularization, _config(
         {"kind": "ellipsoid", "radii": [1.0, 0.8, 0.9], "h": 0.5},
         {"k": 2, "q": 2, "tau": 1e-3, "T": 0.004},
@@ -148,18 +156,20 @@ def digests(keep=None):
     if keep is not None:
         os.makedirs(keep)
     with nullcontext(keep) if keep is not None else tempfile.TemporaryDirectory() as tmp:
-        for name, (runner, config) in CONFIGS.items():
-            outdir = Path(tmp) / name
-            runner(config, str(outdir))
-            for path in sorted(outdir.iterdir()):
-                lines.append((_digest(path), f"{name}/{path.name}"))
-        (Path(tmp) / "meshes").mkdir()
+        root = Path(tmp).resolve()
+        (root / "meshes").mkdir()
         for name, generate in MESHES.items():
-            path = Path(tmp) / "meshes" / f"{name}.bsm"
+            path = root / "meshes" / f"{name}.bsm"
             mesh = generate()
             save_mesh(mesh, path)
             lines.append((_digest(path), f"meshes/{path.name}"))
             lines.append((_orderings_digest(mesh), f"orderings/{name}"))
+        with chdir(root):
+            for name, (runner, config) in CONFIGS.items():
+                outdir = root / name
+                runner(config, str(outdir))
+                for path in sorted(outdir.iterdir()):
+                    lines.append((_digest(path), f"{name}/{path.name}"))
     return sorted(lines, key=lambda line: line[1])
 
 

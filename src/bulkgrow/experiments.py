@@ -242,28 +242,33 @@ def _geometry_radii(geometry):
     return [float(r) for r in radii]
 
 
-def build_geometry(geometry, degree):
-    """Mesh plus initial boundary fields (normal, curvature) for a config."""
+def build_geometry(geometry, degree=None):
+    """Mesh plus initial boundary fields (normal, curvature) for a config: a
+    generated mesh of ``degree`` (default 2), or a loaded one, which keeps
+    its file's degree; a ``degree`` given must match it."""
     kind = geometry["kind"]
     if kind == "file":
         mesh = load_mesh(geometry["path"])
+        _check(degree in (None, mesh.degree_k),
+               f"discretization.k = {degree}, but {geometry['path']} holds a mesh "
+               f"of degree {mesh.degree_k}")
         normal, curvature = estimate_boundary_geometry(mesh)
         return mesh, normal, curvature
     radii = _geometry_radii(geometry)
     h = float(geometry["h"])
     if kind == "disk":
-        mesh = generate_disk_mesh(radii[0], h, degree=degree)
+        mesh = generate_disk_mesh(radii[0], h, degree=degree or 2)
         full_radii = (radii[0], radii[0])
     else:
         if len(radii) == 1:
             radii = radii * 3
-        mesh = generate_ball_mesh(radii, h, degree=degree)
+        mesh = generate_ball_mesh(radii, h, degree=degree or 2)
         full_radii = tuple(radii)
     normal, curvature = ellipsoid_surface_fields(mesh.boundary_positions, full_radii)
     return mesh, normal, curvature
 
 
-def build_params(config, mesh, mu=None):
+def build_params(config, mesh):
     """Model constants; the source must be finite on the initial boundary."""
     model = config["model"]
     source = parse_source(model.get("Q", 0.0))
@@ -272,7 +277,7 @@ def build_params(config, mesh, mu=None):
     return ModelParams(
         alpha=float(model["alpha"]),
         beta=float(model["beta"]),
-        mu=float(model.get("mu", 0.0)) if mu is None else float(mu),
+        mu=float(model.get("mu", 0.0)),
         source=source,
     )
 
@@ -305,8 +310,8 @@ def compatible_oracle(config, mesh=None):
 def seed_history(config, stepper, normal, curvature):
     """Seed states of the run ``stepper`` takes: the q states of the closed
     form when one exists, otherwise the initial state alone (whose solves
-    run on the stepper).  The run takes its start steps from a short seed
-    with ``evolve(stepper, history, q - len(history))``."""
+    run on the stepper).  ``evolve`` completes a short seed with start
+    steps."""
     mode = config["run"].get("seed_mode", "auto")
     oracle = compatible_oracle(config)
     if mode == "oracle" and oracle is None:
@@ -316,25 +321,20 @@ def seed_history(config, stepper, normal, curvature):
     return History([initial_state(stepper, normal, curvature)])
 
 
-def _degree(disc):
-    """Element degree k of a discretization section."""
-    return int(disc.get("k", 2))
+def _n_steps(disc):
+    """Time steps of a discretization section."""
+    return int(round(float(disc["T"]) / float(disc["tau"])))
 
 
-def _time_grid(disc):
-    """(k, q, tau, n_steps) of a discretization section."""
-    tau = float(disc["tau"])
-    n_steps = int(round(float(disc["T"]) / tau))
-    return _degree(disc), int(disc.get("q", 2)), tau, n_steps
-
-
-def _start(config):
-    """(stepper, history, n_steps) of a time-stepping run: the mesh and model
-    of the config, and its seed states (``seed_history``)."""
-    degree, order, tau, n_steps = _time_grid(config["discretization"])
-    mesh, normal, curvature = build_geometry(config["geometry"], degree)
-    stepper = Stepper(mesh, build_params(config, mesh), order, tau)
-    return stepper, seed_history(config, stepper, normal, curvature), n_steps
+def _start(config, built=None):
+    """(stepper, history, n_steps) of a time-stepping run: the config's mesh
+    (or ``built``, its ``build_geometry`` result) and model, and its seed
+    states (``seed_history``)."""
+    disc = config["discretization"]
+    mesh, normal, curvature = built or build_geometry(config["geometry"], disc.get("k"))
+    stepper = Stepper(mesh, build_params(config, mesh), int(disc.get("q", 2)),
+                      float(disc["tau"]))
+    return stepper, seed_history(config, stepper, normal, curvature), _n_steps(disc)
 
 
 def _sampler(n_steps, count):
@@ -409,19 +409,20 @@ def run_simulate(config, outdir):
         write_surface_vtk(os.path.join(outdir, f"surface_{tag}.vtk"), mesh, state)
 
     def observer(step, state):
+        if step == 0:
+            snapshot(history[1])  # the completed seed, where the time loop starts
         if keep(step):
             snapshot(state)
 
     aborted = None
     try:
-        evolve(stepper, history, stepper.scheme.order - len(history))  # start steps
-        snapshot(history[0])
         evolve(stepper, history, n_steps, observer)
     except BulkgrowError as exc:
-        # Flush the last good state, unless it was written, before propagating.
-        if not diag_rows or diag_rows[-1]["time"] < history[0].time:
-            snapshot(history[0])
         aborted = exc
+    # The last good state, unless it was written: after a failure, or the
+    # completed seed of a run without steps.
+    if not diag_rows or diag_rows[-1]["time"] < history[0].time:
+        snapshot(history[0])
     write_csv(os.path.join(outdir, "diagnostics.csv"), _DIAG_COLUMNS, diag_rows)
     _finish(outdir, config, quality_report(mesh), aborted)
     return outdir
@@ -448,7 +449,6 @@ def run_convergence_cell(config):
             mats = stepper.assembler.system(state.positions)
             report.add(oracle_errors(state, oracle, mesh, mats))
 
-    evolve(stepper, history, stepper.scheme.order - len(history))  # start steps
     evolve(stepper, history, n_steps, observer)
     sup = report.sup_errors()
     return {"h": mesh.mesh_size_h, "tau": stepper.tau,
@@ -539,7 +539,7 @@ def run_stability(config, outdir):
     manifest are written before the error is re-raised."""
     geometry = config["geometry"]
     run = config["run"]
-    degree = _degree(config["discretization"])
+    degree = config["discretization"].get("k")
     levels = int(run.get("levels", 4))
     samples = int(run.get("samples", 20))
     seed = int(run.get("seed", 0))
@@ -594,21 +594,21 @@ def run_regularization(config, outdir):
     and trace difference of each run relative to the baseline without
     regularization.
     """
-    degree, order, tau, n_steps = _time_grid(config["discretization"])
     mu_values = [float(v) for v in config["run"].get("mu_values", [0.0, 0.01, 0.1, 1.0])]
     if 0.0 not in mu_values:
         mu_values = [0.0] + mu_values
-    mesh, normal, curvature = build_geometry(config["geometry"], degree)
-    params_of = {mu: build_params(config, mesh, mu=mu) for mu in mu_values}
+    built = build_geometry(config["geometry"], config["discretization"].get("k"))
+    mesh = built[0]
+    build_params(config, mesh)  # a bad source leaves no output directory
     _make_outdir(outdir)  # after set-up: a bad config leaves none
-    keep = _sampler(n_steps, int(config["run"].get("snapshots", 10)))
+    keep = _sampler(_n_steps(config["discretization"]),
+                    int(config["run"].get("snapshots", 10)))
     ng = mesh.n_boundary
 
     traces = {}
     aborted = None
     # The baseline runs first: every row compares a run with it.
-    for mu in sorted(params_of, key=lambda value: value != 0.0):
-        stepper = Stepper(mesh, params_of[mu], order, tau)
+    for mu in sorted(dict.fromkeys(mu_values), key=lambda value: value != 0.0):
         samples = []
 
         def observer(step, state):
@@ -618,9 +618,10 @@ def run_regularization(config, outdir):
                      state.pressure[:ng].copy())
                 )
 
+        run = {**config, "model": {**config["model"], "mu": mu},
+               "run": {**config["run"], "seed_mode": "bootstrap"}}
         try:
-            history = History([initial_state(stepper, normal, curvature)])
-            evolve(stepper, history, order - len(history))  # start steps
+            stepper, history, n_steps = _start(run, built)
             evolve(stepper, history, n_steps, observer)
         except BulkgrowError as exc:
             # Flush the samples so far against the baseline before propagating.

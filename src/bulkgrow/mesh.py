@@ -37,15 +37,7 @@ from .sparsela import nested_dissection
 MAX_GENERATED_NODES = 4_000_000
 
 # Node count from which a 2d mesh is factored in nested dissection, not
-# minimum degree.  Measured on P2 unit disks, one thread, best of 5, minimum
-# degree -> nested dissection (ordering, 0.14 / 0.26 / 0.44 s, included):
-#   N        sweep level, both modes   float32 L + A_II, 300 applies each
-#   30,301   1.35 -> 1.36 s            4.14 -> 4.76 s
-#   48,007   3.05 -> 2.65 s            9.51 -> 9.40 s
-#   77,281   5.09 -> 4.55 s            14.9 -> 14.1 s
-# A float64 sweep level breaks even at about 30k nodes, the time loop's
-# float32 factors only at about 48k: below that A_II's solves, slower in
-# this ordering, outweigh the cheaper factorizations.
+# minimum degree; the sparsela module notes give the measurements.
 _MIN_DISSECTION_NODES_2D = 50_000
 
 # Elements per block of the bulk element kernel (bulk_blocks).  A whole-mesh
@@ -143,14 +135,11 @@ class BulkSurfaceMesh:
 
         In 3d, the :class:`Dissection` of the bulk connectivity graph at these
         positions (:func:`nested_dissection`) and its restriction to the
-        interior nodes, which give the supernodal Cholesky factors.  In 2d
-        from ``_MIN_DISSECTION_NODES_2D`` nodes on, their permutations as
-        arrays, which SuperLU factors in.  Smaller 2d meshes get
-        ``(None, None)``, i.e. minimum degree, which is the faster one there:
-        nested dissection's fill advantage grows with the mesh, and on P2
-        disks it wins the factorization and the solves together only above
-        about 50,000 nodes.  Computed on first use and kept, so every solver
-        on this mesh shares it.
+        interior nodes, for the supernodal Cholesky factors; in 2d, their
+        permutations for SuperLU from ``_MIN_DISSECTION_NODES_2D`` nodes on,
+        and ``(None, None)``, minimum degree, below (the :mod:`sparsela`
+        module notes give the reasons).  Computed on first use and kept, so
+        every solver on this mesh shares it.
         """
         if self.dim == 2 and self.n_nodes < _MIN_DISSECTION_NODES_2D:
             return None, None

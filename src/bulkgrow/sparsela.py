@@ -37,10 +37,15 @@ Comput. 20 (1998)).  On the P2 ball of 24,389 nodes the Robin matrix fills
 21x against minimum degree's 34x, and its float32 factor takes 1.0 s
 against 3.8 s; on a P1 ball of the same size, 36x against 112x.  In 2d the
 advantage grows with the mesh: on the P2 disk of 77,281 nodes L fills 8.3x
-against 14.5x and its float32 factor takes 0.37 s against 1.12 s, while at
-30,301 nodes the cheaper factorizations do not yet pay for the ordering and
-the slower interior solves.  Smaller 2d meshes and the surface pencil keep
-minimum degree.
+against 14.5x and its float32 factor takes 0.37 s against 1.12 s.  On P2
+unit disks of 30,301 / 48,007 / 77,281 nodes (one thread, best of 5,
+ordering included) a float64 stability sweep level took 1.35 / 3.05 / 5.09
+s in minimum degree and 1.36 / 2.65 / 4.55 s in nested dissection, and 300
+applies each of the float32 L and A_II 4.14 / 9.51 / 14.9 s against
+4.76 / 9.40 / 14.1 s: below about 48k nodes A_II's solves, slower in this
+ordering, outweigh the cheaper factorizations.  So 2d meshes switch at
+50,000 nodes (``mesh._MIN_DISSECTION_NODES_2D``); smaller ones and the
+surface pencil keep minimum degree.
 
 The factor follows the dimension as well.  In 3d the Robin matrix and the
 interior block, in the time loop and in the stability sweeps, get a
@@ -556,9 +561,8 @@ class SpdFactor:
       solutions permuted to match;
     * a :class:`Dissection`: the supernodal Cholesky factor on its separator
       tree, which stores L alone.  The 3d Robin matrix and interior block
-      take this one; the module notes give the figures.  2d systems stay
-      on SuperLU, whose solves were faster: 27 ms against 45 ms per column
-      on the 77,281-node disk.
+      take this one, 2d systems stay on SuperLU; the module notes give the
+      figures.
 
     ``nnz`` counts the factor's stored entries.  Raises SolverError for an
     entry that is not finite, for a diagonal entry that is not positive,

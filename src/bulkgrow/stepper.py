@@ -150,6 +150,12 @@ def extrapolated_geometry(history, scheme, assembler):
     )
 
 
+def trace_forcing(params, pressure_trace):
+    """w = alpha u_Gamma, the pressure trace as the velocity law and the
+    surface equations read it; the one place alpha scales the trace."""
+    return params.alpha * np.asarray(pressure_trace)
+
+
 def robin_solve(geometry, params, time, solve):
     """Pressure from the generalized Robin problem on the frozen geometry;
     ``solve(matrix, rhs)`` solves the SPD system."""
@@ -171,24 +177,23 @@ def _bdf_history_term(scheme, tau, mass, past_fields):
     return -(mass @ weighted_sum(scheme.delta[1:], past_fields)) / tau
 
 
-def normal_step(geometry, history, pressure, scheme, tau, params, assembler):
+def normal_step(geometry, history, w, scheme, tau, params, assembler):
     """Right-hand side (N_Gamma, m+1) of the implicit update of the
-    (non-normalized) outward normal field; :func:`curvature_step` solves it
+    (non-normalized) outward normal field, with the load -grad_Gamma w of
+    the new :func:`trace_forcing` w; :func:`curvature_step` solves it
     together with the curvature equation."""
     mats = geometry.matrices
     forcing = assembler.curvature_forcing_nu(
         geometry.normal, geometry.weingarten, params.beta, mats.surface
     )
-    forcing -= params.alpha * assembler.tangential_gradient_load(
-        pressure[: mats.n_boundary], mats.surface
-    )
+    forcing -= assembler.tangential_gradient_load(w, mats.surface)
     q = scheme.order
     return forcing + _bdf_history_term(
         scheme, tau, mats.mass_surf, history.field("normal")[:q]
     )
 
 
-def curvature_step(geometry, history, pressure, normal_rhs, scheme, tau, params,
+def curvature_step(geometry, history, w, w_tilde, normal_rhs, scheme, tau, params,
                    assembler, solve):
     """Implicit update of the mean curvature field, solved together with the
     normal update whose right-hand side :func:`normal_step` built.
@@ -196,18 +201,17 @@ def curvature_step(geometry, history, pressure, normal_rhs, scheme, tau, params,
     Both equations have the surface pencil (delta_0/tau) M + beta A, so one
     solve takes the (N_Gamma, m+2) stacked right-hand side;
     ``solve(matrix, rhs)`` solves the SPD system.  Returns (normal,
-    curvature).  The quadratic forcing uses only extrapolated fields (normal,
-    curvature, pressure); the new pressure enters through the
+    curvature).  The quadratic forcing uses only extrapolated fields: its
+    speed is the :func:`velocity_law` of the extrapolated curvature and
+    trace forcing ``w_tilde``.  The new trace forcing w enters through the
     surface-Laplacian term.
     """
     mats = geometry.matrices
-    ng = mats.n_boundary
-    speed_tilde = -params.beta * geometry.curvature \
-        + params.alpha * geometry.pressure[:ng]
+    speed_tilde, _ = velocity_law(w_tilde, geometry.curvature, geometry.normal, params)
     forcing = assembler.curvature_forcing_H(
         geometry.weingarten, speed_tilde, mats.surface
     )
-    rhs = forcing + params.alpha * (mats.stiff_surf @ pressure[:ng])
+    rhs = forcing + mats.stiff_surf @ w
     q = scheme.order
     rhs = rhs + _bdf_history_term(
         scheme, tau, mats.mass_surf, history.field("curvature")[:q]
@@ -217,11 +221,10 @@ def curvature_step(geometry, history, pressure, normal_rhs, scheme, tau, params,
     return both[:, :-1], both[:, -1]
 
 
-def velocity_law(pressure_trace, curvature, normal, params):
-    """Nodal velocity law: V = -beta H + alpha u on the boundary, v = V n."""
-    speed = -params.beta * np.asarray(curvature) + params.alpha * np.asarray(
-        pressure_trace
-    )
+def velocity_law(w, curvature, normal, params):
+    """Nodal velocity law: V = -beta H + w on the boundary, with w the
+    :func:`trace_forcing`, and v = V n."""
+    speed = -params.beta * np.asarray(curvature) + w
     return speed, speed[:, None] * np.asarray(normal)
 
 
@@ -277,14 +280,9 @@ class Stepper:
     two.
 
     The Robin matrix and the interior block are factored in the mesh's
-    ``bulk_orderings``.  In 3d that is a nested dissection with its
-    separator tree, and they get supernodal Cholesky factors; on the
-    ``sim3d`` ball these factor L 3.7-3.9x faster than SuperLU and apply in
-    0.57-0.75 of its time.  2d systems stay on SuperLU, in nested
-    dissection from 50,000 nodes on and minimum degree below: on the
-    77,281-node disk the Cholesky factor applied in 45 ms against SuperLU's
-    27 ms per column, and the time loop is bound by its solves.  The surface
-    pencil keeps SuperLU's minimum-degree ordering.
+    ``bulk_orderings``, the surface pencil in minimum degree; the
+    :mod:`sparsela` module notes give the ordering and factor policy and
+    its figures.
 
     Each step assembles the bulk stiffness, the volume load (the row sums
     of the bulk mass, the only part of it the Robin load reads) and the
@@ -296,7 +294,8 @@ class Stepper:
     A_II and A_IB by gathers through the assembler's ``StepLayout`` (built
     on the first step), and the pencil as one combination of the surface
     data.  |A_h|^2 of the extrapolated normal is computed once per step for
-    both curvature forcings.
+    both curvature forcings, and w = alpha u_Gamma (:func:`trace_forcing`)
+    for the new and for the extrapolated pressure trace.
     """
 
     def __init__(self, mesh, params, order, tau):
@@ -341,26 +340,26 @@ class Stepper:
         stage = "extrapolated_geometry"
         try:
             geo = extrapolated_geometry(history, scheme, self.assembler)
+            w_tilde = trace_forcing(self.params, geo.pressure[:ng])
             stage = "robin_solve"
             pressure = robin_solve(
                 geo, self.params, time_next,
                 _solve_from(self.robin_solver, basis, lambda s: s.pressure),
             )
+            w = trace_forcing(self.params, pressure[:ng])
             stage = "normal_step"
             normal_rhs = normal_step(
-                geo, history, pressure, scheme, self.tau, self.params, self.assembler,
+                geo, history, w, scheme, self.tau, self.params, self.assembler,
             )
             stage = "curvature_step"
             normal, curvature = curvature_step(
-                geo, history, pressure, normal_rhs, scheme, self.tau, self.params,
+                geo, history, w, w_tilde, normal_rhs, scheme, self.tau, self.params,
                 self.assembler,
                 _solve_from(self.surface_solvers[scheme.order], basis,
                             lambda s: np.column_stack([s.normal, s.curvature])),
             )
             stage = "velocity_law"
-            speed, v_gamma = velocity_law(
-                pressure[:ng], curvature, normal, self.params
-            )
+            speed, v_gamma = velocity_law(w, curvature, normal, self.params)
             stage = "harmonic_extension"
             velocity = harmonic_extension(
                 geo.matrices, v_gamma,
@@ -390,15 +389,16 @@ def evolve(stepper, history, n_steps, observer=None):
     """Run n_steps of the scheme, pushing each new state into the history,
     which keeps the stepper's ``depth`` states.
 
-    A history shorter than the order q grows: each step takes the order its
-    length supports, so ``evolve(stepper, history, q - len(history))`` takes
-    the start steps from a single seed state, and none from q oracle states.
-    ``observer(step_index, state)`` is called after every accepted step.
+    A history shorter than the order q is first completed by start steps,
+    ordinary steps of the order its length supports: q - 1 from a single
+    seed state, none from q oracle states.  ``observer(step_index, state)``
+    is called after every step that follows them.
     """
-    for k in range(n_steps):
+    start = max(stepper.scheme.order - len(history), 0)
+    for k in range(-start, n_steps):
         state = stepper.step(history)
         history.push(state, stepper.depth)
-        if observer is not None:
+        if observer is not None and k >= 0:
             observer(k, state)
     return history
 
@@ -467,7 +467,9 @@ def initial_state(stepper, normal, curvature):
         geometry, params, 0.0,
         partial(stepper.robin_solver.solve, x0=np.zeros(mesh.n_nodes)),
     )
-    speed, v_gamma = velocity_law(pressure[:ng], curvature, normal, params)
+    speed, v_gamma = velocity_law(
+        trace_forcing(params, pressure[:ng]), curvature, normal, params
+    )
     velocity = harmonic_extension(
         geometry.matrices, v_gamma,
         partial(stepper.harmonic_solver.solve,

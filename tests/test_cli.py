@@ -391,6 +391,27 @@ class TestRegularization:
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert "tangled" in manifest["aborted"]
 
+    def test_failing_seed_flushes_the_baseline(self, tmp_path, monkeypatch):
+        # Each run is seeded after the output directory exists, so a seed
+        # that fails writes the baseline's rows and an aborted manifest.
+        original = experiments.initial_state
+
+        def failing_initial_state(stepper, normal, curvature):
+            if stepper.params.mu == 0.1:
+                raise SolverError("seed Robin solve failed", residual=1.0)
+            return original(stepper, normal, curvature)
+
+        monkeypatch.setattr(experiments, "initial_state", failing_initial_state)
+        config = disk_config(
+            tmp_path,
+            run={"kind": "regularization", "mu_values": [0.0, 0.1], "snapshots": 5},
+        )
+        assert main(["simulate", str(write_config(tmp_path, config))]) == 3
+        rows = read_csv(tmp_path / "out" / "regularization.csv")
+        assert [float(r["mu"]) for r in rows] == [0.0] * 5
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert "seed Robin solve failed" in manifest["aborted"]
+
 
 class TestCliEntry:
     def test_mesh_gen_info_roundtrip(self, tmp_path, capsys):
@@ -606,6 +627,24 @@ class TestBadInputs:
         assert main(["simulate", str(write_config(tmp_path, config))]) == 2
         assert_config_error(capsys)
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind", ["simulate", "regularization"])
+    def test_file_mesh_keeps_its_degree(self, tmp_path, capsys, kind):
+        # A loaded mesh has the degree of its file: a k that differs from
+        # it is a configuration error, and without k the run takes the file's.
+        path = tmp_path / "disk_p1.bsm"
+        mesh = generate_disk_mesh(1.5, 0.4, degree=1)
+        save_mesh(mesh, path)
+        config = disk_config(tmp_path, discretization={"T": 0.004},
+                             run={"kind": kind, "mu_values": [0.0, 0.1]})
+        config["geometry"] = {"kind": "file", "path": str(path)}
+        assert main(["simulate", str(write_config(tmp_path, config))]) == 2
+        assert_config_error(capsys)
+        assert not (tmp_path / "out").exists()
+        del config["discretization"]["k"]
+        assert main(["simulate", str(write_config(tmp_path, config))]) == 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["mesh"]["n_nodes"] == mesh.n_nodes
 
     @pytest.mark.parametrize("below", [True, False], ids=["below_a_file", "a_file"])
     def test_outputs_that_cannot_be_created(self, tmp_path, capsys, below):

@@ -30,6 +30,7 @@ from bulkgrow.stepper import (
     normal_step,
     position_update,
     robin_solve,
+    trace_forcing,
     velocity_law,
 )
 
@@ -192,10 +193,11 @@ class TestSurfaceSteps:
         scheme = bdf_coefficients(2)
         assembler = Assembler(mesh)
         geo = extrapolated_geometry(history, scheme, assembler)
-        pressure = np.zeros(mesh.n_nodes)
-        normal_rhs = normal_step(geo, history, pressure, scheme, tau, params, assembler)
+        w = np.zeros(mesh.n_boundary)
+        w_tilde = trace_forcing(params, geo.pressure[: mesh.n_boundary])
+        normal_rhs = normal_step(geo, history, w, scheme, tau, params, assembler)
         new_normal, _ = curvature_step(
-            geo, history, pressure, normal_rhs, scheme, tau, params, assembler, solve_spd,
+            geo, history, w, w_tilde, normal_rhs, scheme, tau, params, assembler, solve_spd,
         )
         assert np.allclose(new_normal, n_const, atol=1e-10)
 
@@ -206,11 +208,13 @@ class TestSurfaceSteps:
         scheme = bdf_coefficients(2)
         assembler = Assembler(mesh)
         geo = extrapolated_geometry(history, scheme, assembler)
-        u = history[0].pressure
+        u = history[0].pressure[: mesh.n_boundary]
+        w_tilde = trace_forcing(params, geo.pressure[: mesh.n_boundary])
 
-        def new_normal(pressure):
-            rhs = normal_step(geo, history, pressure, scheme, 1e-3, params, assembler)
-            return curvature_step(geo, history, pressure, rhs, scheme, 1e-3, params,
+        def new_normal(trace):
+            w = trace_forcing(params, trace)
+            rhs = normal_step(geo, history, w, scheme, 1e-3, params, assembler)
+            return curvature_step(geo, history, w, w_tilde, rhs, scheme, 1e-3, params,
                                   assembler, solve_spd)[0]
 
         assert np.allclose(new_normal(u), new_normal(u + 4.2), atol=1e-9)
@@ -239,10 +243,11 @@ class TestSurfaceSteps:
         scheme = bdf_coefficients(1)
         assembler = Assembler(mesh)
         geo = extrapolated_geometry(history, scheme, assembler)
-        pressure = np.zeros(mesh.n_nodes)
-        normal_rhs = normal_step(geo, history, pressure, scheme, tau, params, assembler)
+        w = np.zeros(mesh.n_boundary)
+        w_tilde = trace_forcing(params, geo.pressure[: mesh.n_boundary])
+        normal_rhs = normal_step(geo, history, w, scheme, tau, params, assembler)
         _, new_curv = curvature_step(
-            geo, history, pressure, normal_rhs, scheme, tau, params, assembler, solve_spd,
+            geo, history, w, w_tilde, normal_rhs, scheme, tau, params, assembler, solve_spd,
         )
         mass = geo.matrices.mass_surf
         ones = np.ones(mesh.n_boundary)
@@ -258,7 +263,8 @@ class TestVelocityLaw:
         curvature = np.full(4, 2.0)
         normal = np.tile([0.0, 0.0, 1.0], (4, 1))
         params = ModelParams(alpha=1.0, beta=1.0)
-        speed, v_gamma = velocity_law(u_gamma, curvature, normal, params)
+        speed, v_gamma = velocity_law(trace_forcing(params, u_gamma), curvature, normal,
+                                      params)
         assert np.allclose(speed, 1.5 - 1.0 / 3.0)
         assert np.allclose(v_gamma[:, 2], speed)
 
@@ -266,7 +272,7 @@ class TestVelocityLaw:
         params = ModelParams(alpha=2.0, beta=0.5)
         curvature = np.array([1.0, 2.0])
         u_gamma = params.beta * curvature / params.alpha
-        speed, v_gamma = velocity_law(u_gamma, curvature,
+        speed, v_gamma = velocity_law(trace_forcing(params, u_gamma), curvature,
                                       np.ones((2, 3)), params)
         assert np.allclose(speed, 0.0, atol=1e-15)
         assert np.allclose(v_gamma, 0.0, atol=1e-15)
@@ -280,6 +286,33 @@ class TestVelocityLaw:
         _, v1 = velocity_law(u, h, n, params)
         _, v2 = velocity_law(u, h, -n, params)
         assert np.allclose(v1, -v2)
+
+    def test_trace_forcing_is_the_one_seam(self, monkeypatch):
+        # A constant g added to w = alpha u_Gamma, in the initial state and in
+        # every step's new and extrapolated trace, acts on the radial
+        # solution as a source Q + g: the normal and curvature equations see
+        # surface derivatives of g, which vanish, and |A|^2 V~, and the
+        # velocity law V = -beta H + w sees g itself.  The radius follows
+        # V, and the curvature 1/R only if V~ holds g as well.
+        g, q_value = 0.3, 1.5
+        seam = stepper_module.trace_forcing
+        monkeypatch.setattr(stepper_module, "trace_forcing",
+                            lambda params, trace: seam(params, trace) + g)
+        mesh = generate_disk_mesh(1.5, 0.1, degree=2)
+        normal, curvature = ellipsoid_surface_fields(mesh.boundary_positions, (1.5, 1.5))
+        stepper = Stepper(mesh, disk_params(q_value=q_value), 2, 2e-3)
+        history = evolve(stepper, History([initial_state(stepper, normal, curvature)]), 99)
+        state = history[0]
+        radius = np.linalg.norm(state.positions[: mesh.n_boundary], axis=1).mean()
+
+        def oracle_radius(source):
+            return RadialOracle(dim_m=1, initial_radius=1.5, source=source,
+                                alpha=1.0, beta=1.0).radius(state.time)
+
+        assert state.time == pytest.approx(0.2)
+        assert radius == pytest.approx(oracle_radius(q_value + g), rel=1e-5)
+        assert abs(radius / oracle_radius(q_value) - 1.0) > 0.01
+        assert np.abs(state.curvature - 1.0 / oracle_radius(q_value + g)).max() < 1e-4
 
 
 class TestPositionUpdate:
@@ -493,9 +526,11 @@ class TestInitialData:
         mesh = sphere_oracle_mesh(oracle, 0.3, degree=2)
         params = disk_params()
         normal, curv = ellipsoid_surface_fields(mesh.boundary_positions, (1.5, 1.5))
-        # The start step is an ordinary BDF1 step on the run's history.
+        # The start step is an ordinary BDF1 step on the run's history, which
+        # evolve takes before any of its n_steps steps.
         stepper = Stepper(mesh, params, 2, 1e-3)
-        history = evolve(stepper, History([initial_state(stepper, normal, curv)]), 1)
+        history = evolve(stepper, History([initial_state(stepper, normal, curv)]), 0)
+        assert list(stepper.surface_solvers) == [1]
         assert len(history) == 2
         assert history[0].time == pytest.approx(1e-3)
         assert history[1].time == pytest.approx(0.0)

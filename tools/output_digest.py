@@ -73,6 +73,14 @@ CONFIGS = {
         {"kind": "simulate", "snapshots": 2},
         model={"alpha": 1.0, "beta": 1.0, "mu": 0.1, "Q": "expr:1+0.1*x"},
     )),
+    # alpha != 1 != beta: with alpha = 1 the pressure trace and alpha times it
+    # are bitwise equal, so only this run shows where alpha scales the trace.
+    "simulate_ellipsoid_alpha": (run_simulate, _config(
+        {"kind": "ellipsoid", "radii": [1.0, 0.8, 0.9], "h": 0.5},
+        {"k": 2, "q": 2, "tau": 1e-3, "T": 0.004},
+        {"kind": "simulate", "snapshots": 2},
+        model={"alpha": 0.7, "beta": 1.3, "mu": 0.1, "Q": "expr:1+0.1*x"},
+    )),
     "converge_disk": (run_converge, _config(
         {"kind": "disk", "radii": [1.5], "h": 0.4},
         {"k": 2, "q": 2, "tau": 1e-3, "T": 0.04},

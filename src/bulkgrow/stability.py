@@ -22,15 +22,23 @@ from .norms import norm_h_half, surface_spectrum
 from .sparsela import SpdFactor, dirichlet_extension
 
 
-# Sampled fields per multi-column solve.  At N = 77,281 (2d, P2) the 20
-# interior solves of a level took 0.148 s one column at a time, 0.103 s in
-# blocks of 5 and 0.100 s in one block of 20, whose work arrays raised the
-# sweep's peak RSS by 15-40 MB.
+# Sampled fields per multi-column solve.  At N = 77,281 (2d, P2, one
+# thread, best of 5) the 20 interior solves of a level took 346 ms one
+# column at a time, 191 ms in blocks of 5, 187 ms in blocks of 10 and
+# 176 ms in one block of 20 (the Robin solves 352, 207, 189 and 173 ms).
+# A solve's numpy work arrays grow with its block: 20 MB at 5 columns,
+# 41 MB at 10, 82 MB at 20.  Larger blocks save at most 16% of the time for
+# 2-4x the memory, so 5 stays.
 _FIELD_BLOCK = 5
 
 
 def _energy_norms(matrix, values):
-    """sqrt(v^T K v) of each column of ``values``."""
+    """sqrt(v^T K v) of each column of ``values``.
+
+    The block stays in its (n, c) layout: at N = 77,281 and 5 columns the
+    sum along axis 0 took 2.9 ms with the product, and summing along
+    contiguous rows 4.5 ms, as transposing both blocks costs more than it
+    saves there."""
     return np.sqrt(np.maximum(np.einsum("ij,ij->j", values, matrix @ values), 0.0))
 
 

@@ -15,6 +15,7 @@ from bulkgrow.sparsela import (
     Dissection,
     SpdFactor,
     _crossing_cover,
+    _pcg,
     _Symbolic,
     dirichlet_extension,
     nested_dissection,
@@ -368,6 +369,114 @@ def test_multicolumn_rhs_solved_per_column():
         assert np.array_equal(x[:, c], solve_spd(a, b[:, c]))
 
 
+def stale_solver(rng, n=60):
+    """(a matrix, a CachedSpdSolver holding the float32 factor of the matrix
+    it drifted from): its solves on the matrix take a few PCG iterations and
+    no refresh."""
+    base = random_spd(n, rng)
+    solver = CachedSpdSolver()
+    solver.solve(base, rng.standard_normal(n), np.zeros(n))
+    e = rng.standard_normal((n, n))
+    return sp.csr_matrix(base.toarray() + 0.5 * (e + e.T)), solver
+
+
+class TestBlockContract:
+    """A 2d right-hand side is a block of independent columns: each is solved
+    as its own single-column solve would be, and the block comes back as a
+    C-ordered float64 (n, c) array."""
+
+    def test_cached_block_columns_match_their_own_solves(self, calls):
+        rng = np.random.default_rng(21)
+        a, solver = stale_solver(rng)
+        b = rng.standard_normal((60, 3)) * [1.0, 1e-6, 1e6]
+        applies = calls["applies"]
+        x = solver.solve(a, b, np.zeros_like(b))
+        assert calls["applies"] - applies >= 2  # PCG iterated on the stale factor
+        for c in range(3):
+            alone = solver.solve(a, b[:, c], np.zeros(60))
+            assert np.linalg.norm(x[:, c] - alone) <= 1e-13 * np.linalg.norm(alone)
+        assert calls["factored"] == [np.float32]  # no refresh
+
+    def test_1d_rhs_and_its_one_column_block_agree_bitwise(self):
+        rng = np.random.default_rng(22)
+        a, solver = stale_solver(rng)
+        b = rng.standard_normal(60)
+        x = solver.solve(a, b, np.zeros(60))
+        block = solver.solve(a, b[:, None], np.zeros((60, 1)))
+        assert block.shape == (60, 1)
+        assert block.tobytes() == x.tobytes()
+        factor = SpdFactor(a.astype(np.float32))  # its direct solution misses TOL
+        assert factor.solve(b[:, None]).tobytes() == factor.solve(b).tobytes()
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("columns", [1, 3])
+    def test_solutions_are_c_ordered_float64(self, columns, order):
+        rng = np.random.default_rng(23)
+        a, solver = stale_solver(rng)
+        b = np.asarray(rng.standard_normal((60, columns)), order=order)
+        exact = np.linalg.solve(a.toarray(), b)
+        solutions = [
+            solver.solve(a, b, np.zeros_like(b)),  # through PCG
+            solver.solve(a, b, exact),  # the guess as it is
+            SpdFactor(a).solve(b),
+            SpdFactor(a.astype(np.float32)).solve(b),
+        ]
+        for x in solutions:
+            assert x.shape == (60, columns)
+            assert x.dtype == np.float64
+            assert x.flags.c_contiguous
+
+    def test_one_apply_at_the_start_and_one_per_iteration(self):
+        # The benchmark's pcg_iters_per_solve counts these applies.
+        rng = np.random.default_rng(24)
+        a, solver = stale_solver(rng)
+        b = rng.standard_normal((60, 2))
+        applies = []
+
+        def precondition(rhs):
+            applies.append(rhs.shape)
+            return solver._factor.apply_inverse(rhs)
+
+        x, iterations, residual = _pcg(a, b, precondition, np.zeros_like(b))
+        assert iterations >= 2 and residual <= TOL
+        # The first iteration takes the apply made at the start.
+        assert applies == [(60, 2)] * iterations
+
+        applies.clear()
+        _, iterations, _ = _pcg(a, b, precondition, x)
+        assert iterations == 0 and applies == []
+
+        def dead(rhs):
+            applies.append(rhs.shape)
+            return np.zeros_like(rhs)
+
+        applies.clear()
+        _, iterations, residual = _pcg(a, b, dead, np.zeros_like(b))
+        assert iterations == _MAXITER and residual > TOL
+        assert len(applies) == 1 + _MAXITER
+
+    def test_empty_block_is_solved_without_factoring(self, calls):
+        rng = np.random.default_rng(25)
+        a = random_spd(20, rng)
+        empty = np.zeros((20, 0))
+        x = CachedSpdSolver().solve(a, empty, empty)
+        assert x.shape == (20, 0)
+        assert calls["factored"] == []
+        x = SpdFactor(a).solve(empty)
+        assert x.shape == (20, 0)
+        assert calls["applies"] == 0
+
+    def test_rhs_length_checked(self):
+        rng = np.random.default_rng(26)
+        a = random_spd(20, rng)
+        for columns in ((), (0,), (2,)):
+            b = np.zeros((19,) + columns)
+            with pytest.raises(ValidationError):
+                CachedSpdSolver().solve(a, b, b)
+            with pytest.raises(ValidationError):
+                SpdFactor(a).solve(b)
+
+
 def max_matching_size(lower, upper):
     """Size of a maximum matching of the bipartite edges lower[i]-upper[i],
     by augmenting paths one lower node at a time."""
@@ -554,6 +663,21 @@ class TestSupernodalCholesky:
         # The float32 factor alone misses TOL, and PCG on it finishes the job.
         assert np.all(relative_residuals(exact, direct, b) > TOL)
         assert np.all(relative_residuals(exact, x, b) <= TOL)
+
+    @pytest.mark.parametrize("name", ["robin", "interior"])
+    def test_any_layout_solves_like_c_order(self, systems, name):
+        # The fronts solve a C-ordered block in place; an F-ordered block, or
+        # a strided column, is solved in a C-ordered copy of itself.
+        matrix, dissection = systems[name]
+        factor = SpdFactor(matrix, dissection)._factor
+        b = np.random.default_rng(7).standard_normal((matrix.shape[0], 3))
+        c_order = factor.solve(b.copy())
+        f_order = np.asfortranarray(b)
+        assert np.array_equal(factor.solve(f_order), c_order)
+        assert np.array_equal(f_order, b)  # the caller's block is left alone
+        assert np.array_equal(factor.solve(b[:, 1]), factor.solve(b[:, 1].copy()))
+        reordered = matrix[dissection.perm][:, dissection.perm]  # the factor's order
+        assert np.all(relative_residuals(reordered, c_order, b) <= 1e-12)
 
     def test_stores_fewer_entries_than_superlu(self, systems):
         for matrix, dissection in systems.values():

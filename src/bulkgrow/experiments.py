@@ -560,21 +560,7 @@ def run_stability(config, outdir):
                             boost_iters=boost, observer=rows.append)
         except BulkgrowError as exc:
             aborted = exc
-        csv_rows = [
-            {
-                "level": r["level"],
-                "h": r["h"],
-                "N": r["n_nodes"],
-                "N_Gamma": r["n_boundary"],
-                "max_ratio": r["max_ratio"],
-                "argmax_seed": r["argmax_seed"],
-            }
-            for r in rows
-        ]
-        write_csv(
-            os.path.join(outdir, f"stability_{mode}.csv"),
-            STABILITY_COLUMNS, csv_rows,
-        )
+        write_csv(os.path.join(outdir, f"stability_{mode}.csv"), STABILITY_COLUMNS, rows)
         results[mode] = rows
         if aborted is not None:
             break

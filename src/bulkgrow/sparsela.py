@@ -101,8 +101,8 @@ _SPLU_ORDERED_OPTS = dict(
     options={"SymmetricMode": True},
 )
 
-# PCG iterations a solve may take before it fails: twice the iterations past
-# which CachedSpdSolver refreshes its factor.
+# PCG iterations a solve may take before it fails: twice the iterations a
+# cached factor gets before CachedSpdSolver refreshes it.
 _MAXITER = 24
 
 # Largest node set that nested_dissection orders without splitting it.
@@ -455,21 +455,10 @@ class _SupernodalCholesky:
         """Solve L L^T x = rhs for ``rhs`` in the dissection's order and the
         factor's dtype, 1d or one column per right-hand side; returns x, in
         ``rhs`` itself when it is C-contiguous and in a C-ordered copy
-        otherwise (the fronts solve and scatter in place on that layout)."""
+        otherwise (the fronts solve and scatter in place on that layout).  A
+        1d ``rhs`` is solved as its one column."""
         rhs = np.ascontiguousarray(rhs)
-        if rhs.ndim == 1:
-            trsv, gemv = blas.get_blas_funcs(("trsv", "gemv"), (rhs,))
-            for c0, c1, rows, triangle, below in self.fronts:
-                x = rhs[c0:c1]
-                trsv(triangle, x, lower=1, overwrite_x=1)
-                if below is not None:
-                    rhs[rows] = gemv(-1.0, below, x, 1.0, rhs[rows], overwrite_y=1)
-            for c0, c1, rows, triangle, below in reversed(self.fronts):
-                x = rhs[c0:c1]
-                if below is not None:
-                    gemv(-1.0, below, rhs[rows], 1.0, x, trans=1, overwrite_y=1)
-                trsv(triangle, x, lower=1, trans=1, overwrite_x=1)
-            return rhs
+        block = rhs.reshape(rhs.shape[0], -1)  # a view: solved in place
         trsv, trsm = blas.get_blas_funcs(("trsv", "trsm"), (rhs,))
 
         def triangular(triangle, x, trans):
@@ -483,19 +472,19 @@ class _SupernodalCholesky:
 
         # Each front's rows as indices into the flattened right-hand side: a
         # 1d gather or scatter is a third of the cost of a 2d one by rows.
-        r = rhs.shape[1]
+        r = block.shape[1]
         if r not in self._flat_rows:
             self._flat_rows[r] = [(rows[:, None] * r + np.arange(r)).ravel()
                                   for _, _, rows, _, _ in self.fronts]
         flat = rhs.reshape(-1)
         fronts = list(zip(self.fronts, self._flat_rows[r]))
         for (c0, c1, _, triangle, below), rows in fronts:
-            x = rhs[c0:c1]
+            x = block[c0:c1]
             triangular(triangle, x, 0)
             if below is not None:
                 flat[rows] -= (below @ x).reshape(-1)
         for (c0, c1, _, triangle, below), rows in reversed(fronts):
-            x = rhs[c0:c1]
+            x = block[c0:c1]
             if below is not None:
                 x -= below.T @ flat[rows].reshape(-1, r)
             triangular(triangle, x, 1)
@@ -524,9 +513,10 @@ def _row_products(matrix, rows):
     return out
 
 
-def _pcg(matrix, rhs, precondition, x0):
-    """Preconditioned conjugate gradients from ``x0``; returns (x, iterations,
-    residual), with the largest relative true residual over the columns.
+def _pcg(matrix, rhs, precondition, x0, maxiter=_MAXITER):
+    """Preconditioned conjugate gradients from ``x0`` for at most ``maxiter``
+    iterations; returns (x, iterations, residual), with the largest relative
+    true residual over the columns.
 
     A 2d ``rhs`` of c columns is solved as columnwise CG on its columns held
     as contiguous (c, n) rows, with per-column scalars: the dots and norms
@@ -538,10 +528,11 @@ def _pcg(matrix, rhs, precondition, x0):
     (n, c) view and returns an (n, c) block; x comes back in the shape of
     ``rhs``, a 2d one C-ordered.  Zero columns of ``rhs`` have the zero
     solution, whatever their guess.  A guess that meets a quarter of ``TOL``
-    is returned as it is.  A ``rhs`` entry that is not finite raises
-    SolverError before the first residual is formed (its column norm is
-    tested), a guess entry that is not finite before the preconditioner is
-    applied.
+    is returned as it is.  The preconditioner is applied at the start and
+    after each iteration but the last.  A ``rhs`` entry that is not finite
+    raises SolverError before the first residual is formed (its column norm
+    is tested), a guess entry that is not finite before the preconditioner
+    is applied.
     """
     single = rhs.ndim == 1
     b = rhs[None] if single else np.ascontiguousarray(rhs.T)
@@ -560,14 +551,14 @@ def _pcg(matrix, rhs, precondition, x0):
         z = np.ascontiguousarray(precondition(r.T).T)
         p = z.copy()
         rz = (r * z).sum(axis=1, keepdims=True)
-        for it in range(1, _MAXITER + 1):
+        for it in range(1, maxiter + 1):
             ap = _row_products(matrix, p)
             pap = (p * ap).sum(axis=1, keepdims=True)
             alpha = np.divide(rz, pap, out=np.zeros_like(pap), where=pap > 0.0)
             x += alpha * p
             r -= alpha * ap
             res = _row_norms(r)
-            if np.all(res <= quarter):
+            if np.all(res <= quarter) or it == maxiter:
                 break
             z = np.ascontiguousarray(precondition(r.T).T)
             rz_new = (r * z).sum(axis=1, keepdims=True)
@@ -692,13 +683,14 @@ class CachedSpdSolver:
     ``sim2d`` disk the Robin solve takes two iterations from the BDF2
     extrapolation and mostly one or none from the stepper's cubic
     extrapolation of its last four solutions (see ``stepper.Stepper``).
-    The factorization is refreshed when PCG needs more than ``REFRESH_ITERS``
-    iterations, and the current solve is repeated with the fresh factor.
+    A cached factor gets ``REFRESH_ITERS`` PCG iterations; when they do not
+    reach ``TOL``, the factorization is refreshed and the current solve is
+    repeated with the fresh factor.
     Every factorization uses the fill-reducing ``perm`` given here (see
     :class:`SpdFactor`).  Deterministic for a fixed call sequence.
     """
 
-    #: PCG iterations beyond which the factorization is refreshed.
+    #: PCG iterations a cached factor gets before it is refreshed.
     REFRESH_ITERS = 12
 
     def __init__(self, perm=None):
@@ -720,18 +712,18 @@ class CachedSpdSolver:
         if rhs.size == 0:
             return np.zeros(rhs.shape)
 
-        def pcg():
-            return _pcg(matrix, rhs, self._factor.apply_inverse, x0=x0)
+        def pcg(maxiter):
+            return _pcg(matrix, rhs, self._factor.apply_inverse, x0, maxiter)
 
         if self._factor is not None:
-            x, iters, residual = pcg()  # rejects a rhs or guess that is not finite
-            if residual <= TOL and iters <= self.REFRESH_ITERS:
+            x, _, residual = pcg(self.REFRESH_ITERS)  # rejects a non-finite rhs or guess
+            if residual <= TOL:
                 return x
         # A cached factor's PCG has checked them; a first solve has not.
         if not (np.isfinite(rhs).all() and np.isfinite(x0).all()):
             raise SolverError("right-hand side or guess has an entry that is not finite")
         self._factor = SpdFactor(matrix.astype(np.float32), self._perm)
-        x, _, residual = pcg()
+        x, _, residual = pcg(_MAXITER)
         if not residual <= TOL:  # NaN included
             raise SolverError("PCG with a fresh factor did not reach TOL",
                               residual=residual)

@@ -9,16 +9,18 @@ Two ratios are measured on refinement sequences:
   of g.
 
 Bounded ratios across refinements are the testable content of the underlying
-stability estimates.  Each level reports the maximum over seeded random
-boundary fields plus a power-iteration search for the worst field, which
-exploits that both ratios are Rayleigh quotients of symmetric pencils.
+stability estimates.  Both are ||F g||_K / ||g||_C, the square root of the
+Rayleigh quotient of the symmetric pencil (F^T K F, C) for a field map F, a
+norm matrix K and a Gram matrix C.  Each level reports the maximum over
+seeded random boundary fields plus a power iteration on that pencil, which
+searches for the worst field.
 """
 
 import numpy as np
 
 from .assembly import Assembler, assemble_L
 from .errors import ValidationError
-from .norms import norm_h_half, surface_spectrum
+from .norms import HalfNorm, energy_norms, surface_spectrum
 from .sparsela import SpdFactor, dirichlet_extension
 
 
@@ -32,117 +34,92 @@ from .sparsela import SpdFactor, dirichlet_extension
 _FIELD_BLOCK = 5
 
 
-def _energy_norms(matrix, values):
-    """sqrt(v^T K v) of each column of ``values``.
+class _RayleighRatio:
+    """||F g||_K / ||g||_C on one level.  A mode supplies its field map F
+    (``field``), the norms ||g||_C of the columns of a block
+    (``base_norms``), the pull-back C^-1 F^T (``pull_back``) and K
+    (``energy``)."""
 
-    The block stays in its (n, c) layout: at N = 77,281 and 5 columns the
-    sum along axis 0 took 2.9 ms with the product, and summing along
-    contiguous rows 4.5 ms, as transposing both blocks costs more than it
-    saves there."""
-    return np.sqrt(np.maximum(np.einsum("ij,ij->j", values, matrix @ values), 0.0))
+    def __call__(self, g):
+        """The ratio of one field (a float) or of each column of a 2d array
+        (an array), solving for all columns at once; a zero field has ratio
+        0 by convention."""
+        g = np.asarray(g, dtype=float)
+        columns = g[:, None] if g.ndim == 1 else g
+        out = np.zeros(columns.shape[1])
+        nonzero = np.flatnonzero(columns.any(axis=0))
+        if nonzero.size:
+            g_nz = columns[:, nonzero]
+            out[nonzero] = energy_norms(self.energy, self.field(g_nz)) / self.base_norms(g_nz)
+        return float(out[0]) if g.ndim == 1 else out
+
+    def boost(self, g, iterations):
+        """Power iteration g <- C^-1 F^T K F g, normalized, towards the
+        pencil's top eigenvector, the worst field."""
+        for _ in range(iterations):
+            g = self.pull_back(self.energy @ self.field(g))
+            g /= np.linalg.norm(g)
+        return g
 
 
-def _per_column(ratios, g):
-    """``ratios(columns)`` on one field (a float) or on the columns of a 2d
-    array (an array); zero fields have ratio 0 by convention."""
-    g = np.asarray(g, dtype=float)
-    columns = g[:, None] if g.ndim == 1 else g
-    out = np.zeros(columns.shape[1])
-    nonzero = np.flatnonzero(columns.any(axis=0))
-    if nonzero.size:
-        out[nonzero] = ratios(columns[:, nonzero])
-    return float(out[0]) if g.ndim == 1 else out
-
-
-class DirichletRatio:
+class DirichletRatio(_RayleighRatio):
     """Bulk H1 norm of the zero-load Dirichlet extension over ||g||_{H^1/2}
-    on one level.
+    on one level: F is the harmonic extension, K the bulk A + M and C the
+    H^(1/2) Gram matrix.
 
-    Holds what the level's ratios share, each formed once: the surface
-    spectrum, the interior block A_II factored in ``interior_perm``, the
-    coupling block A_IB and the bulk H1 matrix K = A + M, from the level's
-    ``mass_bulk`` (:meth:`Assembler.bulk_mass` on the configuration of
-    ``matrices``).  Calling it on a field, or on fields in columns, extends
-    all of them in one solve.
+    Holds what the level's ratios share, each formed once: the
+    :class:`HalfNorm` of the surface spectrum, the interior block A_II
+    factored in ``interior_perm``, the coupling block A_IB and K, from the
+    level's ``mass_bulk`` (:meth:`Assembler.bulk_mass` on the configuration
+    of ``matrices``).
     """
 
     def __init__(self, matrices, mass_bulk, interior_perm=None):
-        self.matrices = matrices
-        self.spectrum = surface_spectrum(matrices.mass_surf, matrices.stiff_surf)
+        self.n_boundary = matrices.n_boundary
+        self.half = HalfNorm(matrices.mass_surf,
+                             surface_spectrum(matrices.mass_surf, matrices.stiff_surf))
         interior, self.coupling = matrices.stiffness_blocks()
         self.interior = SpdFactor(interior, interior_perm)
         self.energy = matrices.stiff_bulk + mass_bulk
 
-    def extend(self, g):
+    def field(self, g):
         return dirichlet_extension(self.coupling, g, self.interior.solve)
 
-    def __call__(self, g):
-        return _per_column(self._ratios, g)
+    def base_norms(self, g):
+        return self.half.norms(g)
 
-    def _ratios(self, g):
-        mats = self.matrices
-        denom = [norm_h_half(col, mats.mass_surf, mats.stiff_surf, self.spectrum)
-                 for col in g.T]
-        return _energy_norms(self.energy, self.extend(g)) / denom
-
-    def boost(self, g, iterations):
-        """Power iteration on the Rayleigh structure of the ratio.
-
-        The squared ratio is (g^T B g) / (g^T C g) with B the pulled-back bulk
-        H1 form of the extension operator and C the H^(1/2) Gram matrix,
-        whose inverse is available from the surface eigen-decomposition.
-        """
-        lam, phi = self.spectrum
-        ng = self.matrices.n_boundary
-        inv_weights = 1.0 / np.sqrt(1.0 + lam)
-        for _ in range(iterations):
-            y = self.energy @ self.extend(g)
-            bg = y[:ng] - self.coupling.T @ self.interior.solve(y[ng:])
-            g = phi @ (inv_weights * (phi.T @ bg))
-            g /= np.linalg.norm(g)
-        return g
+    def pull_back(self, y):
+        ng = self.n_boundary
+        return self.half.gram_inverse(y[:ng] - self.coupling.T @ self.interior.solve(y[ng:]))
 
 
-class RobinRatio:
+class RobinRatio(_RayleighRatio):
     """Boundary H1 norm of the Robin solution trace over ||g||_{L2} on one
-    level.
+    level: F = T M with T the Robin trace map, K the surface A + M and
+    C = M, so C^-1 F^T = T, as T is symmetric.
 
     The Robin problem uses unit boundary coefficient and no surface
-    diffusion: (A_bulk + M_surf embedded) u = gamma^T M_surf g.  Holds its
-    matrix factored in ``bulk_perm`` and the surface H1 matrix K = A + M.
-    Calling it on a field, or on fields in columns, solves for all of them
-    at once.
+    diffusion: (A_bulk + M_surf embedded) u = gamma^T M_surf g, so
+    T = gamma P^-1 gamma^T.  Holds its matrix P factored in ``bulk_perm``
+    and K.
     """
 
     def __init__(self, matrices, bulk_perm=None):
-        self.matrices = matrices
+        self.n_nodes, self.n_boundary = matrices.n_nodes, matrices.n_boundary
+        self.mass = matrices.mass_surf
         self.robin = SpdFactor(assemble_L(matrices, 1.0), bulk_perm)
         self.energy = matrices.surface_pencil(1.0, 1.0)
 
-    def _trace(self, boundary_load):
-        rhs = np.zeros((self.matrices.n_nodes,) + boundary_load.shape[1:])
-        rhs[: self.matrices.n_boundary] = boundary_load
-        return self.robin.solve(rhs)[: self.matrices.n_boundary]
+    def pull_back(self, boundary_load):  # the trace map T
+        rhs = np.zeros((self.n_nodes,) + boundary_load.shape[1:])
+        rhs[: self.n_boundary] = boundary_load
+        return self.robin.solve(rhs)[: self.n_boundary]
 
-    def __call__(self, g):
-        return _per_column(self._ratios, g)
+    def field(self, g):
+        return self.pull_back(self.mass @ g)
 
-    def _ratios(self, g):
-        mass = self.matrices.mass_surf
-        trace = self._trace(mass @ g)
-        return _energy_norms(self.energy, trace) / _energy_norms(mass, g)
-
-    def boost(self, g, iterations):
-        """Power iteration for the ratio.
-
-        The squared ratio is a Rayleigh quotient with mass-matrix metric; one
-        iteration maps g to the boundary trace of P^-1 gamma^T K_surf times
-        the trace of P^-1 gamma^T M_surf g.
-        """
-        for _ in range(iterations):
-            g = self._trace(self.energy @ self._trace(self.matrices.mass_surf @ g))
-            g /= np.linalg.norm(g)
-        return g
+    def base_norms(self, g):
+        return energy_norms(self.mass, g)
 
 
 def stability_sweep(levels, mode, samples, seed, boost_iters, observer=None):
@@ -171,8 +148,8 @@ def stability_sweep(levels, mode, samples, seed, boost_iters, observer=None):
     Returns
     -------
     list of dict
-        Rows with level, h, n_nodes, n_boundary, max_ratio and argmax_seed
-        (-1 when the boosted field wins).
+        Rows with level, h, N (nodes), N_Gamma (boundary nodes), max_ratio
+        and argmax_seed (-1 when the boosted field wins).
     """
     if mode not in ("dirichlet", "robin"):
         raise ValidationError(f"unknown sweep mode {mode!r}")
@@ -211,8 +188,8 @@ def _level_row(level, mesh, matrices, mode, samples, seed, boost_iters):
     return {
         "level": level,
         "h": mesh.mesh_size_h,
-        "n_nodes": mesh.n_nodes,
-        "n_boundary": mesh.n_boundary,
+        "N": mesh.n_nodes,
+        "N_Gamma": mesh.n_boundary,
         "max_ratio": float(best_ratio),
         "argmax_seed": best_seed,
     }

@@ -7,13 +7,14 @@ only in the benchmark's own self-test (``python3 -m pytest -q bench``).
 """
 
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bulkgrow.assembly import Assembler, assemble_L
-from bulkgrow.experiments import run_simulate
+from bulkgrow.experiments import run_simulate, run_stability
 from bulkgrow.mesh import generate_ball_mesh, generate_disk_mesh
 from bulkgrow.sparsela import Dissection, SpdFactor
 
@@ -65,3 +66,31 @@ def test_simulate_probe_points_are_called(tmp_path):
     assert len(probe.calls) == 3   # the steps, each returning its new state
     # Three steps from the newest BDF2 oracle seed state, at t = tau.
     assert probe.returned["step"].time == pytest.approx(4e-3)
+
+
+def test_stability_probe_points_are_called(tmp_path):
+    # The benchmark times each mode's stability_sweep as a step that ends at
+    # its last SpdFactor.solve, and traces the dense spectrum at the name
+    # stability looks it up by.
+    probe = workloads.WORKLOADS["stability2d"].probe()
+    config = workloads.WORKLOADS["stability2d"].config(0)
+    config["discretization"]["k"] = 1
+    config["run"].update(levels=2, samples=2, boost_iters=2)
+    spectra = Counter()
+
+    def counted(span):
+        def make(fn):
+            def wrapper(*args, **kwargs):
+                spectra[span] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+        return make
+
+    traced = [((owner, attr), counted(span))
+              for owner, attr, span, _ in layers.TRACE_POINTS if attr == "surface_spectrum"]
+    assert len(traced) == 2
+    with spans.patched(probe.points() + traced):
+        run_stability(config, str(tmp_path))
+    assert len(probe.cells) == 2  # one stability_sweep per mode
+    assert all(probe.cells)       # each of them ran SpdFactor.solve
+    assert spectra == {"stability.surface_spectrum": 2}  # once per Dirichlet level

@@ -8,9 +8,9 @@ from bulkgrow.errors import CapabilityError, ValidationError
 from bulkgrow.mesh import BulkSurfaceMesh, generate_disk_mesh
 from bulkgrow.norms import (
     ErrorReport,
+    HalfNorm,
     estimated_orders,
     norm_L,
-    norm_h_half,
     oracle_errors,
     surface_spectrum,
 )
@@ -21,6 +21,11 @@ def norm_M(values, mass):
     """Mass norm sqrt(e^T M e), summed over the columns of a vector field."""
     values = np.asarray(values, dtype=float)
     return math.sqrt(max(float(np.sum(values * (mass @ values))), 0.0))
+
+
+def norm_h_half(values, mass_surf, stiff_surf):
+    """H^(1/2) norm of one boundary field, from a new spectrum."""
+    return HalfNorm(mass_surf, surface_spectrum(mass_surf, stiff_surf)).norms(values)
 
 
 def norm_K(values, energy):
@@ -137,16 +142,38 @@ class TestHalfNorm:
         mesh, mats = disk
         lam, phi = surface_spectrum(mats.mass_surf, mats.stiff_surf)
         g = phi[:, -1]
-        half = norm_h_half(g, mats.mass_surf, mats.stiff_surf, spectrum=(lam, phi))
+        half = HalfNorm(mats.mass_surf, (lam, phi)).norms(g)
         expected = (1.0 + lam[-1]) ** 0.25 * norm_M(g, mats.mass_surf)
         assert half == pytest.approx(expected, rel=1e-10)
+
+    def test_block_norms_are_column_norms(self, disk):
+        mesh, mats = disk
+        half = HalfNorm(mats.mass_surf, surface_spectrum(mats.mass_surf, mats.stiff_surf))
+        block = np.random.default_rng(6).standard_normal((mesh.n_boundary, 4))
+        block[:, 1] = 0.0
+        norms = half.norms(block)
+        assert norms.shape == (4,)
+        assert norms[1] == 0.0
+        for column, value in zip(block.T, norms):
+            assert value == pytest.approx(half.norms(column), rel=1e-12)
+
+    def test_gram_inverse_inverts_the_gram_matrix(self, disk):
+        mesh, mats = disk
+        lam, phi = surface_spectrum(mats.mass_surf, mats.stiff_surf)
+        half = HalfNorm(mats.mass_surf, (lam, phi))
+        mphi = mats.mass_surf @ phi
+        gram = mphi @ np.diag(np.sqrt(1.0 + lam)) @ mphi.T  # C = M phi W phi^T M
+        g = np.random.default_rng(7).standard_normal((mesh.n_boundary, 2))
+        for y in (g, g[:, 0]):
+            back = half.gram_inverse(gram @ y)
+            assert np.linalg.norm(back - y) <= 1e-10 * np.linalg.norm(y)
 
     def test_size_cap(self):
         import scipy.sparse as sp
 
         big = sp.identity(4001, format="csr")
         with pytest.raises(CapabilityError):
-            norm_h_half(np.ones(4001), big, big)
+            HalfNorm(big, surface_spectrum(big, big))
 
 
 class TestRenumberingInvariance:

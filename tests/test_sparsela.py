@@ -295,8 +295,9 @@ def test_spd_factor_checks_each_column(monkeypatch):
     with pytest.raises(SolverError) as err:
         factor.solve(b)
     assert err.value.residual == pytest.approx(1e-7, rel=1e-3)
-    # The direct solve, then one apply per PCG iteration up to the cap.
-    assert factor._factor.calls == 2 + _MAXITER
+    # The direct solve, then one apply at the start of PCG and one after each
+    # iteration but the last.
+    assert factor._factor.calls == 1 + _MAXITER
 
 
 @pytest.mark.parametrize("perturbed", ["every"])
@@ -309,7 +310,7 @@ def test_spd_factor_refines_once_before_raising(monkeypatch, perturbed):
     b = rng.standard_normal((30, 2))
     # The k-th apply is off by its own offset, whatever its rhs, so no PCG
     # step can cancel the error of the ones before it.
-    offsets = 1e-6 * rng.standard_normal((2 + _MAXITER, 30, 1))
+    offsets = 1e-6 * rng.standard_normal((1 + _MAXITER, 30, 1))
     apply_inverse = SpdFactor.apply_inverse
     applies = []
 
@@ -321,7 +322,7 @@ def test_spd_factor_refines_once_before_raising(monkeypatch, perturbed):
     with pytest.raises(SolverError) as err:
         SpdFactor(a).solve(b)
     assert err.value.residual > TOL
-    assert len(applies) == 2 + _MAXITER
+    assert len(applies) == 1 + _MAXITER
 
 
 @pytest.mark.parametrize("miss", [0.5 * TOL, 1e-6])
@@ -453,7 +454,25 @@ class TestBlockContract:
         applies.clear()
         _, iterations, residual = _pcg(a, b, dead, np.zeros_like(b))
         assert iterations == _MAXITER and residual > TOL
-        assert len(applies) == 1 + _MAXITER
+        # No apply after the last iteration: its result would go unused.
+        assert len(applies) == _MAXITER
+
+    def test_dead_cached_factor_gets_refresh_iters_applies(self, monkeypatch):
+        rng = np.random.default_rng(26)
+        a, solver = stale_solver(rng)
+        dead = solver._factor
+        applies = []
+
+        def dead_apply(rhs):
+            applies.append(rhs.shape)
+            return np.zeros_like(rhs)
+
+        monkeypatch.setattr(dead, "apply_inverse", dead_apply)
+        b = rng.standard_normal(60)
+        x = solver.solve(a, b, np.zeros(60))
+        assert len(applies) == CachedSpdSolver.REFRESH_ITERS
+        assert solver._factor is not dead  # refreshed, and the solve repeated
+        assert relative_residuals(a, x, b) <= TOL
 
     def test_empty_block_is_solved_without_factoring(self, calls):
         rng = np.random.default_rng(25)

@@ -118,6 +118,13 @@ CONFIGS = {
         {"kind": "stability", "levels": 2, "samples": 5, "boost_iters": 5,
          "mode": "both", "seed": 0},
     )),
+    # The H^(1/2) norm on a curved 3d surface: a P2 ball, N_Gamma = 1,178.
+    "stability_ball_p2": (run_stability, _config(
+        {"kind": "ball", "radii": [1.0], "h": 0.5},
+        {"k": 2, "q": 2, "tau": 1e-3, "T": 0.0},
+        {"kind": "stability", "levels": 1, "samples": 5, "boost_iters": 5,
+         "mode": "both", "seed": 0},
+    )),
     # A mesh read back from a file, with its estimated normal and curvature.
     "simulate_file": (run_simulate, _config(
         {"kind": "file", "path": "meshes/ellipsoid_p2.bsm"},

@@ -4,8 +4,8 @@ Subcommands: ``simulate``, ``converge``, ``stability`` and ``mesh gen`` /
 ``mesh info``.  A run subcommand runs the config's ``run.kind`` if it is one of
 its own (``simulate`` also runs ``regularization``); any other kind is a
 configuration error.  Exit code 0 on success, 2 for configuration errors (a bad
-argument, config or mesh file, or an output path that cannot be created), 3 for
-numerical failures.  BULKGROW_THREADS caps worker parallelism for grid
+argument, config or mesh file, a mesh over the node cap, or an output path that
+cannot be created), 3 for numerical failures.  BULKGROW_THREADS caps worker parallelism for grid
 experiments.
 """
 
@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from .errors import BulkgrowError, ConfigError, MeshFormatError, ValidationError
+from .errors import BulkgrowError, ConfigError, MeshFormatError, ResourceError, ValidationError
 from .experiments import (
     load_config,
     run_converge,
@@ -103,7 +103,7 @@ def _cmd_mesh(args):
             if radii[0] is None:
                 raise ConfigError("ball/ellipsoid meshes need --radius or --radii")
             mesh = generate_ball_mesh(radii, args.h, degree=args.degree)
-    except ValidationError as exc:  # the generators' checks of their arguments
+    except (ValidationError, ResourceError) as exc:  # the generators' checks
         raise ConfigError(str(exc)) from None
     save_mesh(mesh, args.output)
     print(json.dumps(quality_report(mesh), indent=2, sort_keys=True))

@@ -19,16 +19,17 @@ import numpy as np
 
 from . import __version__
 from .assembly import Assembler
-from .errors import BulkgrowError, ConfigError
+from .errors import BulkgrowError, ConfigError, ResourceError
 from .mesh import (
     boundary_element_measures,
     bulk_element_measures,
     generate_ball_mesh,
     generate_disk_mesh,
+    generator_grid,
     load_mesh,
     quality_report,
 )
-from .norms import ERROR_QUANTITIES, ErrorReport, estimated_orders, oracle_errors
+from .norms import ERROR_QUANTITIES, estimated_orders, oracle_errors
 from .oracle import RadialOracle
 from .stability import stability_sweep
 from .stepper import (
@@ -81,7 +82,7 @@ def parse_source(spec):
             )
         try:
             code = compile(body, "<source>", "eval")
-        except SyntaxError as exc:
+        except (SyntaxError, RecursionError) as exc:  # a long sum nests too deep
             raise ConfigError(f"source expression does not parse: {exc}") from None
 
         def q(points, time):
@@ -221,7 +222,28 @@ def validate_config(config):
     _check(run.get("seed_mode", "auto") in ("auto", "oracle", "bootstrap"),
            "run.seed_mode must be auto, oracle or bootstrap")
     _check(isinstance(run.get("outputs", ""), str), "run.outputs must be a path")
+    if geometry["kind"] != "file":
+        radii = _generator_radii(geometry)
+        for h in _mesh_sizes(config):  # stops at the first mesh over the cap
+            try:
+                generator_grid(radii, h, disc.get("k", 2))
+            except ResourceError as exc:
+                raise ConfigError(str(exc)) from None
     return config
+
+
+def _mesh_sizes(config):
+    """Yield the h of each mesh a run generates: the converge
+    ``run.h_levels``, else ``run.levels`` halvings of ``geometry.h`` for a
+    converge or stability run, else ``geometry.h``."""
+    run = config["run"]
+    base = float(config["geometry"]["h"])
+    if run.get("kind") == "converge" and "h_levels" in run:
+        yield from (float(h) for h in run["h_levels"])
+    elif run.get("kind") in ("converge", "stability"):
+        yield from (base / 2 ** j for j in range(int(run.get("levels", 4))))
+    else:
+        yield base
 
 
 def _number_list(run, key):
@@ -242,6 +264,12 @@ def _geometry_radii(geometry):
     return [float(r) for r in radii]
 
 
+def _generator_radii(geometry):
+    """A mesh generator's radii: a disk's one, or a ball's three semi-axes."""
+    radii = _geometry_radii(geometry)
+    return radii if geometry["kind"] == "disk" or len(radii) == 3 else radii * 3
+
+
 def build_geometry(geometry, degree=None):
     """Mesh plus initial boundary fields (normal, curvature) for a config: a
     generated mesh of ``degree`` (default 2), or a loaded one, which keeps
@@ -254,17 +282,14 @@ def build_geometry(geometry, degree=None):
                f"of degree {mesh.degree_k}")
         normal, curvature = estimate_boundary_geometry(mesh)
         return mesh, normal, curvature
-    radii = _geometry_radii(geometry)
+    radii = _generator_radii(geometry)
     h = float(geometry["h"])
     if kind == "disk":
         mesh = generate_disk_mesh(radii[0], h, degree=degree or 2)
-        full_radii = (radii[0], radii[0])
+        radii = radii * 2  # the circle's two semi-axes
     else:
-        if len(radii) == 1:
-            radii = radii * 3
         mesh = generate_ball_mesh(radii, h, degree=degree or 2)
-        full_radii = tuple(radii)
-    normal, curvature = ellipsoid_surface_fields(mesh.boundary_positions, full_radii)
+    normal, curvature = ellipsoid_surface_fields(mesh.boundary_positions, tuple(radii))
     return mesh, normal, curvature
 
 
@@ -441,16 +466,16 @@ def run_convergence_cell(config):
     stepper, history, n_steps = _start(config)
     mesh = stepper.mesh
     oracle = compatible_oracle(config)
-    report = ErrorReport()
     keep = _sampler(n_steps, int(config["run"].get("error_samples", 40)))
+    sup = dict.fromkeys(ERROR_QUANTITIES, 0.0)  # errors are norms: >= 0
 
     def observer(step, state):
         if keep(step):
             mats = stepper.assembler.system(state.positions)
-            report.add(oracle_errors(state, oracle, mesh, mats))
+            errors = oracle_errors(state, oracle, mesh, mats)
+            sup.update((q, max(sup[q], errors[q])) for q in ERROR_QUANTITIES)
 
     evolve(stepper, history, n_steps, observer)
-    sup = report.sup_errors()
     return {"h": mesh.mesh_size_h, "tau": stepper.tau,
             **{f"err_{q}": sup[q] for q in ERROR_QUANTITIES},
             "mesh": quality_report(mesh)}
@@ -503,12 +528,8 @@ def run_converge(config, outdir):
     oracle = compatible_oracle(config)
     if oracle is None:
         raise ConfigError("convergence study needs sphere/disk geometry and constant Q")
-    h_levels = run.get("h_levels")
-    if h_levels is None:
-        base = float(geometry["h"])
-        h_levels = [base / 2 ** j for j in range(int(run.get("levels", 4)))]
     tau_levels = run.get("tau_levels", [float(disc["tau"])])
-    grid = [(float(h), float(tau)) for h in h_levels for tau in tau_levels]
+    grid = [(h, float(tau)) for h in _mesh_sizes(config) for tau in tau_levels]
     cells = [{**config, "geometry": {**geometry, "h": h},
               "discretization": {**disc, "tau": tau}} for h, tau in grid]
     _make_outdir(outdir)  # after set-up: a bad config leaves none
@@ -540,15 +561,12 @@ def run_stability(config, outdir):
     geometry = config["geometry"]
     run = config["run"]
     degree = config["discretization"].get("k")
-    levels = int(run.get("levels", 4))
     samples = int(run.get("samples", 20))
     seed = int(run.get("seed", 0))
     boost = int(run.get("boost_iters", 20))
     modes = run.get("mode", "both")
     modes = ("dirichlet", "robin") if modes == "both" else (modes,)
-    base_h = float(geometry["h"])
-    meshes = [build_geometry({**geometry, "h": base_h / 2 ** j}, degree)[0]
-              for j in range(levels)]
+    meshes = [build_geometry({**geometry, "h": h}, degree)[0] for h in _mesh_sizes(config)]
     systems = [(mesh, Assembler(mesh).system()) for mesh in meshes]
     _make_outdir(outdir)  # after set-up: a bad config leaves none
     results = {}

@@ -13,6 +13,7 @@ its straight-edged input.
 """
 
 from dataclasses import dataclass
+from decimal import Decimal
 from functools import cached_property
 from itertools import permutations
 import io
@@ -415,6 +416,35 @@ def circle_projector(radius):
 # Generators
 # ---------------------------------------------------------------------------
 
+def generator_grid(radii, target_h, degree):
+    """The grid a generator builds: ``[rings]`` of a disk (one radius, see
+    :func:`generate_disk_mesh`) or the cells per axis of a ball (three
+    semi-axes, see :func:`generate_ball_mesh`), as Python ints.
+
+    ResourceError if the mesh would hold more than MAX_GENERATED_NODES nodes.
+    The node estimate is exact integer arithmetic on the generators' float
+    ratios, so it cannot wrap; a ratio that overflows to inf is over the cap.
+    """
+    def count(ratio, least):
+        return max(least, math.ceil(ratio)) if math.isfinite(ratio) else math.inf
+
+    if len(radii) == 1:
+        rings = count(float(radii[0]) / target_h, 1)
+        counts = [rings]
+        n_estimate = (1 + 3 * rings * (rings + 1)) * (4 if degree == 2 else 1)
+    else:
+        # Kuhn tets have diameter sqrt(3) * cell size; compensate anisotropy
+        # so the scaled elements stay near-isotropic.
+        counts = [count(2.0 * math.sqrt(3.0) * float(r) / target_h, 2) for r in radii]
+        n_estimate = math.prod(c + 1 for c in counts) * (8 if degree == 2 else 1)
+    if n_estimate > MAX_GENERATED_NODES:
+        raise ResourceError(
+            f"target_h={target_h} would create ~{Decimal(n_estimate):.3g} nodes "
+            f"(cap {MAX_GENERATED_NODES})"
+        )
+    return counts
+
+
 def generate_disk_mesh(radius, target_h, degree=1):
     """Triangulate the disk of the given radius (m=1 geometry).
 
@@ -436,13 +466,7 @@ def generate_disk_mesh(radius, target_h, degree=1):
         raise ValidationError("radius must be a positive finite number")
     if not (0 < target_h < radius):
         raise ValidationError("target_h must lie in (0, radius)")
-    rings = max(1, math.ceil(radius / target_h))
-    n_estimate = (1 + 3 * rings * (rings + 1)) * (4 if degree == 2 else 1)
-    if n_estimate > MAX_GENERATED_NODES:
-        raise ResourceError(
-            f"target_h={target_h} would create ~{n_estimate} nodes "
-            f"(cap {MAX_GENERATED_NODES})"
-        )
+    (rings,) = generator_grid([radius], target_h, degree)
 
     # Natural numbering: the centre is 0, ring j holds nodes 1 + 3j(j-1) + p
     # for p in [0, 6j) at angles 2 pi p / 6j; the renumbering below moves the
@@ -494,18 +518,7 @@ def generate_ball_mesh(radii, target_h, degree=1):
         raise ValidationError("radii must be three positive finite lengths")
     if not target_h > 0:
         raise ValidationError("target_h must be positive")
-    # Kuhn tets have diameter sqrt(3) * cell size; compensate anisotropy so
-    # the scaled elements stay near-isotropic.
-    subdiv = np.maximum(
-        2, np.ceil(2.0 * math.sqrt(3.0) * radii / target_h).astype(int)
-    )
-    n_estimate = int(np.prod(subdiv + 1)) * (8 if degree == 2 else 1)
-    if n_estimate > MAX_GENERATED_NODES:
-        raise ResourceError(
-            f"target_h={target_h} would create ~{n_estimate} nodes "
-            f"(cap {MAX_GENERATED_NODES})"
-        )
-    nx, ny, nz = (int(s) for s in subdiv)
+    nx, ny, nz = generator_grid(radii, target_h, degree)
     axes = [np.linspace(-1.0, 1.0, n + 1) for n in (nx, ny, nz)]
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
 

@@ -4,10 +4,8 @@ Norms are induced by the assembled matrices: H1 norms through K = A + M,
 the combined bulk/boundary energy through the Robin system matrix, and a
 discrete H^(1/2) boundary norm through the generalized eigenproblem of the
 surface stiffness/mass pair.  Errors are measured against the nodal
-interpolation of the exact solution on the current discrete configuration.
+interpolant of the radial solution, ``RadialOracle.exact_state``.
 """
-
-from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -102,22 +100,15 @@ def estimated_orders(errors, steps):
 def oracle_errors(state, oracle, reference_mesh, matrices):
     """Per-quantity errors of a state against the nodal exact interpolant.
 
-    The exact positions carry the reference (t=0) nodes along the radial
-    flow; normal, curvature and boundary velocity are interpolated at these
-    exact material positions, the pressure at the computed node positions
-    (``state.positions``).  Pressure is measured in the combined
-    bulk/boundary H1 norm (unit coefficients), the surface quantities in the
-    surface H1 norm.
+    The surface quantities are measured against ``oracle.exact_state`` on
+    the reference (t=0) mesh, in the surface H1 norm; the pressure against
+    the exact profile at the computed node radii, in the combined
+    bulk/boundary H1 norm (unit coefficients).
     """
     t = state.time
     ng = reference_mesh.n_boundary
-    exact_x = oracle.exact_positions(reference_mesh.node_positions, t)
-    node_r = np.linalg.norm(state.positions, axis=1)
-    exact_u = oracle.pressure_extended(node_r, t)
-    radius = oracle.radius(t)
-    exact_nu = exact_x[:ng] / radius
-    exact_h = np.full(ng, oracle.curvature(t))
-    exact_v_gamma = oracle.normal_speed(t) * exact_nu
+    exact = oracle.exact_state(reference_mesh, t)
+    exact_u = oracle.pressure_extended(np.linalg.norm(state.positions, axis=1), t)
     k_surf = matrices.surface_pencil(1.0, 1.0)  # A_Gamma + M_Gamma, once
 
     def surface_norm(error):  # over all components of a vector field
@@ -125,31 +116,11 @@ def oracle_errors(state, oracle, reference_mesh, matrices):
 
     return {
         "u": norm_L(state.pressure - exact_u, matrices),
-        "x": surface_norm(state.positions[:ng] - exact_x[:ng]),
-        "v": surface_norm(state.velocity[:ng] - exact_v_gamma),
-        "nu": surface_norm(state.normal - exact_nu),
-        "H": surface_norm(state.curvature - exact_h),
+        "x": surface_norm(state.positions[:ng] - exact.positions[:ng]),
+        "v": surface_norm(state.velocity[:ng] - exact.velocity[:ng]),
+        "nu": surface_norm(state.normal - exact.normal),
+        "H": surface_norm(state.curvature - exact.curvature),
     }
 
 
 ERROR_QUANTITIES = ("u", "x", "v", "nu", "H")
-
-
-@dataclass
-class ErrorReport:
-    """Sampled errors of one run plus sup-in-time aggregates."""
-
-    samples: list = field(default_factory=list)
-
-    def add(self, errors):
-        if any(errors[q] < 0 for q in ERROR_QUANTITIES):
-            raise ValidationError("error values must be nonnegative")
-        self.samples.append({q: float(errors[q]) for q in ERROR_QUANTITIES})
-
-    def sup_errors(self):
-        """Max over recorded sample times, per quantity."""
-        if not self.samples:
-            raise ValidationError("no samples recorded")
-        return {
-            q: max(s[q] for s in self.samples) for q in ERROR_QUANTITIES
-        }

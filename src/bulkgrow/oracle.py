@@ -12,8 +12,9 @@ with the pressure profile
 
 normal x/R, mean curvature m/R and normal speed Q - R/(m+1).  The pressure
 trace is constant on the sphere, so Delta_Gamma u = 0 and the solution is the
-same for every surface diffusion mu >= 0 of the Robin condition.  Used to
-seed simulations and as the reference in convergence measurements.
+same for every surface diffusion mu >= 0 of the Robin condition.  Its nodal
+interpolant (:meth:`RadialOracle.exact_state`) seeds simulations and is the
+reference in convergence measurements.
 """
 
 from dataclasses import dataclass
@@ -67,39 +68,12 @@ class RadialOracle:
         """V(t) = Q - R(t)/(m+1), uniform over the sphere."""
         return self.source - self.radius(t) / (self.dim_m + 1)
 
-    def curvature(self, t):
-        """Mean curvature m / R(t) (sum of principal curvatures)."""
-        return self.dim_m / self.radius(t)
+    def exact_state(self, mesh, t):
+        """Nodal interpolant of the exact solution at time t on the t=0 mesh
+        carried along the exact radial flow, which scales it by R(t)/R(0).
 
-    def geometry_fields(self, points, t):
-        """Exact (normal, curvature, speed, velocity) at points on the sphere.
-
-        Points must lie on the sphere of radius R(t) within a relative 1e-8.
-        Returns (nu, H, V, v) with nu and v of shape (n, m+1).
-        """
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        radius = self.radius(t)
-        dist = np.linalg.norm(pts, axis=1)
-        if np.any(np.abs(dist - radius) > 1e-8 * radius):
-            raise ValidationError("point does not lie on the sphere")
-        nu = pts / radius
-        n = pts.shape[0]
-        curvature = np.full(n, self.dim_m / radius)
-        speed = np.full(n, self.normal_speed(t))
-        return nu, curvature, speed, speed[:, None] * nu
-
-    def exact_positions(self, reference_positions, t):
-        """Flow positions of material points at t=0: scaling by R(t)/R(0)."""
-        scale = self.radius(t) / self.radius(0.0)
-        return np.asarray(reference_positions) * scale
-
-    def seed_state(self, mesh, t):
-        """Nodal interpolation of the exact solution at time t on the t=0
-        mesh carried along the exact radial flow.
-
-        The mesh boundary must discretize the sphere of radius R(0); its
-        nodes move to :meth:`exact_positions`, so R(t) must be positive
-        (GeometryError otherwise).  The velocity is the exact radial field
+        Normal x/R, curvature m/R and speed V(t) at the boundary nodes; the
+        pressure at the node radii.  The velocity is the exact radial field
         (V(t)/R(t)) x at every node, and that field is the discrete harmonic
         extension of its own boundary trace, which is what the scheme itself
         produces:
@@ -117,31 +91,31 @@ class RadialOracle:
         So the interior rows vanish up to roundoff, with no assembly and no
         solve.
         """
-        radius0 = self.radius(0.0)
-        bnd_r = np.linalg.norm(mesh.boundary_positions, axis=1)
-        if np.max(np.abs(bnd_r - radius0)) > 1e-8 * radius0:
-            raise ValidationError(
-                f"mesh boundary radius does not match R(0) = {radius0}"
-            )
-        radius = self.radius(t)
-        if radius <= 0:
-            raise GeometryError(f"the exact flow collapses the mesh: R({t}) = {radius:g}")
-        positions = self.exact_positions(mesh.node_positions, t)
-        node_r = np.linalg.norm(positions, axis=1)
-        pressure = self.pressure_extended(node_r, t)
-        nu, curvature, speed, _ = self.geometry_fields(
-            positions[: mesh.n_boundary], t
-        )
+        radius, speed = self.radius(t), self.normal_speed(t)
+        positions = mesh.node_positions * (radius / self.radius(0.0))
+        ng = mesh.n_boundary
         return SimState(
             time=float(t),
             positions=positions,
-            pressure=pressure,
-            normal=nu,
-            curvature=curvature,
-            normal_speed=speed,
-            # Multiplied as in geometry_fields: the boundary rows equal its v.
-            velocity=self.normal_speed(t) * (positions / radius),
+            pressure=self.pressure_extended(np.linalg.norm(positions, axis=1), t),
+            normal=positions[:ng] / radius,
+            curvature=np.full(ng, self.dim_m / radius),
+            normal_speed=np.full(ng, speed),
+            velocity=speed * (positions / radius),
         )
+
+    def seed_state(self, mesh, t):
+        """:meth:`exact_state` of a mesh whose boundary discretizes the
+        sphere of radius R(0) (ValidationError otherwise), at a time where
+        R(t) is positive (GeometryError otherwise)."""
+        radius0 = self.radius(0.0)
+        bnd_r = np.linalg.norm(mesh.boundary_positions, axis=1)
+        if np.max(np.abs(bnd_r - radius0)) > 1e-8 * radius0:
+            raise ValidationError(f"mesh boundary radius does not match R(0) = {radius0}")
+        radius = self.radius(t)
+        if radius <= 0:
+            raise GeometryError(f"the exact flow collapses the mesh: R({t}) = {radius:g}")
+        return self.exact_state(mesh, t)
 
     def seed_history(self, mesh0, tau, order):
         """Startup history of a q-step run: the seed states at t = (q-1) tau,

@@ -65,6 +65,13 @@ class TestSourceParsing:
         with pytest.raises(ConfigError):
             parse_source("sin(x)")
 
+    def test_long_sum(self):
+        # compile nests a sum of 5,000 terms past the recursion limit.
+        q = parse_source("expr:" + "+".join(["x"] * 1000))
+        assert np.allclose(q(np.ones((2, 3)), 0.0), 1000.0)
+        with pytest.raises(ConfigError, match="does not parse"):
+            parse_source("expr:" + "+".join(["x"] * 5000))
+
 
 class TestConfigValidation:
     def test_missing_section(self, tmp_path):
@@ -167,6 +174,22 @@ class TestConverge:
         assert float(table[1]["eoc_h_u"]) > 1.0  # refinement helps
         manifest = json.loads((tmp_path / "conv" / "manifest.json").read_text())
         assert manifest["aborted"] is None
+
+    def test_row_errors_are_sample_maxima(self, tmp_path, monkeypatch):
+        # The quantities peak at different samples: the first, a middle
+        # one and the last.
+        samples = iter([
+            {"u": 3.0, "x": 1.0, "v": 0.5, "nu": 2.0, "H": 0.0},
+            {"u": 1.0, "x": 4.0, "v": 0.25, "nu": 2.0, "H": 0.0},
+            {"u": 2.0, "x": 0.5, "v": 0.75, "nu": 1.0, "H": 0.0},
+        ])
+        monkeypatch.setattr(experiments, "oracle_errors", lambda *args: next(samples))
+        config = disk_config(tmp_path, discretization={"tau": 2e-3, "T": 6e-3},
+                             run={"kind": "converge", "error_samples": 3})
+        row = experiments.run_convergence_cell(config)
+        assert next(samples, None) is None  # one sample per step
+        assert {q: row[f"err_{q}"] for q in ("u", "x", "v", "nu", "H")} == {
+            "u": 3.0, "x": 4.0, "v": 0.75, "nu": 2.0, "H": 0.0}
 
     def test_worker_pool_matches_serial(self, tmp_path, monkeypatch):
         config = disk_config(
@@ -497,6 +520,7 @@ class TestCliEntry:
         {"run": {"seedmode": "oracle"}},
         {"geometry": {"kind": "disk", "radii": [1.5, 3.0]}},  # a disk has one radius
         {"geometry": {"radii": [1.5, 1.5], "kind": "ball"}},  # a ball has one or three
+        {"model": {"Q": "expr:" + "+".join(["x"] * 5000)}},  # nests too deep to compile
     ], ids=lambda overrides: "-".join(
         f"{section}.{key}" for section, fields in overrides.items() for key in fields))
     def test_malformed_config_exit_code(self, tmp_path, overrides):
@@ -595,12 +619,26 @@ class TestBadInputs:
         ["disk", "--radius", "inf", "--h", "0.5"],
         ["ball", "--radius", "1", "--h", "nan"],
         ["ellipsoid", "--radii", "1", "1", "inf", "--h", "0.5"],
+        ["disk", "--radius", "1", "--h", "0.0002"],  # over the node cap
+        ["ball", "--radius", "1", "--h", "1e-300"],
     ])
     def test_mesh_gen_arguments(self, tmp_path, capsys, args):
         out = tmp_path / "mesh.bsm"
         assert main(["mesh", "gen", *args, "-o", str(out)]) == 2
         assert_config_error(capsys)
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, overrides", [
+        ("simulate", {"geometry": {"radii": [1e300], "h": 1e-10}}),
+        ("converge", {"run": {"kind": "converge", "h_levels": [0.4, 1e-4]}}),
+        ("stability", {"run": {"kind": "stability", "levels": 12}}),
+    ], ids=["simulate", "converge", "stability"])
+    def test_mesh_over_the_node_cap(self, tmp_path, capsys, command, overrides):
+        # Every mesh the run would generate is checked before any is built.
+        config = disk_config(tmp_path, **overrides)
+        assert main([command, str(write_config(tmp_path, config))]) == 2
+        assert_config_error(capsys)
+        assert not (tmp_path / "out").exists()
 
     @staticmethod
     def bad_mesh_file(tmp_path, case):

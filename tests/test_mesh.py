@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from bulkgrow.mesh import (
     ellipsoid_projector,
     generate_ball_mesh,
     generate_disk_mesh,
+    generator_grid,
     load_mesh,
     quality_report,
     save_mesh,
@@ -332,6 +334,31 @@ class TestDiskMesh:
             generate_disk_mesh(1.0, 2.0)
         with pytest.raises(ResourceError):
             generate_disk_mesh(1.0, 1e-6)
+
+
+class TestNodeBudget:
+    @pytest.mark.parametrize("radii, h", [([1.5], 0.1), ([1.0, 0.8, 0.9], 0.5)])
+    def test_estimate_counts_the_p1_nodes(self, radii, h):
+        counts = generator_grid(radii, h, 1)
+        if len(radii) == 1:
+            mesh = generate_disk_mesh(radii[0], h)
+            expected = 1 + 3 * counts[0] * (counts[0] + 1)
+        else:
+            mesh = generate_ball_mesh(radii, h)
+            expected = math.prod(c + 1 for c in counts)
+        assert mesh.n_nodes == expected
+
+    @pytest.mark.parametrize("generate, radius, h", [
+        (generate_ball_mesh, 1.0, 1e-300),
+        (generate_ball_mesh, 1.0, 1e-8),  # its int64 estimate wrapped negative
+        (generate_disk_mesh, 1e300, 1e-10),  # radius / h overflows to inf
+    ])
+    def test_overflowing_estimate_is_over_the_cap(self, generate, radius, h):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ResourceError) as info:
+                generate(radius, h, degree=2)
+        assert len(str(info.value)) < 80  # the estimate in 3 digits
 
 
 class TestBallMesh:

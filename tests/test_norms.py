@@ -7,7 +7,7 @@ from bulkgrow.assembly import Assembler
 from bulkgrow.errors import CapabilityError, ValidationError
 from bulkgrow.mesh import BulkSurfaceMesh, generate_disk_mesh
 from bulkgrow.norms import (
-    ErrorReport,
+    ERROR_QUANTITIES,
     HalfNorm,
     estimated_orders,
     norm_L,
@@ -223,14 +223,17 @@ class TestOracleErrors:
             assert errors[quantity] < 1e-9, quantity
         assert errors["v"] < 1e-9
 
-    def test_report_aggregates(self):
-        report = ErrorReport()
-        report.add({"u": 1.0, "x": 0.5, "v": 0.25, "nu": 0.1, "H": 2.0})
-        report.add({"u": 2.0, "x": 0.25, "v": 0.5, "nu": 0.2, "H": 1.0})
-        sup = report.sup_errors()
-        assert sup["u"] == 2.0
-        assert sup["x"] == 0.5
-        assert sup["H"] == 2.0
+    @pytest.mark.parametrize("dim_m", [1, 2])
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_exact_state_has_zero_errors(self, dim_m, degree):
+        # The errors are measured against exact_state itself, so its own
+        # errors vanish exactly, also after the flow has moved the mesh.
+        oracle = RadialOracle(dim_m=dim_m, initial_radius=1.5, source=1.5,
+                              alpha=1.0, beta=1.0)
+        mesh = sphere_oracle_mesh(oracle, 0.4 if dim_m == 1 else 0.6, degree=degree)
+        state = oracle.exact_state(mesh, 0.3)
+        mats = Assembler(mesh).system(state.positions)
+        assert oracle_errors(state, oracle, mesh, mats) == dict.fromkeys(ERROR_QUANTITIES, 0.0)
 
     def test_estimated_orders(self):
         errors = [1.0, 0.25, 0.0625]

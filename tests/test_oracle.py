@@ -104,40 +104,45 @@ class TestPressure:
         oracle = paper_setup()
         for t in (0.0, 1.2):
             radius = oracle.radius(t)
-            value = (-oracle.beta * oracle.curvature(t)
+            value = (-oracle.beta * oracle.dim_m / radius
                      + oracle.alpha * oracle.pressure_extended(radius, t))
             assert value == pytest.approx(oracle.normal_speed(t), rel=1e-13)
 
 
 class TestGeometryFields:
+    """Normal, curvature and velocity of the exact state on sphere meshes."""
+
     def test_unit_sphere_curvature(self):
         oracle = RadialOracle(dim_m=2, initial_radius=1.0, source=1.5,
                               alpha=1.0, beta=1.0)
-        nu, curv, _, _ = oracle.geometry_fields(np.array([[1.0, 0.0, 0.0]]), 0.0)
-        assert curv[0] == pytest.approx(2.0, rel=1e-14)
-        assert np.allclose(nu[0], [1.0, 0.0, 0.0])
+        mesh = sphere_oracle_mesh(oracle, 0.5, degree=1)
+        state = oracle.seed_state(mesh, 0.0)
+        assert state.curvature == pytest.approx(np.full(mesh.n_boundary, 2.0), rel=1e-14)
+        assert np.allclose(state.normal, mesh.boundary_positions, atol=1e-14)
 
     def test_circle_fields(self):
         oracle = RadialOracle(dim_m=1, initial_radius=2.0, source=1.0,
                               alpha=1.0, beta=1.0)
-        pts = np.array([[0.0, 2.0], [2.0, 0.0]])
-        nu, curv, _, _ = oracle.geometry_fields(pts, 0.0)
-        assert np.allclose(curv, 0.5)
-        assert np.allclose(nu, pts / 2.0)
+        mesh = sphere_oracle_mesh(oracle, 0.5, degree=2)
+        state = oracle.seed_state(mesh, 0.0)
+        assert np.allclose(state.curvature, 0.5)
+        assert np.allclose(state.normal, mesh.boundary_positions / 2.0)
 
     def test_initial_speed(self):
         assert paper_setup().normal_speed(0.0) == pytest.approx(1.0, rel=1e-14)
 
-    def test_off_sphere_point_rejected(self):
-        oracle = paper_setup()
-        with pytest.raises(ValidationError):
-            oracle.geometry_fields(np.array([[1.0, 0.0, 0.0]]), 0.0)
-
     def test_velocity_is_radial(self):
+        # (V(t)/R(t)) x at every node, and V(t) nu on the boundary.
         oracle = paper_setup()
-        pts = 1.5 * np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
-        _, _, speed, velocity = oracle.geometry_fields(pts, 0.0)
-        assert np.allclose(velocity, speed[:, None] * pts / 1.5)
+        mesh = sphere_oracle_mesh(oracle, 0.5, degree=2)
+        t = 0.4
+        state = oracle.exact_state(mesh, t)
+        speed = oracle.normal_speed(t)
+        assert np.allclose(state.velocity, speed * state.positions / oracle.radius(t),
+                           rtol=1e-14, atol=0.0)
+        assert np.allclose(state.normal_speed, speed, rtol=1e-14, atol=0.0)
+        ng = mesh.n_boundary
+        assert np.array_equal(state.velocity[:ng], speed * state.normal)
 
 
 class TestSeedState:
@@ -195,21 +200,26 @@ class TestSeedState:
         interior = stiff[ng:] @ state.velocity
         coupling = stiff[ng:, :ng] @ state.velocity[:ng]
         assert np.linalg.norm(interior) <= 1e-12 * np.linalg.norm(coupling)
-        _, _, _, v_gamma = oracle.geometry_fields(mesh.boundary_positions, 0.0)
-        assert np.array_equal(state.velocity[:ng], v_gamma)
+        assert np.array_equal(state.velocity[:ng], state.normal_speed[:, None] * state.normal)
+
+    def test_seed_is_the_exact_state(self):
+        # The error path reads exact_state; a run is seeded from the same fields.
+        seed = self.oracle.seed_state(self.mesh, 0.3)
+        exact = self.oracle.exact_state(self.mesh, 0.3)
+        for field in dataclasses.fields(seed):
+            assert np.array_equal(getattr(seed, field.name), getattr(exact, field.name))
 
     def test_seed_at_later_time(self):
         t = 0.3
         state = self.oracle.seed_state(self.mesh, t)
         assert state.time == pytest.approx(t)
-        assert np.array_equal(
-            state.positions, self.oracle.exact_positions(self.mesh.node_positions, t)
-        )
+        scale = self.oracle.radius(t) / self.oracle.radius(0.0)
+        assert np.array_equal(state.positions, self.mesh.node_positions * scale)
         ng = self.mesh.n_boundary
         assert np.allclose(np.linalg.norm(state.positions[:ng], axis=1),
                            self.oracle.radius(t), rtol=1e-12)
         assert np.allclose(
-            state.curvature, self.oracle.curvature(t), atol=1e-13
+            state.curvature, self.oracle.dim_m / self.oracle.radius(t), atol=1e-13
         )
         assert np.allclose(
             state.pressure[0], self.oracle.pressure_extended(self.oracle.radius(t), t),

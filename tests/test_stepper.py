@@ -116,7 +116,7 @@ class TestExtrapolatedGeometry:
         oracle, mesh, params, history = oracle_setup(h=0.4, tau=tau, order=2)
         geo = extrapolated_geometry(history, bdf_coefficients(2), Assembler(mesh))
         t_next = history[0].time + tau
-        exact = oracle.exact_positions(mesh.node_positions, t_next)
+        exact = oracle.exact_state(mesh, t_next).positions
         # Extrapolation of a smooth flow is O(tau^2) accurate.
         assert np.abs(geo.positions - exact).max() < 5.0 * tau ** 2
 

@@ -87,6 +87,13 @@ CONFIGS = {
         {"kind": "converge", "h_levels": [0.4, 0.2],
          "tau_levels": [4e-3, 2e-3], "error_samples": 5},
     )),
+    # The 3d errors: oracle_errors against the exact state on a P2 ball.
+    "converge_ball": (run_converge, _config(
+        {"kind": "ball", "radii": [1.0], "h": 0.7},
+        {"k": 2, "q": 2, "tau": 1e-3, "T": 0.008},
+        {"kind": "converge", "h_levels": [0.7, 0.5],
+         "tau_levels": [4e-3, 2e-3], "error_samples": 2},
+    )),
     "stability_disk": (run_stability, _config(
         {"kind": "disk", "radii": [1.0], "h": 0.2},
         {"k": 2, "q": 2, "tau": 1e-3, "T": 0.0},

@@ -532,8 +532,8 @@ def run_converge(config, outdir):
     grid = [(h, float(tau)) for h in _mesh_sizes(config) for tau in tau_levels]
     cells = [{**config, "geometry": {**geometry, "h": h},
               "discretization": {**disc, "tau": tau}} for h, tau in grid]
-    _make_outdir(outdir)  # after set-up: a bad config leaves none
     workers = min(worker_count(), len(cells))
+    _make_outdir(outdir)  # after set-up: a bad config leaves none
     dispatch = list(range(len(cells)))
     if workers > 1:
         # Dispatch expensive cells first so workers stay balanced.

@@ -690,17 +690,42 @@ def save_mesh(mesh, path):
             write_rows(fh, conn, " ".join(["%d"] * conn.shape[1]))
 
 
-def _parse_block(entries, width, dtype):
-    """The rows of one section as an (n, width) array, parsed by one numpy
-    call; None if any row is malformed, for the row-by-row parse to find
-    the first bad line.  numpy accepts a subset of what ``float``/``int``
-    accept, with the same values."""
-    block = io.StringIO("\n".join(text for _, text in entries))
+def _read_section(entries, width, parse, shape_fault, value_fault, checks):
+    """The rows of one section as an (n, width) array of ``parse``'s type, or
+    MeshFormatError naming the first bad row, whatever its fault.  One numpy
+    call parses a well-formed section.  numpy accepts a subset of what
+    ``float``/``int`` accept, with the same values; where it fails, ``parse``
+    reads row by row up to the first row of the wrong width or with a field
+    it rejects.  ``checks`` are (message, valid) pairs, the message that wins
+    on a row first; ``valid`` masks the values that pass."""
+    dtype = float if parse is float else np.int64
     try:
-        out = np.loadtxt(block, dtype=dtype, ndmin=2, comments=None)
+        out = np.loadtxt(io.StringIO("\n".join(text for _, text in entries)),
+                         dtype=dtype, ndmin=2, comments=None)
     except ValueError:
-        return None
-    return out if out.shape == (len(entries), width) else None
+        out = None
+    found = []
+    if out is None or out.shape != (len(entries), width):
+        rows = []
+        for _, text in entries:
+            fields = text.split()
+            if len(fields) != width:
+                found.append((len(rows), shape_fault))
+                break
+            try:
+                rows.append([parse(field) for field in fields])
+            except ValueError:
+                found.append((len(rows), value_fault))
+                break
+        out = np.array(rows, dtype=dtype).reshape(-1, width)
+    for message, valid in checks:
+        bad = np.flatnonzero(~valid(out).all(axis=1))
+        if bad.size:
+            found.append((bad[0], message))
+    if found:
+        row, message = min(found, key=lambda fault: fault[0])
+        raise MeshFormatError(message, line=entries[row][0])
+    return out
 
 
 def load_mesh(path):
@@ -752,52 +777,25 @@ def load_mesh(path):
             f"expected {n_nodes} node rows, found {len(sections['NODES'])}",
             line=sections["NODES"][0][0],
         )
-    positions = _parse_block(sections["NODES"], dim, float)
-    if positions is None:
-        positions = np.empty((n_nodes, dim))
-        for i, (lineno, text) in enumerate(sections["NODES"]):
-            fields = text.split()
-            if len(fields) != dim:
-                raise MeshFormatError(f"expected {dim} coordinates", line=lineno)
-            try:
-                positions[i] = [float(f) for f in fields]
-            except ValueError:
-                raise MeshFormatError("non-numeric coordinate", line=lineno) from None
+    positions = _read_section(sections["NODES"], dim, float, f"expected {dim} coordinates",
+                              "non-numeric coordinate", [("non-finite coordinate", np.isfinite)])
 
-    def parse_conn(name, width):
-        entries = sections[name]
-        lines = np.array([lineno for lineno, _ in entries], dtype=np.int64)
-        out = _parse_block(entries, width, np.int64)
-        if out is None:
-            out = np.empty((len(entries), width), dtype=np.int64)
-            for i, (lineno, text) in enumerate(entries):
-                fields = text.split()
-                if len(fields) != width:
-                    raise MeshFormatError(
-                        f"expected {width} node indices in {name} row", line=lineno
-                    )
-                try:
-                    out[i] = [int(f) for f in fields]
-                except ValueError:
-                    raise MeshFormatError(
-                        "non-integer connectivity entry", line=lineno
-                    ) from None
-                if out[i].min() < 0 or out[i].max() >= n_nodes:
-                    raise MeshFormatError("node index out of range", line=lineno)
-        bad = np.flatnonzero((out < 0).any(axis=1) | (out >= n_nodes).any(axis=1))
-        if bad.size:
-            raise MeshFormatError("node index out of range", line=int(lines[bad[0]]))
-        return out, lines
+    def index(field):
+        # Clipped to [-1, N], so that an index past int64 is out of range too.
+        return min(max(int(field), -1), n_nodes)
 
-    bulk, _ = parse_conn("ELEMENTS", nodes_per_element(dim, k))
-    boundary, bnd_lines = parse_conn("BOUNDARY", nodes_per_element(m, k))
-
-    bad = np.flatnonzero((boundary >= n_bnd).any(axis=1))
-    if bad.size:
-        raise MeshFormatError(
-            "facet references a non-boundary node (ordering must be boundary-first)",
-            line=int(bnd_lines[bad[0]]),
+    in_range = ("node index out of range", lambda i: (i >= 0) & (i < n_nodes))
+    boundary_first = ("facet references a non-boundary node (ordering must be boundary-first)",
+                      lambda i: i < n_bnd)
+    bulk, boundary = (
+        _read_section(sections[name], width, index,
+                      f"expected {width} node indices in {name} row",
+                      "non-integer connectivity entry", checks)
+        for name, width, checks in (
+            ("ELEMENTS", nodes_per_element(dim, k), [in_range]),
+            ("BOUNDARY", nodes_per_element(m, k), [in_range, boundary_first]),
         )
+    )
     try:
         mesh = BulkSurfaceMesh(
             dim_m=m,
@@ -809,4 +807,4 @@ def load_mesh(path):
         )
     except ValidationError as exc:
         raise MeshFormatError(str(exc), line=header_line) from None
-    return validate_mesh(mesh, bnd_lines)
+    return validate_mesh(mesh, [lineno for lineno, _ in sections["BOUNDARY"]])

@@ -387,6 +387,17 @@ class TestRegularization:
         # The regularization has a finite, small effect.
         assert all(np.isfinite(r["max_boundary_displacement_vs_mu0"]) for r in rows)
 
+    def test_baseline_runs_when_not_listed(self, tmp_path):
+        config = disk_config(
+            tmp_path,
+            discretization={"tau": 2e-3, "T": 0.01},
+            run={"kind": "regularization", "mu_values": [0.1], "snapshots": 2},
+        )
+        rows = run_regularization(config, str(tmp_path / "reg"))
+        n = len(rows) // 2
+        assert n > 0 and [r["mu"] for r in rows] == [0.0] * n + [0.1] * n
+        assert all(r["max_boundary_displacement_vs_mu0"] == 0.0 for r in rows[:n])
+        assert all(r["max_boundary_displacement_vs_mu0"] > 0.0 for r in rows[n:])
 
     @pytest.mark.parametrize("failing_mu, flushed", [(0.1, [0.0] * 5 + [0.1]),
                                                      (0.0, [])])
@@ -607,6 +618,7 @@ def assert_config_error(capsys):
     """One ``configuration error`` line on stderr, nothing else."""
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and err.count("\n") == 1, err
+    return err
 
 
 class TestBadInputs:
@@ -621,6 +633,8 @@ class TestBadInputs:
         ["ellipsoid", "--radii", "1", "1", "inf", "--h", "0.5"],
         ["disk", "--radius", "1", "--h", "0.0002"],  # over the node cap
         ["ball", "--radius", "1", "--h", "1e-300"],
+        ["disk", "--h", "0.5"],  # no radius
+        ["ball", "--h", "0.5"],
     ])
     def test_mesh_gen_arguments(self, tmp_path, capsys, args):
         out = tmp_path / "mesh.bsm"
@@ -640,8 +654,18 @@ class TestBadInputs:
         assert_config_error(capsys)
         assert not (tmp_path / "out").exists()
 
-    @staticmethod
-    def bad_mesh_file(tmp_path, case):
+    # Each edited row of the P1 disk file: (line, text, message).
+    BAD_ROWS = {
+        "malformed": (5, "0.5 abc", "non-numeric coordinate"),  # the third node row
+        "nan": (5, "nan 0.5", "non-finite coordinate"),
+        "inf": (5, "0.5 inf", "non-finite coordinate"),
+        "1e400": (5, "1e400 0.5", "non-finite coordinate"),
+        "past-int64": (41, "0 1 99999999999999999999999", "node index out of range"),
+    }
+    BAD_FILES = ["missing", "directory", *BAD_ROWS]
+
+    @classmethod
+    def bad_mesh_file(cls, tmp_path, case):
         if case == "missing":
             return tmp_path / "missing.bsm"
         if case == "directory":
@@ -649,21 +673,60 @@ class TestBadInputs:
         path = tmp_path / "bad.bsm"
         save_mesh(generate_disk_mesh(1.0, 0.4), path)
         lines = path.read_text().splitlines()
-        lines[4] = "0.5 abc"  # the third node row
+        assert lines[39] == "ELEMENTS"  # line 40, so line 41 is the first element row
+        line, text, _ = cls.BAD_ROWS[case]
+        lines[line - 1] = text
         path.write_text("\n".join(lines) + "\n")
         return path
 
-    @pytest.mark.parametrize("case", ["missing", "directory", "malformed"])
+    @classmethod
+    def assert_names_the_row(cls, err, case):
+        if case in cls.BAD_ROWS:
+            line, _, message = cls.BAD_ROWS[case]
+            assert err == f"configuration error: line {line}: {message}\n"
+
+    @pytest.mark.parametrize("case", BAD_FILES)
     def test_mesh_info_of_a_bad_file(self, tmp_path, capsys, case):
         assert main(["mesh", "info", str(self.bad_mesh_file(tmp_path, case))]) == 2
-        assert_config_error(capsys)
+        self.assert_names_the_row(assert_config_error(capsys), case)
 
-    @pytest.mark.parametrize("case", ["missing", "directory", "malformed"])
+    @pytest.mark.parametrize("case", BAD_FILES)
     def test_simulate_on_a_bad_file(self, tmp_path, capsys, case):
         config = disk_config(tmp_path)
         config["geometry"] = {"kind": "file", "path": str(self.bad_mesh_file(tmp_path, case))}
         assert main(["simulate", str(write_config(tmp_path, config))]) == 2
-        assert_config_error(capsys)
+        self.assert_names_the_row(assert_config_error(capsys), case)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"model": {"Q": [1]}}, "cannot parse source term [1]"),
+        ({"model": {"Q": "const:abc"}}, "bad constant source 'const:abc'"),
+        ({"model": {"Q": "expr:x(1)"}}, "source expression does not evaluate: "),
+        ({"geometry": {"radii": None}}, "geometry.radii (or radius) is required"),
+        ({"geometry": {"kind": "ellipsoid", "radii": [1.0, 0.8, 0.9], "h": 0.5},
+          "run": {"seed_mode": "oracle"}},
+         "run.seed_mode=oracle requires sphere data and constant Q"),
+    ], ids=["Q-list", "Q-const", "Q-expr-call", "disk-without-radius", "oracle-on-ellipsoid"])
+    def test_config_error_names_its_cause(self, tmp_path, capsys, overrides, message):
+        config = disk_config(tmp_path, **overrides)
+        # A key set to None is left out.
+        config["geometry"] = {k: v for k, v in config["geometry"].items() if v is not None}
+        assert main(["simulate", str(write_config(tmp_path, config))]) == 2
+        assert assert_config_error(capsys).startswith(f"configuration error: {message}")
+        assert not (tmp_path / "out").exists()
+
+    def test_missing_config_file(self, tmp_path, capsys):
+        assert main(["simulate", str(tmp_path / "missing.json")]) == 2
+        assert assert_config_error(capsys).startswith("configuration error: cannot read config: ")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_bad_thread_count_leaves_no_outdir(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("BULKGROW_THREADS", "abc")
+        config = disk_config(tmp_path, run={"kind": "converge"})
+        assert main(["converge", str(write_config(tmp_path, config))]) == 2
+        assert assert_config_error(capsys) == (
+            "configuration error: BULKGROW_THREADS must be an integer, got 'abc'\n"
+        )
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("kind", ["simulate", "regularization"])

@@ -611,6 +611,12 @@ class TestBsmFormat:
         ("ELEMENTS", 2, "0 1", "expected 3 node indices in ELEMENTS row"),
         ("ELEMENTS", 5, "0 1 2.0", "non-integer connectivity entry"),
         ("BOUNDARY", 1, "0 -1", "node index out of range"),
+        ("NODES", 2, "nan 0.5", "non-finite coordinate"),
+        ("NODES", 2, "0.5 -inf", "non-finite coordinate"),
+        ("NODES", 2, "1e400 0.5", "non-finite coordinate"),  # overflows to inf
+        ("ELEMENTS", 3, "0 1 99999999999999999999999", "node index out of range"),
+        ("BOUNDARY", 2, "-99999999999999999999999 0", "node index out of range"),
+        ("BOUNDARY", 2, "-1 20", "node index out of range"),  # and 20 is interior
     ])
     def test_bad_row_reports_its_line(self, tmp_path, section, row, text, message):
         path, numbers = self.corrupted(tmp_path, {(section, row): text})
@@ -625,6 +631,62 @@ class TestBsmFormat:
         with pytest.raises(MeshFormatError) as err:
             load_mesh(path)
         assert err.value.line == numbers["ELEMENTS", 1]
+
+    interior = "facet references a non-boundary node (ordering must be boundary-first)"
+
+    @pytest.mark.parametrize("first, later, message", [
+        (("BOUNDARY", 1, "18 19"), ("BOUNDARY", 4, "0 x"), interior),
+        (("BOUNDARY", 1, "0 x"), ("BOUNDARY", 4, "18 19"), "non-integer connectivity entry"),
+        (("BOUNDARY", 1, "0"), ("BOUNDARY", 4, "0 40"), "expected 2 node indices in BOUNDARY row"),
+        (("NODES", 1, "nan 0"), ("NODES", 4, "0 x"), "non-finite coordinate"),
+        (("NODES", 1, "0 x"), ("NODES", 4, "inf 0"), "non-numeric coordinate"),
+    ], ids=["interior-before-non-integer", "non-integer-before-interior",
+            "width-before-range", "non-finite-before-non-numeric",
+            "non-numeric-before-non-finite"])
+    def test_first_bad_row_wins_whatever_its_fault(self, tmp_path, first, later, message):
+        # Two bad rows of one section: the earlier one is named.  Nodes 18 and
+        # 19 of the disk are interior, and 40 is past its last node.
+        path, numbers = self.corrupted(tmp_path, {first[:2]: first[2], later[:2]: later[2]})
+        with pytest.raises(MeshFormatError) as err:
+            load_mesh(path)
+        assert str(err.value) == f"line {numbers[first[:2]]}: {message}"
+        assert err.value.line == numbers[first[:2]]
+
+    @staticmethod
+    def edited(tmp_path, edit):
+        """Save the P1 disk of radius 1 at h = 0.4 (37 nodes, 18 on the
+        boundary), replace its lines by ``edit(lines)`` and return the path."""
+        mesh = generate_disk_mesh(1.0, 0.4)
+        assert (mesh.n_nodes, mesh.n_boundary) == (37, 18)
+        path = tmp_path / "edited.bsm"
+        save_mesh(mesh, path)
+        lines = path.read_text().splitlines()
+        assert lines[0] == "bsm 1 1 1 37 18"
+        path.write_text("\n".join(edit(lines)) + "\n")
+        return path
+
+    @pytest.mark.parametrize("edit, line, message", [
+        (lambda lines: ["# only a comment", ""], 1, "empty file"),
+        (lambda lines: ["mesh 1 1 1 37 18"] + lines[1:], 1,
+         "expected header 'bsm 1 <m> <k> <N> <N_Gamma>'"),
+        (lambda lines: ["bsm 2 1 1 37 18"] + lines[1:], 1, "unsupported format version 2"),
+        (lambda lines: ["bsm 1 3 1 37 18"] + lines[1:], 1,
+         "unsupported dimension/degree m=3 k=1"),
+        (lambda lines: lines[:1] + ["0 0"] + lines[1:], 2, "data before first section header"),
+        (lambda lines: lines + ["NODES", "0 0"], 114, "duplicate section NODES"),
+        (lambda lines: lines[:lines.index("BOUNDARY")], 1, "missing section BOUNDARY"),
+        (lambda lines: ["bsm 1 1 1 38 18"] + lines[1:], 3, "expected 38 node rows, found 37"),
+        # Faults BulkSurfaceMesh finds, named at the header.
+        (lambda lines: ["bsm 1 1 1 37 38"] + lines[1:], 1, "boundary node count out of range"),
+        (lambda lines: ["bsm 1 1 1 37 19"] + lines[1:], 1,
+         "boundary node 18 not used by any facet"),
+    ], ids=["empty", "not-bsm", "version", "dimension", "data-first", "duplicate",
+            "missing", "row-count", "n-gamma-over-n", "n-gamma-unused"])
+    def test_bad_structure_reports_its_line(self, tmp_path, edit, line, message):
+        with pytest.raises(MeshFormatError) as err:
+            load_mesh(self.edited(tmp_path, edit))
+        assert str(err.value) == f"line {line}: {message}"
+        assert err.value.line == line
 
     def test_python_number_syntax_still_loads(self, tmp_path):
         # numpy rejects non-ASCII digits, which float() and int() accept;

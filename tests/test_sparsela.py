@@ -349,6 +349,17 @@ def test_pcg_finishes_a_direct_solution_that_misses_tol(monkeypatch, miss):
     assert np.all(relative_residuals(a, x, b) <= TOL)
 
 
+def test_dead_fresh_factor_raises_after_one_factorization(calls, monkeypatch):
+    # A preconditioner that returns zeros leaves x at the zero guess.
+    monkeypatch.setattr(SpdFactor, "apply_inverse", lambda self, rhs: np.zeros(rhs.shape))
+    rng = np.random.default_rng(8)
+    a = random_spd(30, rng)
+    with pytest.raises(SolverError, match="PCG with a fresh factor did not reach TOL") as err:
+        CachedSpdSolver().solve(a, rng.standard_normal(30), np.zeros(30))
+    assert err.value.residual == 1.0
+    assert calls["factored"] == [np.float32]
+
+
 def test_cached_solver_tracks_drifting_matrices():
     rng = np.random.default_rng(2)
     base = random_spd(60, rng).toarray()
@@ -735,6 +746,29 @@ class TestSupernodalCholesky:
                                           shape=(n, n))).tocsr()
         with pytest.raises(ValidationError, match="dissection tree"):
             SpdFactor(coupled, dissection)
+
+
+@pytest.mark.parametrize("layout", ["reversed", "split"])
+def test_cholesky_factor_of_a_non_canonical_matrix(layout):
+    # The P1 ball Robin matrix with each row's columns in reverse order, or
+    # with each entry stored as two halves, solves like the canonical one.
+    mesh = generate_ball_mesh(1.0, 0.5)
+    matrix = assemble_L(Assembler(mesh).system(), 1.0).tocsr()
+    dissection = mesh.bulk_orderings[0]
+    assert isinstance(dissection, Dissection) and matrix.has_canonical_format
+    if layout == "reversed":
+        rows = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
+        order = np.lexsort((-np.arange(matrix.nnz), rows))
+        other = sp.csr_matrix((matrix.data[order], matrix.indices[order], matrix.indptr),
+                              shape=matrix.shape)
+    else:
+        other = sp.csr_matrix((np.repeat(matrix.data / 2, 2), np.repeat(matrix.indices, 2),
+                               2 * matrix.indptr), shape=matrix.shape)
+    assert not other.has_canonical_format
+    b = np.random.default_rng(9).standard_normal(matrix.shape[0])
+    assert np.array_equal(SpdFactor(other, dissection).solve(b),
+                          SpdFactor(matrix, dissection).solve(b))
+    assert not other.has_canonical_format  # the caller's matrix is left alone
 
 
 class TestSchurDirichlet:

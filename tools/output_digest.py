@@ -28,7 +28,7 @@ import hashlib
 import os
 import sys
 import tempfile
-from contextlib import chdir, nullcontext
+from contextlib import nullcontext
 from pathlib import Path
 
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
@@ -186,12 +186,16 @@ def digests(keep=None):
             save_mesh(mesh, path)
             lines.append((_digest(path), f"meshes/{path.name}"))
             lines.append((_orderings_digest(mesh), f"orderings/{name}"))
-        with chdir(root):
+        cwd = os.getcwd()
+        os.chdir(root)
+        try:
             for name, (runner, config) in CONFIGS.items():
                 outdir = root / name
                 runner(config, str(outdir))
                 for path in sorted(outdir.iterdir()):
                     lines.append((_digest(path), f"{name}/{path.name}"))
+        finally:
+            os.chdir(cwd)
     return sorted(lines, key=lambda line: line[1])
 
 

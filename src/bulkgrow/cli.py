@@ -20,6 +20,7 @@ from .experiments import (
     run_regularization,
     run_simulate,
     run_stability,
+    setting,
 )
 from .mesh import generate_ball_mesh, generate_disk_mesh, load_mesh, quality_report, save_mesh
 
@@ -51,8 +52,8 @@ def build_parser():
     gen = mesh_sub.add_parser("gen", help="generate a mesh file")
     gen.add_argument("kind", choices=["disk", "ball", "ellipsoid"])
     gen.add_argument("--h", type=float, required=True, help="target mesh size")
-    gen.add_argument("--radius", type=float, default=None)
-    gen.add_argument("--radii", type=float, nargs=3, default=None)
+    gen.add_argument("--radius", type=float, help="radius of a disk or ball")
+    gen.add_argument("--radii", type=float, nargs=3, help="semi-axes of an ellipsoid")
     gen.add_argument("--degree", type=int, default=1, choices=[1, 2])
     gen.add_argument("-o", "--output", required=True)
     info = mesh_sub.add_parser("info", help="print mesh statistics")
@@ -61,7 +62,7 @@ def build_parser():
 
 
 def _outdir(args, config):
-    outdir = args.outdir or config["run"].get("outputs")
+    outdir = args.outdir or setting(config, "run", "outputs")
     if not outdir:
         raise ConfigError("no output directory (run.outputs or --outdir)")
     return outdir
@@ -93,16 +94,17 @@ def _cmd_mesh(args):
         mesh = load_mesh(args.path)
         print(json.dumps(quality_report(mesh), indent=2, sort_keys=True))
         return EXIT_OK
+    flag, other = ("radii", "radius") if args.kind == "ellipsoid" else ("radius", "radii")
+    if getattr(args, other) is not None:
+        raise ConfigError(f"{args.kind} meshes take --{flag}, not --{other}")
+    if getattr(args, flag) is None:
+        raise ConfigError(f"{args.kind} meshes need --{flag}")
     try:
         if args.kind == "disk":
-            if args.radius is None:
-                raise ConfigError("disk meshes need --radius")
             mesh = generate_disk_mesh(args.radius, args.h, degree=args.degree)
         else:
-            radii = args.radii if args.radii else (args.radius,) * 3
-            if radii[0] is None:
-                raise ConfigError("ball/ellipsoid meshes need --radius or --radii")
-            mesh = generate_ball_mesh(radii, args.h, degree=args.degree)
+            mesh = generate_ball_mesh(args.radii or [args.radius] * 3, args.h,
+                                      degree=args.degree)
     except (ValidationError, ResourceError) as exc:  # the generators' checks
         raise ConfigError(str(exc)) from None
     save_mesh(mesh, args.output)

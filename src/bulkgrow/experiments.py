@@ -11,9 +11,9 @@ for identical configurations.
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 import json
-import math
 import os
 import re
+import sys
 
 import numpy as np
 
@@ -115,7 +115,8 @@ def load_config(path):
             config = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}")
-    except json.JSONDecodeError as exc:
+    # Bad UTF-8 is a ValueError too, and deep nesting exhausts the decoder's stack.
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
     return validate_config(config)
 
@@ -125,7 +126,7 @@ def _is_number(value, integer=False):
     return (
         isinstance(value, (int, float))
         and not isinstance(value, bool)
-        and math.isfinite(value)
+        and abs(value) <= sys.float_info.max  # not inf or NaN, nor an int past float
         and (not integer or float(value).is_integer())
     )
 
@@ -135,15 +136,31 @@ def _check(ok, message):
         raise ConfigError(message)
 
 
-# The keys of each config section; any other key is a configuration error.
+# Every key of each config section and its default; any other key is a
+# configuration error.  None marks a required key, or one whose default is
+# derived from others (h_levels, tau_levels, and the k of a file mesh).
 CONFIG_KEYS = {
-    "model": {"alpha", "beta", "mu", "Q"},
-    "geometry": {"kind", "radii", "radius", "h", "path"},
-    "discretization": {"k", "q", "tau", "T"},
-    "run": {"kind", "outputs", "seed_mode", "snapshots", "h_levels", "tau_levels",
-            "levels", "error_samples", "samples", "seed", "boost_iters", "mode",
-            "mu_values"},
+    "model": {"alpha": None, "beta": None, "mu": 0.0, "Q": 0.0},
+    "geometry": {"kind": None, "radii": None, "h": None, "path": None},
+    "discretization": {"k": 2, "q": 2, "tau": None, "T": None},
+    "run": {"kind": None, "outputs": None, "seed_mode": "auto", "snapshots": 20,
+            "h_levels": None, "tau_levels": None, "levels": 4, "error_samples": 40,
+            "samples": 20, "seed": 0, "boost_iters": 20, "mode": "both",
+            "mu_values": [0.0, 0.01, 0.1, 1.0]},
 }
+
+# Budgets of the counts a config sets, far above any documented run; a run
+# over one exits 2 before its output directory is made, as one over the
+# node cap does.  Snapshots, error samples and levels need none: the step
+# budget bounds the first two, the node cap the levels.
+MAX_STEPS = 10**6
+MAX_SAMPLES = 1000
+MAX_BOOST_ITERS = 1000
+
+
+def setting(config, section, key):
+    """``config[section][key]``, or the key's default in CONFIG_KEYS."""
+    return config[section].get(key, CONFIG_KEYS[section][key])
 
 
 def validate_config(config):
@@ -155,15 +172,15 @@ def validate_config(config):
                f"config section {section!r} must be a JSON object")
     unknown = sorted(set(config) - set(CONFIG_KEYS)) + sorted(
         f"{section}.{key}" for section, keys in CONFIG_KEYS.items()
-        for key in set(config[section]) - keys)
+        for key in set(config[section]) - set(keys))
     _check(not unknown, f"unknown config keys: {', '.join(unknown)}")
     model = config["model"]
     for key in ("alpha", "beta"):
         _check(_is_number(model.get(key)) and model[key] > 0,
                f"model.{key} must be a positive number")
-    mu = model.get("mu", 0.0)
+    mu = setting(config, "model", "mu")
     _check(_is_number(mu) and mu >= 0, "model.mu must be a nonnegative number")
-    parse_source(model.get("Q", 0.0))
+    parse_source(setting(config, "model", "Q"))
 
     geometry = config["geometry"]
     _check(geometry.get("kind") in ("disk", "ball", "ellipsoid", "file"),
@@ -176,34 +193,36 @@ def validate_config(config):
                "stability sweeps refine generated meshes, not geometry.kind=file")
     else:
         _check("h" in geometry, "geometry.h required for generated meshes")
-        radii = _geometry_radii(geometry)
-        _check(len(radii) == 1 or (len(radii) == 3 and geometry["kind"] != "disk"),
-               "geometry.radii: one for a disk, one or three for a ball or ellipsoid")
-        radius = min(radii)
+        axes = _semi_axes(geometry)
+        radius = min(axes)
         for h in [geometry["h"]] + _number_list(run, "h_levels"):
             _check(_is_number(h) and 0 < h < radius,
                    f"mesh sizes must be positive and below the radius {radius:g}")
 
     disc = config["discretization"]
-    if "k" in disc:
-        _check(_is_number(disc["k"], integer=True) and disc["k"] in (1, 2),
-               "discretization.k must be 1 or 2")
-    if "q" in disc:
-        _check(_is_number(disc["q"], integer=True) and 1 <= disc["q"] <= 6,
-               "discretization.q must be an integer in 1..6")
+    k, q = setting(config, "discretization", "k"), setting(config, "discretization", "q")
+    _check(_is_number(k, integer=True) and k in (1, 2), "discretization.k must be 1 or 2")
+    _check(_is_number(q, integer=True) and 1 <= q <= 6,
+           "discretization.q must be an integer in 1..6")
     # Stability sweeps do not time-step, so only they may leave tau and T out.
     stepping = run.get("kind") != "stability"
     taus = [disc.get("tau")] if stepping or "tau" in disc else []
     for tau in taus + _number_list(run, "tau_levels"):
         _check(_is_number(tau) and tau > 0, "time steps must be positive numbers")
-    end = disc.get("T", None if stepping else 0.0)
-    _check(_is_number(end) and end >= 0, "discretization.T must be a nonnegative number")
-    _check(run.get("kind") != "converge" or end > 0,  # errors are sampled on steps
-           "discretization.T must be positive for run.kind=converge")
+    if stepping or "T" in disc:
+        end = disc.get("T")
+        _check(_is_number(end) and end >= 0, "discretization.T must be a nonnegative number")
+        _check(run.get("kind") != "converge" or end > 0,  # errors are sampled on steps
+               "discretization.T must be positive for run.kind=converge")
     if stepping:
         for tau in taus + _number_list(run, "tau_levels"):
             steps = end / tau
-            _check(math.isfinite(steps) and abs(steps - round(steps)) <= 1e-9 * steps,
+            _check(steps <= MAX_STEPS,
+                   f"discretization.T = {end:g} would take {steps:.3g} steps of "
+                   f"tau = {tau:g}, over the budget of {MAX_STEPS}")
+            # Within the budget, T / tau is off a whole number by roundoff
+            # below 1e-9; a positive T is at least one step.
+            _check(abs(steps - round(steps)) <= 1e-9 and (round(steps) > 0 or end == 0),
                    f"discretization.T must be a whole number of time steps "
                    f"(T / tau = {steps:.12g} for tau = {tau:g})")
 
@@ -211,22 +230,24 @@ def validate_config(config):
            "run.kind must be simulate, converge, stability or regularization")
     for key, minimum in (("snapshots", 0), ("seed", 0), ("levels", 1), ("samples", 1),
                          ("boost_iters", 0), ("error_samples", 1)):
-        if key in run:
-            _check(_is_number(run[key], integer=True) and run[key] >= minimum,
-                   f"run.{key} must be an integer >= {minimum}")
+        value = setting(config, "run", key)
+        _check(_is_number(value, integer=True) and value >= minimum,
+               f"run.{key} must be an integer >= {minimum}")
+    for key, budget in (("samples", MAX_SAMPLES), ("boost_iters", MAX_BOOST_ITERS)):
+        value = setting(config, "run", key)
+        _check(value <= budget, f"run.{key} = {value:g} is over the budget of {budget}")
     for mu_value in _number_list(run, "mu_values"):
         _check(_is_number(mu_value) and mu_value >= 0,
                "run.mu_values must be nonnegative numbers")
-    _check(run.get("mode", "both") in ("dirichlet", "robin", "both"),
+    _check(setting(config, "run", "mode") in ("dirichlet", "robin", "both"),
            "run.mode must be dirichlet, robin or both")
-    _check(run.get("seed_mode", "auto") in ("auto", "oracle", "bootstrap"),
+    _check(setting(config, "run", "seed_mode") in ("auto", "oracle", "bootstrap"),
            "run.seed_mode must be auto, oracle or bootstrap")
-    _check(isinstance(run.get("outputs", ""), str), "run.outputs must be a path")
+    _check("outputs" not in run or isinstance(run["outputs"], str), "run.outputs must be a path")
     if geometry["kind"] != "file":
-        radii = _generator_radii(geometry)
         for h in _mesh_sizes(config):  # stops at the first mesh over the cap
             try:
-                generator_grid(radii, h, disc.get("k", 2))
+                generator_grid(axes, h, k)
             except ResourceError as exc:
                 raise ConfigError(str(exc)) from None
     return config
@@ -241,39 +262,37 @@ def _mesh_sizes(config):
     if run.get("kind") == "converge" and "h_levels" in run:
         yield from (float(h) for h in run["h_levels"])
     elif run.get("kind") in ("converge", "stability"):
-        yield from (base / 2 ** j for j in range(int(run.get("levels", 4))))
+        yield from (base / 2 ** j for j in range(int(setting(config, "run", "levels"))))
     else:
         yield base
 
 
 def _number_list(run, key):
-    """The list run[key] (empty when absent); its entries are checked by the caller."""
-    values = run.get(key, [])
-    _check(isinstance(values, list) and (values or key not in run),
-           f"run.{key} must be a non-empty list")
-    return values
+    """The list run[key], empty when absent; the caller checks its entries."""
+    if key not in run:
+        return []
+    _check(isinstance(run[key], list) and run[key], f"run.{key} must be a non-empty list")
+    return run[key]
 
 
-def _geometry_radii(geometry):
-    radii = geometry.get("radii", geometry.get("radius"))
-    if radii is None:
-        raise ConfigError("geometry.radii (or radius) is required")
-    radii = radii if isinstance(radii, list) else [radii]
-    _check(radii and all(_is_number(r) and r > 0 for r in radii),
+def _semi_axes(geometry):
+    """A generated domain as its semi-axes, one per ambient dimension: the
+    one radius of a disk or a ball repeated, or an ellipsoid's three."""
+    count, dimension = {"disk": (1, 2), "ball": (1, 3), "ellipsoid": (3, 3)}[geometry["kind"]]
+    radii = geometry.get("radii")
+    _check(isinstance(radii, list) and len(radii) == count,
+           "geometry.radii must be a list: one radius for a disk or ball, "
+           "three semi-axes for an ellipsoid")
+    _check(all(_is_number(r) and r > 0 for r in radii),
            "geometry.radii must be positive numbers")
-    return [float(r) for r in radii]
-
-
-def _generator_radii(geometry):
-    """A mesh generator's radii: a disk's one, or a ball's three semi-axes."""
-    radii = _geometry_radii(geometry)
-    return radii if geometry["kind"] == "disk" or len(radii) == 3 else radii * 3
+    return [float(r) for r in radii] * (dimension // count)
 
 
 def build_geometry(geometry, degree=None):
     """Mesh plus initial boundary fields (normal, curvature) for a config: a
-    generated mesh of ``degree`` (default 2), or a loaded one, which keeps
-    its file's degree; a ``degree`` given must match it."""
+    generated mesh of ``degree`` (default: that of ``discretization.k``), or
+    a loaded one, which keeps its file's degree; a ``degree`` given must
+    match it."""
     kind = geometry["kind"]
     if kind == "file":
         mesh = load_mesh(geometry["path"])
@@ -282,33 +301,34 @@ def build_geometry(geometry, degree=None):
                f"of degree {mesh.degree_k}")
         normal, curvature = estimate_boundary_geometry(mesh)
         return mesh, normal, curvature
-    radii = _generator_radii(geometry)
+    axes = _semi_axes(geometry)
     h = float(geometry["h"])
+    degree = degree or CONFIG_KEYS["discretization"]["k"]
     if kind == "disk":
-        mesh = generate_disk_mesh(radii[0], h, degree=degree or 2)
-        radii = radii * 2  # the circle's two semi-axes
+        mesh = generate_disk_mesh(axes[0], h, degree=degree)
     else:
-        mesh = generate_ball_mesh(radii, h, degree=degree or 2)
-    normal, curvature = ellipsoid_surface_fields(mesh.boundary_positions, tuple(radii))
+        mesh = generate_ball_mesh(axes, h, degree=degree)
+    normal, curvature = ellipsoid_surface_fields(mesh.boundary_positions, axes)
     return mesh, normal, curvature
 
 
 def build_params(config, mesh):
     """Model constants; the source must be finite on the initial boundary."""
     model = config["model"]
-    source = parse_source(model.get("Q", 0.0))
+    source = parse_source(setting(config, "model", "Q"))
     finite = np.isfinite(source(mesh.boundary_positions, 0.0)).all()
     _check(finite, "model.Q is not finite on the initial boundary")
     return ModelParams(
         alpha=float(model["alpha"]),
         beta=float(model["beta"]),
-        mu=float(model.get("mu", 0.0)),
+        mu=float(setting(config, "model", "mu")),
         source=source,
     )
 
 
 def compatible_oracle(config, mesh=None):
-    """RadialOracle for the config, or None when no closed form applies.
+    """RadialOracle for the config, or None when no closed form applies: it
+    applies to a disk or a ball with a constant source.
 
     The boundary dimension follows from ``geometry.kind``, so no mesh is
     needed; ``mesh`` is ignored, and kept for the benchmark's workloads,
@@ -317,15 +337,12 @@ def compatible_oracle(config, mesh=None):
     geometry = config["geometry"]
     if geometry["kind"] not in ("disk", "ball"):
         return None
-    radii = _geometry_radii(geometry)
-    if len(set(radii)) != 1:
-        return None
-    q_value = getattr(parse_source(config["model"].get("Q", 0.0)), "value", None)
+    q_value = getattr(parse_source(setting(config, "model", "Q")), "value", None)
     if q_value is None:
         return None
     return RadialOracle(
         dim_m=1 if geometry["kind"] == "disk" else 2,
-        initial_radius=radii[0],
+        initial_radius=_semi_axes(geometry)[0],
         source=q_value,
         alpha=float(config["model"]["alpha"]),
         beta=float(config["model"]["beta"]),
@@ -337,7 +354,7 @@ def seed_history(config, stepper, normal, curvature):
     form when one exists, otherwise the initial state alone (whose solves
     run on the stepper).  ``evolve`` completes a short seed with start
     steps."""
-    mode = config["run"].get("seed_mode", "auto")
+    mode = setting(config, "run", "seed_mode")
     oracle = compatible_oracle(config)
     if mode == "oracle" and oracle is None:
         raise ConfigError("run.seed_mode=oracle requires sphere data and constant Q")
@@ -357,8 +374,8 @@ def _start(config, built=None):
     states (``seed_history``)."""
     disc = config["discretization"]
     mesh, normal, curvature = built or build_geometry(config["geometry"], disc.get("k"))
-    stepper = Stepper(mesh, build_params(config, mesh), int(disc.get("q", 2)),
-                      float(disc["tau"]))
+    stepper = Stepper(mesh, build_params(config, mesh),
+                      int(setting(config, "discretization", "q")), float(disc["tau"]))
     return stepper, seed_history(config, stepper, normal, curvature), _n_steps(disc)
 
 
@@ -424,7 +441,7 @@ def run_simulate(config, outdir):
     stepper, history, n_steps = _start(config)
     mesh = stepper.mesh
     _make_outdir(outdir)  # after set-up: a bad config leaves none
-    keep = _sampler(n_steps, int(config["run"].get("snapshots", 20)))
+    keep = _sampler(n_steps, int(setting(config, "run", "snapshots")))
     diag_rows = []
 
     def snapshot(state):
@@ -466,7 +483,7 @@ def run_convergence_cell(config):
     stepper, history, n_steps = _start(config)
     mesh = stepper.mesh
     oracle = compatible_oracle(config)
-    keep = _sampler(n_steps, int(config["run"].get("error_samples", 40)))
+    keep = _sampler(n_steps, int(setting(config, "run", "error_samples")))
     sup = dict.fromkeys(ERROR_QUANTITIES, 0.0)  # errors are norms: >= 0
 
     def observer(step, state):
@@ -561,10 +578,10 @@ def run_stability(config, outdir):
     geometry = config["geometry"]
     run = config["run"]
     degree = config["discretization"].get("k")
-    samples = int(run.get("samples", 20))
-    seed = int(run.get("seed", 0))
-    boost = int(run.get("boost_iters", 20))
-    modes = run.get("mode", "both")
+    samples = int(setting(config, "run", "samples"))
+    seed = int(setting(config, "run", "seed"))
+    boost = int(setting(config, "run", "boost_iters"))
+    modes = setting(config, "run", "mode")
     modes = ("dirichlet", "robin") if modes == "both" else (modes,)
     meshes = [build_geometry({**geometry, "h": h}, degree)[0] for h in _mesh_sizes(config)]
     systems = [(mesh, Assembler(mesh).system()) for mesh in meshes]
@@ -598,7 +615,7 @@ def run_regularization(config, outdir):
     and trace difference of each run relative to the baseline without
     regularization.
     """
-    mu_values = [float(v) for v in config["run"].get("mu_values", [0.0, 0.01, 0.1, 1.0])]
+    mu_values = [float(v) for v in setting(config, "run", "mu_values")]
     if 0.0 not in mu_values:
         mu_values = [0.0] + mu_values
     built = build_geometry(config["geometry"], config["discretization"].get("k"))
@@ -606,7 +623,7 @@ def run_regularization(config, outdir):
     build_params(config, mesh)  # a bad source leaves no output directory
     _make_outdir(outdir)  # after set-up: a bad config leaves none
     keep = _sampler(_n_steps(config["discretization"]),
-                    int(config["run"].get("snapshots", 10)))
+                    int(setting(config, "run", "snapshots")))
     ng = mesh.n_boundary
 
     traces = {}

@@ -407,19 +407,15 @@ def ellipsoid_projector(radii):
     return project
 
 
-def circle_projector(radius):
-    """Radial projection onto the circle (m=1) of the given radius."""
-    return ellipsoid_projector(np.full(2, float(radius)))
-
-
 # ---------------------------------------------------------------------------
 # Generators
 # ---------------------------------------------------------------------------
 
 def generator_grid(radii, target_h, degree):
-    """The grid a generator builds: ``[rings]`` of a disk (one radius, see
-    :func:`generate_disk_mesh`) or the cells per axis of a ball (three
-    semi-axes, see :func:`generate_ball_mesh`), as Python ints.
+    """The grid a generator builds for a domain of the given semi-axes:
+    ``[rings]`` of a disk (two equal semi-axes, see
+    :func:`generate_disk_mesh`) or the cells per axis of a ball (three, see
+    :func:`generate_ball_mesh`), as Python ints.
 
     ResourceError if the mesh would hold more than MAX_GENERATED_NODES nodes.
     The node estimate is exact integer arithmetic on the generators' float
@@ -428,7 +424,7 @@ def generator_grid(radii, target_h, degree):
     def count(ratio, least):
         return max(least, math.ceil(ratio)) if math.isfinite(ratio) else math.inf
 
-    if len(radii) == 1:
+    if len(radii) == 2:
         rings = count(float(radii[0]) / target_h, 1)
         counts = [rings]
         n_estimate = (1 + 3 * rings * (rings + 1)) * (4 if degree == 2 else 1)
@@ -466,7 +462,8 @@ def generate_disk_mesh(radius, target_h, degree=1):
         raise ValidationError("radius must be a positive finite number")
     if not (0 < target_h < radius):
         raise ValidationError("target_h must lie in (0, radius)")
-    (rings,) = generator_grid([radius], target_h, degree)
+    axes = (radius, radius)
+    (rings,) = generator_grid(axes, target_h, degree)
 
     # Natural numbering: the centre is 0, ring j holds nodes 1 + 3j(j-1) + p
     # for p in [0, 6j) at angles 2 pi p / 6j; the renumbering below moves the
@@ -499,7 +496,7 @@ def generate_disk_mesh(radius, target_h, degree=1):
     segments = np.stack([node(rings, p), node(rings, p + 1)], 1)
 
     mesh = _renumber_boundary_first(dim_m=1, positions=pos, bulk=tris, boundary=segments)
-    return _returned_form(mesh, degree, circle_projector(radius))
+    return _returned_form(mesh, degree, ellipsoid_projector(axes))
 
 
 def generate_ball_mesh(radii, target_h, degree=1):

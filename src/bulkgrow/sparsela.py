@@ -700,8 +700,9 @@ class CachedSpdSolver:
     def solve(self, matrix, rhs, x0):
         """Solve ``matrix x = rhs`` starting from the guess ``x0`` (the shape
         of ``rhs``); SolverError if a fresh factor cannot reach ``TOL``, or,
-        before any factorization, if ``rhs`` or ``x0`` is not finite.  A
-        block of no columns returns its zero solution without factoring."""
+        before any factorization, if ``rhs`` or ``x0`` is not finite or a
+        matrix entry is finite but past the float32 range.  A block of no
+        columns returns its zero solution without factoring."""
         matrix = matrix.tocsr()
         rhs = np.asarray(rhs, dtype=float)
         x0 = np.asarray(x0, dtype=float)
@@ -713,7 +714,11 @@ class CachedSpdSolver:
             return np.zeros(rhs.shape)
 
         def pcg(maxiter):
-            return _pcg(matrix, rhs, self._factor.apply_inverse, x0, maxiter)
+            # A residual entry past the float32 range overflows to inf in the
+            # factor's cast; the residual then turns NaN and fails the solve,
+            # so the warnings on the way say nothing more.
+            with np.errstate(over="ignore", invalid="ignore"):
+                return _pcg(matrix, rhs, self._factor.apply_inverse, x0, maxiter)
 
         if self._factor is not None:
             x, _, residual = pcg(self.REFRESH_ITERS)  # rejects a non-finite rhs or guess
@@ -722,7 +727,15 @@ class CachedSpdSolver:
         # A cached factor's PCG has checked them; a first solve has not.
         if not (np.isfinite(rhs).all() and np.isfinite(x0).all()):
             raise SolverError("right-hand side or guess has an entry that is not finite")
-        self._factor = SpdFactor(matrix.astype(np.float32), self._perm)
+        # The cast stops at a finite entry it would overflow to inf, without
+        # the warning it gives otherwise; SpdFactor rejects NaN and inf.
+        try:
+            with np.errstate(over="raise"):
+                single = matrix.astype(np.float32)
+        except FloatingPointError:
+            raise SolverError("matrix has an entry past the float32 range of the "
+                              "cached factor") from None
+        self._factor = SpdFactor(single, self._perm)
         x, _, residual = pcg(_MAXITER)
         if not residual <= TOL:  # NaN included
             raise SolverError("PCG with a fresh factor did not reach TOL",

@@ -1,5 +1,8 @@
 import csv
 import json
+import re
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from bulkgrow.cli import main
 from bulkgrow import stability as stability_module
 from bulkgrow.errors import ConfigError, GeometryError, SolverError
 from bulkgrow.experiments import (
+    CONFIG_KEYS,
     load_config,
     parse_source,
     run_converge,
@@ -485,6 +489,21 @@ class TestCliEntry:
         times = [float(row["time"]) for row in read_csv(out / "diagnostics.csv")]
         assert times[-1] == pytest.approx(1e-3)  # the last good state, flushed
 
+    @pytest.mark.parametrize("overrides", [
+        {"model": {"alpha": 1e300}},
+        # delta_0 / tau scales the first start step's surface pencil.
+        {"discretization": {"tau": 1e-300, "T": 0.0}, "run": {"seed_mode": "bootstrap"}},
+        # The start step's velocity, and so its harmonic residual, passes float32.
+        {"model": {"Q": 1e30}, "run": {"kind": "regularization", "mu_values": [0.1]}},
+    ], ids=["alpha", "tau-bootstrap", "Q-regularization"])
+    def test_values_past_float32_fail_in_one_line(self, tmp_path, capsys, overrides):
+        config = disk_config(tmp_path, **overrides)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", str(write_config(tmp_path, config))]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1, err
+
     def test_failing_start_step_reports_its_number(self, tmp_path, capsys):
         # No closed form for this Q, so q = 3 starts with two steps on the
         # run's stepper; the second one, at t = 0.002, meets the pole.
@@ -511,6 +530,7 @@ class TestCliEntry:
         # T must be a whole number of steps, not rounded to one.
         {"discretization": {"T": 0.0015, "tau": 1e-3}},
         {"discretization": {"T": 0.0104, "tau": 1e-3}},
+        {"discretization": {"T": 1e-300, "tau": 1e-3}},  # positive, but less than a step
         {"model": {"alpha": -1}},
         {"model": {"beta": 0}},
         {"model": {"mu": "x"}},
@@ -627,7 +647,7 @@ class TestBadInputs:
     @pytest.mark.parametrize("args", [
         ["disk", "--radius", "1", "--h", "2"],
         ["disk", "--h", "-0.5", "--radius", "1"],
-        ["ball", "--radii", "1", "1", "-1", "--h", "0.5"],
+        ["ellipsoid", "--radii", "1", "1", "-1", "--h", "0.5"],
         ["disk", "--radius", "inf", "--h", "0.5"],
         ["ball", "--radius", "1", "--h", "nan"],
         ["ellipsoid", "--radii", "1", "1", "inf", "--h", "0.5"],
@@ -635,6 +655,10 @@ class TestBadInputs:
         ["ball", "--radius", "1", "--h", "1e-300"],
         ["disk", "--h", "0.5"],  # no radius
         ["ball", "--h", "0.5"],
+        ["ellipsoid", "--h", "0.5"],
+        # A ball takes --radius, an ellipsoid --radii.
+        ["ball", "--radii", "1", "1", "1", "--h", "0.5"],
+        ["ellipsoid", "--radius", "1", "--h", "0.5"],
     ])
     def test_mesh_gen_arguments(self, tmp_path, capsys, args):
         out = tmp_path / "mesh.bsm"
@@ -652,6 +676,32 @@ class TestBadInputs:
         config = disk_config(tmp_path, **overrides)
         assert main([command, str(write_config(tmp_path, config))]) == 2
         assert_config_error(capsys)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("geometry", [
+        {"kind": "disk", "radius": 1.5, "h": 0.4},
+        {"kind": "disk", "radii": 1.5, "h": 0.4},
+        {"kind": "ball", "radii": [1.0, 1.0, 1.0], "h": 0.5},
+        {"kind": "ellipsoid", "radii": [1.0], "h": 0.5},
+    ], ids=["radius", "bare-number-radii", "ball-with-three-radii",
+            "ellipsoid-with-one-radius"])
+    def test_geometry_takes_radii_as_a_list_of_its_count(self, tmp_path, capsys, geometry):
+        config = disk_config(tmp_path)
+        config["geometry"] = geometry
+        assert main(["simulate", str(write_config(tmp_path, config))]) == 2
+        assert_config_error(capsys)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, overrides", [
+        ("simulate", {"discretization": {"T": 1e300, "tau": 1e-3}}),
+        ("stability", {"run": {"kind": "stability", "samples": 10**30}}),
+        ("stability", {"run": {"kind": "stability", "boost_iters": 10**9}}),
+    ], ids=["steps", "samples", "boost_iters"])
+    def test_count_over_its_budget(self, tmp_path, capsys, command, overrides):
+        # Each would run for ages, or fail to allocate, after making out/.
+        config = disk_config(tmp_path, **overrides)
+        assert main([command, str(write_config(tmp_path, config))]) == 2
+        assert "over the budget of" in assert_config_error(capsys)
         assert not (tmp_path / "out").exists()
 
     # Each edited row of the P1 disk file: (line, text, message).
@@ -702,11 +752,15 @@ class TestBadInputs:
         ({"model": {"Q": [1]}}, "cannot parse source term [1]"),
         ({"model": {"Q": "const:abc"}}, "bad constant source 'const:abc'"),
         ({"model": {"Q": "expr:x(1)"}}, "source expression does not evaluate: "),
-        ({"geometry": {"radii": None}}, "geometry.radii (or radius) is required"),
+        ({"geometry": {"radii": None}}, "geometry.radii must be a list: one radius"),
         ({"geometry": {"kind": "ellipsoid", "radii": [1.0, 0.8, 0.9], "h": 0.5},
           "run": {"seed_mode": "oracle"}},
          "run.seed_mode=oracle requires sphere data and constant Q"),
-    ], ids=["Q-list", "Q-const", "Q-expr-call", "disk-without-radius", "oracle-on-ellipsoid"])
+        # JSON integers past the float range, which float() cannot convert.
+        ({"model": {"alpha": 10**400}}, "model.alpha must be a positive number"),
+        ({"run": {"seed": 10**400}}, "run.seed must be an integer >= 0"),
+    ], ids=["Q-list", "Q-const", "Q-expr-call", "disk-without-radius", "oracle-on-ellipsoid",
+            "alpha-past-float", "seed-past-float"])
     def test_config_error_names_its_cause(self, tmp_path, capsys, overrides, message):
         config = disk_config(tmp_path, **overrides)
         # A key set to None is left out.
@@ -714,6 +768,15 @@ class TestBadInputs:
         assert main(["simulate", str(write_config(tmp_path, config))]) == 2
         assert assert_config_error(capsys).startswith(f"configuration error: {message}")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text", [b"{", b'{"model": "\xff"}', b"[" * 10**5 + b"]" * 10**5],
+                             ids=["truncated", "bad-utf8", "deeply-nested"])
+    def test_config_file_that_is_not_json(self, tmp_path, capsys, text):
+        (tmp_path / "config.json").write_bytes(text)
+        assert main(["simulate", str(tmp_path / "config.json")]) == 2
+        err = assert_config_error(capsys)
+        assert err.startswith("configuration error: config is not valid JSON: ")
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["simulate", str(tmp_path / "missing.json")]) == 2
@@ -764,3 +827,39 @@ class TestBadInputs:
         assert main(["mesh", "gen", "disk", "--radius", "1", "--h", "0.5", "-o", str(out)]) == 2
         assert_config_error(capsys)
         assert not (tmp_path / "missing").exists()
+
+
+def readme_key_table():
+    """{key: default cell} of the README table "Every key a run reads, with
+    its default"; a row may name several keys."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("Every key a run reads, with its default", 1)[1].split("\n\n")[1]
+    table = {}
+    for row in block.splitlines()[2:]:  # past the header and its rule
+        name, default = [cell.strip() for cell in row.strip("|").split("|")][:2]
+        table.update((key, default) for key in re.findall(r"`(\w+\.\w+)`", name))
+    return table
+
+
+def readme_default(cell):
+    """The default a key-table cell gives: a JSON value or a `word`, and None
+    for a required key (—) or one derived from other keys (prose naming
+    them in backticks)."""
+    if cell == "—":
+        return None
+    word = re.fullmatch(r"`(\w+)`", cell)
+    if word:
+        return word.group(1)
+    try:
+        return json.loads(cell)
+    except ValueError:
+        assert re.search(r"`\w+(\.\w+)?`", cell), f"default {cell!r} names no key"
+        return None
+
+
+def test_readme_key_table_matches_config_keys():
+    table = readme_key_table()
+    keys = {f"{section}.{key}": default for section, defaults in CONFIG_KEYS.items()
+            for key, default in defaults.items()}
+    assert sorted(table) == sorted(keys)
+    assert {key: readme_default(cell) for key, cell in table.items()} == keys

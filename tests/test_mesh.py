@@ -20,7 +20,6 @@ from bulkgrow.mesh import (
     boundary_element_measures,
     bulk_element_measures,
     check_orientation,
-    circle_projector,
     elevate_to_quadratic,
     element_diameters,
     ellipsoid_projector,
@@ -264,7 +263,7 @@ def test_generators_match_loop_references(shape, degree):
         radius, h = 1.0, 0.2
         mesh = generate_disk_mesh(radius, h, degree=degree)
         ref = reference_disk_p1(radius, h)
-        projector = circle_projector(radius)
+        projector = ellipsoid_projector((radius, radius))
     else:
         radii = 1.0 if shape == "ball" else [1.0, 0.8, 0.9]
         mesh = generate_ball_mesh(radii, 0.5, degree=degree)
@@ -337,10 +336,10 @@ class TestDiskMesh:
 
 
 class TestNodeBudget:
-    @pytest.mark.parametrize("radii, h", [([1.5], 0.1), ([1.0, 0.8, 0.9], 0.5)])
+    @pytest.mark.parametrize("radii, h", [([1.5, 1.5], 0.1), ([1.0, 0.8, 0.9], 0.5)])
     def test_estimate_counts_the_p1_nodes(self, radii, h):
         counts = generator_grid(radii, h, 1)
-        if len(radii) == 1:
+        if len(radii) == 2:
             mesh = generate_disk_mesh(radii[0], h)
             expected = 1 + 3 * counts[0] * (counts[0] + 1)
         else:
@@ -753,6 +752,6 @@ class TestProjectors:
         assert np.allclose(level, 1.0, atol=1e-13)
 
     def test_circle_projector(self):
-        proj = circle_projector(2.0)
+        proj = ellipsoid_projector((2.0, 2.0))
         out = proj(np.array([[3.0, 4.0]]))
         assert np.allclose(np.linalg.norm(out, axis=1), 2.0)

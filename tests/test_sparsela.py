@@ -1,3 +1,4 @@
+import warnings
 from functools import partial
 
 import numpy as np
@@ -152,6 +153,30 @@ class TestNonFinite:
             with pytest.raises(SolverError, match="not finite"):
                 solve()
         assert calls == []
+
+    @pytest.mark.parametrize("other", [4.0, np.nan, np.inf])
+    def test_matrix_past_float32(self, other):
+        # The cached factor's float32 cast would overflow the entry to inf,
+        # with a warning, whatever another entry holds; a warm PCG may name
+        # a non-finite entry first.  SpdFactor's float64 factor takes it.
+        matrix = self.tridiagonal()
+        matrix.data[0], matrix.data[-1] = 1e300, other
+        paths = self.paths(matrix, np.ones(self.N), np.zeros(self.N))
+        del paths["factor"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for solve in paths.values():
+                with pytest.raises(SolverError, match="float32 range|not finite"):
+                    solve()
+
+    def test_residual_past_float32(self):
+        # The factor's cast overflows the residual to inf; the solve then
+        # fails on its NaN residual, without a warning on the way.
+        rhs = np.full(self.N, 1e100)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverError, match="did not reach TOL"):
+                CachedSpdSolver().solve(self.tridiagonal(), rhs, np.zeros(self.N))
 
     def test_nan_matrix_cholesky(self):
         ball = generate_ball_mesh(1.0, 0.5, degree=1)

@@ -45,10 +45,6 @@ class SourceError(BulkgrowError):
     """The source term Q is not finite on the boundary at a step's time."""
 
 
-class CapabilityError(BulkgrowError):
-    """Requested operation exceeds a hard size cap."""
-
-
 class ResourceError(BulkgrowError):
     """Requested resolution exceeds the memory budget."""
 

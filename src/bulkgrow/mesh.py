@@ -509,8 +509,6 @@ def generate_ball_mesh(radii, target_h, degree=1):
     ellipsoid.
     """
     radii = np.asarray(radii, dtype=float)
-    if radii.ndim == 0:
-        radii = np.full(3, float(radii))
     if radii.shape != (3,) or not ((0 < radii) & (radii < math.inf)).all():
         raise ValidationError("radii must be three positive finite lengths")
     if not target_h > 0:

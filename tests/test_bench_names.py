@@ -39,7 +39,7 @@ def test_every_traced_and_probed_name_exists():
         points += [(point, identity) for point, _ in workload.probe().points()]
     with spans.patched(points):
         superlu = SpdFactor(robin_matrix(generate_disk_mesh(1.0, 0.3, degree=1)))
-        ball = generate_ball_mesh(1.0, 0.5, degree=1)
+        ball = generate_ball_mesh([1.0, 1.0, 1.0], 0.5, degree=1)
         bulk, _ = ball.bulk_orderings
         assert isinstance(bulk, Dissection)
         cholesky = SpdFactor(robin_matrix(ball), bulk)

@@ -6,6 +6,12 @@ Every case mutates one or two keys of a small valid ``simulate``,
 the key is deleted).  Whatever the input, ``cli.main`` must return 0, 2 or 3,
 print exactly one stderr line when it fails, raise nothing and warn nothing,
 and leave no output directory after a configuration error (exit 2).
+
+Most awkward values are invalid for every key, so those cases stop in
+validation.  The in-range cases set one key to an extreme value the key
+accepts (one level, one sample, no boost, q = 6, T of one step, ...), so
+they pass validation and reach a runner and its solvers: they must exit 0,
+or 3 on a numerical failure, never 2.
 """
 
 import json
@@ -66,13 +72,43 @@ def mutation(seed):
 CASES = [(kind, []) for kind in sorted(BASES)] + [mutation(seed) for seed in range(52)]
 
 
+# In-range extremes per key, each set on every base.  Every base has
+# tau = 2e-3 and converge's tau_levels are [2e-3], so T = 2e-3 is one step.
+EXTREMES = {
+    ("model", "alpha"): [1e-6, 1e6],
+    ("model", "beta"): [1e-6, 1e6],
+    ("model", "mu"): [10.0],
+    ("model", "Q"): [-1.5, "const:0"],
+    ("geometry", "kind"): ["ball"],
+    ("geometry", "radii"): [[0.51], [3.0]],
+    ("geometry", "h"): [0.99],
+    ("discretization", "k"): [1, 2],
+    ("discretization", "q"): [1, 6],
+    ("discretization", "T"): [2e-3],
+    ("run", "snapshots"): [0, 1],
+    ("run", "seed_mode"): ["oracle", "bootstrap"],
+    ("run", "h_levels"): [[0.99]],
+    ("run", "levels"): [1, 3],
+    ("run", "error_samples"): [1],
+    ("run", "samples"): [1],
+    ("run", "seed"): [2**64],
+    ("run", "boost_iters"): [0],
+    ("run", "mode"): ["dirichlet", "robin"],
+    ("run", "mu_values"): [[0.0], [1e3]],
+    ("run", "outputs"): ["nested/out"],
+}
+IN_RANGE = [(kind, [(section, key, value)]) for kind in sorted(BASES)
+            for (section, key), values in EXTREMES.items() for value in values]
+
+
 def case_id(case):
     kind, changes = case
     return kind + ":" + ",".join(f"{s}.{k}={v!r}" for s, k, v in changes)
 
 
-@pytest.mark.parametrize("case", CASES, ids=[case_id(c) for c in CASES])
-def test_cli_contract(tmp_path, monkeypatch, capsys, case):
+def run_case(tmp_path, monkeypatch, capsys, case):
+    """(exit code, stderr) of ``cli.main`` on the mutated base; checks the
+    contract that holds for every case."""
     kind, changes = case
     config = json.loads(json.dumps(BASES[kind]))
     for section, key, value in changes:
@@ -94,3 +130,15 @@ def test_cli_contract(tmp_path, monkeypatch, capsys, case):
         assert err.startswith(prefix) and err.count("\n") == 1, err
     if code == 2:
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+    return code, err
+
+
+@pytest.mark.parametrize("case", CASES, ids=[case_id(c) for c in CASES])
+def test_cli_contract(tmp_path, monkeypatch, capsys, case):
+    run_case(tmp_path, monkeypatch, capsys, case)
+
+
+@pytest.mark.parametrize("case", IN_RANGE, ids=[case_id(c) for c in IN_RANGE])
+def test_in_range_reaches_a_runner(tmp_path, monkeypatch, capsys, case):
+    code, err = run_case(tmp_path, monkeypatch, capsys, case)
+    assert code in (0, 3), err

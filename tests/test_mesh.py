@@ -141,8 +141,6 @@ def reference_disk_p1(radius, target_h):
 def reference_ball_p1(radii, target_h):
     """Degree-1 generate_ball_mesh with the Kuhn loop, face dict and orientation loop."""
     radii = np.asarray(radii, dtype=float)
-    if radii.ndim == 0:
-        radii = np.full(3, float(radii))
     subdiv = np.maximum(2, np.ceil(2.0 * math.sqrt(3.0) * radii / target_h).astype(int))
     nx, ny, nz = (int(s) for s in subdiv)
     axes = [np.linspace(-1.0, 1.0, n + 1) for n in (nx, ny, nz)]
@@ -265,7 +263,7 @@ def test_generators_match_loop_references(shape, degree):
         ref = reference_disk_p1(radius, h)
         projector = ellipsoid_projector((radius, radius))
     else:
-        radii = 1.0 if shape == "ball" else [1.0, 0.8, 0.9]
+        radii = [1.0, 1.0, 1.0] if shape == "ball" else [1.0, 0.8, 0.9]
         mesh = generate_ball_mesh(radii, 0.5, degree=degree)
         ref = reference_ball_p1(radii, 0.5)
         projector = ellipsoid_projector(np.broadcast_to(radii, (3,)))
@@ -348,8 +346,10 @@ class TestNodeBudget:
         assert mesh.n_nodes == expected
 
     @pytest.mark.parametrize("generate, radius, h", [
-        (generate_ball_mesh, 1.0, 1e-300),
-        (generate_ball_mesh, 1.0, 1e-8),  # its int64 estimate wrapped negative
+        # A ball of radius 1.0 is its three semi-axes.
+        pytest.param(generate_ball_mesh, [1.0] * 3, 1e-300, id="generate_ball_mesh-1.0-1e-300"),
+        # Its int64 estimate wrapped negative.
+        pytest.param(generate_ball_mesh, [1.0] * 3, 1e-8, id="generate_ball_mesh-1.0-1e-08"),
         (generate_disk_mesh, 1e300, 1e-10),  # radius / h overflows to inf
     ])
     def test_overflowing_estimate_is_over_the_cap(self, generate, radius, h):
@@ -390,6 +390,12 @@ class TestBallMesh:
     def test_degenerate_radii_rejected(self):
         with pytest.raises(ValidationError):
             generate_ball_mesh((1.0, 0.0, 1.0), 0.3)
+
+    @pytest.mark.parametrize("radii", [1.0, [1.0], [1.0, 1.0]])
+    def test_radii_are_three_semi_axes(self, radii):
+        # A ball is its three equal semi-axes; a number is not widened.
+        with pytest.raises(ValidationError, match="three positive"):
+            generate_ball_mesh(radii, 0.5)
 
 
 class TestElevation:
@@ -465,7 +471,7 @@ class TestMovedPositions:
 
 @pytest.mark.parametrize("make", [
     lambda: generate_disk_mesh(1.0, 0.2, degree=2),
-    lambda: generate_ball_mesh(1.0, 0.5, degree=2),
+    lambda: generate_ball_mesh([1.0, 1.0, 1.0], 0.5, degree=2),
 ], ids=["p2_disk", "p2_ball"])
 def test_generated_p2_mesh_is_checked_once(make, monkeypatch):
     """Only the returned P2 mesh is validated, and h is derived on first read."""
@@ -484,7 +490,7 @@ def test_generated_p2_mesh_is_checked_once(make, monkeypatch):
 
 @pytest.mark.parametrize("make", [
     lambda: generate_disk_mesh(1.0, 0.2, degree=2),
-    lambda: generate_ball_mesh(1.0, 0.5, degree=2),
+    lambda: generate_ball_mesh([1.0, 1.0, 1.0], 0.5, degree=2),
 ], ids=["p2_disk", "p2_ball"])
 def test_element_diameters_match_the_broadcast_formula(make):
     mesh = make()
@@ -720,7 +726,7 @@ class TestBsmFormat:
             facets[[0, -1], 2] = facets[[-1, 0], 2]
             bad, problem = 0, "node set does not match its parent element face"
         else:
-            mesh = generate_ball_mesh(1.0, 0.6)
+            mesh = generate_ball_mesh([1.0, 1.0, 1.0], 0.6)
             facets = mesh.boundary_elements.copy()
             # Replace a corner by the boundary node farthest from the first one.
             pos = mesh.boundary_positions

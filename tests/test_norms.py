@@ -2,14 +2,17 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from bulkgrow.assembly import Assembler
-from bulkgrow.errors import CapabilityError, ValidationError
-from bulkgrow.mesh import BulkSurfaceMesh, generate_disk_mesh
+from bulkgrow.errors import ValidationError
+from bulkgrow.mesh import BulkSurfaceMesh, generate_ball_mesh, generate_disk_mesh
 from bulkgrow.norms import (
     ERROR_QUANTITIES,
+    HALF_EPS,
     HalfNorm,
     estimated_orders,
+    inverse_sqrt_rule,
     norm_L,
     oracle_errors,
     surface_spectrum,
@@ -23,9 +26,29 @@ def norm_M(values, mass):
     return math.sqrt(max(float(np.sum(values * (mass @ values))), 0.0))
 
 
-def norm_h_half(values, mass_surf, stiff_surf):
-    """H^(1/2) norm of one boundary field, from a new spectrum."""
-    return HalfNorm(mass_surf, surface_spectrum(mass_surf, stiff_surf)).norms(values)
+def half_norm(mats):
+    """The HalfNorm of a SystemMatrices, on its spectrum bound."""
+    return HalfNorm(mats, surface_spectrum(mats.surface))
+
+
+def dense_spectrum(mats):
+    """The reference: dense generalized eigenpairs A phi = lambda M phi of
+    the surface pencil, M-orthonormal."""
+    lam, phi = scipy.linalg.eigh(mats.stiff_surf.toarray(), mats.mass_surf.toarray())
+    return np.maximum(lam, 0.0), phi
+
+
+def dense_half_norms(g, mats, spectrum):
+    """sqrt(sum (1 + lambda)^(1/2) (phi^T M g)^2) per column of g."""
+    lam, phi = spectrum
+    coeffs = phi.T @ (mats.mass_surf @ g)
+    return np.sqrt(np.sqrt(1.0 + lam) @ coeffs ** 2)
+
+
+def dense_gram_inverse(y, spectrum):
+    """C^-1 y = phi (1 + lambda)^(-1/2) phi^T y."""
+    lam, phi = spectrum
+    return phi @ ((phi.T @ y).T / np.sqrt(1.0 + lam)).T
 
 
 def norm_K(values, energy):
@@ -122,33 +145,52 @@ class TestCombinedNorm:
         )
 
 
+SURFACES = {
+    "disk-p1": lambda: generate_disk_mesh(1.0, 0.2, degree=1),
+    "disk-p2": lambda: generate_disk_mesh(1.0, 0.25, degree=2),
+    # Facets much longer than 1: A is small against M, and top is near 1.
+    "large-disk-p2": lambda: generate_disk_mesh(1e3, 250.0, degree=2),
+    "ball-p2": lambda: generate_ball_mesh([1.0, 1.0, 1.0], 0.5, degree=2),
+    "ellipsoid-p2": lambda: generate_ball_mesh([1.0, 0.8, 0.9], 0.5, degree=2),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(SURFACES))
+def surface(request):
+    """A mesh of each surface kind, its matrices and the dense reference."""
+    mesh = SURFACES[request.param]()
+    mats = Assembler(mesh).system()
+    return mesh, mats, dense_spectrum(mats)
+
+
 class TestHalfNorm:
     def test_constant_matches_mass_norm(self, disk):
         mesh, mats = disk
         c = 2.3 * np.ones(mesh.n_boundary)
-        half = norm_h_half(c, mats.mass_surf, mats.stiff_surf)
+        half = half_norm(mats).norms(c)
         assert half == pytest.approx(norm_M(c, mats.mass_surf), abs=1e-10)
 
     def test_between_mass_and_k_norm(self, disk):
         mesh, mats = disk
         rng = np.random.default_rng(4)
+        half = half_norm(mats)
         for _ in range(10):
             g = rng.standard_normal(mesh.n_boundary)
-            half = norm_h_half(g, mats.mass_surf, mats.stiff_surf)
-            assert norm_M(g, mats.mass_surf) - 1e-10 <= half
-            assert half <= norm_K(g, mats.surface_pencil(1.0, 1.0)) + 1e-10
+            value = half.norms(g)
+            assert norm_M(g, mats.mass_surf) - 1e-10 <= value
+            assert value <= norm_K(g, mats.surface_pencil(1.0, 1.0)) + 1e-10
 
     def test_highest_mode(self, disk):
         mesh, mats = disk
-        lam, phi = surface_spectrum(mats.mass_surf, mats.stiff_surf)
+        lam, phi = dense_spectrum(mats)
         g = phi[:, -1]
-        half = HalfNorm(mats.mass_surf, (lam, phi)).norms(g)
+        half = half_norm(mats).norms(g)
         expected = (1.0 + lam[-1]) ** 0.25 * norm_M(g, mats.mass_surf)
         assert half == pytest.approx(expected, rel=1e-10)
 
     def test_block_norms_are_column_norms(self, disk):
         mesh, mats = disk
-        half = HalfNorm(mats.mass_surf, surface_spectrum(mats.mass_surf, mats.stiff_surf))
+        half = half_norm(mats)
         block = np.random.default_rng(6).standard_normal((mesh.n_boundary, 4))
         block[:, 1] = 0.0
         norms = half.norms(block)
@@ -159,8 +201,8 @@ class TestHalfNorm:
 
     def test_gram_inverse_inverts_the_gram_matrix(self, disk):
         mesh, mats = disk
-        lam, phi = surface_spectrum(mats.mass_surf, mats.stiff_surf)
-        half = HalfNorm(mats.mass_surf, (lam, phi))
+        lam, phi = dense_spectrum(mats)
+        half = half_norm(mats)
         mphi = mats.mass_surf @ phi
         gram = mphi @ np.diag(np.sqrt(1.0 + lam)) @ mphi.T  # C = M phi W phi^T M
         g = np.random.default_rng(7).standard_normal((mesh.n_boundary, 2))
@@ -168,12 +210,55 @@ class TestHalfNorm:
             back = half.gram_inverse(gram @ y)
             assert np.linalg.norm(back - y) <= 1e-10 * np.linalg.norm(y)
 
-    def test_size_cap(self):
-        import scipy.sparse as sp
+    def test_matches_the_dense_reference(self, surface):
+        mesh, mats, spectrum = surface
+        half = half_norm(mats)
+        block = np.random.default_rng(8).standard_normal((mesh.n_boundary, 3))
+        for g in (block, block[:, 0]):
+            np.testing.assert_allclose(half.norms(g), dense_half_norms(g, mats, spectrum),
+                                       rtol=1e-10, atol=0)
+            expected = dense_gram_inverse(g, spectrum)
+            error = np.linalg.norm(half.gram_inverse(g) - expected, axis=0)
+            assert np.all(error <= 1e-10 * np.linalg.norm(expected, axis=0))
 
-        big = sp.identity(4001, format="csr")
-        with pytest.raises(CapabilityError):
-            HalfNorm(big, surface_spectrum(big, big))
+    def test_top_bounds_the_spectrum(self, surface):
+        # The facet bound is rigorous; on these surfaces it is also within
+        # a factor of 3 of the dense top eigenvalue.
+        _, mats, (lam, _) = surface
+        top = surface_spectrum(mats.surface)
+        assert 1.0 + lam[-1] <= top * (1.0 + 1e-12)
+        assert top <= 3.0 * (1.0 + lam[-1])
+
+    def test_beyond_4000_boundary_nodes(self):
+        # A P2 sphere of 4,706 boundary nodes: past the size the dense
+        # eigensolver was capped at.
+        mesh = generate_ball_mesh([1.0, 1.0, 1.0], 0.25, degree=2)
+        mats = Assembler(mesh).system()
+        assert mesh.n_boundary > 4000
+        half = half_norm(mats)
+        ones = np.ones(mesh.n_boundary)
+        assert half.norms(ones) == pytest.approx(norm_M(ones, mats.mass_surf), rel=1e-12)
+        for g in np.random.default_rng(9).standard_normal((3, mesh.n_boundary)):
+            value = half.norms(g)
+            assert norm_M(g, mats.mass_surf) <= value * (1.0 + 1e-12)
+            assert value <= norm_K(g, mats.surface_pencil(1.0, 1.0)) * (1.0 + 1e-12)
+
+
+class TestInverseSqrtRule:
+    @pytest.mark.parametrize("top", [1.0, 1.0 + 1e-9, 1.5, 2.0, 10.0, 1e2, 794.0, 1e3, 1.4e3, 1e4, 3.5e5, 1e6, 1e7, 1e8])
+    def test_error_within_half_eps(self, top):
+        shifts, weights = inverse_sqrt_rule(top)
+        assert np.all(shifts > 0) and np.all(weights > 0)
+        x = np.geomspace(1.0, top, 20001)
+        r = (weights / (x[:, None] + shifts)).sum(axis=1)
+        assert np.abs(r * np.sqrt(x) - 1.0).max() <= HALF_EPS
+
+    @pytest.mark.parametrize("top", np.geomspace(10.0, 1e8, 15))
+    def test_pole_count_follows_the_convergence_rate(self, top):
+        # The error is about 4 exp(-2 pi^2 N / log(16 top)), so the count is
+        # close to log(4 / HALF_EPS) log(16 top) / (2 pi^2).
+        estimate = math.log(4.0 / HALF_EPS) * math.log(16.0 * top) / (2.0 * math.pi ** 2)
+        assert abs(len(inverse_sqrt_rule(top)[0]) - estimate) <= 1.5
 
 
 class TestRenumberingInvariance:
@@ -204,11 +289,7 @@ class TestRenumberingInvariance:
         assert norm_L(ep, pmats) == pytest.approx(norm_L(e, mats), rel=1e-12)
         g = e[:ng]
         gp = ep[:ng]
-        assert norm_h_half(
-            gp, pmats.mass_surf, pmats.stiff_surf
-        ) == pytest.approx(
-            norm_h_half(g, mats.mass_surf, mats.stiff_surf), rel=1e-9
-        )
+        assert half_norm(pmats).norms(gp) == pytest.approx(half_norm(mats).norms(g), rel=1e-9)
 
 
 class TestOracleErrors:

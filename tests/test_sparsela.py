@@ -179,7 +179,7 @@ class TestNonFinite:
                 CachedSpdSolver().solve(self.tridiagonal(), rhs, np.zeros(self.N))
 
     def test_nan_matrix_cholesky(self):
-        ball = generate_ball_mesh(1.0, 0.5, degree=1)
+        ball = generate_ball_mesh([1.0, 1.0, 1.0], 0.5, degree=1)
         matrix = assemble_L(Assembler(ball).system(), 1.0)
         matrix.data[matrix.data.size // 2] = np.nan
         with pytest.raises(SolverError):
@@ -613,7 +613,7 @@ def recursive_dissection(graph, points):
 class TestNestedDissection:
     @pytest.fixture(scope="class")
     def ball(self):
-        mesh = generate_ball_mesh(1.0, 0.5, degree=2)
+        mesh = generate_ball_mesh([1.0, 1.0, 1.0], 0.5, degree=2)
         _, stiff = Assembler(mesh).bulk_matrices()
         return mesh, stiff
 
@@ -686,7 +686,7 @@ class TestSupernodalCholesky:
 
     @pytest.fixture(scope="class")
     def systems(self):
-        mesh = generate_ball_mesh(1.0, 0.5, degree=2)
+        mesh = generate_ball_mesh([1.0, 1.0, 1.0], 0.5, degree=2)
         system = Assembler(mesh).system()
         bulk, interior = mesh.bulk_orderings
         return {"robin": (assemble_L(system, 1.0), bulk),
@@ -777,7 +777,7 @@ class TestSupernodalCholesky:
 def test_cholesky_factor_of_a_non_canonical_matrix(layout):
     # The P1 ball Robin matrix with each row's columns in reverse order, or
     # with each entry stored as two halves, solves like the canonical one.
-    mesh = generate_ball_mesh(1.0, 0.5)
+    mesh = generate_ball_mesh([1.0, 1.0, 1.0], 0.5)
     matrix = assemble_L(Assembler(mesh).system(), 1.0).tocsr()
     dissection = mesh.bulk_orderings[0]
     assert isinstance(dissection, Dissection) and matrix.has_canonical_format

@@ -1,9 +1,12 @@
+import csv
+import json
 import math
 
 import numpy as np
 import pytest
 
 from bulkgrow.assembly import Assembler
+from bulkgrow.cli import main
 from bulkgrow.errors import ValidationError
 from bulkgrow.mesh import generate_ball_mesh, generate_disk_mesh
 from bulkgrow.norms import HalfNorm, surface_spectrum
@@ -29,8 +32,7 @@ def robin(mats, g):
 
 def half_norm(g, mats):
     """||g||_{H^1/2} on the boundary of ``mats``."""
-    spectrum = surface_spectrum(mats.mass_surf, mats.stiff_surf)
-    return HalfNorm(mats.mass_surf, spectrum).norms(g)
+    return HalfNorm(mats, surface_spectrum(mats.surface)).norms(g)
 
 
 def bulk_h1_norm(values, level):
@@ -55,7 +57,7 @@ def disk():
 def ball_levels():
     """Three P1 unit balls, h = 0.5, 0.35, 0.25 (512 to 3,375 nodes), with
     their matrices; their sweeps factor on the 3d Dissection path."""
-    meshes = [generate_ball_mesh(1.0, h, degree=1) for h in (0.5, 0.35, 0.25)]
+    meshes = [generate_ball_mesh([1.0, 1.0, 1.0], h, degree=1) for h in (0.5, 0.35, 0.25)]
     return [(mesh, Assembler(mesh).system()) for mesh in meshes]
 
 
@@ -175,6 +177,27 @@ class TestSweep:
         rows = stability_sweep(ball_levels, "dirichlet", samples=5, seed=0, boost_iters=10)
         for factor in growth_factors(rows):
             assert factor <= 1.15
+
+    @pytest.mark.slow
+    def test_p2_ball_sweeps_past_4000_boundary_nodes(self, tmp_path):
+        # h = 0.5 -> 0.25: N_Gamma = 1,178 and 4,706.  The H^(1/2) norm has
+        # no boundary-node cap, so both modes finish.  The Dirichlet ratios
+        # (5.13, 7.75) grow with the mesher's corner cells, not the norm.
+        config = {
+            "model": {"alpha": 1.0, "beta": 1.0, "mu": 0.0, "Q": "const:1.5"},
+            "geometry": {"kind": "ball", "radii": [1.0], "h": 0.5},
+            "discretization": {"k": 2},
+            "run": {"kind": "stability", "levels": 2, "samples": 5, "boost_iters": 5,
+                    "mode": "both", "seed": 0},
+        }
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        assert main(["stability", str(tmp_path / "config.json"),
+                     "-o", str(tmp_path / "out")]) == 0
+        for mode in ("dirichlet", "robin"):
+            with open(tmp_path / "out" / f"stability_{mode}.csv") as fh:
+                rows = list(csv.DictReader(fh))
+            assert [int(row["N_Gamma"]) for row in rows] == [1178, 4706]
+            assert all(0.0 < float(row["max_ratio"]) < 10.0 for row in rows)
 
     def test_boost_does_not_lose_to_samples(self):
         # The boosted ratio must be at least the best sampled ratio.

@@ -632,7 +632,7 @@ class TestCachedSolves:
 
         monkeypatch.setattr(SpdFactor, "__init__", counting_init)
         monkeypatch.setattr(CachedSpdSolver, "REFRESH_ITERS", -1)
-        mesh = generate_ball_mesh(1.0, 0.5, degree=2)
+        mesh = generate_ball_mesh([1.0, 1.0, 1.0], 0.5, degree=2)
         stepper = Stepper(mesh, disk_params(), 2, 1e-3)
         n, ng = mesh.n_nodes, mesh.n_boundary
         rng = np.random.default_rng(8)
@@ -676,7 +676,7 @@ class TestBulkOrdering:
         # 24,389 nodes: nested dissection fills 40x, minimum degree 112x, in
         # SuperLU's LU; the fill of the ordering, (2 nnz(L) - n) / nnz(A) on
         # the unmerged separator tree, is 37x.
-        mesh = generate_ball_mesh(1.0, 0.125, degree=1)
+        mesh = generate_ball_mesh([1.0, 1.0, 1.0], 0.125, degree=1)
         ell, factors = self.robin_factors(monkeypatch, mesh)
         [(factor, perm)] = factors
         assert perm is mesh.bulk_orderings[0]
@@ -711,7 +711,7 @@ class TestBulkOrdering:
         return mesh
 
     def test_orderings_match_the_element_graph(self, large_disk):
-        ball = generate_ball_mesh(1.0, 0.5, degree=2)
+        ball = generate_ball_mesh([1.0, 1.0, 1.0], 0.5, degree=2)
         bulk, interior, tree = self.element_graph_orderings(ball)
         dissections = ball.bulk_orderings
         for dissection, expected in zip(dissections, (bulk, interior)):
@@ -738,16 +738,18 @@ class TestBulkOrdering:
         # The sweep factors in the dissection orderings, and its ratios are
         # those of minimum degree, on a copy of the mesh below the threshold.
         factors = self.record_factors(monkeypatch)
+        # The Dirichlet mode then factors the H^(1/2) pencils in minimum degree.
+        per_sweep = 2 if mode == "dirichlet" else 1
         [row] = stability_sweep([(large_disk, Assembler(large_disk).system())], mode,
                                 samples=4, seed=0, boost_iters=3)
         bulk, interior = large_disk.bulk_orderings
-        [(_, perm)] = factors
-        assert perm is (interior if mode == "dirichlet" else bulk)
+        assert len(factors) == per_sweep and all(p is None for _, p in factors[1:])
+        assert factors[0][1] is (interior if mode == "dirichlet" else bulk)
         monkeypatch.setattr(mesh_module, "_MIN_DISSECTION_NODES_2D", large_disk.n_nodes + 1)
         below = generate_disk_mesh(1.0, 0.3, degree=2)
         [reference] = stability_sweep([(below, Assembler(below).system())], mode,
                                       samples=4, seed=0, boost_iters=3)
-        assert factors[-1][1] is None
+        assert len(factors) == 2 * per_sweep and factors[per_sweep][1] is None
         assert row["max_ratio"] == pytest.approx(reference["max_ratio"], rel=1e-9)
 
     @pytest.mark.parametrize("mode", ["dirichlet", "robin"])
@@ -755,7 +757,7 @@ class TestBulkOrdering:
     def test_stability_sweep_shares_the_ordering(self, monkeypatch, mode, dim):
         # The sweeps factor L and A_II in the orderings the time loop uses.
         if dim == 3:
-            mesh = generate_ball_mesh(1.0, 0.5, degree=1)
+            mesh = generate_ball_mesh([1.0, 1.0, 1.0], 0.5, degree=1)
         else:
             mesh = generate_disk_mesh(1.0, 0.3, degree=1)
         factors = self.record_factors(monkeypatch)
@@ -763,7 +765,9 @@ class TestBulkOrdering:
                         samples=2, seed=0, boost_iters=1)
         bulk, interior = mesh.bulk_orderings
         expected = interior if mode == "dirichlet" else bulk
-        [(factor, perm)] = factors
+        # The Dirichlet mode then factors the H^(1/2) pencils in minimum degree.
+        (factor, perm), *pencils = factors
+        assert [p for _, p in pencils] == ([None] if mode == "dirichlet" else [])
         if dim == 2:
             assert perm is None and expected is None
         else:

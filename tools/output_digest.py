@@ -125,11 +125,12 @@ CONFIGS = {
         {"kind": "stability", "levels": 2, "samples": 5, "boost_iters": 5,
          "mode": "both", "seed": 0},
     )),
-    # The H^(1/2) norm on a curved 3d surface: a P2 ball, N_Gamma = 1,178.
+    # The H^(1/2) norm on a curved 3d surface: a P2 ball, N_Gamma = 1,178
+    # and 4,706.
     "stability_ball_p2": (run_stability, _config(
         {"kind": "ball", "radii": [1.0], "h": 0.5},
         {"k": 2, "q": 2, "tau": 1e-3, "T": 0.0},
-        {"kind": "stability", "levels": 1, "samples": 5, "boost_iters": 5,
+        {"kind": "stability", "levels": 2, "samples": 5, "boost_iters": 5,
          "mode": "both", "seed": 0},
     )),
     # A mesh read back from a file, with its estimated normal and curvature.
@@ -149,7 +150,7 @@ CONFIGS = {
 # Benchmark-size meshes: the sim3d ball, the sim2d disk, stability2d's finest
 # disk, an anisotropic ellipsoid and one P1 disk.
 MESHES = {
-    "ball_p2": lambda: generate_ball_mesh(0.97, 0.25, degree=2),
+    "ball_p2": lambda: generate_ball_mesh([0.97, 0.97, 0.97], 0.25, degree=2),
     "disk_p2": lambda: generate_disk_mesh(1.48, 0.05, degree=2),
     "disk_fine_p2": lambda: generate_disk_mesh(1.0, 0.0125, degree=2),
     "ellipsoid_p2": lambda: generate_ball_mesh([1.0, 0.8, 0.9], 0.5, degree=2),

@@ -1,12 +1,19 @@
 """Backward differentiation formulas: coefficients, history sums, extrapolation.
 
-Coefficients are expanded from their generating polynomials in exact rational
-arithmetic and converted to floats once, so the tabulated identities
-(sum delta_j = 0, sum j*delta_j = -1, sum gamma_j = 1) hold to roundoff.
+The coefficients have closed forms, summed in exact rational arithmetic and
+converted to floats once, so the tabulated identities (sum delta_j = 0,
+sum j*delta_j = -1, sum gamma_j = 1) hold to roundoff:
+
+  delta_j = sum_{l=max(j,1)}^{q} (-1)^j C(l, j) / l,   j = 0..q,
+  gamma_j = (-1)^j C(q, j+1),                          j = 0..q-1,
+
+the coefficients of sum_{l=1}^{q} (1/l) (1 - zeta)^l and of
+(1 - (1 - zeta)^q) / zeta.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 
@@ -28,37 +35,14 @@ class BdfScheme:
         self.gamma.setflags(write=False)
 
 
-def _poly_mul(p, q):
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return out
-
-
-def _one_minus_zeta_power(ell):
-    """Coefficients of (1 - zeta)^ell in ascending powers."""
-    poly = [Fraction(1)]
-    for _ in range(ell):
-        poly = _poly_mul(poly, [Fraction(1), Fraction(-1)])
-    return poly
-
-
 def bdf_coefficients(order):
-    """Build the BDF scheme of the given order (1..6).
-
-    delta comes from expanding sum_{l=1}^{q} (1/l) (1 - zeta)^l and gamma from
-    (1 - (1 - zeta)^q) / zeta.
-    """
+    """Build the BDF scheme of the given order (1..6)."""
     if not isinstance(order, int) or not (1 <= order <= MAX_ORDER):
         raise ValidationError(f"BDF order must be an integer in 1..{MAX_ORDER}")
-    delta = [Fraction(0)] * (order + 1)
-    for ell in range(1, order + 1):
-        for j, c in enumerate(_one_minus_zeta_power(ell)):
-            delta[j] += c / ell
-    # (1 - (1-zeta)^q) / zeta: the constant term cancels, shift down by one.
-    top = _one_minus_zeta_power(order)
-    gamma = [-c for c in top[1:]]
+    delta = [sum(Fraction((-1) ** j * comb(ell, j), ell)
+                 for ell in range(max(j, 1), order + 1))
+             for j in range(order + 1)]
+    gamma = [(-1) ** j * comb(order, j + 1) for j in range(order)]
     return BdfScheme(
         order=order,
         delta=np.array([float(c) for c in delta]),

@@ -5,6 +5,17 @@ class BulkgrowError(Exception):
     """Base class for all package errors."""
 
 
+def with_context(exc, where):
+    """Prefix the BulkgrowError ``exc``'s message with ``where: `` in place
+    and return it, for ``raise with_context(exc, ...)``.
+
+    The same object goes on, so it keeps its type and what it carries (the
+    element, line or residual); nested contexts read outermost first.
+    """
+    exc.args = (f"{where}: {exc}",)
+    return exc
+
+
 class ValidationError(BulkgrowError):
     """Inconsistent or out-of-contract input data."""
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .assembly import Assembler
-from .errors import BulkgrowError, ConfigError, ResourceError
+from .errors import BulkgrowError, ConfigError, ResourceError, with_context
 from .mesh import (
     boundary_element_measures,
     bulk_element_measures,
@@ -478,21 +478,26 @@ def run_convergence_cell(config):
     (``run.seed_mode`` applies) and samples the errors against the nodal
     interpolation of the radial solution at ``run.error_samples`` uniformly
     spaced steps.  The row holds h, tau, the sup errors and, under ``mesh``,
-    the mesh's ``quality_report``.
+    the mesh's ``quality_report``.  A failure's message is prefixed with
+    ``cell h=<h>, tau=<tau>``.
     """
-    stepper, history, n_steps = _start(config)
-    mesh = stepper.mesh
-    oracle = compatible_oracle(config)
-    keep = _sampler(n_steps, int(setting(config, "run", "error_samples")))
-    sup = dict.fromkeys(ERROR_QUANTITIES, 0.0)  # errors are norms: >= 0
+    try:
+        stepper, history, n_steps = _start(config)
+        mesh = stepper.mesh
+        oracle = compatible_oracle(config)
+        keep = _sampler(n_steps, int(setting(config, "run", "error_samples")))
+        sup = dict.fromkeys(ERROR_QUANTITIES, 0.0)  # errors are norms: >= 0
 
-    def observer(step, state):
-        if keep(step):
-            mats = stepper.assembler.system(state.positions)
-            errors = oracle_errors(state, oracle, mesh, mats)
-            sup.update((q, max(sup[q], errors[q])) for q in ERROR_QUANTITIES)
+        def observer(step, state):
+            if keep(step):
+                mats = stepper.assembler.system(state.positions)
+                errors = oracle_errors(state, oracle, mesh, mats)
+                sup.update((q, max(sup[q], errors[q])) for q in ERROR_QUANTITIES)
 
-    evolve(stepper, history, n_steps, observer)
+        evolve(stepper, history, n_steps, observer)
+    except BulkgrowError as exc:
+        h, tau = config["geometry"]["h"], config["discretization"]["tau"]
+        raise with_context(exc, f"cell h={float(h):g}, tau={float(tau):g}")
     return {"h": mesh.mesh_size_h, "tau": stepper.tau,
             **{f"err_{q}": sup[q] for q in ERROR_QUANTITIES},
             "mesh": quality_report(mesh)}
@@ -613,7 +618,7 @@ def run_regularization(config, outdir):
 
     Reports, at the snapshot times, the largest boundary-node displacement
     and trace difference of each run relative to the baseline without
-    regularization.
+    regularization.  A failure's message is prefixed with ``mu=<mu>``.
     """
     mu_values = [float(v) for v in setting(config, "run", "mu_values")]
     if 0.0 not in mu_values:
@@ -646,7 +651,7 @@ def run_regularization(config, outdir):
             evolve(stepper, history, n_steps, observer)
         except BulkgrowError as exc:
             # Flush the samples so far against the baseline before propagating.
-            aborted = exc
+            aborted = with_context(exc, f"mu={mu:g}")
         if aborted is None or mu != 0.0:
             traces[mu] = samples
         if aborted is not None:

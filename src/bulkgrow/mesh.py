@@ -331,30 +331,44 @@ def _corner_set_ids(rows, n_nodes):
 
 
 def _validate_trace_compatibility(mesh, facet_lines=None):
-    """Every boundary facet must coincide with a boundary face of a bulk element."""
+    """The boundary facets must be the bulk's boundary faces, each listed
+    once: a facet is a face of exactly one bulk element, with that face's
+    nodes, and no other facet's.  Then every face of exactly one element
+    must have a facet, and no face may be shared by more than two elements;
+    those faults raise GeometryError naming the element."""
     d = mesh.dim
     facets = mesh.boundary_elements
     width = facets.shape[1]
     faces = mesh.bulk_elements[:, FACE_NODES[d][:, :width]].reshape(-1, width)
     ids = _corner_set_ids(np.concatenate([faces[:, :d], facets[:, :d]]), mesh.n_nodes)
     face_ids, facet_ids = ids[: len(faces)], ids[len(faces):]
-    count = np.bincount(face_ids, minlength=ids.max() + 1)[facet_ids]
+    face_count = np.bincount(face_ids, minlength=ids.max() + 1)
+    listed = np.bincount(facet_ids, minlength=len(face_count))
+    count = face_count[facet_ids]
     parent = np.zeros(ids.max() + 1, dtype=np.int64)
     parent[face_ids] = np.arange(len(faces))
     same_nodes = (
         np.sort(facets, axis=1) == np.sort(faces[parent[facet_ids]], axis=1)
     ).all(axis=1)
-    bad = np.flatnonzero((count != 1) | ~same_nodes)
+    bad = np.flatnonzero((count != 1) | ~same_nodes | (listed[facet_ids] > 1))
     if bad.size:
         b = int(bad[0])
         problem = (
             "is not a boundary face of exactly one bulk element" if count[b] != 1
-            else "node set does not match its parent element face"
+            else "node set does not match its parent element face" if not same_nodes[b]
+            else "is listed more than once"
         )
         raise MeshFormatError(
             f"facet {b} {problem}",
             line=None if facet_lines is None else int(facet_lines[b]),
         )
+    shared = face_count[face_ids]
+    bad = np.flatnonzero((shared > 2) | ((shared == 1) & (listed[face_ids] == 0)))
+    if bad.size:
+        f = int(bad[0])
+        problem = ("a face is shared by more than two elements" if shared[f] > 2
+                   else "a boundary face has no facet")
+        raise GeometryError(problem, element=f // (d + 1))
 
 
 def validate_mesh(mesh, facet_lines=None):
@@ -802,4 +816,7 @@ def load_mesh(path):
         )
     except ValidationError as exc:
         raise MeshFormatError(str(exc), line=header_line) from None
-    return validate_mesh(mesh, [lineno for lineno, _ in sections["BOUNDARY"]])
+    try:
+        return validate_mesh(mesh, [lineno for lineno, _ in sections["BOUNDARY"]])
+    except GeometryError as exc:  # a tangled element is bad input: name its row
+        raise MeshFormatError(str(exc), line=sections["ELEMENTS"][exc.element][0]) from None

@@ -19,7 +19,7 @@ searches for the worst field.
 import numpy as np
 
 from .assembly import Assembler, assemble_L
-from .errors import ValidationError
+from .errors import BulkgrowError, ValidationError, with_context
 from .norms import HalfNorm, energy_norms, surface_spectrum
 from .sparsela import SpdFactor, dirichlet_extension
 
@@ -151,7 +151,8 @@ def stability_sweep(levels, mode, samples, seed, boost_iters, observer=None):
     -------
     list of dict
         Rows with level, h, N (nodes), N_Gamma (boundary nodes), max_ratio
-        and argmax_seed (-1 when the boosted field wins).
+        and argmax_seed (-1 when the boosted field wins).  A level's failure
+        is prefixed with ``level <l> (<mode>)``.
     """
     if mode not in ("dirichlet", "robin"):
         raise ValidationError(f"unknown sweep mode {mode!r}")
@@ -159,7 +160,10 @@ def stability_sweep(levels, mode, samples, seed, boost_iters, observer=None):
         raise ValidationError("need at least one sample per level")
     rows = []
     for level, (mesh, matrices) in enumerate(levels):
-        rows.append(_level_row(level, mesh, matrices, mode, samples, seed, boost_iters))
+        try:
+            rows.append(_level_row(level, mesh, matrices, mode, samples, seed, boost_iters))
+        except BulkgrowError as exc:
+            raise with_context(exc, f"level {level} ({mode})")
         if observer is not None:
             observer(rows[-1])
     return rows

@@ -16,7 +16,7 @@ import numpy as np
 
 from .assembly import Assembler, assemble_f_u, assemble_L
 from .bdf import bdf_coefficients, extrapolate, weighted_sum
-from .errors import BulkgrowError, ValidationError
+from .errors import BulkgrowError, ValidationError, with_context
 from .mesh import check_orientation
 from .sparsela import CachedSpdSolver, dirichlet_extension, solve_spd
 
@@ -370,9 +370,7 @@ class Stepper:
                 scheme, history, velocity, self.tau, mesh=self.mesh
             )
         except BulkgrowError as exc:
-            # Re-raise the same object: it keeps its type, element and residual.
-            exc.args = (f"step {self.step_count} ({stage}, t={time_next:.6g}): {exc}",)
-            raise
+            raise with_context(exc, f"step {self.step_count} ({stage}, t={time_next:.6g})")
         state = SimState(
             time=time_next,
             positions=positions,
@@ -452,7 +450,8 @@ def initial_state(stepper, normal, curvature):
 
     The Robin and harmonic solves go through the stepper's cached solvers
     from zero guesses, so its first step starts from factorizations of the
-    initial configuration.
+    initial configuration.  A failed solve's message is prefixed with
+    ``seed (<stage>, t=0)``.
     """
     mesh, params = stepper.mesh, stepper.params
     ng = mesh.n_boundary
@@ -463,18 +462,23 @@ def initial_state(stepper, normal, curvature):
         pressure=None,
         matrices=stepper.assembler.system(),
     )
-    pressure = robin_solve(
-        geometry, params, 0.0,
-        partial(stepper.robin_solver.solve, x0=np.zeros(mesh.n_nodes)),
-    )
-    speed, v_gamma = velocity_law(
-        trace_forcing(params, pressure[:ng]), curvature, normal, params
-    )
-    velocity = harmonic_extension(
-        geometry.matrices, v_gamma,
-        partial(stepper.harmonic_solver.solve,
-                x0=np.zeros((mesh.n_nodes - ng,) + v_gamma.shape[1:])),
-    )
+    stage = "robin_solve"
+    try:
+        pressure = robin_solve(
+            geometry, params, 0.0,
+            partial(stepper.robin_solver.solve, x0=np.zeros(mesh.n_nodes)),
+        )
+        speed, v_gamma = velocity_law(
+            trace_forcing(params, pressure[:ng]), curvature, normal, params
+        )
+        stage = "harmonic_extension"
+        velocity = harmonic_extension(
+            geometry.matrices, v_gamma,
+            partial(stepper.harmonic_solver.solve,
+                    x0=np.zeros((mesh.n_nodes - ng,) + v_gamma.shape[1:])),
+        )
+    except BulkgrowError as exc:
+        raise with_context(exc, f"seed ({stage}, t=0)")
     return SimState(
         time=0.0,
         positions=mesh.node_positions.copy(),

@@ -240,16 +240,25 @@ class TestConverge:
             run_converge(config, str(tmp_path / f"conv{len(h_levels)}"))
         assert pools == [2]  # two cells, two workers; one cell runs serially
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_failure_names_its_cell(self, tmp_path, monkeypatch, capsys, threads):
+        config = self.failing_third_cell(tmp_path, monkeypatch, threads)
+        assert main(["converge", str(write_config(tmp_path, config))]) == 3
+        where = "cell h=0.5, tau=0.001: element 0: step 3 (position_update): tangled"
+        assert capsys.readouterr().err == f"numerical failure: {where}\n"
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["aborted"] == where
+
     def test_requires_oracle_compatible_setup(self, tmp_path):
         config = disk_config(tmp_path, model={"Q": "expr:1.5+0.1*x"},
                              run={"kind": "converge"})
         with pytest.raises(ConfigError):
             run_converge(config, str(tmp_path / "conv2"))
 
-    @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_numerical_failure_flushes(self, tmp_path, monkeypatch, threads):
-        # The third cell (tau = 1e-3) fails at its third step; the other two
-        # finish, and their rows and an aborted manifest are written.
+    @staticmethod
+    def failing_third_cell(tmp_path, monkeypatch, threads):
+        """The config of a three-cell study whose third cell (tau = 1e-3)
+        fails at its third step."""
         original = Stepper.step
 
         def failing_step(self, history):
@@ -259,11 +268,17 @@ class TestConverge:
 
         monkeypatch.setattr(Stepper, "step", failing_step)
         monkeypatch.setenv("BULKGROW_THREADS", threads)
-        config = disk_config(
+        return disk_config(
             tmp_path,
             run={"kind": "converge", "h_levels": [0.5],
                  "tau_levels": [4e-3, 2e-3, 1e-3], "error_samples": 2},
         )
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_numerical_failure_flushes(self, tmp_path, monkeypatch, threads):
+        # The other two cells finish, and their rows and an aborted manifest
+        # are written.
+        config = self.failing_third_cell(tmp_path, monkeypatch, threads)
         assert main(["converge", str(write_config(tmp_path, config))]) == 3
         out = tmp_path / "out"
         rows = read_csv(out / "converge.csv")
@@ -343,6 +358,26 @@ class TestStability:
         manifest = json.loads((out / "manifest.json").read_text())
         assert "forced at level 1" in manifest["aborted"]
         assert manifest["seed"] == 0
+
+    def test_failure_names_its_level_and_mode(self, tmp_path, monkeypatch):
+        original = stability_module._level_row
+
+        def failing_level(level, mesh, matrices, mode, *args):
+            if level == 1 and mode == "robin":
+                raise SolverError("forced", residual=1.0)
+            return original(level, mesh, matrices, mode, *args)
+
+        monkeypatch.setattr(stability_module, "_level_row", failing_level)
+        config = disk_config(
+            tmp_path,
+            discretization={"k": 1},
+            run={"kind": "stability", "levels": 2, "samples": 2,
+                 "seed": 0, "mode": "both", "boost_iters": 0},
+        )
+        with pytest.raises(SolverError) as info:
+            run_stability(config, str(tmp_path / "stab"))
+        assert str(info.value) == "level 1 (robin): forced (relative residual 1.000e+00)"
+        assert info.value.residual == 1.0
 
     def stability_config(self, tmp_path):
         config = disk_config(
@@ -428,6 +463,24 @@ class TestRegularization:
         assert [float(r["mu"]) for r in rows] == flushed
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert "tangled" in manifest["aborted"]
+
+    def test_failing_seed_names_mu_and_stage(self, tmp_path, capsys):
+        # At alpha = 1e-6 the Robin matrix is too ill-conditioned for the
+        # 1e-11 solve contract, so the baseline's seed solve fails.
+        config = disk_config(
+            tmp_path,
+            model={"alpha": 1e-6},
+            geometry={"h": 0.5},
+            discretization={"tau": 0.01, "T": 0.02},
+            run={"kind": "regularization", "mu_values": [0.0, 0.1]},
+        )
+        assert main(["simulate", str(write_config(tmp_path, config))]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: mu=0: seed (robin_solve, t=0): PCG")
+        assert err.count("\n") == 1, err
+        with pytest.raises(SolverError) as info:
+            run_regularization(config, str(tmp_path / "reg"))
+        assert info.value.residual > 1e-11
 
     def test_failing_seed_flushes_the_baseline(self, tmp_path, monkeypatch):
         # Each run is seeded after the output directory exists, so a seed

@@ -12,6 +12,11 @@ validation.  The in-range cases set one key to an extreme value the key
 accepts (one level, one sample, no boost, q = 6, T of one step, ...), so
 they pass validation and reach a runner and its solvers: they must exit 0,
 or 3 on a numerical failure, never 2.
+
+The ``.bsm`` cases mutate small saved meshes (a flipped bit, truncation at a
+line, a deleted or duplicated line, two sections swapped).  ``mesh info``
+must exit 0 or 2 on them, and a two-step ``geometry.kind: file`` simulate 0,
+2 or 3, under the same contract.
 """
 
 import json
@@ -22,6 +27,7 @@ import pytest
 
 from bulkgrow.cli import main
 from bulkgrow.experiments import CONFIG_KEYS
+from bulkgrow.mesh import generate_ball_mesh, generate_disk_mesh, save_mesh
 
 DELETE = "<deleted>"
 POOL = [None, True, False, 0, -1, 1e-300, 1e300, float("nan"), float("inf"),
@@ -106,6 +112,22 @@ def case_id(case):
     return kind + ":" + ",".join(f"{s}.{k}={v!r}" for s, k, v in changes)
 
 
+def run_main(argv, capsys):
+    """(exit code, stderr) of ``cli.main(argv)`` with warnings as errors;
+    checks the part of the contract that holds for every input."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3)
+    if code == 0:
+        assert err == ""
+    else:
+        prefix = "configuration error: " if code == 2 else "numerical failure: "
+        assert err.startswith(prefix) and err.count("\n") == 1, err
+    return code, err
+
+
 def run_case(tmp_path, monkeypatch, capsys, case):
     """(exit code, stderr) of ``cli.main`` on the mutated base; checks the
     contract that holds for every case."""
@@ -118,16 +140,8 @@ def run_case(tmp_path, monkeypatch, capsys, case):
             config[section][key] = value
     (tmp_path / "config.json").write_text(json.dumps(config))
     monkeypatch.chdir(tmp_path)  # a mutated run.outputs stays in tmp_path
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code = main([COMMAND[kind], "config.json"])
-    err = capsys.readouterr().err
-    assert code in (0, 2, 3) and (code == 0 or changes)
-    if code == 0:
-        assert err == ""
-    else:
-        prefix = "configuration error: " if code == 2 else "numerical failure: "
-        assert err.startswith(prefix) and err.count("\n") == 1, err
+    code, err = run_main([COMMAND[kind], "config.json"], capsys)
+    assert code == 0 or changes
     if code == 2:
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
     return code, err
@@ -142,3 +156,73 @@ def test_cli_contract(tmp_path, monkeypatch, capsys, case):
 def test_in_range_reaches_a_runner(tmp_path, monkeypatch, capsys, case):
     code, err = run_case(tmp_path, monkeypatch, capsys, case)
     assert code in (0, 3), err
+
+
+MESHES = {
+    "disk_p1": lambda: generate_disk_mesh(1.0, 0.5, degree=1),
+    "disk_p2": lambda: generate_disk_mesh(1.0, 0.5, degree=2),
+    "ball_p1": lambda: generate_ball_mesh([1.0, 1.0, 1.0], 0.7, degree=1),
+}
+BSM_MUTATIONS = ("flip", "truncate", "delete", "duplicate", "swap")
+BSM_SEEDS = range(50)
+
+
+def bsm_case(seed):
+    """(mesh name, mutation) of ``.bsm`` case ``seed``: every pair recurs."""
+    return sorted(MESHES)[seed // len(BSM_MUTATIONS) % len(MESHES)], \
+        BSM_MUTATIONS[seed % len(BSM_MUTATIONS)]
+
+
+@pytest.fixture(scope="module")
+def saved_meshes(tmp_path_factory):
+    """(degree, bytes of the saved file) per name in MESHES."""
+    out = {}
+    for name, make in MESHES.items():
+        mesh = make()
+        path = tmp_path_factory.mktemp("bsm") / f"{name}.bsm"
+        save_mesh(mesh, path)
+        out[name] = (mesh.degree_k, path.read_bytes())
+    return out
+
+
+def mutate_bsm(data, mutation, rng):
+    """``data`` with one seeded mutation."""
+    lines = data.splitlines(keepends=True)
+    if mutation == "flip":
+        flipped = bytearray(data)
+        flipped[rng.randrange(len(data))] ^= 1 << rng.randrange(8)
+        return bytes(flipped)
+    at = rng.randrange(len(lines))
+    if mutation == "truncate":
+        return b"".join(lines[:at])
+    if mutation == "delete":
+        return b"".join(lines[:at] + lines[at + 1:])
+    if mutation == "duplicate":
+        return b"".join(lines[:at + 1] + lines[at:])
+    heads = [i for i, line in enumerate(lines)
+             if line.strip() in (b"NODES", b"ELEMENTS", b"BOUNDARY")] + [len(lines)]
+    sections = [lines[a:b] for a, b in zip(heads, heads[1:])]
+    i, j = rng.sample(range(len(sections)), 2)
+    sections[i], sections[j] = sections[j], sections[i]
+    return b"".join(lines[:heads[0]] + [line for section in sections for line in section])
+
+
+@pytest.mark.parametrize("seed", BSM_SEEDS,
+                         ids=[f"{seed}-" + "-".join(bsm_case(seed)) for seed in BSM_SEEDS])
+def test_mutated_mesh_file(tmp_path, monkeypatch, capsys, saved_meshes, seed):
+    name, mutation = bsm_case(seed)
+    degree, data = saved_meshes[name]
+    (tmp_path / "mesh.bsm").write_bytes(mutate_bsm(data, mutation, random.Random(seed)))
+    monkeypatch.chdir(tmp_path)
+    code, err = run_main(["mesh", "info", "mesh.bsm"], capsys)
+    assert code in (0, 2), err
+    config = {
+        "model": MODEL,
+        "geometry": {"kind": "file", "path": "mesh.bsm"},
+        "discretization": {"k": degree, "q": 2, "tau": 2e-3, "T": 4e-3},
+        "run": {"kind": "simulate", "outputs": "out", "snapshots": 1},
+    }
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    code, err = run_main(["simulate", "config.json"], capsys)
+    if code == 2:
+        assert not (tmp_path / "out").exists(), err

@@ -8,11 +8,15 @@ from bulkgrow.mesh import generate_ball_mesh, generate_disk_mesh, write_rows
 from bulkgrow.oracle import RadialOracle
 from bulkgrow.vtkio import write_csv, write_surface_vtk, write_vtk
 
-VALID_CELL_TYPES = {5, 10, 22, 24}
+VALID_CELL_TYPES = {3, 5, 10, 21, 22, 24}
 
 
 def parse_vtk(path):
-    """Structural parse of a legacy VTK file; raises on inconsistencies."""
+    """Structural parse of a legacy VTK file; raises on inconsistencies.
+
+    Returns the dataset kind and a dict of section sizes, with the cell rows
+    (without their leading count) under ``cell_rows`` and the cell types
+    under ``cell_types``."""
     lines = path.read_text().splitlines()
     assert lines[0].startswith("# vtk DataFile Version")
     assert lines[2] == "ASCII"
@@ -29,22 +33,25 @@ def parse_vtk(path):
             assert all(len(p.split()) == 3 for p in pts)
             sections["points"] = count
             idx += count + 1
-        elif key in ("CELLS", "LINES", "POLYGONS"):
+        elif key == "CELLS":
             count, total = int(parts[1]), int(parts[2])
             rows = lines[idx + 1 : idx + 1 + count]
             used = sum(len(r.split()) for r in rows)
             assert used == total
+            sections["cell_rows"] = []
             for r in rows:
                 vals = [int(v) for v in r.split()]
                 assert vals[0] == len(vals) - 1
                 assert all(0 <= v < sections["points"] for v in vals[1:])
-            sections[key.lower()] = count
+                sections["cell_rows"].append(vals[1:])
+            sections["cells"] = count
             idx += count + 1
         elif key == "CELL_TYPES":
             count = int(parts[1])
             types = lines[idx + 1 : idx + 1 + count]
             assert len(types) == count
             assert all(int(t) in VALID_CELL_TYPES for t in types)
+            sections["cell_types"] = {int(t) for t in types}
             idx += count + 1
         elif key == "POINT_DATA":
             sections["point_data"] = int(parts[1])
@@ -90,25 +97,49 @@ class TestVtk:
         assert sections["points"] == mesh.n_nodes
 
     @pytest.mark.parametrize("degree", [1, 2])
-    def test_surface_polydata(self, tmp_path, degree):
+    def test_surface_grid(self, tmp_path, degree):
         mesh = generate_disk_mesh(1.5, 0.4, degree=degree)
         state = oracle_state(mesh, 1)
         path = tmp_path / "surf.vtk"
         write_surface_vtk(path, mesh, state)
         dataset, sections = parse_vtk(path)
-        assert dataset == "POLYDATA"
+        assert dataset == "UNSTRUCTURED_GRID"
         assert sections["points"] == mesh.n_boundary
-        expected = len(mesh.boundary_elements) * (2 if degree == 2 else 1)
-        assert sections["lines"] == expected
+        assert sections["cell_types"] == {3 if degree == 1 else 21}
+        assert sections["cell_rows"] == mesh.boundary_elements.tolist()
+        assert sections["point_data"] == mesh.n_boundary
 
-    def test_surface_polydata_sphere(self, tmp_path):
+    def test_surface_grid_sphere(self, tmp_path):
         mesh = generate_ball_mesh((1.5, 1.5, 1.5), 0.8, degree=2)
         state = oracle_state(mesh, 2)
         path = tmp_path / "sphere_surf.vtk"
         write_surface_vtk(path, mesh, state)
         dataset, sections = parse_vtk(path)
-        assert dataset == "POLYDATA"
-        assert sections["polygons"] == 4 * len(mesh.boundary_elements)
+        assert dataset == "UNSTRUCTURED_GRID"
+        assert sections["cell_types"] == {22}
+        assert sections["cell_rows"] == mesh.boundary_elements.tolist()
+
+    @pytest.mark.parametrize("m,degree", [(1, 1), (1, 2), (2, 2)])
+    def test_surface_rows_are_the_bulk_file_boundary_rows(self, tmp_path, m, degree):
+        if m == 1:
+            mesh = generate_disk_mesh(1.5, 0.4, degree=degree)
+        else:
+            mesh = generate_ball_mesh((1.5, 1.5, 1.5), 0.8, degree=degree)
+        state = oracle_state(mesh, m)
+        write_vtk(tmp_path / "bulk.vtk", mesh, state)
+        write_surface_vtk(tmp_path / "surf.vtk", mesh, state)
+        bulk = (tmp_path / "bulk.vtk").read_text().splitlines()
+        surf = (tmp_path / "surf.vtk").read_text().splitlines()
+        ng = mesh.n_boundary
+
+        def block(lines, header, n):
+            start = lines.index(header) + 1
+            return lines[start : start + n]
+
+        assert (block(surf, f"POINTS {ng} double", ng)
+                == block(bulk, f"POINTS {mesh.n_nodes} double", ng))
+        assert (block(surf, "SCALARS curvature double", ng + 1)
+                == block(bulk, "SCALARS curvature double", ng + 1))
 
     def test_constant_curvature_in_output(self, tmp_path):
         mesh = generate_disk_mesh(1.5, 0.4, degree=2)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from bulkgrow import mesh as mesh_module
+from bulkgrow.cli import main
 from bulkgrow.errors import (
     ConfigError,
     GeometryError,
@@ -692,6 +693,43 @@ class TestBsmFormat:
             load_mesh(self.edited(tmp_path, edit))
         assert str(err.value) == f"line {line}: {message}"
         assert err.value.line == line
+
+    @staticmethod
+    def row_copies(section, row, copies):
+        """An edit that leaves ``copies`` (0 or 2) of a section's data row."""
+        def edit(lines):
+            index = lines.index(section) + 1 + row
+            return lines[:index] + lines[index:index + 1] * copies + lines[index + 1:]
+        return edit
+
+    # The disk's ELEMENTS rows start at line 41 and its BOUNDARY rows at 96.
+    @pytest.mark.parametrize("section, row, copies, line, message", [
+        ("BOUNDARY", 3, 2, 99, "facet 3 is listed more than once"),
+        ("BOUNDARY", 3, 0, 70, "element 29: a boundary face has no facet"),
+        # The hole's faces are boundary faces without facets.
+        ("ELEMENTS", 30, 0, 50, "element 9: a boundary face has no facet"),
+        ("ELEMENTS", 30, 2, 50, "element 9: a face is shared by more than two elements"),
+    ], ids=["repeated-facet", "missing-facet", "missing-element", "repeated-element"])
+    def test_facets_are_the_boundary_faces_once(self, tmp_path, section, row, copies,
+                                                line, message):
+        with pytest.raises(MeshFormatError) as err:
+            load_mesh(self.edited(tmp_path, self.row_copies(section, row, copies)))
+        assert str(err.value) == f"line {line}: {message}"
+        assert err.value.line == line
+
+    def test_tangled_element_is_a_format_error(self, tmp_path, capsys):
+        # The centre node (18) moved outside the disk inverts element 0,
+        # whose row is line 41: a bad input file, exit 2 in the CLI.
+        def edit(lines):
+            lines[lines.index("NODES") + 1 + 18] = "0.9 0"
+            return lines
+
+        path = self.edited(tmp_path, edit)
+        message = "line 41: element 0: Jacobian determinant not positive at a quadrature point"
+        with pytest.raises(MeshFormatError, match=re.escape(message)):
+            load_mesh(path)
+        assert main(["mesh", "info", str(path)]) == 2
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
 
     def test_python_number_syntax_still_loads(self, tmp_path):
         # numpy rejects non-ASCII digits, which float() and int() accept;

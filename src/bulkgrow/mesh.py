@@ -818,5 +818,5 @@ def load_mesh(path):
         raise MeshFormatError(str(exc), line=header_line) from None
     try:
         return validate_mesh(mesh, [lineno for lineno, _ in sections["BOUNDARY"]])
-    except GeometryError as exc:  # a tangled element is bad input: name its row
+    except GeometryError as exc:  # an element fault of a file is bad input: name its row
         raise MeshFormatError(str(exc), line=sections["ELEMENTS"][exc.element][0]) from None

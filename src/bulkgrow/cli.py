@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from .errors import BulkgrowError, ConfigError, MeshFormatError, ResourceError, ValidationError
+from .errors import BulkgrowError, ConfigError, MeshFormatError, ValidationError
 from .experiments import (
     load_config,
     run_converge,
@@ -105,7 +105,7 @@ def _cmd_mesh(args):
         else:
             mesh = generate_ball_mesh(args.radii or [args.radius] * 3, args.h,
                                       degree=args.degree)
-    except (ValidationError, ResourceError) as exc:  # the generators' checks
+    except ValidationError as exc:  # the generators' checks
         raise ConfigError(str(exc)) from None
     save_mesh(mesh, args.output)
     print(json.dumps(quality_report(mesh), indent=2, sort_keys=True))

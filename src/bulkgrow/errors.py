@@ -56,9 +56,9 @@ class SourceError(BulkgrowError):
     """The source term Q is not finite on the boundary at a step's time."""
 
 
-class ResourceError(BulkgrowError):
-    """Requested resolution exceeds the memory budget."""
-
-
 class ConfigError(BulkgrowError):
     """Invalid run configuration."""
+
+
+class ResourceError(ConfigError):
+    """Requested resolution exceeds the memory budget."""

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .assembly import Assembler
-from .errors import BulkgrowError, ConfigError, ResourceError, with_context
+from .errors import BulkgrowError, ConfigError, with_context
 from .mesh import (
     boundary_element_measures,
     bulk_element_measures,
@@ -246,10 +246,7 @@ def validate_config(config):
     _check("outputs" not in run or isinstance(run["outputs"], str), "run.outputs must be a path")
     if geometry["kind"] != "file":
         for h in _mesh_sizes(config):  # stops at the first mesh over the cap
-            try:
-                generator_grid(axes, h, k)
-            except ResourceError as exc:
-                raise ConfigError(str(exc)) from None
+            generator_grid(axes, h, k)
     return config
 
 

@@ -600,10 +600,10 @@ def _renumber_boundary_first(dim_m, positions, bulk, boundary):
 # Degree elevation
 # ---------------------------------------------------------------------------
 
-def elevate_to_quadratic(mesh, surface_projector=None):
+def elevate_to_quadratic(mesh, surface_projector):
     """Insert edge midpoints, turning a degree-1 mesh into degree 2.
 
-    Boundary-edge midpoints are mapped by ``surface_projector`` (if given) so
+    Boundary-edge midpoints are mapped by ``surface_projector`` so
     the curved boundary interpolates the exact surface; interior midpoints
     stay on the straight edge.  New boundary midpoints are appended to the
     boundary-first block.  The returned mesh is validated
@@ -636,7 +636,7 @@ def elevate_to_quadratic(mesh, surface_projector=None):
     is_bnd_edge[bnd_edge_ids] = True
 
     mids = mesh.node_positions[edges].mean(axis=1)
-    if surface_projector is not None and is_bnd_edge.any():
+    if is_bnd_edge.any():
         mids[is_bnd_edge] = surface_projector(mids[is_bnd_edge])
 
     # New node numbering: old boundary, new boundary midpoints, then interior.

@@ -114,15 +114,6 @@ def nodes_per_element(dim, degree):
     raise ValidationError(f"unsupported polynomial degree {degree}")
 
 
-def local_nodes(dim, degree):
-    """Reference coordinates of the local nodes, shape (n_nodes, dim)."""
-    verts = np.vstack([np.zeros(dim), np.eye(dim)])
-    if degree == 1:
-        return verts
-    mids = np.array([(verts[a] + verts[b]) / 2.0 for a, b in EDGE_VERTICES[dim]])
-    return np.vstack([verts, mids])
-
-
 def shape_values(dim, degree, points):
     """Evaluate the shape functions at reference points, shape (n_pts, n_nodes)."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -156,69 +147,46 @@ def shape_gradients(dim, degree, points):
     return grads
 
 
+# Symmetric rules on the reference triangle and tetrahedron, keyed by
+# (dimension, degree integrated exactly): each orbit is a barycentric
+# generator and the weight of each of its points (Dunavant, IJNME 21 (1985);
+# Keast, CMAME 55 (1986)).
+_TRI_A, _TRI_B = 0.445948490915965, 0.091576213509771
+_TET_A, _TET_B = (5.0 + 3.0 * math.sqrt(5.0)) / 20.0, (5.0 - math.sqrt(5.0)) / 20.0
+_TET_C, _TET_D = (1.0 + math.sqrt(5.0 / 14.0)) / 4.0, (1.0 - math.sqrt(5.0 / 14.0)) / 4.0
+_ORBITS = {
+    (2, 2): [((2 / 3, 1 / 6, 1 / 6), 1 / 6)],
+    (2, 4): [((1 - 2 * _TRI_A, _TRI_A, _TRI_A), 0.223381589678011 / 2.0),
+             ((1 - 2 * _TRI_B, _TRI_B, _TRI_B), 0.109951743655322 / 2.0)],
+    (3, 2): [((_TET_A, _TET_B, _TET_B, _TET_B), 1 / 24)],
+    (3, 4): [((0.25, 0.25, 0.25, 0.25), -74.0 / 5625.0),
+             ((11.0 / 14.0, 1.0 / 14.0, 1.0 / 14.0, 1.0 / 14.0), 343.0 / 45000.0),
+             ((_TET_C, _TET_C, _TET_D, _TET_D), 56.0 / 2250.0)],
+}
+_SIMPLEX = {2: "triangle", 3: "tetrahedron"}
+
+
 def quadrature_rule(dim, degree):
     """Points and weights exact for polynomials of the given total degree.
 
-    Weights sum to the reference simplex measure.
+    Weights sum to the reference simplex measure.  The segment takes
+    Gauss-Legendre; a triangle or tetrahedron takes the ``_ORBITS`` rule of
+    least degree >= ``degree``.  An orbit expands to the distinct
+    permutations of its generator in first-seen order, each with the orbit's
+    weight; a point is a permutation less its first barycentric coordinate.
     """
     if dim == 1:
-        # Gauss-Legendre on [0, 1].
         n = max(1, math.ceil((degree + 1) / 2))
         x, w = np.polynomial.legendre.leggauss(n)
         return (x[:, None] + 1.0) / 2.0, w / 2.0
-    if dim == 2:
-        if degree <= 2:
-            pts = np.array([[1 / 6, 1 / 6], [2 / 3, 1 / 6], [1 / 6, 2 / 3]])
-            wts = np.full(3, 1 / 6)
-            return pts, wts
-        if degree <= 4:
-            a = 0.445948490915965
-            b = 0.091576213509771
-            pts = np.array(
-                [
-                    [a, a], [1 - 2 * a, a], [a, 1 - 2 * a],
-                    [b, b], [1 - 2 * b, b], [b, 1 - 2 * b],
-                ]
-            )
-            wts = np.array([0.223381589678011] * 3 + [0.109951743655322] * 3) / 2.0
-            return pts, wts
-        raise ValidationError(f"no triangle rule of degree {degree}")
-    if dim == 3:
-        if degree <= 2:
-            a = (5.0 + 3.0 * math.sqrt(5.0)) / 20.0
-            b = (5.0 - math.sqrt(5.0)) / 20.0
-            pts = np.full((4, 3), b)
-            pts[1, 0] = a
-            pts[2, 1] = a
-            pts[3, 2] = a
-            wts = np.full(4, 1 / 24)
-            return pts, wts
-        if degree <= 4:
-            # 11-point rule: centroid, 4 vertex-biased and 6 edge-biased points.
-            c = math.sqrt(5.0 / 14.0)
-            a = (1.0 + c) / 4.0
-            b = (1.0 - c) / 4.0
-            pts = [np.full(3, 0.25)]
-            wts = [-74.0 / 5625.0]
-            g = 1.0 / 14.0
-            for bary in _permutations_of((11.0 / 14.0, g, g, g)):
-                pts.append(np.array(bary[1:]))
-                wts.append(343.0 / 45000.0)
-            for bary in _permutations_of((a, a, b, b)):
-                pts.append(np.array(bary[1:]))
-                wts.append(56.0 / 2250.0)
-            return np.array(pts), np.array(wts)
-        raise ValidationError(f"no tetrahedron rule of degree {degree}")
-    raise ValidationError(f"unsupported simplex dimension {dim}")
-
-
-def _permutations_of(bary):
-    """Distinct permutations of a barycentric tuple, in lexicographic order."""
-    seen = []
-    for perm in permutations(bary):
-        if not any(np.allclose(perm, s) for s in seen):
-            seen.append(perm)
-    return seen
+    if dim not in _SIMPLEX:
+        raise ValidationError(f"unsupported simplex dimension {dim}")
+    exact = min((d for m, d in _ORBITS if m == dim and d >= degree), default=None)
+    if exact is None:
+        raise ValidationError(f"no {_SIMPLEX[dim]} rule of degree {degree}")
+    points, weights = zip(*((bary[1:], weight) for generator, weight in _ORBITS[dim, exact]
+                            for bary in dict.fromkeys(permutations(generator))))
+    return np.array(points), np.array(weights)
 
 
 @dataclass(frozen=True)
@@ -227,19 +195,17 @@ class ReferenceElement:
 
     dim: int
     degree: int
-    nodes: np.ndarray          # (n_nodes, dim)
-    quad_points: np.ndarray    # (n_qp, dim)
     quad_weights: np.ndarray   # (n_qp,)
     shape: np.ndarray          # (n_qp, n_nodes)
     grad: np.ndarray           # (n_qp, n_nodes, dim)
 
     @property
     def n_nodes(self):
-        return self.nodes.shape[0]
+        return self.shape.shape[1]
 
     @property
     def n_qp(self):
-        return self.quad_points.shape[0]
+        return self.quad_weights.size
 
 
 @lru_cache(maxsize=None)
@@ -257,12 +223,10 @@ def reference_element(dim, degree):
     elem = ReferenceElement(
         dim=dim,
         degree=degree,
-        nodes=local_nodes(dim, degree),
-        quad_points=pts,
         quad_weights=wts,
         shape=shape_values(dim, degree, pts),
         grad=shape_gradients(dim, degree, pts),
     )
-    for arr in (elem.nodes, elem.quad_points, elem.quad_weights, elem.shape, elem.grad):
+    for arr in (elem.quad_weights, elem.shape, elem.grad):
         arr.setflags(write=False)
     return elem

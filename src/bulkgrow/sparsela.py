@@ -310,25 +310,26 @@ class _Symbolic:
     """Supernodal structure of the Cholesky factor of one CSR pattern in a
     :class:`Dissection`, and the maps that place a matrix's values in it.
 
-    Each subtree of at most ``merge`` columns is one front, and each larger
-    tree node's own columns another; a node that owns no columns passes its
-    children on to its parent.  Front f owns the consecutive columns
-    ``c0[f]:c1[f]`` of the ordering, and its rows are those columns followed
-    by ``rows[f]``: the matrix's rows below those columns and the rows of its
-    children's fronts, past ``c1[f]`` (Liu, SIAM Rev. 34 (1992)).  Fronts are
-    numbered in column order, so children precede their parents.  The
-    pattern must be canonical (no duplicate entries).  Raises ValidationError
-    if it has an entry that the separators do not allow.  ``nnz`` counts the
-    factor's entries, the explicit zeros of the dense fronts included.
+    Each subtree of at most ``_FRONT_COLUMNS`` columns is one front, and
+    each larger tree node's own columns another; a node that owns no columns
+    passes its children on to its parent.  Front f owns the consecutive
+    columns ``c0[f]:c1[f]`` of the ordering, and its rows are those columns
+    followed by ``rows[f]``: the matrix's rows below those columns and the
+    rows of its children's fronts, past ``c1[f]`` (Liu, SIAM Rev. 34
+    (1992)).  Fronts are numbered in column order, so children precede their
+    parents.  The pattern must be canonical (no duplicate entries).  Raises
+    ValidationError if it has an entry that the separators do not allow.
+    ``nnz`` counts the factor's entries, the explicit zeros of the dense
+    fronts included.
     """
 
-    def __init__(self, matrix, dissection, merge=_FRONT_COLUMNS):
+    def __init__(self, matrix, dissection):
         perm, (start, own, stop, parent) = dissection.perm, dissection.tree
         n = perm.size
         if matrix.shape != (n, n):
             raise ValidationError("matrix and ordering describe different nodes")
         # The fronts: merged subtrees, then the own columns of larger nodes.
-        size = stop - start
+        size, merge = stop - start, _FRONT_COLUMNS
         merged = (size > 0) & (size <= merge) & ((parent < 0) | (size[parent] > merge))
         is_front = merged | ((size > merge) & (own < stop))
         up = parent.copy()  # each node's nearest ancestor front

@@ -40,8 +40,8 @@ class ModelParams:
 
     alpha: float
     beta: float
-    mu: float = 0.0
-    source: callable = None
+    mu: float
+    source: callable
 
     def __post_init__(self):
         if self.alpha <= 0:
@@ -50,8 +50,6 @@ class ModelParams:
             raise ValidationError("beta must be positive")
         if self.mu < 0:
             raise ValidationError("mu must be nonnegative")
-        if self.source is None:
-            object.__setattr__(self, "source", constant_source(0.0))
 
 
 def constant_source(value):

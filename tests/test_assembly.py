@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 
 from bulkgrow import mesh as mesh_module
-from bulkgrow.assembly import Assembler, assemble_f_u, assemble_L
+from bulkgrow.assembly import Assembler, StepLayout, assemble_f_u, assemble_L
 from bulkgrow.errors import GeometryError, SourceError, ValidationError
 from bulkgrow.mesh import (
     BulkSurfaceMesh,
@@ -442,6 +442,19 @@ class TestRobinMatrix:
         mats = Assembler(mesh).system()
         with pytest.raises(ValidationError):
             assemble_L(mats, alpha=0.0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: assemble_L(Assembler(single_triangle_mesh()).system(), 1.0, mu=-0.5),
+     "mu must be nonnegative"),
+    # Surface entry (0, 1) is not among the bulk entries, the diagonal.
+    (lambda: StepLayout(sp.identity(3, format="csr"), sp.csr_matrix(np.ones((2, 2))),
+                        2).surface_slots,
+     "surface pattern is not contained in the bulk pattern"),
+], ids=["negative-mu", "surface-pattern-outside-bulk"])
+def test_rejected_inputs(call, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        call()
 
 
 class TestRobinLoad:

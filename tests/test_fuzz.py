@@ -17,14 +17,24 @@ The ``.bsm`` cases mutate small saved meshes (a flipped bit, truncation at a
 line, a deleted or duplicated line, two sections swapped).  ``mesh info``
 must exit 0 or 2 on them, and a two-step ``geometry.kind: file`` simulate 0,
 2 or 3, under the same contract.
+
+The ``slow`` half runs further seeds of both generators through
+``python -W error -m bulkgrow.cli`` in a subprocess each, one at a time and
+with a time limit, so a hang, a traceback or a warning printed outside
+``cli.main`` also breaks the contract.
 """
 
 import json
+import os
+from pathlib import Path
 import random
+import subprocess
+import sys
 import warnings
 
 import pytest
 
+import bulkgrow
 from bulkgrow.cli import main
 from bulkgrow.experiments import CONFIG_KEYS
 from bulkgrow.mesh import generate_ball_mesh, generate_disk_mesh, save_mesh
@@ -112,14 +122,9 @@ def case_id(case):
     return kind + ":" + ",".join(f"{s}.{k}={v!r}" for s, k, v in changes)
 
 
-def run_main(argv, capsys):
-    """(exit code, stderr) of ``cli.main(argv)`` with warnings as errors;
-    checks the part of the contract that holds for every input."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code = main(argv)
-    err = capsys.readouterr().err
-    assert code in (0, 2, 3)
+def check_contract(code, err):
+    """The part of the contract that holds for every input."""
+    assert code in (0, 2, 3), err
     if code == 0:
         assert err == ""
     else:
@@ -128,8 +133,41 @@ def run_main(argv, capsys):
     return code, err
 
 
-def run_case(tmp_path, monkeypatch, capsys, case):
-    """(exit code, stderr) of ``cli.main`` on the mutated base; checks the
+@pytest.fixture
+def in_process(tmp_path, monkeypatch, capsys):
+    """Runs ``cli.main(argv)`` in ``tmp_path`` with warnings as errors and
+    returns the checked (exit code, stderr)."""
+    monkeypatch.chdir(tmp_path)  # a mutated run.outputs stays in tmp_path
+
+    def run(argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv)
+        return check_contract(code, capsys.readouterr().err)
+    return run
+
+
+# A case's wall-time limit; a default-sized case takes about a second.
+CASE_SECONDS = 60
+
+
+@pytest.fixture
+def in_subprocess(tmp_path):
+    """Runs ``python -W error -m bulkgrow.cli argv`` in ``tmp_path`` and
+    returns the checked (exit code, stderr)."""
+    path = [str(Path(bulkgrow.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+
+    def run(argv):
+        done = subprocess.run([sys.executable, "-W", "error", "-m", "bulkgrow.cli", *argv],
+                              cwd=tmp_path, env=env, capture_output=True, text=True,
+                              timeout=CASE_SECONDS)
+        return check_contract(done.returncode, done.stderr)
+    return run
+
+
+def run_case(tmp_path, run, case):
+    """(exit code, stderr) of the CLI on the mutated base; checks the
     contract that holds for every case."""
     kind, changes = case
     config = json.loads(json.dumps(BASES[kind]))
@@ -139,8 +177,7 @@ def run_case(tmp_path, monkeypatch, capsys, case):
         else:
             config[section][key] = value
     (tmp_path / "config.json").write_text(json.dumps(config))
-    monkeypatch.chdir(tmp_path)  # a mutated run.outputs stays in tmp_path
-    code, err = run_main([COMMAND[kind], "config.json"], capsys)
+    code, err = run([COMMAND[kind], "config.json"])
     assert code == 0 or changes
     if code == 2:
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
@@ -148,14 +185,24 @@ def run_case(tmp_path, monkeypatch, capsys, case):
 
 
 @pytest.mark.parametrize("case", CASES, ids=[case_id(c) for c in CASES])
-def test_cli_contract(tmp_path, monkeypatch, capsys, case):
-    run_case(tmp_path, monkeypatch, capsys, case)
+def test_cli_contract(tmp_path, in_process, case):
+    run_case(tmp_path, in_process, case)
 
 
 @pytest.mark.parametrize("case", IN_RANGE, ids=[case_id(c) for c in IN_RANGE])
-def test_in_range_reaches_a_runner(tmp_path, monkeypatch, capsys, case):
-    code, err = run_case(tmp_path, monkeypatch, capsys, case)
+def test_in_range_reaches_a_runner(tmp_path, in_process, case):
+    code, err = run_case(tmp_path, in_process, case)
     assert code in (0, 3), err
+
+
+# Config seeds past the in-process ones.
+SLOW_CASES = [mutation(seed) for seed in range(52, 202)]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("case", SLOW_CASES, ids=[case_id(c) for c in SLOW_CASES])
+def test_cli_contract_in_a_subprocess(tmp_path, in_subprocess, case):
+    run_case(tmp_path, in_subprocess, case)
 
 
 MESHES = {
@@ -207,14 +254,13 @@ def mutate_bsm(data, mutation, rng):
     return b"".join(lines[:heads[0]] + [line for section in sections for line in section])
 
 
-@pytest.mark.parametrize("seed", BSM_SEEDS,
-                         ids=[f"{seed}-" + "-".join(bsm_case(seed)) for seed in BSM_SEEDS])
-def test_mutated_mesh_file(tmp_path, monkeypatch, capsys, saved_meshes, seed):
+def run_mesh_file_case(tmp_path, run, saved_meshes, seed):
+    """``mesh info`` and a two-step simulate on the mutated file of ``.bsm``
+    case ``seed``; checks the contract of each."""
     name, mutation = bsm_case(seed)
     degree, data = saved_meshes[name]
     (tmp_path / "mesh.bsm").write_bytes(mutate_bsm(data, mutation, random.Random(seed)))
-    monkeypatch.chdir(tmp_path)
-    code, err = run_main(["mesh", "info", "mesh.bsm"], capsys)
+    code, err = run(["mesh", "info", "mesh.bsm"])
     assert code in (0, 2), err
     config = {
         "model": MODEL,
@@ -223,6 +269,25 @@ def test_mutated_mesh_file(tmp_path, monkeypatch, capsys, saved_meshes, seed):
         "run": {"kind": "simulate", "outputs": "out", "snapshots": 1},
     }
     (tmp_path / "config.json").write_text(json.dumps(config))
-    code, err = run_main(["simulate", "config.json"], capsys)
+    code, err = run(["simulate", "config.json"])
     if code == 2:
         assert not (tmp_path / "out").exists(), err
+
+
+def bsm_id(seed):
+    return f"{seed}-" + "-".join(bsm_case(seed))
+
+
+@pytest.mark.parametrize("seed", BSM_SEEDS, ids=[bsm_id(seed) for seed in BSM_SEEDS])
+def test_mutated_mesh_file(tmp_path, in_process, saved_meshes, seed):
+    run_mesh_file_case(tmp_path, in_process, saved_meshes, seed)
+
+
+# .bsm seeds past the in-process ones.
+SLOW_BSM_SEEDS = range(50, 100)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", SLOW_BSM_SEEDS, ids=[bsm_id(seed) for seed in SLOW_BSM_SEEDS])
+def test_mutated_mesh_file_in_a_subprocess(tmp_path, in_subprocess, saved_meshes, seed):
+    run_mesh_file_case(tmp_path, in_subprocess, saved_meshes, seed)

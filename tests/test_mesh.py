@@ -334,6 +334,28 @@ class TestDiskMesh:
             generate_disk_mesh(1.0, 1e-6)
 
 
+@pytest.mark.parametrize("change, message", [
+    (lambda m: {"dim_m": 3}, "boundary dimension m must be 1 or 2, got 3"),
+    (lambda m: {"node_positions": np.hstack([m.node_positions, m.node_positions[:, :1]])},
+     re.escape("node_positions must have shape (N, m+1)")),
+    (lambda m: {"bulk_elements": m.bulk_elements[:, :2]},
+     "bulk connectivity width does not match degree"),
+    (lambda m: {"boundary_elements": m.boundary_elements[:, :1]},
+     "boundary connectivity width does not match degree"),
+    (lambda m: {"bulk_elements": m.bulk_elements - 1}, "bulk connectivity index out of range"),
+    (lambda m: {"boundary_elements": m.boundary_elements[:0]}, "boundary triangulation is empty"),
+    (lambda m: {"boundary_elements": m.boundary_elements - 1},
+     "boundary connectivity index out of range"),
+    (lambda m: {"boundary_elements": m.boundary_elements + 1},
+     r"boundary element references interior node (\d+) \(>= n_boundary=\1\)"),
+], ids=["dim", "positions-shape", "bulk-width", "boundary-width", "bulk-index",
+        "no-facets", "boundary-index", "interior-node-on-boundary"])
+def test_mesh_fields_checked(change, message):
+    mesh = generate_disk_mesh(1.0, 0.5, degree=1)
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        dataclasses.replace(mesh, **change(mesh))
+
+
 class TestNodeBudget:
     @pytest.mark.parametrize("radii, h", [([1.5, 1.5], 0.1), ([1.0, 0.8, 0.9], 0.5)])
     def test_estimate_counts_the_p1_nodes(self, radii, h):
@@ -415,7 +437,7 @@ class TestElevation:
     def test_elevation_requires_linear_input(self):
         quad = generate_disk_mesh(1.0, 0.4, degree=2)
         with pytest.raises(ValidationError):
-            elevate_to_quadratic(quad)
+            elevate_to_quadratic(quad, lambda p: p)
 
     def test_projector_displacement_guard(self):
         lin = generate_disk_mesh(1.0, 0.4, degree=1)
@@ -427,7 +449,7 @@ class TestElevation:
         facets = lin.boundary_elements.copy()
         facets[-1] = (0, 2)
         with pytest.raises(ValidationError, match=f"^facet {len(facets) - 1} has an edge"):
-            elevate_to_quadratic(with_facets(lin, facets))
+            elevate_to_quadratic(with_facets(lin, facets), lambda p: p)
 
     def test_boundary_first_preserved(self):
         for degree in (1, 2):

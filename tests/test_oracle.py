@@ -225,3 +225,14 @@ class TestSeedState:
             state.pressure[0], self.oracle.pressure_extended(self.oracle.radius(t), t),
             rtol=1e-12
         )
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("dim_m", 3, "dim_m must be 1 or 2"),
+    ("initial_radius", 0.0, "initial radius must be positive"),
+    ("beta", 0.0, "alpha and beta must be positive"),
+])
+def test_oracle_fields_checked(field, value, message):
+    fields = dict(dim_m=1, initial_radius=1.0, source=1.5, alpha=1.0, beta=1.0)
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        RadialOracle(**{**fields, field: value})

@@ -9,12 +9,21 @@ from bulkgrow.refelem import (
     FACE_NODES,
     adjugate_det,
     determinant,
-    local_nodes,
+    nodes_per_element,
     quadrature_rule,
     reference_element,
     shape_gradients,
     shape_values,
 )
+
+
+def local_nodes(dim, degree):
+    """Reference coordinates of the local nodes, shape (n_nodes, dim)."""
+    verts = np.vstack([np.zeros(dim), np.eye(dim)])
+    if degree == 1:
+        return verts
+    mids = np.array([(verts[a] + verts[b]) / 2.0 for a, b in EDGE_VERTICES[dim]])
+    return np.vstack([verts, mids])
 
 
 def exact_monomial_integral(dim, exponents):
@@ -112,6 +121,17 @@ def test_bad_degree_rejected():
         reference_element(2, 3)
     with pytest.raises(ValidationError):
         reference_element(4, 1)
+
+
+@pytest.mark.parametrize("call, args, message", [
+    (nodes_per_element, (2, 3), "unsupported polynomial degree 3"),
+    (quadrature_rule, (2, 5), "no triangle rule of degree 5"),
+    (quadrature_rule, (3, 5), "no tetrahedron rule of degree 5"),
+    (quadrature_rule, (4, 2), "unsupported simplex dimension 4"),
+])
+def test_unsupported_rules_rejected(call, args, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        call(*args)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from bulkgrow import sparsela
 from bulkgrow.assembly import Assembler, assemble_L
 from bulkgrow.errors import SolverError, ValidationError
 from bulkgrow.mesh import generate_ball_mesh, generate_disk_mesh
@@ -218,7 +219,9 @@ def relative_residuals(a, x, b):
 def ordering_fill(matrix, dissection):
     """(2 nnz(L) - n) / nnz(A) of the Cholesky factor of ``matrix`` in the
     ordering of ``dissection``, counted on its unmerged separator tree."""
-    return (2 * _Symbolic(matrix, dissection, merge=0).nnz - matrix.shape[0]) / matrix.nnz
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sparsela, "_FRONT_COLUMNS", 0)
+        return (2 * _Symbolic(matrix, dissection).nnz - matrix.shape[0]) / matrix.nnz
 
 
 def test_spd_factor_matches_pcg(calls):
@@ -771,6 +774,12 @@ class TestSupernodalCholesky:
                                           shape=(n, n))).tocsr()
         with pytest.raises(ValidationError, match="dissection tree"):
             SpdFactor(coupled, dissection)
+
+    def test_ordering_of_other_nodes_rejected(self, systems):
+        matrix, dissection = systems["robin"]
+        with pytest.raises(ValidationError,
+                           match="^matrix and ordering describe different nodes$"):
+            _Symbolic(matrix[:-1, :-1], dissection)
 
 
 @pytest.mark.parametrize("layout", ["reversed", "split"])

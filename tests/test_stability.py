@@ -217,6 +217,10 @@ class TestSweep:
         with pytest.raises(ValidationError):
             stability_sweep(self.levels(1), "neumann", samples=8, seed=0, boost_iters=0)
 
+    def test_samples_validation(self):
+        with pytest.raises(ValidationError, match="^need at least one sample per level$"):
+            stability_sweep(self.levels(1), "robin", samples=0, seed=0, boost_iters=0)
+
     def test_constant_only_sample(self, disk):
         mesh, mats = disk
         g = np.ones(mesh.n_boundary)
